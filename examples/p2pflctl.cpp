@@ -1,8 +1,7 @@
 // p2pflctl — command-line front end for the library.
 //
-//   p2pflctl train    [--peers=N --groups=m|--n=K --dist=iid|noniid5|noniid0]
-//                     [--rounds=R --tolerance=F --fraction=P --seed=S]
-//                     [--weighted] [--checkpoint=FILE]
+//   p2pflctl train    [--peers=N --groups=m --k=K --rounds=R --seed=S]
+//                     [--dist=iid|noniid5|noniid0] [--checkpoint=FILE]
 //                     [--transport=sim|tcp]
 //   p2pflctl cost     [--peers=N --n=K --k=K2 --params=P]
 //   p2pflctl health   [--peers=N --groups=m --timeout-ms=T --tolerance=F]
@@ -17,7 +16,8 @@
 //                     [--corrupt=P --truncate=P]
 //                     [--churn-mttf=MS --churn-mttr=MS]
 //                     [--partition-at=MS --heal-at=MS --interval=MS]
-//                     [--transport=sim|tcp] [--wal=DIR]
+//   p2pflctl chaos    --wal=DIR [--transport=sim|tcp]
+//                     [--peers=N --groups=m --rounds=R --seed=S]
 //                     [--kill-after-round=N] [--resume]
 //   p2pflctl explain  [same scenario flags as chaos, fault-free default]
 //                     [--round=N] [--out=BASE]
@@ -25,25 +25,26 @@
 //                     [--max-latency-ms=T --out=BASE]
 //   p2pflctl wire     [--dim=D --n=N --k=K --seed=S] [--dump=KEY]
 //
-// Everything runs on the deterministic simulator; identical flags give
-// identical results. The one exception is `train --transport=tcp`,
-// which runs the full FedAvg system over real loopback TCP sockets
-// (net::tcp::TcpTransport) and cross-checks the per-round payload bytes
-// it measured on the wire against the paper's Eq. (4) closed form —
-// exit status 1 if they disagree. `trace` replays the recovery scenario with the
+// Everything runs on the deterministic simulator, where identical flags
+// give identical results. `train` and `chaos --wal` also run over real
+// loopback TCP sockets (`--transport=tcp`, net::tcp::TcpTransport), as
+// one scenario on either transport. `train` runs the full FedAvg
+// system and checks every round's payload bytes against the paper's
+// Eq. (4), or Eq. (5) when --k < n — exit status 1 on any mismatch.
+// `trace` replays the recovery scenario with the
 // observability layer on and writes BASE.metrics.jsonl plus
 // BASE.trace.json (Chrome trace_event format; open in about://tracing).
 // `chaos` runs two-layer aggregation rounds under a scripted fault plan
 // (message loss, duplication, reordering, crash/restart churn and an
 // optional partition window) and checks that every committed round is
-// the exact average of its contributing peers. `chaos --transport=tcp`
-// moves the same self-healing scenario onto real loopback sockets with
-// WAL-backed Raft state in --wal=DIR: it injects a connection reset, a
+// the exact average of its contributing peers. `chaos --wal=DIR` (the
+// default with `--transport=tcp`) runs the self-healing scenario instead,
+// with WAL-backed Raft state in DIR: it injects a connection reset, a
 // bandwidth-throttle window and a crash/restart through the chaos
 // engine, then verifies the victim rejoined from its on-disk log with
 // zero InstallSnapshot RPCs. `--kill-after-round=N` SIGKILLs the whole
 // process mid-run (exit 137) so a second invocation with `--resume` can
-// prove every peer recovers from the write-ahead logs it left behind.
+// prove peers recover from the write-ahead logs it left behind.
 // `health` exercises the
 // self-healing membership path end to end — stabilize, crash a peer,
 // watch it get suspected and evicted, restart it (optionally with
@@ -80,30 +81,23 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 
 #include "analysis/cost_model.hpp"
 #include "bench/bench_util.hpp"
 #include "bench/json_util.hpp"
 #include "bench/obs_util.hpp"
-#include "chaos/engine.hpp"
-#include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
-#include "core/fl_experiment.hpp"
 #include "core/system.hpp"
 #include "core/two_layer_raft.hpp"
 #include "core/wire.hpp"
 #include "fl/checkpoint.hpp"
+#include "net/backend.hpp"
 #include "net/codec.hpp"
-#include "net/tcp/tcp_transport.hpp"
 #include "raft/wire.hpp"
 #include "secagg/wire.hpp"
 
@@ -111,169 +105,87 @@ using namespace p2pfl;
 
 namespace {
 
-// `train --transport=tcp`: the same two-layer FedAvg system, but over
-// real loopback sockets. Every peer gets a listener, frames are the
-// canonical codec encodings, and the run cross-validates the measured
-// per-round payload bytes against Eq. (4) — the experiment that makes
-// the simulator's cost numbers trustworthy.
-int cmd_train_tcp(const bench::Args& args) {
-  const std::size_t peers = static_cast<std::size_t>(args.get_int("peers", 20));
-  const std::size_t groups =
-      static_cast<std::size_t>(args.get_int("groups", 5));
-  const std::size_t rounds =
-      static_cast<std::size_t>(args.get_int("rounds", 10));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
-  if (groups == 0 || peers % groups != 0) {
-    std::fprintf(stderr, "tcp transport needs --peers divisible by --groups\n");
-    return 2;
-  }
-  const std::size_t n = peers / groups;
-
-  const core::Topology topo = core::Topology::even(peers, groups);
-  net::tcp::TcpTransport transport({.peers = topo.all_peers(), .seed = seed});
-  net::Network net(transport, {});
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts = fl::partition_iid(data.train, peers, data_rng);
-
-  core::SystemConfig cfg;
-  // Real-clock profile: training runs synchronously on the transport's
-  // loop thread, so election timeouts must sit well above the longest
-  // stall, and protocol retry timers far above loopback latency (on a
-  // clean local wire a retry would only distort the cost measurement).
-  cfg.raft.raft.election_timeout_min = 1 * kSecond;
-  cfg.raft.raft.election_timeout_max = 2 * kSecond;
-  cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 50 * kMillisecond;
-  cfg.agg.collect_timeout = 60 * kSecond;
-  cfg.agg.sac_share_timeout = 20 * kSecond;
-  cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-  cfg.agg.upload_retry = 60 * kSecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = seed;
-  core::P2pFlSystem sys(topo, cfg, net, data.train, data.test, parts,
-                        [] { return fl::Model::mlp(64, {16}); });
-
-  std::mutex mu;
-  std::vector<std::uint64_t> payload_at_round;  // sent.payload snapshots
-  sys.on_round_complete = [&](std::uint64_t, const secagg::Vector&,
-                              std::size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    payload_at_round.push_back(net.stats().sent.payload);
-  };
-
-  transport.start();
-  std::printf("training over TCP: %zu peers in %zu subgroups of %zu, "
-              "%zu rounds (loopback ports %u..%u)\n",
-              peers, groups, n, rounds, transport.port_of(0),
-              transport.port_of(static_cast<PeerId>(peers - 1)));
-  transport.call([&] { sys.start(); });
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30 + 3 * rounds);
-  for (;;) {
-    std::size_t done;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = payload_at_round.size();
-    }
-    if (done >= rounds + 1) break;
-    if (std::chrono::steady_clock::now() > deadline) {
-      transport.shutdown();
-      std::fprintf(stderr, "timed out after %zu completed rounds\n", done);
-      return 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  transport.shutdown();
-
-  const std::size_t dim = sys.global_model_at(0).size();
-  const std::uint64_t w = 4 * static_cast<std::uint64_t>(dim);
-  const double expected = analysis::two_layer_cost_eq4(groups, n);
-  bool all_exact = true;
-  for (std::size_t r = 1; r < payload_at_round.size() && r <= rounds; ++r) {
-    const std::uint64_t delta = payload_at_round[r] - payload_at_round[r - 1];
-    const double units = static_cast<double>(delta) / static_cast<double>(w);
-    const bool exact = units == expected;
-    all_exact = all_exact && exact;
-    std::printf("  round %3zu  payload %8llu B  = %7.1f |w|  eq4 %7.1f  %s\n",
-                r, static_cast<unsigned long long>(delta), units, expected,
-                exact ? "exact" : "MISMATCH");
-  }
-  const auto ev = sys.evaluate_global();
-  std::printf("final: %.2f%% accuracy after %zu rounds; raw wire %llu B "
-              "sent / %llu B received over %llu frames\n",
-              ev.accuracy * 100.0, sys.rounds_completed(),
-              static_cast<unsigned long long>(transport.raw_bytes_sent()),
-              static_cast<unsigned long long>(transport.raw_bytes_received()),
-              static_cast<unsigned long long>(transport.frames_sent()));
-  std::printf("per-round payload %s the Eq. (4) closed form (%.1f |w|)\n",
-              all_exact ? "matches" : "DOES NOT match", expected);
-  return all_exact ? 0 : 1;
+/// The --transport flag: "sim" (default) or "tcp"; empty on a usage
+/// error, which has been reported.
+std::string transport_flag(const bench::Args& args) {
+  const std::string transport = args.get("transport", "sim");
+  if (transport == "sim" || transport == "tcp") return transport;
+  std::fprintf(stderr, "unknown transport '%s' (sim|tcp)\n",
+               transport.c_str());
+  return "";
 }
 
+// `train`: the full two-layer FedAvg system (Raft-elected leaders, SAC
+// subgroups, real local training) on either transport with the
+// real-clock timing profile. Each round's payload bytes are checked
+// against the paper's closed form, Eq. (4) or Eq. (5) when --k < n: on
+// TCP this is the experiment that makes the simulator's cost numbers
+// trustworthy.
 int cmd_train(const bench::Args& args) {
-  const std::string transport = args.get("transport", "sim");
-  if (transport == "tcp") return cmd_train_tcp(args);
-  if (transport != "sim") {
-    std::fprintf(stderr, "unknown transport '%s' (sim|tcp)\n",
-                 transport.c_str());
+  const std::string transport = transport_flag(args);
+  if (transport.empty()) return 2;
+  chaos::TrainingConfig cfg;
+  cfg.peers = static_cast<std::size_t>(args.get_int("peers", 20));
+  cfg.groups = static_cast<std::size_t>(args.get_int("groups", 5));
+  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  cfg.dist = args.get("dist", "iid");
+  if (cfg.groups == 0 || cfg.peers % cfg.groups != 0) {
+    std::fprintf(stderr, "train needs --peers divisible by --groups\n");
     return 2;
   }
-  core::FlExperimentConfig cfg;
-  cfg.peers = static_cast<std::size_t>(args.get_int("peers", 10));
-  cfg.subgroups = static_cast<std::size_t>(args.get_int("groups", 0));
-  cfg.group_size = static_cast<std::size_t>(args.get_int("n", 3));
-  if (cfg.subgroups > 0) cfg.group_size = 0;
-  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 50));
-  cfg.sac_k = static_cast<std::size_t>(args.get_int("k", 0));
-  cfg.fraction_p = args.get_double("fraction", 1.0);
-  cfg.dropout_after_share_prob = args.get_double("dropout", 0.0);
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.weight_by_samples = args.has("weighted");
-  cfg.eval_every = 5;
-  cfg.data = fl::mnist_like();
-  cfg.data.noise_scale = args.get_double("noise", 2.0);
-  cfg.learning_rate = 1e-3f;
+  const std::size_t n = cfg.peers / cfg.groups;
+  cfg.k = static_cast<std::size_t>(args.get_int("k", static_cast<long>(n)));
+  if (cfg.k < 1 || cfg.k > n) {
+    std::fprintf(stderr, "train needs 1 <= --k <= n = %zu\n", n);
+    return 2;
+  }
+  if (cfg.dist != "iid" && cfg.dist != "noniid5" && cfg.dist != "noniid0") {
+    std::fprintf(stderr, "unknown dist '%s' (iid|noniid5|noniid0)\n",
+                 cfg.dist.c_str());
+    return 2;
+  }
 
-  const std::string dist = args.get("dist", "iid");
-  cfg.distribution = dist == "noniid5" ? core::DataDistribution::kNonIid5
-                     : dist == "noniid0"
-                         ? core::DataDistribution::kNonIid0
-                         : core::DataDistribution::kIid;
+  std::printf("training on %s: %zu peers in %zu subgroups of %zu, %zu-out-"
+              "of-%zu SAC, %s, %zu rounds\n",
+              transport.c_str(), cfg.peers, cfg.groups, n, cfg.k, n,
+              cfg.dist.c_str(), cfg.rounds);
+  net::Backend backend(transport, cfg.peers, cfg.seed);
+  const chaos::TrainingResult res = chaos::run_training(backend.net(), cfg);
+  if (!res.finished) {
+    std::fprintf(stderr, "timed out after %zu completed rounds\n",
+                 res.snapshots.size());
+    return 1;
+  }
 
-  std::printf("training: %zu peers, %s, %zu rounds, subgroups of ~%zu\n",
-              cfg.peers, core::distribution_name(cfg.distribution),
-              cfg.rounds, cfg.group_size);
-  const auto result =
-      core::run_fl_experiment(cfg, [](const core::RoundRecord& rec) {
-        if (rec.test_accuracy) {
-          std::printf("  round %4zu  loss %.4f  acc %5.2f%%\n", rec.round,
-                      rec.train_loss, *rec.test_accuracy * 100.0);
-        }
-      });
-  std::printf("final: %.2f%% (quorum failures: %zu)\n",
-              result.final_accuracy * 100.0,
-              result.subgroup_quorum_failures);
+  const char* eq = cfg.k == n ? "eq4" : "eq5";
+  for (std::size_t i = 0; i < res.round_payload.size(); ++i) {
+    std::printf("  round %3zu  payload %8llu B  = %7.1f |w|  %s %7.1f  %s\n",
+                i + 1, static_cast<unsigned long long>(res.round_payload[i]),
+                res.units(i), eq, res.expected_units,
+                res.units(i) == res.expected_units ? "exact" : "MISMATCH");
+  }
+  const net::TrafficStats& st = backend.net().stats();
+  std::printf("final: %.2f%% accuracy after %zu rounds; %llu B sent / %llu "
+              "B delivered in %llu messages\n",
+              res.accuracy * 100.0, res.rounds_completed,
+              static_cast<unsigned long long>(st.sent.bytes),
+              static_cast<unsigned long long>(st.delivered.bytes),
+              static_cast<unsigned long long>(st.sent.messages));
+  std::printf("per-round payload %s the Eq. (%s) closed form (%.1f |w|)\n",
+              res.all_exact() ? "matches" : "DOES NOT match",
+              cfg.k == n ? "4" : "5", res.expected_units);
 
   const std::string ckpt = args.get("checkpoint", "");
   if (!ckpt.empty()) {
-    if (fl::save_checkpoint(ckpt, result.final_weights)) {
-      std::printf("saved final global model (%zu params) to %s\n",
-                  result.final_weights.size(), ckpt.c_str());
-    } else {
+    if (!fl::save_checkpoint(ckpt, res.global)) {
       std::fprintf(stderr, "failed to write checkpoint %s\n", ckpt.c_str());
       return 2;
     }
+    std::printf("saved final global model (%zu params) to %s\n",
+                res.global.size(), ckpt.c_str());
   }
-  return 0;
+  return res.all_exact() ? 0 : 1;
 }
 
 int cmd_cost(const bench::Args& args) {
@@ -335,10 +247,9 @@ int cmd_recovery(const bench::Args& args, bool traced = false) {
                 to_ms(sim.now()), p);
   };
   sys.start_all();
-  while (!sys.stabilized() && sim.now() < 30 * kSecond) {
-    sim.run_for(20 * kMillisecond);
-  }
-  if (!sys.stabilized()) {
+  net::Transport& tr = net.transport();
+  const auto stabilized = [&] { return sys.stabilized(); };
+  if (!tr.run_until(stabilized, 30 * kSecond, 20 * kMillisecond)) {
     std::printf("failed to stabilize\n");
     return 1;
   }
@@ -357,15 +268,20 @@ int cmd_recovery(const bench::Args& args, bool traced = false) {
               victim);
   const SimTime t0 = sim.now();
   sys.crash_peer(victim);
-  while (!sys.stabilized() && sim.now() < t0 + 60 * kSecond) {
-    sim.run_for(20 * kMillisecond);
+  const bool recovered =
+      tr.run_until(stabilized, 60 * kSecond, 20 * kMillisecond);
+  if (recovered) {
+    std::printf("[%7.0fms] system stable again — recovery took %.0f ms\n",
+                to_ms(sim.now()), to_ms(sim.now() - t0));
+  } else {
+    std::printf("[%7.0fms] failed to re-stabilize within %.0f ms\n",
+                to_ms(sim.now()), to_ms(sim.now() - t0));
   }
-  std::printf("[%7.0fms] system stable again — recovery took %.0f ms\n",
-              to_ms(sim.now()), to_ms(sim.now() - t0));
+  // A failed recovery is the run most worth reading: export it too.
   if (traced) {
     bench::export_observability(sim, args.get("out", "p2pfl"));
   }
-  return 0;
+  return recovered ? 0 : 1;
 }
 
 std::string peer_list(const std::vector<PeerId>& v) {
@@ -437,31 +353,22 @@ void health_report_json(bench::JsonWriter& w, const core::HealthReport& hr) {
   w.array_end();
 }
 
-bool fully_healed(const core::HealthReport& hr) {
-  if (hr.fedavg_leader == kNoPeer) return false;
-  for (const core::SubgroupHealth& h : hr.subgroups) {
-    if (h.leader == kNoPeer || h.parked) return false;
-    if (!h.suspected.empty() || !h.evicted.empty()) return false;
-    // The FedAvg layer is representative-based: every subgroup's leader
-    // must hold a seat there.
-    if (std::find(hr.fedavg_members.begin(), hr.fedavg_members.end(),
-                  h.leader) == hr.fedavg_members.end()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Delete every regular file in `dir` (the flat layout raft::WalStorage
-/// uses). Missing directory is fine — it's created on first use.
-void wipe_wal_dir(const std::string& dir) {
+/// Paths of the files in `dir` (the flat layout raft::WalStorage uses).
+/// Missing directory is fine — it's created on first use.
+std::vector<std::string> wal_files(const std::string& dir) {
+  std::vector<std::string> files;
   DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return;
+  if (d == nullptr) return files;
   while (dirent* e = ::readdir(d)) {
     if (e->d_name[0] == '.') continue;
-    ::unlink((dir + "/" + e->d_name).c_str());
+    files.push_back(dir + "/" + e->d_name);
   }
   ::closedir(d);
+  return files;
+}
+
+void wipe_wal_dir(const std::string& dir) {
+  for (const std::string& f : wal_files(dir)) ::unlink(f.c_str());
 }
 
 /// Append the durability/fault-injection metrics sub-object to an open
@@ -553,10 +460,9 @@ int cmd_health(const bench::Args& args) {
   };
 
   sys.start_all();
-  while (!sys.stabilized() && sim.now() < 30 * kSecond) {
-    sim.run_for(20 * kMillisecond);
-  }
-  if (!sys.stabilized()) {
+  net::Transport& tr = net.transport();
+  if (!tr.run_until([&] { return sys.stabilized(); }, 30 * kSecond,
+                    20 * kMillisecond)) {
     if (!json) std::printf("failed to stabilize\n");
     return verdict("stabilize", false);
   }
@@ -566,16 +472,8 @@ int cmd_health(const bench::Args& args) {
   }
 
   // Crash a pure subgroup follower so both layers must notice and evict.
-  for (PeerId p : sys.topology().all_peers()) {
-    bool leads = p == sys.fedavg_leader();
-    for (SubgroupId g = 0; g < groups; ++g) {
-      if (sys.subgroup_leader(g) == p) leads = true;
-    }
-    if (!leads) {
-      victim = p;
-      break;
-    }
-  }
+  const std::vector<PeerId> followers = chaos::pure_followers(sys);
+  if (!followers.empty()) victim = followers.front();
   if (!json) std::printf("\n--- crashing peer %u ---\n", victim);
   sys.crash_peer(victim);
   const SimTime t0 = sim.now();
@@ -585,12 +483,11 @@ int cmd_health(const bench::Args& args) {
     const auto& ev = hr.subgroups[g].evicted;
     return std::find(ev.begin(), ev.end(), victim) != ev.end();
   };
-  while (!evicted() && sim.now() < t0 + 60 * kSecond) {
-    sim.run_for(50 * kMillisecond);
-  }
+  const bool was_evicted =
+      tr.run_until(evicted, 60 * kSecond, 50 * kMillisecond);
   evict_ms = to_ms(sim.now() - t0);
   if (!json) print_health(sim, sys.health(tolerance));
-  if (!evicted()) {
+  if (!was_evicted) {
     if (!json) std::printf("peer %u was never evicted\n", victim);
     return verdict("evict", false);
   }
@@ -605,13 +502,12 @@ int cmd_health(const bench::Args& args) {
     sys.restart_peer(victim);
   }
   const SimTime t1 = sim.now();
-  while ((!sys.stabilized() || !fully_healed(sys.health(tolerance))) &&
-         sim.now() < t1 + 120 * kSecond) {
-    sim.run_for(50 * kMillisecond);
-  }
+  const bool healed = tr.run_until(
+      [&] {
+        return sys.stabilized() && chaos::fully_healed(sys.health(tolerance));
+      },
+      120 * kSecond, 50 * kMillisecond);
   heal_ms = to_ms(sim.now() - t1);
-  const bool healed =
-      sys.stabilized() && fully_healed(sys.health(tolerance));
   if (!json) {
     print_health(sim, sys.health(tolerance));
     std::printf("\nself-healing: %s (evict %.0f ms after crash, heal %.0f "
@@ -666,17 +562,7 @@ int cmd_attack(const bench::Args& args) {
   nopts.base_latency = 15 * kMillisecond;
   nopts.faults.drop_prob = loss;
   net::Network net(sim, nopts);
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts =
-      fl::partition_iid(data.train, peers, data_rng);
+  const chaos::SyntheticTask task(peers, seed);
 
   robust::ByzantineRegistry registry;
   core::SystemConfig cfg;
@@ -694,7 +580,7 @@ int cmd_attack(const bench::Args& args) {
   cfg.agg.robust.rule = rule;
   cfg.agg.robust.trim_fraction = args.get_double("trim", 0.2);
   core::P2pFlSystem sys(core::Topology::even(peers, groups), cfg, net,
-                        data.train, data.test, parts,
+                        task.data.train, task.data.test, task.parts,
                         [] { return fl::Model::mlp(64, {16}); });
 
   // Detection-chain counters reported by both output modes. Read with
@@ -733,26 +619,17 @@ int cmd_attack(const bench::Args& args) {
   };
 
   sys.start();
-  while (sys.rounds_completed() < 2 && sim.now() < 30 * kSecond) {
-    sim.run_for(100 * kMillisecond);
-  }
-  if (sys.rounds_completed() < 2) {
+  net::Transport& tr = net.transport();
+  if (!tr.run_until([&] { return sys.rounds_completed() >= 2; },
+                    30 * kSecond, 100 * kMillisecond)) {
     if (!json) std::printf("rounds never started\n");
     return json ? emit_json("no_rounds", false, false) : 1;
   }
 
   // Turn a pure subgroup follower adversarial: its SAC leader must
   // catch it from the share evidence alone.
-  for (PeerId p : sys.raft().topology().all_peers()) {
-    bool leads = p == sys.raft().fedavg_leader();
-    for (SubgroupId g = 0; g < groups; ++g) {
-      if (sys.raft().subgroup_leader(g) == p) leads = true;
-    }
-    if (!leads) {
-      victim = p;
-      break;
-    }
-  }
+  const std::vector<PeerId> followers = chaos::pure_followers(sys.raft());
+  if (!followers.empty()) victim = followers.front();
   registry.activate(victim,
                     {kind, args.get_double("magnitude", 10.0)});
   if (!json) {
@@ -773,9 +650,7 @@ int cmd_attack(const bench::Args& args) {
     return detectable ? sys.raft().is_banned(victim) && evicted()
                       : sim.now() >= t0 + 20 * kSecond;
   };
-  while (!finished() && sim.now() < t0 + horizon) {
-    sim.run_for(100 * kMillisecond);
-  }
+  tr.run_until(finished, horizon, 100 * kMillisecond);
   if (!json) {
     print_health(sim, sys.raft().health(1));
     std::printf("\ndetection:\n");
@@ -852,223 +727,97 @@ chaos::ChaosSoakConfig soak_config(const bench::Args& args,
   return cfg;
 }
 
-// `chaos --transport=tcp`: the self-healing chaos scenario over real
-// loopback sockets with crash-durable Raft state. Stabilize, then run a
-// scripted transport-fault plan (a connection reset, a slow-writer
-// throttle window) plus a crash that outlives the suspicion grace; the
-// victim is evicted, restarts from its write-ahead log and rejoins.
+// `chaos --wal=DIR` (and any `chaos --transport=tcp`): the self-healing
+// scenario on crash-durable Raft state, on either transport. See
+// chaos::run_heal_soak for the plan; exit 0 requires the victim to
+// rejoin from its write-ahead log with zero InstallSnapshot RPCs.
 //
 // `--kill-after-round=N` SIGKILLs the whole process the moment round N
 // completes (exit 137, nothing flushed gracefully) — re-running with
-// `--resume` over the same `--wal` directory must then recover every
-// peer from disk and heal. That pair of invocations is the crash-
-// recovery soak CI runs nightly.
-int cmd_chaos_tcp(const bench::Args& args) {
-  const std::size_t peers =
-      static_cast<std::size_t>(args.get_int("peers", 12));
-  const std::size_t groups =
-      static_cast<std::size_t>(args.get_int("groups", 3));
-  const std::size_t rounds =
-      static_cast<std::size_t>(args.get_int("rounds", 8));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7));
-  const long kill_after = args.get_int("kill-after-round", 0);
-  const bool resume = args.has("resume");
-  std::string wal_dir = args.get("wal", "");
-  if (wal_dir.empty()) wal_dir = "p2pflctl_chaos_wal";
-  if (groups == 0 || peers % groups != 0) {
-    std::fprintf(stderr, "tcp transport needs --peers divisible by --groups\n");
+// `--resume` over the same `--wal` directory must then recover peers
+// from disk and heal. That pair of invocations is the crash-recovery
+// soak CI runs nightly.
+int cmd_heal(const bench::Args& args, const std::string& transport) {
+  chaos::HealSoakConfig cfg;
+  cfg.peers = static_cast<std::size_t>(args.get_int("peers", 12));
+  cfg.groups = static_cast<std::size_t>(args.get_int("groups", 3));
+  cfg.min_rounds = static_cast<std::size_t>(args.get_int("rounds", 8));
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  cfg.wal_dir = args.get("wal", "");
+  if (cfg.wal_dir.empty()) cfg.wal_dir = "p2pflctl_chaos_wal";
+  if (cfg.groups == 0 || cfg.peers % cfg.groups != 0) {
+    std::fprintf(stderr, "chaos --wal needs --peers divisible by --groups\n");
     return 2;
   }
-  if (!resume) wipe_wal_dir(wal_dir);
-
-  const core::Topology topo = core::Topology::even(peers, groups);
-  net::tcp::TcpTransport transport({.peers = topo.all_peers(), .seed = seed});
-  net::Network net(transport, {});
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts = fl::partition_iid(data.train, peers, data_rng);
-
-  core::SystemConfig cfg;
-  // Real-clock profile (see cmd_train_tcp), plus self-healing timing
-  // sized so an 8-second crash reliably outlives the suspicion grace.
-  cfg.raft.raft.election_timeout_min = 1 * kSecond;
-  cfg.raft.raft.election_timeout_max = 2 * kSecond;
-  cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
-  cfg.raft.config_commit_interval = 500 * kMillisecond;
-  cfg.raft.suspicion_grace = 4 * kSecond;
-  cfg.raft.membership_poll = 500 * kMillisecond;
-  cfg.raft.rejoin_retry = 500 * kMillisecond;
-  cfg.raft.storage_dir = wal_dir;
-  cfg.agg.collect_timeout = 60 * kSecond;
-  cfg.agg.sac_share_timeout = 20 * kSecond;
-  cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-  cfg.agg.upload_retry = 60 * kSecond;
-  cfg.agg.sac_dropout_tolerance = 1;
-  // Rounds tick every second, so the restarted victim refreshes its
-  // model from the next live round result; a catch-up pull would be
-  // answered with a deliberate snapshot push and muddy the
-  // zero-state-transfer verdict below.
-  cfg.catchup_retry = 60 * kSecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 50 * kMillisecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = seed;
-  core::P2pFlSystem sys(topo, cfg, net, data.train, data.test, parts,
-                        [] { return fl::Model::mlp(64, {16}); });
-
-  std::mutex mu;
-  std::size_t rounds_done = 0;
-  std::set<PeerId> rejoined;
-  sys.raft().on_peer_rejoined = [&](PeerId p) {
-    std::lock_guard<std::mutex> lock(mu);
-    rejoined.insert(p);
-  };
-  sys.on_round_complete = [&](std::uint64_t, const secagg::Vector&,
-                              std::size_t) {
-    std::size_t done;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = ++rounds_done;
-    }
-    if (kill_after > 0 && done == static_cast<std::size_t>(kill_after)) {
-      // The nightly crash soak: die NOW, mid-everything, with no
-      // graceful teardown. Whatever the WALs hold is the truth the
-      // --resume run must come back from.
-      std::printf("%zu rounds complete; SIGKILL (resume from %s)\n", done,
-                  wal_dir.c_str());
-      std::fflush(stdout);
-      ::raise(SIGKILL);
-    }
-  };
-
-  transport.start();
-  transport.call([&] { sys.start(); });
-
-  std::size_t recovered = 0;
-  transport.call([&] {
-    for (PeerId p : topo.all_peers()) {
-      recovered += sys.raft().subgroup_node(p).recovered_from_storage();
-    }
-  });
-  std::printf("chaos over TCP: %zu peers in %zu subgroups, wal %s, "
-              "%zu/%zu peers recovered from disk\n",
-              peers, groups, wal_dir.c_str(), recovered, peers);
-  if (resume && recovered == 0) {
+  const long kill_after = args.get_int("kill-after-round", 0);
+  const bool resume = args.has("resume");
+  if (resume && wal_files(cfg.wal_dir).empty()) {
     std::fprintf(stderr, "--resume: no write-ahead state in %s\n",
-                 wal_dir.c_str());
-    transport.shutdown();
+                 cfg.wal_dir.c_str());
     return 1;
   }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto wait_until = [&](const std::function<bool()>& cond_on_loop,
-                        std::chrono::seconds budget) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    for (;;) {
-      bool ok = false;
-      transport.call([&] { ok = cond_on_loop(); });
-      if (ok) return true;
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  if (!resume) wipe_wal_dir(cfg.wal_dir);
+  cfg.on_round = [&](std::size_t done) {
+    if (kill_after <= 0 || done != static_cast<std::size_t>(kill_after)) {
+      return;
     }
+    // Die NOW, mid-everything, with no graceful teardown. Whatever the
+    // WALs hold is the truth the --resume run must come back from.
+    std::printf("%zu rounds complete; SIGKILL (resume from %s)\n", done,
+                cfg.wal_dir.c_str());
+    std::fflush(stdout);
+    ::raise(SIGKILL);
   };
 
-  if (!wait_until([&] { return sys.raft().stabilized(); },
-                  std::chrono::seconds(60))) {
-    std::fprintf(stderr, "failed to stabilize\n");
-    transport.shutdown();
+  std::printf("chaos heal soak on %s: %zu peers in %zu subgroups, %zu "
+              "rounds, seed %llu, wal %s%s\n",
+              transport.c_str(), cfg.peers, cfg.groups, cfg.min_rounds,
+              static_cast<unsigned long long>(cfg.seed), cfg.wal_dir.c_str(),
+              resume ? " (resume)" : "");
+  net::Backend backend(transport, cfg.peers, cfg.seed);
+  const chaos::HealSoakResult res = chaos::run_heal_soak(backend.net(), cfg);
+  const obs::MetricsRegistry& m = backend.net().obs().metrics;
+  std::printf("%zu/%zu peers recovered from disk at start\n",
+              res.recovered_at_start, cfg.peers);
+  if (resume && res.recovered_at_start == 0) {
+    std::fprintf(stderr, "--resume: no write-ahead state in %s\n",
+                 cfg.wal_dir.c_str());
     return 1;
   }
-
-  // Pick a pure follower as the crash victim, then script the plan
-  // relative to the live clock: reset, throttle, crash past the
-  // suspicion grace, restart from the WAL.
-  PeerId victim = kNoPeer;
-  chaos::ChaosEngineHooks hooks;
-  hooks.crash = [&sys](PeerId p) { sys.crash_peer(p); };
-  hooks.restart = [&sys](PeerId p) { sys.restart_peer(p); };
-  std::optional<chaos::ChaosEngine> engine;
-  transport.call([&] {
-    for (PeerId p : topo.all_peers()) {
-      bool leads = p == sys.raft().fedavg_leader();
-      for (SubgroupId g = 0; g < groups; ++g) {
-        leads = leads || sys.raft().subgroup_leader(g) == p;
-      }
-      if (!leads) victim = p;  // keep the last: furthest from leaders
-    }
-    const SimTime now = transport.now();
-    chaos::ChaosPlan plan;
-    plan.conn_reset_at(now + 1 * kSecond, topo.group(0)[0],
-                       topo.group(0)[1]);
-    plan.throttle_window(now + 1 * kSecond, now + 3 * kSecond,
-                         topo.group(1)[1], /*bytes_per_sec=*/4'000'000);
-    plan.crash_at(now + 2 * kSecond, victim);
-    plan.restart_at(now + 10 * kSecond, victim);
-    engine.emplace(net, std::move(plan), hooks);
-    engine->start();
-  });
-  std::printf("plan: reset %u<->%u, throttle %u, crash+restart %u\n",
-              topo.group(0)[0], topo.group(0)[1],
-              topo.group(1)[1], victim);
-
-  const bool healed = wait_until(
-      [&] {
-        std::lock_guard<std::mutex> lock(mu);
-        return rejoined.count(victim) > 0 && sys.raft().stabilized() &&
-               fully_healed(sys.raft().health(cfg.agg.sac_dropout_tolerance)) &&
-               rounds_done >= rounds;
-      },
-      std::chrono::seconds(120 + 3 * rounds));
-
-  std::size_t final_rounds;
-  bool victim_recovered = false;
-  std::uint64_t victim_snapshot_installs = 0;
-  transport.call([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    final_rounds = rounds_done;
-    victim_recovered =
-        sys.raft().subgroup_node(victim).recovered_from_storage();
-    victim_snapshot_installs =
-        sys.raft().subgroup_node(victim).metrics().snapshot_installs;
-  });
-  const obs::MetricsRegistry& m = transport.obs().metrics;
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  if (!res.stabilized) {
+    std::fprintf(stderr, "failed to stabilize\n");
+    return 1;
+  }
   std::printf(
       "after %.1f s: %zu rounds, victim %u %s from wal "
-      "(snapshot installs %llu), conn resets %llu, throttle windows %llu, "
-      "outq drops %llu, evictions %llu, rejoins %llu\n",
-      elapsed_s, final_rounds, victim,
-      victim_recovered ? "recovered" : "rebuilt without wal",
-      static_cast<unsigned long long>(victim_snapshot_installs),
+      "(snapshot installs %llu), conn resets %llu, stall windows %llu, "
+      "throttle windows %llu, outq drops %llu, evictions %llu, rejoins "
+      "%llu\n",
+      res.elapsed_s, res.rounds, res.victim,
+      res.victim_recovered ? "recovered" : "rebuilt without wal",
+      static_cast<unsigned long long>(res.victim_snapshot_installs),
       static_cast<unsigned long long>(
           m.counter_value("chaos.transport.conn_resets")),
+      static_cast<unsigned long long>(
+          m.counter_value("chaos.transport.stall_windows")),
       static_cast<unsigned long long>(
           m.counter_value("chaos.transport.throttle_windows")),
       static_cast<unsigned long long>(m.counter_value("net.tcp.outq_dropped")),
       static_cast<unsigned long long>(m.counter_value("membership.evicted")),
       static_cast<unsigned long long>(m.counter_value("membership.rejoined")));
-  transport.shutdown();
-
-  // Healed means: victim evicted and back in, every subgroup led, no
-  // standing suspicions — and the WAL restart really was a disk
-  // recovery with zero snapshot state transfer.
-  const bool ok = healed && victim_recovered && victim_snapshot_installs == 0;
-  std::printf("self-healing over TCP: %s\n", ok ? "OK" : "FAILED");
-  return ok ? 0 : 1;
+  std::printf("self-healing on %s: %s\n", transport.c_str(),
+              res.ok() ? "OK" : "FAILED");
+  return res.ok() ? 0 : 1;
 }
 
 int cmd_chaos(const bench::Args& args) {
-  if (args.get("transport", "sim") == "tcp") return cmd_chaos_tcp(args);
+  const std::string transport = transport_flag(args);
+  if (transport.empty()) return 2;
+  if (transport == "tcp" || args.has("wal")) return cmd_heal(args, transport);
+  if (args.has("resume") || args.has("kill-after-round")) {
+    std::fprintf(stderr, "--resume and --kill-after-round need --wal\n");
+    return 2;
+  }
   chaos::ChaosSoakConfig cfg = soak_config(args, 0.05, 0.05);
   const long reorder_ms = args.get_int("reorder-ms", 0);
 

@@ -1,4 +1,6 @@
-// Reusable chaos-soak harness: two-layer aggregation under a fault plan.
+// Reusable chaos soaks over the full protocol stack.
+//
+// run_chaos_soak: two-layer aggregation under a fault plan.
 //
 // Runs N aggregation rounds of the full TwoLayerAggregator stack (SAC
 // subgroups + FedAvg layer) over a network with ambient stochastic
@@ -16,14 +18,25 @@
 // failure mode a liveness metric cannot see.
 //
 // Used by `p2pflctl chaos`, the tier-1 chaos tests and the slow soak.
+//
+// run_heal_soak: the self-healing scenario on crash-durable Raft state,
+// over whatever transport the Network runs on (`p2pflctl chaos --wal`,
+// TcpChaosSoak).
+//
+// run_training: the fault-free full-system training run whose every
+// round is checked against Eq. (4)/(5), on either transport
+// (`p2pflctl train`, TransportEquivalence).
 #pragma once
 
+#include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
-#include <functional>
-
 #include "common/types.hpp"
+#include "core/two_layer_raft.hpp"
+#include "fl/data.hpp"
 #include "net/network.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/slo.hpp"
@@ -116,5 +129,122 @@ struct ChaosSoakResult {
 };
 
 ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg);
+
+struct HealSoakConfig {
+  std::size_t peers = 12;
+  std::size_t groups = 3;
+  /// Rounds that must have completed, counted from start, for a heal.
+  std::size_t min_rounds = 8;
+  std::uint64_t seed = 7;
+  /// Directory of every peer's write-ahead log. Existing state in it is
+  /// recovered at start (a resumed run).
+  std::string wal_dir;
+  /// Fired on the callback thread after each completed round with the
+  /// number of rounds completed so far.
+  std::function<void(std::size_t)> on_round;
+};
+
+struct HealSoakResult {
+  /// Peers whose Raft state came back from wal_dir at start.
+  std::size_t recovered_at_start = 0;
+  /// Every subgroup and the FedAvg layer elected a leader in time.
+  bool stabilized = false;
+  /// The crashed pure follower (kNoPeer when the run never stabilized).
+  PeerId victim = kNoPeer;
+  bool victim_evicted = false;
+  /// The victim rejoined, the cluster is fully healed and min_rounds
+  /// rounds completed, within the budget.
+  bool healed = false;
+  /// The victim's restart replayed its write-ahead log.
+  bool victim_recovered = false;
+  std::uint64_t victim_snapshot_installs = 0;
+  std::size_t faults_injected = 0;
+  std::size_t rounds = 0;
+  /// Transport time from start to the verdict, in seconds.
+  double elapsed_s = 0.0;
+  /// End state: peers configured into their subgroup, and the size of
+  /// the FedAvg layer.
+  std::set<PeerId> in_config;
+  std::size_t fedavg_members = 0;
+  double accuracy = 0.0;
+
+  /// Healed, and the victim came back from disk with zero state
+  /// transfer (an InstallSnapshot would mean the WAL was thrown away).
+  bool ok() const {
+    return healed && victim_recovered && victim_snapshot_installs == 0;
+  }
+};
+
+/// Stabilize the full FL system (P2pFlSystem with the real-clock timing
+/// profile and WAL-backed Raft state) on `net`, then, relative to that
+/// moment: reset one connection and throttle one writer at +1 s, crash
+/// a pure follower at +2 s for longer than the suspicion grace, and
+/// restart it from its WAL at +10 s. Waits for the heal, then shuts the
+/// transport down. Call from outside the transport's callback thread.
+HealSoakResult run_heal_soak(net::Network& net, const HealSoakConfig& cfg);
+
+/// The synthetic 8x8 task the full-system scenarios train an MLP on:
+/// 400 training and 120 test images, split across `peers` as `dist`
+/// says (see TrainingConfig::dist).
+struct SyntheticTask {
+  SyntheticTask(std::size_t peers, std::uint64_t seed,
+                const std::string& dist = "iid");
+  fl::TrainTest data;
+  fl::PeerIndices parts;
+};
+
+struct TrainingConfig {
+  std::size_t peers = 20;
+  std::size_t groups = 5;
+  /// SAC threshold within each subgroup of n: k = n is the n-out-of-n
+  /// scheme of Eq. (4), k < n the k-out-of-n scheme of Eq. (5). 0 is n.
+  std::size_t k = 0;
+  /// Rounds whose payload is measured. The run lasts until rounds + 1
+  /// rounds completed: the first completion is the baseline.
+  std::size_t rounds = 10;
+  std::uint64_t seed = 3;
+  /// How the synthetic data is split across peers: "iid", "noniid5" or
+  /// "noniid0" (fl::partition_non_iid with 5% or 0% off-class samples).
+  std::string dist = "iid";
+};
+
+struct TrainingResult {
+  /// rounds + 1 rounds completed within the budget.
+  bool finished = false;
+  /// Per-kind sent counters at each round completion, in order.
+  std::vector<std::map<std::string, net::TrafficStats::Counter>> snapshots;
+  /// Payload bytes sent in each measured round, between consecutive
+  /// snapshots.
+  std::vector<std::uint64_t> round_payload;
+  /// The closed form per round in |w| units: Eq. (4), or Eq. (5) when
+  /// k < n.
+  double expected_units = 0.0;
+  std::size_t rounds_completed = 0;
+  std::size_t rounds_aborted = 0;
+  /// The global model at the end (peer 0's copy) and its test accuracy.
+  std::vector<float> global;
+  double accuracy = 0.0;
+
+  /// Measured round i's payload (0-based) in |w| units, |w| being the
+  /// global model's bytes.
+  double units(std::size_t i) const;
+  /// Finished, and every measured round charged exactly expected_units.
+  bool all_exact() const;
+};
+
+/// Train the full FL system (P2pFlSystem with the real-clock timing
+/// profile, the MLP on the synthetic 8x8 task) on `net` until
+/// cfg.rounds + 1 rounds completed, then shut the transport down. Call
+/// from outside the transport's callback thread.
+TrainingResult run_training(net::Network& net, const TrainingConfig& cfg);
+
+/// Peers that lead neither their subgroup nor the FedAvg layer, in peer
+/// order: the victims a crash or an attack can take without forcing an
+/// election.
+std::vector<PeerId> pure_followers(const core::TwoLayerRaftSystem& raft);
+
+/// Every subgroup is led, unparked, free of suspicions and evictions,
+/// and its leader holds a FedAvg-layer seat under a FedAvg leader.
+bool fully_healed(const core::HealthReport& hr);
 
 }  // namespace p2pfl::chaos

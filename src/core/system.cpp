@@ -10,6 +10,20 @@
 
 namespace p2pfl::core {
 
+SystemConfig SystemConfig::real_clock() {
+  SystemConfig cfg;
+  cfg.raft.raft.election_timeout_min = 1 * kSecond;
+  cfg.raft.raft.election_timeout_max = 2 * kSecond;
+  cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
+  cfg.round_interval = 1 * kSecond;
+  cfg.train_duration = 50 * kMillisecond;
+  cfg.agg.collect_timeout = 60 * kSecond;
+  cfg.agg.sac_share_timeout = 20 * kSecond;
+  cfg.agg.sac_subtotal_timeout = 20 * kSecond;
+  cfg.agg.upload_retry = 60 * kSecond;
+  return cfg;
+}
+
 P2pFlSystem::P2pFlSystem(Topology topology, SystemConfig cfg,
                          net::Network& net, const fl::Dataset& data,
                          const fl::Dataset& test,

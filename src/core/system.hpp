@@ -47,6 +47,15 @@ struct SystemConfig {
   /// re-admitted); a persistent adversary re-offends and is evicted.
   std::size_t suspect_strike_limit = 2;
   std::uint64_t seed = 42;
+
+  /// Timing for a real clock (any transport where local training runs
+  /// synchronously on the callback thread and can stall it for hundreds
+  /// of milliseconds, e.g. under ThreadSanitizer). Elections sit well
+  /// above the longest stall; protocol retries sit far above loopback
+  /// latency, where a retry would only distort the byte accounting;
+  /// rounds are long enough never to overlap. The same profile on the
+  /// simulator makes its runs comparable to the socket runs.
+  static SystemConfig real_clock();
 };
 
 class P2pFlSystem {

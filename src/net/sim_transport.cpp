@@ -40,4 +40,16 @@ void SimTransport::send_frame(Envelope&& env, SimDuration model_delay) {
   sim_.schedule_after(model_delay, [this, slot] { deliver_pooled(slot); });
 }
 
+bool SimTransport::run_until(const std::function<bool()>& done,
+                             SimDuration budget, SimDuration poll) {
+  P2PFL_CHECK(poll > 0);
+  const SimTime limit = sim_.now() + budget;
+  bool ok = done();
+  while (!ok && sim_.now() < limit) {
+    sim_.run_for(poll);
+    ok = done();
+  }
+  return ok;
+}
+
 }  // namespace p2pfl::net

@@ -43,6 +43,10 @@ class SimTransport final : public Transport {
 
   void set_sink(FrameSink* sink) override { sink_ = sink; }
 
+  void call(const std::function<void()>& fn) override { fn(); }
+  bool run_until(const std::function<bool()>& done, SimDuration budget,
+                 SimDuration poll) override;
+
   obs::Observability& obs() override { return sim_.obs(); }
   Rng& rng() override { return sim_.rng(); }
   sim::Simulator* simulator() override { return &sim_; }

@@ -113,6 +113,17 @@ void TcpTransport::call(const std::function<void()>& fn) {
   cv.wait(lock, [&] { return done; });
 }
 
+bool TcpTransport::run_until(const std::function<bool()>& done,
+                             SimDuration budget, SimDuration poll) {
+  const SimTime limit = now() + budget;
+  for (;;) {
+    bool ok = false;
+    call([&] { ok = done(); });
+    if (ok || now() >= limit) return ok;
+    std::this_thread::sleep_for(std::chrono::microseconds(poll));
+  }
+}
+
 std::uint16_t TcpTransport::port_of(PeerId peer) const {
   auto it = listeners_.find(peer);
   P2PFL_CHECK_MSG(it != listeners_.end(),
@@ -166,21 +177,19 @@ void TcpTransport::shutdown() {
 
   // Best-effort flush: give queued outbound frames a moment to reach the
   // kernel before tearing the loop down.
-  const SimTime flush_deadline = now() + 200 * kMillisecond;
-  for (;;) {
-    bool pending = false;
-    call([&] {
-      for (auto& [key, c] : out_conns_) {
-        (void)key;
-        if (c.fd >= 0 && c.connected && !c.outq.empty()) {
-          flush_out(c);
-          if (!c.outq.empty()) pending = true;
+  run_until(
+      [this] {
+        bool pending = false;
+        for (auto& [key, c] : out_conns_) {
+          (void)key;
+          if (c.fd >= 0 && c.connected && !c.outq.empty()) {
+            flush_out(c);
+            if (!c.outq.empty()) pending = true;
+          }
         }
-      }
-    });
-    if (!pending || now() >= flush_deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+        return !pending;
+      },
+      200 * kMillisecond, 2 * kMillisecond);
 
   running_.store(false);
   wake();

@@ -98,14 +98,18 @@ class TcpTransport final : public Transport {
   /// Flush what can be flushed, stop and join the loop, close sockets.
   /// Idempotent.
   void shutdown() override;
+  /// Run `fn` on the loop thread and wait for it to finish. The only
+  /// safe way for an external thread to touch actors or Network stats
+  /// while the loop is running.
+  void call(const std::function<void()>& fn) override;
+  /// Evaluate `done` through call(), sleeping `poll` of wall-clock time
+  /// between checks.
+  bool run_until(const std::function<bool()>& done, SimDuration budget,
+                 SimDuration poll) override;
 
   // --- cross-thread helpers ---------------------------------------------
   /// Run `fn` on the loop thread (immediately if already on it).
   void post(std::function<void()> fn);
-  /// Run `fn` on the loop thread and wait for it to finish. The only
-  /// safe way for an external thread to touch actors or Network stats
-  /// while the loop is running.
-  void call(const std::function<void()>& fn);
 
   /// Loopback port a hosted peer listens on (valid after start()).
   std::uint16_t port_of(PeerId peer) const;

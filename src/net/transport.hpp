@@ -26,7 +26,10 @@
 //    are serialized onto one thread — the simulator's caller thread or
 //    the TCP transport's event-loop thread — so actors never need locks;
 //  * Transport::now() is monotone and every timer fires at-or-after its
-//    deadline in that clock.
+//    deadline in that clock;
+//  * code outside the callback thread touches actors and Network stats
+//    only through call(), and waits on them only through run_until(),
+//    so one scenario runs unchanged on either backend.
 #pragma once
 
 #include <atomic>
@@ -123,6 +126,18 @@ class Transport {
   virtual void start() {}
   virtual void shutdown() {}
 
+  /// Run `fn` on the callback thread and wait for it to finish. The
+  /// simulator runs it inline: its callback thread is the caller's.
+  virtual void call(const std::function<void()>& fn) = 0;
+
+  /// Evaluate `done` (on the callback thread) every `poll` of transport
+  /// time until it holds or `budget` has passed; returns its last value.
+  /// The simulator advances the virtual clock by `poll` per step; a real
+  /// transport sleeps `poll` between checks. Call only from outside the
+  /// callback thread.
+  virtual bool run_until(const std::function<bool()>& done,
+                         SimDuration budget, SimDuration poll) = 0;
+
   /// Install (or remove, with nullptr) the transport-fault injector.
   /// Both backends consult it at the frame boundary; a null injector is
   /// byte-for-byte the pre-seam behavior. The injector must outlive its
@@ -151,14 +166,13 @@ class Transport {
 
 /// Resettable one-shot and periodic timer over the transport seam.
 ///
-/// Transport-agnostic successor of sim::Timer: Raft election timeouts,
-/// heartbeat broadcasts, SAC phase timeouts and the round driver all run
-/// on this, so the same actor code ticks on virtual time under the
-/// simulator and on the monotonic clock under TCP. Owns at most one
-/// pending transport timer and guarantees the callback never fires after
-/// cancel()/destruction. Keeps sim::Timer's trace/metric identity
-/// (counter "sim.timer_fires", trace category "sim") so pre-seam golden
-/// dumps stay byte-identical.
+/// Raft election timeouts, heartbeat broadcasts, SAC phase timeouts and
+/// the round driver all run on this, so the same actor code ticks on
+/// virtual time under the simulator and on the monotonic clock under
+/// TCP. Owns at most one pending transport timer and guarantees the
+/// callback never fires after cancel()/destruction. Firings count as
+/// "sim.timer_fires" and trace under category "sim" on both backends,
+/// the identity the golden dumps pin.
 class Timer {
  public:
   using Callback = std::function<void()>;

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 
+#include "chaos/soak.hpp"
 #include "core/system.hpp"
 #include "robust/attack.hpp"
 
@@ -33,17 +34,7 @@ SoakRun run_soak(std::uint64_t seed) {
   constexpr std::size_t kPeers = 12, kGroups = 3;
   sim::Simulator sim(seed);
   net::Network net(sim, {.base_latency = 15 * kMillisecond});
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts =
-      fl::partition_iid(data.train, kPeers, data_rng);
+  const chaos::SyntheticTask task(kPeers, seed);
 
   robust::ByzantineRegistry registry;
   SystemConfig cfg;
@@ -58,12 +49,12 @@ SoakRun run_soak(std::uint64_t seed) {
   cfg.agg.detect_byzantine = true;
   cfg.agg.byzantine = &registry;
   cfg.agg.robust.rule = robust::RobustRule::kTrimmedMean;
-  P2pFlSystem sys(Topology::even(kPeers, kGroups), cfg, net, data.train,
-                  data.test, parts, [] { return fl::Model::mlp(64, {16}); });
+  P2pFlSystem sys(Topology::even(kPeers, kGroups), cfg, net, task.data.train,
+                  task.data.test, task.parts,
+                  [] { return fl::Model::mlp(64, {16}); });
   sys.start();
-  while (sys.rounds_completed() < 2 && sim.now() < 30 * kSecond) {
-    sim.run_for(100 * kMillisecond);
-  }
+  net.transport().run_until([&] { return sys.rounds_completed() >= 2; },
+                            30 * kSecond - sim.now(), 100 * kMillisecond);
 
   SoakRun out;
   // Adversary: a pure follower; churn victim: an honest follower from a

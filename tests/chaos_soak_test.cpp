@@ -76,17 +76,7 @@ struct FullSystemChaos {
   FullSystemChaos(std::size_t peers, std::size_t groups, std::uint64_t seed,
                   net::NetworkConfig net_cfg = {.base_latency =
                                                     15 * kMillisecond})
-      : sim(seed), net(sim, net_cfg) {
-    fl::SyntheticSpec spec;
-    spec.height = 8;
-    spec.width = 8;
-    spec.train_samples = 400;
-    spec.test_samples = 120;
-    spec.noise_scale = 0.6;
-    Rng data_rng(seed);
-    data = std::make_unique<fl::TrainTest>(fl::make_synthetic(spec, data_rng));
-    parts = fl::partition_iid(data->train, peers, data_rng);
-
+      : sim(seed), net(sim, net_cfg), task(peers, seed) {
     core::SystemConfig cfg;
     cfg.raft.raft.election_timeout_min = 50 * kMillisecond;
     cfg.raft.raft.election_timeout_max = 100 * kMillisecond;
@@ -96,14 +86,13 @@ struct FullSystemChaos {
     cfg.learning_rate = 3e-3f;
     cfg.seed = seed;
     sys = std::make_unique<core::P2pFlSystem>(
-        core::Topology::even(peers, groups), cfg, net, data->train,
-        data->test, parts, [] { return fl::Model::mlp(64, {16}); });
+        core::Topology::even(peers, groups), cfg, net, task.data.train,
+        task.data.test, task.parts, [] { return fl::Model::mlp(64, {16}); });
   }
 
   sim::Simulator sim;
   net::Network net;
-  std::unique_ptr<fl::TrainTest> data;
-  fl::PeerIndices parts;
+  SyntheticTask task;
   std::unique_ptr<core::P2pFlSystem> sys;
 };
 

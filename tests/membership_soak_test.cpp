@@ -95,19 +95,16 @@ struct ChurnSoak {
     sim.run_for(12 * kSecond);  // churn window plus trailing restarts
     // Heal window: no further faults; the supervisor must repair every
     // subgroup back to full strength.
+    net::Transport& tr = net.transport();
     const SimTime deadline = sim.now() + 30 * kSecond;
-    while (sim.now() < deadline) {
-      if (engine.peers_down() == 0 && healed()) break;
-      sim.run_for(100 * kMillisecond);
-    }
-    outcome.healed = engine.peers_down() == 0 && healed();
+    outcome.healed = tr.run_until(
+        [&] { return engine.peers_down() == 0 && healed(); }, 30 * kSecond,
+        100 * kMillisecond);
     // Two more full rounds so every rejoined peer receives a fresh
     // global broadcast (quiesce point: just after a round completes).
     const std::size_t settled = sys->rounds_completed();
-    while (sys->rounds_completed() < settled + 2 &&
-           sim.now() < deadline + 10 * kSecond) {
-      sim.run_for(100 * kMillisecond);
-    }
+    tr.run_until([&] { return sys->rounds_completed() >= settled + 2; },
+                 deadline + 10 * kSecond - sim.now(), 100 * kMillisecond);
     outcome.rounds_completed = sys->rounds_completed();
     outcome.crashes = engine.crashes();
     outcome.restarts = engine.restarts();
@@ -237,15 +234,13 @@ TEST(MembershipSoakSlow, QuorumDeadSubgroupParksWithoutAbortingFedAvg) {
   soak.sys->restart_peer(follower);
   soak.sys->restart_peer_amnesia(sg_leader);
   const SimTime deadline = soak.sim.now() + 30 * kSecond;
-  while (soak.sim.now() < deadline && !soak.healed()) {
-    soak.sim.run_for(100 * kMillisecond);
-  }
-  EXPECT_TRUE(soak.healed());
+  EXPECT_TRUE(soak.net.transport().run_until([&] { return soak.healed(); },
+                                             30 * kSecond,
+                                             100 * kMillisecond));
   const std::size_t mid = soak.sys->rounds_completed();
-  while (soak.sys->rounds_completed() < mid + 2 &&
-         soak.sim.now() < deadline + 10 * kSecond) {
-    soak.sim.run_for(100 * kMillisecond);
-  }
+  soak.net.transport().run_until(
+      [&] { return soak.sys->rounds_completed() >= mid + 2; },
+      deadline + 10 * kSecond - soak.sim.now(), 100 * kMillisecond);
   // The repaired subgroup contributes again.
   EXPECT_EQ(groups_used.back(), ChurnSoak::kGroups);
 }

@@ -42,35 +42,27 @@ struct System {
   }
 
   bool run_until_stable(SimDuration budget = 10 * kSecond) {
-    const SimTime deadline = sim.now() + budget;
-    while (sim.now() < deadline) {
-      if (sys.stabilized()) return true;
-      sim.run_for(20 * kMillisecond);
-    }
-    return sys.stabilized();
+    return net.transport().run_until([this] { return sys.stabilized(); },
+                                     budget, 20 * kMillisecond);
   }
 
   /// Run until the victim's subgroup configuration no longer names it.
   bool run_until_evicted(PeerId victim, SimDuration budget = 10 * kSecond) {
     const SubgroupId g = sys.topology().subgroup_of(victim);
-    const SimTime deadline = sim.now() + budget;
-    while (sim.now() < deadline) {
-      const auto ev = sys.health().subgroups[g].evicted;
-      if (std::find(ev.begin(), ev.end(), victim) != ev.end()) return true;
-      sim.run_for(50 * kMillisecond);
-    }
-    return false;
+    return net.transport().run_until(
+        [&] {
+          const auto ev = sys.health().subgroups[g].evicted;
+          return std::find(ev.begin(), ev.end(), victim) != ev.end();
+        },
+        budget, 50 * kMillisecond);
   }
 
   /// Run until every subgroup config is back to full topology strength
   /// with a live leader and no suspicions.
   bool run_until_healed(SimDuration budget = 20 * kSecond) {
-    const SimTime deadline = sim.now() + budget;
-    while (sim.now() < deadline) {
-      if (sys.stabilized() && healed()) return true;
-      sim.run_for(50 * kMillisecond);
-    }
-    return sys.stabilized() && healed();
+    return net.transport().run_until(
+        [this] { return sys.stabilized() && healed(); }, budget,
+        50 * kMillisecond);
   }
 
   bool healed() const {

@@ -8,7 +8,7 @@
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "net/mux.hpp"
-#include "sim/timer.hpp"
+#include "net/sim_transport.hpp"
 
 namespace p2pfl {
 namespace {
@@ -74,8 +74,9 @@ TEST(Log, LevelGatingAndRestore) {
 
 TEST(Timer, PeriodicThenOneShotSwitch) {
   sim::Simulator sim(1);
+  net::SimTransport tr(sim);
   int fires = 0;
-  sim::Timer t(sim, [&] { ++fires; });
+  net::Timer t(tr, [&] { ++fires; });
   t.arm_periodic(10);
   sim.run_until(25);  // fires at 10, 20
   EXPECT_EQ(fires, 2);
@@ -86,8 +87,9 @@ TEST(Timer, PeriodicThenOneShotSwitch) {
 
 TEST(Timer, CancelInsideOwnCallbackIsSafe) {
   sim::Simulator sim(1);
+  net::SimTransport tr(sim);
   int fires = 0;
-  sim::Timer t(sim, [&] {
+  net::Timer t(tr, [&] {
     ++fires;
     t.cancel();  // no pending event: must be a no-op
   });

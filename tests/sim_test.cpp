@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timer.hpp"
 
 namespace p2pfl::sim {
 namespace {
@@ -162,8 +162,9 @@ TEST(Simulator, CursorJumpThenCancelStillReachesFarEvents) {
 
 TEST(Timer, OneShotFiresOnce) {
   Simulator sim(1);
+  net::SimTransport tr(sim);
   int fires = 0;
-  Timer t(sim, [&] { ++fires; });
+  net::Timer t(tr, [&] { ++fires; });
   t.arm(10);
   EXPECT_TRUE(t.armed());
   sim.run();
@@ -173,8 +174,9 @@ TEST(Timer, OneShotFiresOnce) {
 
 TEST(Timer, RearmResetsDeadline) {
   Simulator sim(1);
+  net::SimTransport tr(sim);
   std::vector<SimTime> fire_times;
-  Timer t(sim, [&] { fire_times.push_back(sim.now()); });
+  net::Timer t(tr, [&] { fire_times.push_back(sim.now()); });
   t.arm(10);
   sim.run_until(5);
   t.arm(10);  // reset: should now fire at 15, not 10
@@ -185,8 +187,9 @@ TEST(Timer, RearmResetsDeadline) {
 
 TEST(Timer, PeriodicFiresRepeatedlyUntilCancelled) {
   Simulator sim(1);
+  net::SimTransport tr(sim);
   int fires = 0;
-  Timer t(sim, [&] { ++fires; });
+  net::Timer t(tr, [&] { ++fires; });
   t.arm_periodic(10);
   sim.run_until(35);
   EXPECT_EQ(fires, 3);
@@ -197,8 +200,9 @@ TEST(Timer, PeriodicFiresRepeatedlyUntilCancelled) {
 
 TEST(Timer, CallbackMayCancelPeriodic) {
   Simulator sim(1);
+  net::SimTransport tr(sim);
   int fires = 0;
-  Timer t(sim, [&] {
+  net::Timer t(tr, [&] {
     ++fires;
     if (fires == 2) t.cancel();
   });
@@ -209,9 +213,10 @@ TEST(Timer, CallbackMayCancelPeriodic) {
 
 TEST(Timer, DestructionCancelsPendingEvent) {
   Simulator sim(1);
+  net::SimTransport tr(sim);
   int fires = 0;
   {
-    Timer t(sim, [&] { ++fires; });
+    net::Timer t(tr, [&] { ++fires; });
     t.arm(10);
   }
   sim.run();

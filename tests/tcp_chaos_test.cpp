@@ -1,111 +1,29 @@
-// TCP chaos heal-soak: the same ChaosPlan — a connection reset, a
-// slow-writer throttle window, and a crash that outlives the suspicion
-// grace — executed against the full FL system on real loopback sockets
-// and on the deterministic simulator. Both backends must converge to
-// the same final membership (everyone configured back in), the crashed
-// peer must recover from its write-ahead log without any InstallSnapshot
-// state transfer, and the trained accuracy must agree within tolerance.
+// TCP chaos heal-soak: one scenario — a connection reset, a slow-writer
+// throttle window, and a crash that outlives the suspicion grace —
+// executed by chaos::run_heal_soak against the full FL system on real
+// loopback sockets and on the deterministic simulator. Both backends
+// must converge to the same final membership (everyone configured back
+// in), the crashed peer must recover from its write-ahead log without
+// any InstallSnapshot state transfer, and the trained accuracy must
+// agree within tolerance.
 //
 // This is the cross-validation the transport-fault seam exists for: a
 // chaos experiment designed in the simulator means something because
-// the identical plan, driven through the identical engine, produces the
-// same healed end state over real sockets.
+// the identical scenario, driven through the identical engine, produces
+// the same healed end state over real sockets.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 
-#include "chaos/engine.hpp"
-#include "chaos/plan.hpp"
-#include "core/system.hpp"
-#include "core/topology.hpp"
-#include "net/network.hpp"
-#include "net/tcp/tcp_transport.hpp"
-#include "sim/simulator.hpp"
+#include "chaos/soak.hpp"
+#include "net/backend.hpp"
 
-namespace p2pfl::core {
+namespace p2pfl::chaos {
 namespace {
 
-using namespace std::chrono_literals;
-
-constexpr std::size_t kPeers = 12;
-constexpr std::size_t kGroups = 3;
-constexpr PeerId kVictim = 3;  // follower in subgroup 0, never designated
 constexpr std::uint64_t kSeed = 11;
-
-/// One shared timeline for both backends (absolute times from start).
-chaos::ChaosPlan make_plan() {
-  chaos::ChaosPlan plan;
-  // A hard connection reset inside subgroup 0: on TCP the sockets RST
-  // and reconnect, on the simulator the outage is a modeled stall pair.
-  plan.conn_reset_at(3 * kSecond, 1, 2, /*sim_outage=*/100 * kMillisecond);
-  // A slow writer: peer 5's egress squeezed to 4 MB/s for two seconds.
-  plan.throttle_window(4 * kSecond, 6 * kSecond, 5,
-                       /*bytes_per_sec=*/4'000'000);
-  // The victim dies long past the suspicion grace (eviction), then
-  // comes back and must rejoin through self-healing — from its WAL.
-  plan.crash_at(8 * kSecond, kVictim);
-  plan.restart_at(18 * kSecond, kVictim);
-  return plan;
-}
-
-/// Identical timing profile on both backends. Real-clock scale: local
-/// training runs synchronously on the transport loop thread and can
-/// stall it for hundreds of milliseconds under ThreadSanitizer, so every
-/// protocol timeout is sized well above the longest stall (the same
-/// reasoning as transport_equivalence_test.cpp).
-SystemConfig make_config(const std::string& wal_dir) {
-  SystemConfig cfg;
-  cfg.agg.collect_timeout = 60 * kSecond;
-  cfg.agg.sac_share_timeout = 20 * kSecond;
-  cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-  cfg.agg.upload_retry = 60 * kSecond;
-  // One peer may be dead for ten seconds of rounds; tolerance keeps the
-  // share phase completing without it.
-  cfg.agg.sac_dropout_tolerance = 1;
-  cfg.raft.raft.election_timeout_min = 1 * kSecond;
-  cfg.raft.raft.election_timeout_max = 2 * kSecond;
-  cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
-  cfg.raft.config_commit_interval = 500 * kMillisecond;
-  cfg.raft.suspicion_grace = 4 * kSecond;
-  cfg.raft.membership_poll = 500 * kMillisecond;
-  cfg.raft.rejoin_retry = 500 * kMillisecond;
-  cfg.raft.storage_dir = wal_dir;
-  // Rounds tick every second, so a restarted peer refreshes its model
-  // from the next live round result long before a catch-up pull would
-  // fire. That keeps the scenario's InstallSnapshot count a pure signal
-  // for Raft-log recovery failures: the model-catch-up path answers
-  // pulls with a deliberate snapshot push, which would muddy the
-  // no-state-transfer assertion below.
-  cfg.catchup_retry = 60 * kSecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 50 * kMillisecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = kSeed;
-  return cfg;
-}
-
-struct Dataset {
-  fl::TrainTest data;
-  fl::PeerIndices parts;
-  explicit Dataset(std::uint64_t seed) {
-    fl::SyntheticSpec spec;
-    spec.height = 8;
-    spec.width = 8;
-    spec.train_samples = 400;
-    spec.test_samples = 120;
-    spec.noise_scale = 0.6;
-    Rng data_rng(seed);
-    data = fl::make_synthetic(spec, data_rng);
-    parts = fl::partition_iid(data.train, kPeers, data_rng);
-  }
-};
 
 std::string fresh_wal_dir(const char* tag) {
   static int counter = 0;
@@ -113,182 +31,70 @@ std::string fresh_wal_dir(const char* tag) {
          std::to_string(::getpid()) + "_" + std::to_string(counter++);
 }
 
-/// Membership callbacks fire on the driving thread (the TCP loop thread
-/// or the simulator); collect them under a lock for the test thread.
-struct MembershipLog {
-  std::mutex mu;
-  std::set<PeerId> evicted, rejoined;
-  void attach(TwoLayerRaftSystem& raft) {
-    raft.on_peer_evicted = [this](PeerId p, bool fed_layer) {
-      if (fed_layer) return;
-      std::lock_guard<std::mutex> lock(mu);
-      evicted.insert(p);
-    };
-    raft.on_peer_rejoined = [this](PeerId p) {
-      std::lock_guard<std::mutex> lock(mu);
-      rejoined.insert(p);
-    };
-  }
-  bool victim_rejoined() {
-    std::lock_guard<std::mutex> lock(mu);
-    return rejoined.count(kVictim) > 0;
-  }
+/// One backend's run of the scenario, plus its fault counters.
+struct SoakRun {
+  HealSoakResult res;
+  std::uint64_t conn_resets = 0;
+  std::uint64_t stall_windows = 0;
+  std::uint64_t throttle_windows = 0;
 };
 
-/// Fully healed: stable leadership, every topology member configured
-/// back into its subgroup, no standing suspicions.
-bool healed(P2pFlSystem& sys) {
-  if (!sys.raft().stabilized()) return false;
-  const HealthReport hr = sys.raft().health();
-  for (const SubgroupHealth& h : hr.subgroups) {
-    if (h.leader == kNoPeer || h.parked) return false;
-    if (!h.evicted.empty() || !h.suspected.empty()) return false;
-  }
-  return true;
-}
+SoakRun soak(const char* kind, std::size_t min_rounds) {
+  HealSoakConfig cfg;
+  cfg.min_rounds = min_rounds;
+  cfg.seed = kSeed;
+  cfg.wal_dir = fresh_wal_dir(kind);
+  net::Backend backend(kind, cfg.peers, cfg.seed);
+  SoakRun run;
+  run.res = run_heal_soak(backend.net(), cfg);
+  const obs::MetricsRegistry& m = backend.net().obs().metrics;
+  run.conn_resets = m.counter_value("chaos.transport.conn_resets");
+  run.stall_windows = m.counter_value("chaos.transport.stall_windows");
+  run.throttle_windows = m.counter_value("chaos.transport.throttle_windows");
 
-/// End state captured from one backend after its run.
-struct SoakEndState {
-  std::size_t rounds = 0;
-  std::set<PeerId> in_config;
-  std::size_t fedavg_members = 0;
-  bool victim_recovered = false;
-  std::uint64_t victim_snapshot_installs = 0;
-  double accuracy = 0.0;
-};
-
-void capture_end_state(P2pFlSystem& sys, SoakEndState& out) {
-  out.rounds = sys.rounds_completed();
-  for (PeerId p = 0; p < kPeers; ++p) {
-    if (sys.raft().subgroup_node(p).in_config()) out.in_config.insert(p);
-  }
-  out.fedavg_members = sys.raft().fedavg_members().size();
-  raft::RaftNode& victim = sys.raft().subgroup_node(kVictim);
-  out.victim_recovered = victim.recovered_from_storage();
-  out.victim_snapshot_installs = victim.metrics().snapshot_installs;
-}
-
-TEST(TcpChaosSoak, HealsLikeTheSimulatorAndRecoversFromWal) {
-  const Topology topo = Topology::even(kPeers, kGroups);
-
-  // --- the real-socket run ------------------------------------------------
-  SoakEndState tcp_state;
-  std::uint64_t tcp_conn_resets = 0;
-  std::uint64_t tcp_throttle_windows = 0;
-  {
-    net::tcp::TcpTransport transport({.peers = topo.all_peers(),
-                                      .seed = kSeed});
-    net::Network net(transport, {});
-    Dataset ds(kSeed);
-    P2pFlSystem sys(topo, make_config(fresh_wal_dir("tcp")), net,
-                    ds.data.train, ds.data.test, ds.parts,
-                    [] { return fl::Model::mlp(64, {16}); });
-    MembershipLog log;
-    log.attach(sys.raft());
-
-    chaos::ChaosEngineHooks hooks;
-    hooks.crash = [&sys](PeerId p) { sys.crash_peer(p); };
-    hooks.restart = [&sys](PeerId p) { sys.restart_peer(p); };
-    chaos::ChaosEngine engine(net, make_plan(), hooks);
-
-    transport.start();
-    transport.call([&] {
-      sys.start();
-      engine.start();
-    });
-
-    // The plan's last event lands at 18 s; wait (generously, for TSan)
-    // for the victim's rejoin and full re-heal, plus a couple of rounds
-    // of post-heal progress.
-    const auto deadline = std::chrono::steady_clock::now() + 300s;
-    bool done = false;
-    while (!done && std::chrono::steady_clock::now() < deadline) {
-      transport.call([&] {
-        done = log.victim_rejoined() && healed(sys) &&
-               sys.rounds_completed() >= 12;
-      });
-      if (!done) std::this_thread::sleep_for(20ms);
-    }
-    ASSERT_TRUE(done) << "TCP soak never healed: rounds="
-                      << sys.rounds_completed();
-    transport.call([&] { capture_end_state(sys, tcp_state); });
-    {
-      std::lock_guard<std::mutex> lock(log.mu);
-      EXPECT_EQ(log.evicted.count(kVictim), 1u)
-          << "the long crash must trip the failure detector";
-    }
-    tcp_conn_resets =
-        transport.obs().metrics.counter_value("chaos.transport.conn_resets");
-    tcp_throttle_windows = transport.obs().metrics.counter_value(
-        "chaos.transport.throttle_windows");
-    EXPECT_EQ(engine.faults_injected(), 4u);  // reset+throttle+crash+restart
-    transport.shutdown();
-    tcp_state.accuracy = sys.evaluate_global().accuracy;
-  }
-
-  // The reset really tore sockets, and the throttle really gated the
-  // writer — the TCP-native execution of the plan, not the sim model.
-  EXPECT_GE(tcp_conn_resets, 1u);
-  EXPECT_GE(tcp_throttle_windows, 1u);
-
+  const HealSoakResult& r = run.res;
+  EXPECT_TRUE(r.stabilized);
+  EXPECT_TRUE(r.healed) << kind << " soak never healed: rounds=" << r.rounds;
+  EXPECT_TRUE(r.victim_evicted)
+      << "the long crash must trip the failure detector";
+  EXPECT_EQ(r.faults_injected, 4u);  // reset+throttle+crash+restart
+  EXPECT_GE(r.rounds, min_rounds);
   // The victim restarted from its WAL and caught up by log append: a
   // snapshot install would mean the durable state was thrown away and
   // re-transferred, which is exactly what the WAL exists to avoid.
-  EXPECT_TRUE(tcp_state.victim_recovered);
-  EXPECT_EQ(tcp_state.victim_snapshot_installs, 0u);
+  EXPECT_TRUE(r.victim_recovered);
+  EXPECT_EQ(r.victim_snapshot_installs, 0u);
+  EXPECT_TRUE(r.ok());
+  return run;
+}
 
-  // --- the deterministic twin --------------------------------------------
-  SoakEndState sim_state;
-  {
-    sim::Simulator sim(kSeed);
-    net::Network net(sim, {.base_latency = 15 * kMillisecond});
-    Dataset ds(kSeed);
-    P2pFlSystem sys(topo, make_config(fresh_wal_dir("sim")), net,
-                    ds.data.train, ds.data.test, ds.parts,
-                    [] { return fl::Model::mlp(64, {16}); });
-    MembershipLog log;
-    log.attach(sys.raft());
-    chaos::ChaosEngineHooks hooks;
-    hooks.crash = [&sys](PeerId p) { sys.crash_peer(p); };
-    hooks.restart = [&sys](PeerId p) { sys.restart_peer(p); };
-    chaos::ChaosEngine engine(net, make_plan(), hooks);
-    sys.start();
-    engine.start();
+TEST(TcpChaosSoak, HealsLikeTheSimulatorAndRecoversFromWal) {
+  // Twenty rounds: the heal lands about fifteen rounds in, and the
+  // accuracy gate below needs the model trained a while longer.
+  const SoakRun tcp = soak("tcp", 20);
+  // The reset really tore sockets, and the throttle really gated the
+  // writer — the TCP-native execution of the plan, not the sim model.
+  EXPECT_GE(tcp.conn_resets, 1u);
+  EXPECT_GE(tcp.throttle_windows, 1u);
 
-    // Drive the sim to the same committed-round count as the real run,
-    // healed, so the two end states are comparable.
-    for (int i = 0; i < 300; ++i) {
-      sim.run_for(1 * kSecond);
-      if (log.victim_rejoined() && healed(sys) &&
-          sys.rounds_completed() >= tcp_state.rounds) {
-        break;
-      }
-    }
-    ASSERT_TRUE(log.victim_rejoined());
-    ASSERT_TRUE(healed(sys));
-    ASSERT_GE(sys.rounds_completed(), tcp_state.rounds);
-    EXPECT_EQ(log.evicted.count(kVictim), 1u);
-    EXPECT_EQ(engine.faults_injected(), 4u);
-    capture_end_state(sys, sim_state);
-    sim_state.accuracy = sys.evaluate_global().accuracy;
-    // On the sim path the reset is modeled as one stall per direction.
-    EXPECT_GE(sim.obs().metrics.counter_value("chaos.transport.stall_windows"),
-              2u);
-  }
-  EXPECT_TRUE(sim_state.victim_recovered);
-  EXPECT_EQ(sim_state.victim_snapshot_installs, 0u);
+  // The deterministic twin, driven to the real run's round count so the
+  // two end states are comparable.
+  const SoakRun sim = soak("sim", tcp.res.rounds);
+  // On the sim path the reset is modeled as one stall per direction.
+  EXPECT_GE(sim.stall_windows, 2u);
 
   // --- the headline cross-validation -------------------------------------
   // Identical final membership on both backends: every peer configured
   // back into its subgroup, one FedAvg representative per subgroup.
-  EXPECT_EQ(tcp_state.in_config, sim_state.in_config);
-  EXPECT_EQ(tcp_state.in_config.size(), kPeers);
-  EXPECT_EQ(tcp_state.fedavg_members, kGroups);
-  EXPECT_EQ(sim_state.fedavg_members, kGroups);
+  const HealSoakConfig cfg;
+  EXPECT_EQ(tcp.res.in_config, sim.res.in_config);
+  EXPECT_EQ(tcp.res.in_config.size(), cfg.peers);
+  EXPECT_EQ(tcp.res.fedavg_members, cfg.groups);
+  EXPECT_EQ(sim.res.fedavg_members, cfg.groups);
   // And the model the healed cluster trained agrees across backends.
-  EXPECT_NEAR(tcp_state.accuracy, sim_state.accuracy, 0.2);
-  EXPECT_GT(tcp_state.accuracy, 0.4);
+  EXPECT_NEAR(tcp.res.accuracy, sim.res.accuracy, 0.2);
+  EXPECT_GT(tcp.res.accuracy, 0.4);
 }
 
 }  // namespace
-}  // namespace p2pfl::core
+}  // namespace p2pfl::chaos

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -28,20 +27,9 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Spin (politely) until `cond` holds on the loop thread or the
-/// deadline passes. Conditions touching Network/actor state must be
-/// evaluated on the loop thread; call() serializes us onto it.
-bool wait_on_loop(TcpTransport& t, const std::function<bool()>& cond,
-                  std::chrono::milliseconds deadline = 20000ms) {
-  const auto until = std::chrono::steady_clock::now() + deadline;
-  for (;;) {
-    bool ok = false;
-    t.call([&] { ok = cond(); });
-    if (ok) return true;
-    if (std::chrono::steady_clock::now() >= until) return false;
-    std::this_thread::sleep_for(2ms);
-  }
-}
+/// Budget and poll step of the waits on loop-thread state below.
+constexpr SimDuration kWait = 20 * kSecond;
+constexpr SimDuration kPoll = 2 * kMillisecond;
 
 struct CollectingEndpoint : Endpoint {
   std::mutex mu;
@@ -113,8 +101,8 @@ TEST(TcpTransport, CancelledTimerNeverFires) {
       t.schedule_after(30 * kMillisecond, [&] { fired.store(true); });
   EXPECT_TRUE(t.cancel(tok));
   EXPECT_FALSE(t.cancel(tok));  // second cancel is a no-op
-  std::this_thread::sleep_for(80ms);
-  EXPECT_FALSE(fired.load());
+  EXPECT_FALSE(t.run_until([&] { return fired.load(); }, 80 * kMillisecond,
+                           5 * kMillisecond));
   t.shutdown();
 }
 
@@ -125,13 +113,10 @@ TEST(TcpTransport, NetTimerPeriodicTicksOnRealClock) {
   net::Timer timer(
       t, [&] { fires.fetch_add(1); }, "test.periodic");
   t.call([&] { timer.arm_periodic(10 * kMillisecond); });
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (fires.load() < 3 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(5ms);
-  }
-  EXPECT_GE(fires.load(), 3);
+  EXPECT_TRUE(t.run_until([&] { return fires.load() >= 3; }, 10 * kSecond,
+                          5 * kMillisecond));
   t.call([&] { timer.cancel(); });
-  // net::Timer keeps sim::Timer's metric identity on the real clock too.
+  // net::Timer counts its firings under the same name on the real clock.
   EXPECT_GE(t.obs().metrics.counter_value("sim.timer_fires"), 3u);
   t.shutdown();
 }
@@ -150,8 +135,8 @@ TEST(TcpTransport, DeliversTypedFramesWithExactAccounting) {
       net.send(result_envelope(0, 1, kDim, 1 + i));
     }
   });
-  ASSERT_TRUE(wait_on_loop(
-      t, [&] { return net.stats().delivered.messages == kMsgs; }));
+  ASSERT_TRUE(t.run_until(
+      [&] { return net.stats().delivered.messages == kMsgs; }, kWait, kPoll));
   t.shutdown();
 
   ASSERT_EQ(e1.count(), static_cast<std::size_t>(kMsgs));
@@ -182,7 +167,7 @@ TEST(TcpTransport, SelfSendDeliversWithoutWireAccounting) {
   net.attach(0, &e0);
   t.start();
   t.call([&] { net.send(result_envelope(0, 0, 3)); });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e0.count() == 1; }));
+  ASSERT_TRUE(t.run_until([&] { return e0.count() == 1; }, kWait, kPoll));
   t.shutdown();
   // Self-sends bypass both the modeled accounting and the raw wire,
   // exactly like the simulator path.
@@ -202,7 +187,8 @@ TEST(TcpTransport, LargeFrameSurvivesPartialWrites) {
   // finish the frame across many EPOLLOUT rounds.
   constexpr std::size_t kDim = 1u << 20;
   t.call([&] { net.send(result_envelope(0, 1, kDim)); });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 1; }, 60000ms));
+  ASSERT_TRUE(
+      t.run_until([&] { return e1.count() == 1; }, 60 * kSecond, kPoll));
   t.shutdown();
   const auto* msg = payload<core::wire::AggResultMsg>(e1.got[0].body);
   ASSERT_NE(msg, nullptr);
@@ -220,7 +206,7 @@ TEST(TcpTransport, ReconnectsAndFlushesAfterConnectionLoss) {
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 1; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 1; }, kWait, kPoll));
 
   // Hard-drop every socket, then keep sending: the from->to pair must
   // reconnect (with backoff) and flush the queued frames.
@@ -228,7 +214,7 @@ TEST(TcpTransport, ReconnectsAndFlushesAfterConnectionLoss) {
   t.call([&] {
     for (int i = 0; i < 5; ++i) net.send(result_envelope(0, 1, 4, 10 + i));
   });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 6; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 6; }, kWait, kPoll));
   t.shutdown();
   EXPECT_GE(t.obs().metrics.counter_value("net.tcp.connects"), 2u);
   // Nothing was lost: the frames sent after the close all arrived.
@@ -245,7 +231,7 @@ TEST(TcpTransport, InjectedConnectionResetHealsWithoutLoss) {
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 1; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 1; }, kWait, kPoll));
 
   // The chaos entry point: RST both directed connections of the pair,
   // then keep sending — reconnect must flush everything queued.
@@ -253,7 +239,7 @@ TEST(TcpTransport, InjectedConnectionResetHealsWithoutLoss) {
   t.call([&] {
     for (int i = 0; i < 5; ++i) net.send(result_envelope(0, 1, 4, 10 + i));
   });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 6; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 6; }, kWait, kPoll));
   t.shutdown();
   EXPECT_GE(t.obs().metrics.counter_value("chaos.transport.conn_resets"), 1u);
   EXPECT_GE(t.obs().metrics.counter_value("net.tcp.connects"), 2u);
@@ -280,9 +266,11 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
     fi.stall_link(0, 1, t.now() + 3600 * kSecond);
     for (int i = 0; i < 10; ++i) net.send(result_envelope(0, 1, 4, 10 + i));
   });
-  ASSERT_TRUE(wait_on_loop(t, [&] {
-    return t.obs().metrics.counter_value("net.tcp.outq_dropped") >= 6;
-  }));
+  ASSERT_TRUE(t.run_until(
+      [&] {
+        return t.obs().metrics.counter_value("net.tcp.outq_dropped") >= 6;
+      },
+      kWait, kPoll));
   EXPECT_EQ(e1.count(), 0u);  // everything still held
 
   // Lift the stall; the next send both re-triggers the flush and (queue
@@ -291,7 +279,7 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
     fi.clear(t.now());
     net.send(result_envelope(0, 1, 4, 99));
   });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 4; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 4; }, kWait, kPoll));
   t.shutdown();
   EXPECT_EQ(t.obs().metrics.counter_value("net.tcp.outq_dropped"), 7u);
   const std::uint64_t want[] = {17, 18, 19, 99};
@@ -310,7 +298,7 @@ TEST(TcpTransport, OversizeFramePoisonsOnlyThatConnection) {
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 1; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 1; }, kWait, kPoll));
 
   // A rogue stream: connect straight to peer 1's listener and write an
   // oversized length prefix (stream desync). The transport must kill
@@ -326,19 +314,22 @@ TEST(TcpTransport, OversizeFramePoisonsOnlyThatConnection) {
             0);
   const std::uint8_t poison[4] = {0xff, 0xff, 0xff, 0xff};  // 4 GB "frame"
   ASSERT_EQ(::send(rogue, poison, sizeof(poison), 0), 4);
-  ASSERT_TRUE(wait_on_loop(t, [&] {
-    return t.obs().metrics.counter_value("net.tcp.frame_protocol_error") == 1;
-  }));
+  ASSERT_TRUE(t.run_until(
+      [&] {
+        return t.obs().metrics.counter_value(
+                   "net.tcp.frame_protocol_error") == 1;
+      },
+      kWait, kPoll));
 
   // The legitimate 0->1 stream is untouched...
   t.call([&] { net.send(result_envelope(0, 1, 4, 2)); });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 2; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 2; }, kWait, kPoll));
 
   // ...and the freed inbound slot is reusable: force a reconnect so the
   // fresh accept may land on the recycled (reset, un-poisoned) slot.
   t.debug_close_connections();
   t.call([&] { net.send(result_envelope(0, 1, 4, 3)); });
-  ASSERT_TRUE(wait_on_loop(t, [&] { return e1.count() == 3; }));
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 3; }, kWait, kPoll));
   ::close(rogue);
   t.shutdown();
   const auto* last = payload<core::wire::AggResultMsg>(e1.got.back().body);

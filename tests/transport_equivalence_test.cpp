@@ -6,207 +6,38 @@
 // because a real-socket run reproduces their counters bit-for-bit.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/cost_model.hpp"
-#include "core/system.hpp"
+#include "chaos/soak.hpp"
 #include "core/topology.hpp"
-#include "core/two_layer_agg.hpp"
-#include "core/wire.hpp"
-#include "net/mux.hpp"
+#include "fixed_leader_round.hpp"
+#include "net/backend.hpp"
 #include "net/network.hpp"
-#include "net/tcp/tcp_transport.hpp"
-#include "secagg/wire.hpp"
-#include "sim/simulator.hpp"
 
 namespace p2pfl::core {
 namespace {
-
-using namespace std::chrono_literals;
-
-/// Closed-form per-round message count of a fault-free two-layer round.
-std::uint64_t expected_round_messages(std::size_t m, std::size_t n,
-                                      std::size_t k) {
-  return m * n * (n - 1)        // pairwise shares within each subgroup
-         + m * (k - 1)          // subtotals to each subgroup leader
-         + (m - 1)              // uploads to the FedAvg leader
-         + (m - 1) + m * (n - 1);  // result return hop + in-group fan-out
-}
-
-/// One aggregation round over the simulator (the pre-seam golden path).
-struct SimRound {
-  sim::Simulator sim;
-  net::Network net;
-  Topology topo;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  std::optional<TwoLayerAggregator> agg;
-  bool completed = false;
-
-  SimRound(std::size_t m, std::size_t n, std::size_t tolerance,
-           std::size_t dim)
-      : sim(31),
-        net(sim, net::NetworkConfig{.base_latency = 15 * kMillisecond}),
-        topo(Topology::even(m * n, m)) {
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
-    AggregationConfig cfg;
-    cfg.sac_dropout_tolerance = tolerance;
-    agg.emplace(topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-      return *hosts.at(id);
-    });
-    agg->on_global_model = [this](std::uint64_t, const secagg::Vector&,
-                                  std::size_t) { completed = true; };
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
-    agg->begin_round(1, lead, [dim](PeerId id) {
-      return secagg::Vector(dim, static_cast<float>(id + 1));
-    });
-    sim.run();
-  }
-};
-
-/// The identical round over real loopback sockets.
-struct TcpRound {
-  net::tcp::TcpTransport transport;
-  net::Network net;
-  Topology topo;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  std::optional<TwoLayerAggregator> agg;
-  bool completed = false;  // loop-thread-only until shutdown
-
-  TcpRound(std::size_t m, std::size_t n, std::size_t tolerance,
-           std::size_t dim)
-      : transport({.peers = Topology::even(m * n, m).all_peers(),
-                   .seed = 31}),
-        net(transport, {}),
-        topo(Topology::even(m * n, m)) {
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
-    AggregationConfig cfg;
-    cfg.sac_dropout_tolerance = tolerance;
-    agg.emplace(topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-      return *hosts.at(id);
-    });
-    agg->on_global_model = [this](std::uint64_t, const secagg::Vector&,
-                                  std::size_t) { completed = true; };
-    transport.start();
-
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
-    transport.call([&] {
-      agg->begin_round(1, lead, [dim](PeerId id) {
-        return secagg::Vector(dim, static_cast<float>(id + 1));
-      });
-    });
-
-    // A clean loopback round sends exactly the closed-form message
-    // count; wait for every last one to also be delivered so the
-    // delivered-side counters are final before we stop the loop.
-    const std::size_t k = n > tolerance ? n - tolerance : 1;
-    const std::uint64_t want = expected_round_messages(m, n, k);
-    const auto deadline = std::chrono::steady_clock::now() + 60s;
-    bool done = false;
-    while (!done && std::chrono::steady_clock::now() < deadline) {
-      transport.call([&] {
-        done = completed && net.stats().sent.messages >= want &&
-               net.stats().delivered.messages >= want;
-      });
-      if (!done) std::this_thread::sleep_for(2ms);
-    }
-    transport.shutdown();
-  }
-};
-
-/// Pin one backend's per-kind counters to the framing closed forms and
-/// the |w|-unit total to Eq. (4) (tolerance 0) or Eq. (5).
-void check_closed_forms(const net::TrafficStats& stats, std::size_t m,
-                        std::size_t n, std::size_t tolerance,
-                        std::size_t dim) {
-  const std::size_t k = n > tolerance ? n - tolerance : 1;
-  const std::uint64_t w = 4 * static_cast<std::uint64_t>(dim);
-  const std::uint64_t parts = n - k + 1;
-  const std::uint64_t share_wire =
-      secagg::wire::kShareHeader +
-      parts * (secagg::wire::kPerPartHeader + w);
-  const std::uint64_t subtotal_wire = secagg::wire::kSubtotalHeader + w;
-  const std::uint64_t upload_wire = core::wire::kUploadHeader + w;
-  const std::uint64_t result_wire = core::wire::kResultHeader + w;
-
-  std::uint64_t total_payload = 0;
-  for (const auto& [kind, c] : stats.sent_by_kind) {
-    SCOPED_TRACE(kind);
-    total_payload += c.payload;
-    if (kind.size() > 6 && kind.compare(kind.size() - 6, 6, "/share") == 0) {
-      EXPECT_EQ(c.messages, n * (n - 1));
-      EXPECT_EQ(c.bytes, c.messages * share_wire);
-      EXPECT_EQ(c.payload, c.messages * parts * w);
-    } else if (kind.size() > 9 &&
-               kind.compare(kind.size() - 9, 9, "/subtotal") == 0) {
-      EXPECT_EQ(c.messages, k - 1);
-      EXPECT_EQ(c.bytes, c.messages * subtotal_wire);
-      EXPECT_EQ(c.payload, c.messages * w);
-    } else if (kind == "agg/upload") {
-      EXPECT_EQ(c.messages, m - 1);
-      EXPECT_EQ(c.bytes, c.messages * upload_wire);
-      EXPECT_EQ(c.payload, c.messages * w);
-    } else if (kind == "agg/result") {
-      EXPECT_EQ(c.messages, (m - 1) + m * (n - 1));
-      EXPECT_EQ(c.bytes, c.messages * result_wire);
-      EXPECT_EQ(c.payload, c.messages * w);
-    } else {
-      ADD_FAILURE() << "unexpected kind in a fault-free round: " << kind;
-    }
-  }
-  EXPECT_EQ(stats.delivered.messages, stats.sent.messages);
-  EXPECT_EQ(stats.delivered.bytes, stats.sent.bytes);
-  EXPECT_EQ(stats.delivered.payload, stats.sent.payload);
-
-  const double units =
-      static_cast<double>(total_payload) / static_cast<double>(w);
-  if (tolerance == 0) {
-    EXPECT_DOUBLE_EQ(units, analysis::two_layer_cost_eq4(m, n));
-  } else {
-    EXPECT_DOUBLE_EQ(units, analysis::two_layer_ft_cost_eq5(m * n, m, n, k));
-  }
-}
 
 void check_backends_agree(std::size_t m, std::size_t n, std::size_t tolerance,
                           std::size_t dim) {
   SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
                " tol=" + std::to_string(tolerance));
-  SimRound sim_run(m, n, tolerance, dim);
-  ASSERT_TRUE(sim_run.completed);
-  TcpRound tcp_run(m, n, tolerance, dim);
-  ASSERT_TRUE(tcp_run.completed);
-
-  {
-    SCOPED_TRACE("sim backend");
-    check_closed_forms(sim_run.net.stats(), m, n, tolerance, dim);
-  }
-  {
-    SCOPED_TRACE("tcp backend");
-    check_closed_forms(tcp_run.net.stats(), m, n, tolerance, dim);
+  std::map<std::string, net::TrafficStats> stats;
+  for (const char* kind : {"sim", "tcp"}) {
+    SCOPED_TRACE(std::string(kind) + " backend");
+    net::Backend backend(kind, m * n, 31);
+    const FixedLeaderRound run(backend.net(), m, n, tolerance, dim);
+    ASSERT_TRUE(run.completed);
+    check_closed_forms(backend.net().stats(), m, n, tolerance, dim);
+    stats[kind] = backend.net().stats();
   }
 
   // The two backends' per-kind sent counters are *identical* — message
   // counts, wire bytes and |w|-unit payload, kind by kind.
-  const auto& a = sim_run.net.stats().sent_by_kind;
-  const auto& b = tcp_run.net.stats().sent_by_kind;
+  const auto& a = stats["sim"].sent_by_kind;
+  const auto& b = stats["tcp"].sent_by_kind;
   ASSERT_EQ(a.size(), b.size());
   auto ia = a.begin();
   auto ib = b.begin();
@@ -227,154 +58,74 @@ TEST(TransportEquivalence, FaultTolerantRoundIdenticalAcrossBackends) {
   check_backends_agree(3, 4, 1, 5);
 }
 
-// --- full-system FedAvg training over real sockets ----------------------
+// --- full-system FedAvg training on either backend ----------------------
 
-struct SystemSetup {
-  fl::TrainTest data;
-  fl::PeerIndices parts;
-  SystemConfig cfg;
+constexpr std::size_t kPeers = 20;
+constexpr std::size_t kGroups = 5;  // m=5 subgroups of n=4
 
-  SystemSetup(std::size_t peers, std::uint64_t seed) {
-    fl::SyntheticSpec spec;
-    spec.height = 8;
-    spec.width = 8;
-    spec.train_samples = 400;
-    spec.test_samples = 120;
-    spec.noise_scale = 0.6;
-    Rng data_rng(seed);
-    data = fl::make_synthetic(spec, data_rng);
-    parts = fl::partition_iid(data.train, peers, data_rng);
+/// `p2pflctl train`'s run on `kind`, measuring `rounds` rounds.
+chaos::TrainingResult train(const char* kind, std::size_t rounds) {
+  chaos::TrainingConfig cfg;
+  cfg.peers = kPeers;
+  cfg.groups = kGroups;
+  cfg.rounds = rounds;
+  net::Backend backend(kind, cfg.peers, cfg.seed);
+  chaos::TrainingResult run = chaos::run_training(backend.net(), cfg);
+  EXPECT_TRUE(run.finished) << kind << " system failed to complete "
+                            << rounds + 1 << " rounds";
+  return run;
+}
 
-    // Generous protocol timeouts: on clean loopback nothing is ever
-    // lost, so with enough headroom no retry timer fires even when the
-    // whole process runs 10-20x slower under ThreadSanitizer — keeping
-    // the per-round traffic exactly the closed form.
-    cfg.agg.collect_timeout = 60 * kSecond;
-    cfg.agg.sac_share_timeout = 20 * kSecond;
-    cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-    cfg.agg.upload_retry = 60 * kSecond;
-    // Real-clock Raft timing: local training runs synchronously on the
-    // transport's loop thread and can stall it for hundreds of
-    // milliseconds under ThreadSanitizer, so sim-style 50-100 ms
-    // election timeouts would churn leaders continuously. Size the
-    // timeouts well above the longest stall.
-    cfg.raft.raft.election_timeout_min = 1 * kSecond;
-    cfg.raft.raft.election_timeout_max = 2 * kSecond;
-    cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
-    // Long enough that a round always completes before the next driver
-    // tick (even TSan-slowed): overlapping rounds supersede each other
-    // mid-flight and the superseded partial traffic would break the
-    // exact closed-form window below.
-    cfg.round_interval = 1 * kSecond;
-    cfg.train_duration = 50 * kMillisecond;
-    cfg.learning_rate = 3e-3f;
-    cfg.seed = seed;
-  }
-};
-
-TEST(TransportEquivalence, FullSystemOverTcpMatchesEq4AndLearns) {
-  constexpr std::size_t kPeers = 20;
-  constexpr std::size_t kGroups = 5;       // m=5 subgroups of n=4
-  constexpr std::size_t kRounds = 5;       // enclosed rounds we account
-  constexpr std::size_t kTrainRounds = 12; // rounds to run before evaluating
-  constexpr std::uint64_t kSeed = 3;
-
-  const Topology topo = Topology::even(kPeers, kGroups);
-  net::tcp::TcpTransport transport({.peers = topo.all_peers(),
-                                    .seed = kSeed});
-  net::Network net(transport, {});
-  SystemSetup setup(kPeers, kSeed);
-  P2pFlSystem sys(topo, setup.cfg, net, setup.data.train, setup.data.test,
-                  setup.parts, [] { return fl::Model::mlp(64, {16}); });
-
-  // Snapshot the per-kind sent counters at every round completion (the
-  // callback runs on the loop thread, where stats() is safe to read).
-  std::mutex mu;
-  std::vector<std::map<std::string, net::TrafficStats::Counter>> snaps;
-  sys.on_round_complete = [&](std::uint64_t, const secagg::Vector&,
-                              std::size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    snaps.push_back(net.stats().sent_by_kind);
-  };
-
-  transport.start();
-  transport.call([&] { sys.start(); });
-  const auto deadline = std::chrono::steady_clock::now() + 180s;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (snaps.size() >= kTrainRounds) break;
-    }
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "TCP system failed to complete " << kTrainRounds << " rounds";
-    std::this_thread::sleep_for(10ms);
-  }
-  transport.shutdown();
-
+/// Every measured round charged the paper's Eq. (4) exactly — the CLI's
+/// verdict — and between the first and last round-completion snapshots
+/// every kind sent exactly its closed-form messages and bytes. Wherever
+/// the callback sits inside a round's send sequence, it sits there every
+/// round, so the window is exact.
+void check_eq4_window(const chaos::TrainingResult& run, std::size_t rounds) {
   // A clean run: every started round completed (an aborted round would
   // leave partial traffic inside the accounting window).
-  EXPECT_EQ(sys.rounds_aborted(), 0u);
+  EXPECT_EQ(run.rounds_aborted, 0u);
+  ASSERT_EQ(run.round_payload.size(), rounds);
+  ASSERT_FALSE(run.global.empty());
+  constexpr std::size_t n = kPeers / kGroups;
+  EXPECT_DOUBLE_EQ(run.expected_units,
+                   analysis::two_layer_cost_eq4(kGroups, n));
+  EXPECT_TRUE(run.all_exact());
 
-  // Between two round-completion snapshots exactly `kRounds` whole
-  // aggregation rounds of traffic occurred — wherever the callback sits
-  // inside a round's send sequence, it sits there every round, so the
-  // window is exact.
-  const std::size_t dim = sys.global_model_at(0).size();
-  ASSERT_GT(dim, 0u);
-  const std::uint64_t w = 4 * static_cast<std::uint64_t>(dim);
-  const auto& first = snaps.front();
-  const auto& last = snaps[kRounds];
-  std::uint64_t share = 0, subtotal = 0, upload = 0, result = 0, other = 0;
-  for (const auto& [kind, c] : last) {
+  const KindCounters& first = run.snapshots.front();
+  KindCounters window = run.snapshots[rounds];
+  for (auto& [kind, c] : window) {
     const auto it = first.find(kind);
-    const std::uint64_t delta =
-        c.payload - (it != first.end() ? it->second.payload : 0);
-    if (kind.size() > 6 && kind.compare(kind.size() - 6, 6, "/share") == 0) {
-      share += delta;
-    } else if (kind.size() > 9 &&
-               kind.compare(kind.size() - 9, 9, "/subtotal") == 0) {
-      subtotal += delta;
-    } else if (kind == "agg/upload") {
-      upload += delta;
-    } else if (kind == "agg/result") {
-      result += delta;
-    } else {
-      other += delta;  // raft / control traffic: must carry no payload
-    }
+    if (it == first.end()) continue;
+    c.messages -= it->second.messages;
+    c.bytes -= it->second.bytes;
+    c.payload -= it->second.payload;
   }
-  constexpr std::uint64_t m = kGroups;
-  constexpr std::uint64_t n = kPeers / kGroups;
-  EXPECT_EQ(share, kRounds * m * n * (n - 1) * w);
-  EXPECT_EQ(subtotal, kRounds * m * (n - 1) * w);
-  EXPECT_EQ(upload, kRounds * (m - 1) * w);
-  EXPECT_EQ(result, kRounds * ((m - 1) + m * (n - 1)) * w);
-  EXPECT_EQ(other, 0u);
-  const std::uint64_t total = share + subtotal + upload + result;
-  // The headline cross-validation: real-socket payload per round is the
-  // paper's Eq. (4) closed form, exactly.
-  EXPECT_DOUBLE_EQ(
-      static_cast<double>(total) / static_cast<double>(w * kRounds),
-      analysis::two_layer_cost_eq4(m, n));
+  // Raft and control traffic may ride along but carries no payload.
+  check_kinds(window, kGroups, n, 0, run.global.size(), rounds,
+              /*control_ok=*/true);
+}
 
-  // And the model actually learns over TCP, to within tolerance of the
-  // identically-configured simulator run.
-  const double tcp_acc = sys.evaluate_global().accuracy;
-
-  sim::Simulator sim(kSeed);
-  net::Network sim_net(sim, {.base_latency = 15 * kMillisecond});
-  SystemSetup sim_setup(kPeers, kSeed);
-  P2pFlSystem sim_sys(topo, sim_setup.cfg, sim_net, sim_setup.data.train,
-                      sim_setup.data.test, sim_setup.parts,
-                      [] { return fl::Model::mlp(64, {16}); });
-  sim_sys.start();
-  const std::size_t tcp_rounds = sys.rounds_completed();
-  for (int i = 0; i < 120 && sim_sys.rounds_completed() < tcp_rounds; ++i) {
-    sim.run_for(1 * kSecond);
+TEST(TransportEquivalence, FullSystemOverTcpMatchesEq4AndLearns) {
+  // Twelve completed rounds: the first is the baseline, eleven are
+  // measured, and the model has trained long enough to be evaluated.
+  constexpr std::size_t kRounds = 11;
+  const chaos::TrainingResult tcp = train("tcp", kRounds);
+  {
+    SCOPED_TRACE("tcp backend");
+    check_eq4_window(tcp, kRounds);
   }
-  ASSERT_GE(sim_sys.rounds_completed(), tcp_rounds);
-  const double sim_acc = sim_sys.evaluate_global().accuracy;
-  EXPECT_NEAR(tcp_acc, sim_acc, 0.2);
-  EXPECT_GT(tcp_acc, 0.4);
+  // The simulator twin trains to the same round count as the real run.
+  const std::size_t sim_rounds =
+      tcp.rounds_completed > 0 ? tcp.rounds_completed - 1 : 0;
+  const chaos::TrainingResult sim = train("sim", sim_rounds);
+  {
+    SCOPED_TRACE("sim backend");
+    check_eq4_window(sim, sim_rounds);
+  }
+  // The model learns over TCP, to within tolerance of the simulator.
+  EXPECT_NEAR(tcp.accuracy, sim.accuracy, 0.2);
+  EXPECT_GT(tcp.accuracy, 0.4);
 }
 
 }  // namespace

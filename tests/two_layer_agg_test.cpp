@@ -5,6 +5,9 @@
 #include <optional>
 
 #include "core/two_layer_agg.hpp"
+#include "fixed_leader_round.hpp"
+#include "robust/rules.hpp"
+#include "secagg/sac.hpp"
 
 namespace p2pfl::core {
 namespace {
@@ -165,6 +168,59 @@ TEST(TwoLayerAgg, NewRoundSupersedesOldOne) {
   h.sim.run();
   ASSERT_TRUE(h.global.has_value());
   EXPECT_EQ(h.received.size(), 6u);
+}
+
+// run_fl_experiment aggregates with math alone: SAC per subgroup, then
+// the FedAvg rule weighted by subgroup size. It stays only as an oracle
+// the engine must agree with, fed the same per-peer models.
+void check_engine_matches_math_loop(const Topology& topo,
+                                    std::size_t tolerance) {
+  SCOPED_TRACE("peers=" + std::to_string(topo.peer_count()) +
+               " groups=" + std::to_string(topo.subgroup_count()) +
+               " tol=" + std::to_string(tolerance));
+  Rng rng(17);
+  std::vector<secagg::Vector> models(topo.peer_count(),
+                                     secagg::Vector(64));
+  for (secagg::Vector& w : models) {
+    for (float& x : w) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+
+  std::vector<std::vector<float>> group_avgs;
+  std::vector<double> group_weights;
+  for (SubgroupId g = 0; g < topo.subgroup_count(); ++g) {
+    std::vector<secagg::Vector> members;
+    for (PeerId p : topo.group(g)) members.push_back(models[p]);
+    const std::size_t n = members.size();
+    const std::size_t k = n > tolerance ? n - tolerance : 1;
+    if (k == n) {
+      group_avgs.push_back(secagg::sac_average(members, rng));
+    } else {
+      secagg::FtSacResult ft = secagg::fault_tolerant_sac_average(
+          members, k, std::vector<bool>(n, false), rng);
+      ASSERT_TRUE(ft.ok);
+      group_avgs.push_back(std::move(ft.average));
+    }
+    group_weights.push_back(static_cast<double>(n));
+  }
+  const std::vector<float> oracle =
+      robust::aggregate(group_avgs, group_weights, robust::RobustConfig{});
+
+  sim::Simulator sim(23);
+  net::Network net(sim);
+  const FixedLeaderRound run(net, topo, sac_config(tolerance),
+                             [&](PeerId p) { return models[p]; });
+  ASSERT_TRUE(run.completed);
+  ASSERT_EQ(run.global.size(), oracle.size());
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_NEAR(run.global[i], oracle[i], 1e-5) << "element " << i;
+  }
+}
+
+TEST(TwoLayerAgg, EngineMatchesMathLoopOracle) {
+  check_engine_matches_math_loop(Topology::even(12, 3), 0);  // n of n
+  check_engine_matches_math_loop(Topology::even(12, 3), 1);  // k of n
+  check_engine_matches_math_loop(Topology::even(11, 3), 0);  // 4, 4, 3
+  check_engine_matches_math_loop(Topology::even(14, 3), 1);  // 5, 5, 4
 }
 
 }  // namespace

@@ -29,12 +29,8 @@ struct System {
 
   /// Run until stabilized() or the deadline; returns success.
   bool run_until_stable(SimDuration budget = 10 * kSecond) {
-    const SimTime deadline = sim.now() + budget;
-    while (sim.now() < deadline) {
-      if (sys.stabilized()) return true;
-      sim.run_for(20 * kMillisecond);
-    }
-    return sys.stabilized();
+    return net.transport().run_until([this] { return sys.stabilized(); },
+                                     budget, 20 * kMillisecond);
   }
 
   sim::Simulator sim;
@@ -330,12 +326,8 @@ struct DurableSystem {
   }
 
   bool run_until_stable(SimDuration budget = 10 * kSecond) {
-    const SimTime deadline = sim.now() + budget;
-    while (sim.now() < deadline) {
-      if (sys->stabilized()) return true;
-      sim.run_for(20 * kMillisecond);
-    }
-    return sys->stabilized();
+    return net.transport().run_until([this] { return sys->stabilized(); },
+                                     budget, 20 * kMillisecond);
   }
 
   std::string dir;

@@ -9,10 +9,12 @@
 // latency, N = 30 — the transfer of one model takes 0.4 s.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/cost_model.hpp"
 #include "bench/bench_util.hpp"
 #include "core/agg_cost_sim.hpp"
+#include "net/network.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "sim/simulator.hpp"
@@ -34,7 +36,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mbps),
               static_cast<double>(wire) / static_cast<double>(bps) * 1e3);
 
-  const auto one = core::simulate_one_layer_latency(N, wire, bps);
+  // Every round runs on a fresh simulator whose links have the uplink.
+  const net::NetworkConfig link{.egress_bytes_per_sec = bps};
+  const auto two_layer = [&](const std::vector<std::size_t>& groups,
+                             std::size_t tolerance) {
+    sim::Simulator sim(77);
+    net::Network net(sim, link);
+    return core::simulate_aggregation_cost(net, groups, tolerance, wire);
+  };
+
+  sim::Simulator one_sim(78);
+  net::Network one_net(one_sim, link);
+  const auto one = core::simulate_one_layer_latency(one_net, N, wire);
   std::printf("%-24s %14s %16s\n", "configuration", "aggregate ms",
               "all peers ms");
   std::printf("%-24s %14.0f %16.0f\n", "one-layer SAC (m=1)",
@@ -43,7 +56,7 @@ int main(int argc, char** argv) {
   for (std::size_t m : {2u, 3u, 5u, 6u, 10u}) {
     if (m > N) break;
     const auto groups = analysis::subgroup_sizes(N, m);
-    const auto two = core::simulate_two_layer_latency(groups, 0, wire, bps);
+    const auto two = two_layer(groups, 0);
     char label[32];
     std::snprintf(label, sizeof label, "two-layer m=%zu (n=%zu)", m,
                   groups.front());
@@ -55,7 +68,7 @@ int main(int argc, char** argv) {
   std::printf("\nwith fault tolerance (m=6, tolerance 1 -> more share "
               "replicas to push):\n");
   const auto groups = analysis::subgroup_sizes(N, 6);
-  const auto ft = core::simulate_two_layer_latency(groups, 1, wire, bps);
+  const auto ft = two_layer(groups, 1);
   std::printf("%-24s %14.0f %16.0f\n", "two-layer m=6, k=n-1",
               ft.aggregate_ms, ft.all_received_ms);
 
@@ -64,16 +77,15 @@ int main(int argc, char** argv) {
   // protocol phases / links via the critical-path extractor. The phase
   // column sums exactly to the round latency.
   std::printf("\ncritical path of the m=6 round (span attribution):\n");
-  const std::string base = args.get("trace-out", "ablation");
-  core::AggSimHooks hooks;
-  hooks.on_start = [](sim::Simulator& s) { s.obs().spans.set_enabled(true); };
-  hooks.on_finish = [&](sim::Simulator& s) {
-    const obs::CriticalPath cp = obs::extract_critical_path(s.obs().spans, 1);
-    std::printf("%s", obs::critical_path_table(cp).c_str());
-    const std::string spans_path = base + ".spans.jsonl";
-    obs::write_text_file(spans_path, obs::spans_jsonl(s.obs().spans));
-    std::fprintf(stderr, "# spans:   %s\n", spans_path.c_str());
-  };
-  core::simulate_two_layer_latency(groups, 1, wire, bps, hooks);
+  sim::Simulator sim(77);
+  sim.obs().spans.set_enabled(true);
+  net::Network net(sim, link);
+  core::simulate_aggregation_cost(net, groups, 1, wire);
+  const obs::CriticalPath cp = obs::extract_critical_path(sim.obs().spans, 1);
+  std::printf("%s", obs::critical_path_table(cp).c_str());
+  const std::string spans_path =
+      args.get("trace-out", "ablation") + ".spans.jsonl";
+  obs::write_text_file(spans_path, obs::spans_jsonl(sim.obs().spans));
+  std::fprintf(stderr, "# spans:   %s\n", spans_path.c_str());
   return 0;
 }

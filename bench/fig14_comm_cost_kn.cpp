@@ -2,7 +2,9 @@
 // settings as the peer count N grows. Settings: 3-3, 3-2, 5-5, 5-3 (our
 // two-layer system; "k-n" = k-out-of-n SAC in subgroups of n) and the
 // n = N one-layer SAC baseline. The closed-form model is printed next
-// to bytes counted by simulating the real protocol.
+// to bytes counted by simulating the real protocol; the binary exits 1 if
+// any cell's two numbers differ.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "bench/bench_util.hpp"
 #include "bench/obs_util.hpp"
 #include "core/agg_cost_sim.hpp"
+#include "net/network.hpp"
 
 int main(int argc, char** argv) {
   using namespace p2pfl;
@@ -32,6 +35,7 @@ int main(int argc, char** argv) {
   for (const auto& s : settings) std::printf("      %zu-%zu (mdl/sim)", s.k, s.n);
   std::printf("\n");
 
+  bool mismatch = false;
   for (std::size_t N = 10; N <= max_n; N += 10) {
     std::printf("%4zu %14.2f", N,
                 w.gigabits_for(analysis::one_layer_sac_cost(N)));
@@ -40,9 +44,16 @@ int main(int argc, char** argv) {
       const double model_units =
           analysis::two_layer_ft_cost(groups, s.n, s.k);
       const double sim_units =
-          core::simulate_aggregation_cost_units(groups, s.n - s.k);
+          core::simulate_aggregation_cost(groups, s.n - s.k).total_units;
       std::printf("      %7.2f/%7.2f", w.gigabits_for(model_units),
                   w.gigabits_for(sim_units));
+      if (std::abs(sim_units - model_units) > 1e-9 * model_units) {
+        std::fprintf(stderr,
+                     "fig14: N=%zu %zu-%zu simulated %.3f |w|, model %.3f "
+                     "|w|\n",
+                     N, s.k, s.n, sim_units, model_units);
+        mismatch = true;
+      }
     }
     std::printf("\n");
   }
@@ -67,13 +78,11 @@ int main(int argc, char** argv) {
 
   // Traced + metered re-run of the 3-2, N=30 round (a setting with live
   // dropout tolerance) for offline inspection.
-  const std::string base = args.get("trace-out", "fig14");
-  core::AggSimHooks hooks;
-  hooks.on_start = [](sim::Simulator& s) { s.obs().trace.set_enabled(true); };
-  hooks.on_finish = [&](sim::Simulator& s) {
-    bench::export_observability(s, base);
-  };
-  const auto traced_groups = analysis::subgroups_by_target_size(30, 3);
-  core::simulate_aggregation_cost(traced_groups, 1, hooks);
-  return 0;
+  sim::Simulator sim(77);
+  sim.obs().trace.set_enabled(true);
+  net::Network net(sim);
+  core::simulate_aggregation_cost(
+      net, analysis::subgroups_by_target_size(30, 3), 1);
+  bench::export_observability(sim, args.get("trace-out", "fig14"));
+  return mismatch ? 1 : 0;
 }

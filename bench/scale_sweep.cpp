@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "bench/json_util.hpp"
 #include "core/topology.hpp"
 #include "core/two_layer_agg.hpp"
-#include "net/mux.hpp"
 #include "net/network.hpp"
 #include "sim/reference_queue.hpp"
 #include "sim/simulator.hpp"
@@ -59,18 +57,7 @@ SweepResult run_sweep(std::size_t n, std::size_t group_size,
   sim::Simulator sim(seed);
   net::Network net(sim, {.base_latency = 15 * kMillisecond});
   const core::Topology topo = core::Topology::by_group_size(n, group_size);
-
-  std::vector<std::unique_ptr<net::PeerHost>> hosts(topo.peer_count());
-  for (PeerId id : topo.all_peers()) {
-    hosts[id] = std::make_unique<net::PeerHost>();
-    net.attach(id, hosts[id].get());
-  }
-
-  core::AggregationConfig cfg;
-  core::TwoLayerAggregator agg(topo, cfg, net,
-                               [&](PeerId id) -> net::PeerHost& {
-                                 return *hosts[id];
-                               });
+  core::TwoLayerAggregator agg(topo, core::AggregationConfig{}, net);
 
   SweepResult out;
   out.peers = topo.peer_count();
@@ -82,10 +69,7 @@ SweepResult run_sweep(std::size_t n, std::size_t group_size,
                             const secagg::Vector&,
                             std::size_t) { ++completed_rounds; };
 
-  core::RoundLeadership lead;
-  lead.subgroup_leaders = topo.designated_leaders();
-  lead.fedavg_leader = lead.subgroup_leaders.front();
-
+  const core::RoundLeadership lead = core::RoundLeadership::designated(topo);
   constexpr std::size_t kDim = 4;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 1; r <= rounds; ++r) {

@@ -23,6 +23,13 @@ ChaosEngine::ChaosEngine(net::Network& net, ChaosPlan plan,
   if (!hooks_.restart_amnesia) hooks_.restart_amnesia = hooks_.restart;
 }
 
+ChaosEngine::~ChaosEngine() {
+  // Leave no dangling injector behind on a transport that outlives us.
+  if (injector_ && tr_.fault_injector() == injector_.get()) {
+    tr_.set_fault_injector(nullptr);
+  }
+}
+
 net::FaultInjector& ChaosEngine::injector() {
   if (!injector_) {
     injector_ = std::make_unique<net::FaultInjector>(net_.obs());
@@ -150,33 +157,6 @@ void ChaosEngine::start() {
       });
     }
   }
-  for (const SlowGroupEvent& e : plan_.slow_groups()) {
-    schedule_at(e.at, [this, &e] {
-      for (PeerId s : e.peers) {
-        for (PeerId o : e.universe) {
-          if (o == s) continue;
-          net_.set_link_delay(s, o, e.extra);
-          net_.set_link_delay(o, s, e.extra);
-        }
-      }
-      trace_fault("slow_group", e.peers.empty() ? 0 : e.peers.front(),
-                  {{"extra_us", e.extra},
-                   {"peers", static_cast<std::uint64_t>(e.peers.size())}});
-    });
-    if (e.clear_at > 0) {
-      schedule_at(e.clear_at, [this, &e] {
-        for (PeerId s : e.peers) {
-          for (PeerId o : e.universe) {
-            if (o == s) continue;
-            net_.clear_link_delay(s, o);
-            net_.clear_link_delay(o, s);
-          }
-        }
-        trace_fault("slow_group_clear",
-                    e.peers.empty() ? 0 : e.peers.front(), {});
-      });
-    }
-  }
   for (const FaultWindowEvent& e : plan_.fault_windows()) {
     schedule_at(e.at, [this, &e] {
       saved_defaults_ = net_.config().faults;
@@ -190,28 +170,6 @@ void ChaosEngine::start() {
       schedule_at(e.clear_at, [this] {
         net_.set_default_faults(saved_defaults_);
         trace_fault("fault_window_clear", 0, {});
-      });
-    }
-  }
-  for (const ByzantineSpec& spec : plan_.byzantines()) {
-    P2PFL_CHECK_MSG(!spec.peers.empty(), "byzantine spec without peers");
-    schedule_at(spec.start, [this, &spec] {
-      for (PeerId p : spec.peers) {
-        registry_.activate(p, spec.attack);
-        ++byzantine_activations_;
-        trace_fault("byzantine_start", p,
-                    {{"attack", robust::attack_name(spec.attack.kind)},
-                     {"magnitude", spec.attack.magnitude}});
-        if (hooks_.byzantine_start) hooks_.byzantine_start(p, spec.attack);
-      }
-    });
-    if (spec.end > 0) {
-      schedule_at(spec.end, [this, &spec] {
-        for (PeerId p : spec.peers) {
-          registry_.deactivate(p);
-          trace_fault("byzantine_end", p, {});
-          if (hooks_.byzantine_end) hooks_.byzantine_end(p);
-        }
       });
     }
   }

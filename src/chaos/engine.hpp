@@ -41,18 +41,15 @@ struct ChaosEngineHooks {
   /// restart). Defaults to `restart` when unset, so plans that request
   /// amnesia still work against systems without durable state.
   std::function<void(PeerId)> restart_amnesia;
-  /// Fired when a ByzantineSpec window opens/closes for a peer, after
-  /// the engine's own registry was updated. Optional — the engine's
-  /// registry() is the canonical adversary set; systems that cache
-  /// per-peer attack state can mirror it here.
-  std::function<void(PeerId, const robust::AttackSpec&)> byzantine_start;
-  std::function<void(PeerId)> byzantine_end;
 };
 
 class ChaosEngine {
  public:
-  /// The engine must outlive the simulation run it drives.
+  /// The engine must outlive the simulation run it drives. On TCP,
+  /// destroy it after the transport's shutdown(): the destructor
+  /// uninstalls the engine's injector, which the loop thread reads.
   ChaosEngine(net::Network& net, ChaosPlan plan, ChaosEngineHooks hooks = {});
+  ~ChaosEngine();
 
   ChaosEngine(const ChaosEngine&) = delete;
   ChaosEngine& operator=(const ChaosEngine&) = delete;
@@ -76,13 +73,6 @@ class ChaosEngine {
   std::size_t redundant_faults() const { return redundant_faults_; }
   bool peer_down(PeerId p) const { return down_.count(p) > 0; }
   std::size_t peers_down() const { return down_.size(); }
-  std::size_t byzantine_activations() const { return byzantine_activations_; }
-
-  /// The live adversary set, updated as ByzantineSpec windows open and
-  /// close. Protocol actors hold a const pointer to this and consult it
-  /// at their injection points.
-  robust::ByzantineRegistry& registry() { return registry_; }
-  const robust::ByzantineRegistry& registry() const { return registry_; }
 
  private:
   void do_crash(PeerId peer, const char* cause);
@@ -104,7 +94,6 @@ class ChaosEngine {
   ChaosPlan plan_;
   ChaosEngineHooks hooks_;
   Rng rng_;
-  robust::ByzantineRegistry registry_;
   /// Lazily created so plans without transport faults register no
   /// chaos.transport.* counters (pre-PR metric dumps stay identical).
   std::unique_ptr<net::FaultInjector> injector_;
@@ -115,7 +104,6 @@ class ChaosEngine {
   std::size_t restarts_ = 0;
   std::size_t amnesia_restarts_ = 0;
   std::size_t redundant_faults_ = 0;
-  std::size_t byzantine_activations_ = 0;
   bool started_ = false;
 };
 

@@ -1,9 +1,9 @@
 // Declarative fault plans for deterministic chaos runs.
 //
 // A ChaosPlan is a script of faults — crashes, restarts, crash/restart
-// churn, partition windows, slow subgroups, network-imperfection
-// windows — expressed in simulated time. The ChaosEngine (engine.hpp)
-// executes a plan on the simulator's event queue and draws every
+// churn, partition windows, network-imperfection windows and transport
+// faults — expressed in simulated time. The ChaosEngine (engine.hpp)
+// executes a plan on the Network's transport timers and draws every
 // stochastic choice (churn inter-failure times, victim selection) from a
 // deterministic RNG fork, so a chaos run is a pure function of
 // (seed, plan): replayable, diffable, and bisectable. The Fig. 10-12
@@ -16,7 +16,6 @@
 
 #include "common/types.hpp"
 #include "net/network.hpp"
-#include "robust/attack.hpp"
 
 namespace p2pfl::chaos {
 
@@ -43,17 +42,6 @@ struct PartitionEvent {
   SimTime at = 0;
   SimTime heal_at = 0;
   std::vector<std::vector<PeerId>> groups;
-};
-
-/// Add `extra` one-way latency on every link into and out of `peers`
-/// during [at, clear_at) — the paper's "slow subgroup" scenario.
-struct SlowGroupEvent {
-  SimTime at = 0;
-  SimTime clear_at = 0;
-  std::vector<PeerId> peers;
-  SimDuration extra = 0;
-  /// Every other peer the slow group talks to (delays are per-link).
-  std::vector<PeerId> universe;
 };
 
 /// Override the network's default stochastic faults during
@@ -127,18 +115,6 @@ struct ReconnectStormEvent {
   SimDuration sim_outage = 30 * kMillisecond;
 };
 
-/// Turn `peers` adversarial during [start, end): the engine activates
-/// the given attack in the run's ByzantineRegistry at `start` and
-/// deactivates it at `end` (0 = stay adversarial forever). Which lies
-/// the attack tells is robust::AttackKind's business; this is only the
-/// *when* and *who*.
-struct ByzantineSpec {
-  SimTime start = 0;
-  SimTime end = 0;
-  std::vector<PeerId> peers;
-  robust::AttackSpec attack;
-};
-
 class ChaosPlan {
  public:
   ChaosPlan& crash_at(SimTime t, PeerId peer) {
@@ -160,13 +136,6 @@ class ChaosPlan {
     partitions_.push_back({at, heal_at, std::move(groups)});
     return *this;
   }
-  ChaosPlan& slow_group(SimTime at, SimTime clear_at,
-                        std::vector<PeerId> peers, SimDuration extra,
-                        std::vector<PeerId> universe) {
-    slow_groups_.push_back(
-        {at, clear_at, std::move(peers), extra, std::move(universe)});
-    return *this;
-  }
   ChaosPlan& fault_window(SimTime at, SimTime clear_at,
                           net::LinkFaults faults) {
     fault_windows_.push_back({at, clear_at, faults});
@@ -174,16 +143,6 @@ class ChaosPlan {
   }
   ChaosPlan& churn(ChurnSpec spec) {
     churns_.push_back(std::move(spec));
-    return *this;
-  }
-  ChaosPlan& byzantine(ByzantineSpec spec) {
-    byzantines_.push_back(std::move(spec));
-    return *this;
-  }
-  ChaosPlan& byzantine_window(SimTime start, SimTime end,
-                              std::vector<PeerId> peers,
-                              robust::AttackSpec attack) {
-    byzantines_.push_back({start, end, std::move(peers), attack});
     return *this;
   }
   ChaosPlan& conn_reset_at(SimTime t, PeerId a, PeerId b,
@@ -211,14 +170,10 @@ class ChaosPlan {
   const std::vector<PartitionEvent>& partitions() const {
     return partitions_;
   }
-  const std::vector<SlowGroupEvent>& slow_groups() const {
-    return slow_groups_;
-  }
   const std::vector<FaultWindowEvent>& fault_windows() const {
     return fault_windows_;
   }
   const std::vector<ChurnSpec>& churns() const { return churns_; }
-  const std::vector<ByzantineSpec>& byzantines() const { return byzantines_; }
   const std::vector<ConnResetEvent>& conn_resets() const {
     return conn_resets_;
   }
@@ -234,20 +189,17 @@ class ChaosPlan {
 
   bool empty() const {
     return crashes_.empty() && restarts_.empty() && partitions_.empty() &&
-           slow_groups_.empty() && fault_windows_.empty() &&
-           churns_.empty() && byzantines_.empty() && conn_resets_.empty() &&
-           stall_windows_.empty() && throttle_windows_.empty() &&
-           reconnect_storms_.empty();
+           fault_windows_.empty() && churns_.empty() &&
+           conn_resets_.empty() && stall_windows_.empty() &&
+           throttle_windows_.empty() && reconnect_storms_.empty();
   }
 
  private:
   std::vector<CrashEvent> crashes_;
   std::vector<RestartEvent> restarts_;
   std::vector<PartitionEvent> partitions_;
-  std::vector<SlowGroupEvent> slow_groups_;
   std::vector<FaultWindowEvent> fault_windows_;
   std::vector<ChurnSpec> churns_;
-  std::vector<ByzantineSpec> byzantines_;
   std::vector<ConnResetEvent> conn_resets_;
   std::vector<StallWindowEvent> stall_windows_;
   std::vector<ThrottleWindowEvent> throttle_windows_;

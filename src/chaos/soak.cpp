@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -26,13 +25,6 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
   net::Network net(sim, cfg.net);
 
   const core::Topology topo = core::Topology::even(cfg.peers, cfg.groups);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
-
   core::AggregationConfig acfg;
   acfg.sac_dropout_tolerance = cfg.dropout_tolerance;
   // Every started round must resolve (commit or fail) within its slot so
@@ -42,9 +34,7 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
   acfg.sac_subtotal_timeout = 150 * kMillisecond;
   acfg.sac_share_retry_limit = cfg.sac_share_retries;
   acfg.upload_retry = 300 * kMillisecond;
-  core::TwoLayerAggregator agg(
-      topo, acfg, net,
-      [&](PeerId id) -> net::PeerHost& { return *hosts.at(id); });
+  core::TwoLayerAggregator agg(topo, acfg, net);
 
   // Constant per-peer models make the exact global model computable.
   const auto model_of = [&](PeerId id) {
@@ -432,7 +422,6 @@ HealSoakResult run_heal_soak(net::Network& net, const HealSoakConfig& cfg) {
     if (engine) res.faults_injected = engine->faults_injected();
   });
   tr.shutdown();
-  tr.set_fault_injector(nullptr);  // owned by the engine, about to go
   res.accuracy = sys.evaluate_global().accuracy;
   return res;
 }

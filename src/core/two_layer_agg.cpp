@@ -12,7 +12,17 @@ namespace p2pfl::core {
 
 namespace {
 std::string sac_channel(SubgroupId g) { return "sac/sg" + std::to_string(g); }
+
+/// Upload resends before a subgroup leader gives its upload up.
+constexpr std::size_t kUploadRetryLimit = 5;
 }  // namespace
+
+RoundLeadership RoundLeadership::designated(const Topology& topology) {
+  RoundLeadership lead;
+  lead.subgroup_leaders = topology.designated_leaders();
+  lead.fedavg_leader = lead.subgroup_leaders.front();
+  return lead;
+}
 
 TwoLayerAggregator::TwoLayerAggregator(
     const Topology& topology, AggregationConfig cfg, net::Network& net,
@@ -43,6 +53,14 @@ TwoLayerAggregator::TwoLayerAggregator(
   sac_opts.detect_inconsistent_shares = cfg_.detect_byzantine;
   sac_opts.byzantine = cfg_.byzantine;
 
+  if (!host_of) {
+    for (PeerId id : topology_.all_peers()) {
+      net_.attach(id, &owned_hosts_[id]);
+    }
+    host_of = [this](PeerId id) -> net::PeerHost& {
+      return owned_hosts_.at(id);
+    };
+  }
   for (PeerId id : topology_.all_peers()) {
     net::PeerHost& host = host_of(id);
     PeerState st;
@@ -90,7 +108,11 @@ TwoLayerAggregator::TwoLayerAggregator(
   }
 }
 
-TwoLayerAggregator::~TwoLayerAggregator() = default;
+TwoLayerAggregator::~TwoLayerAggregator() {
+  // A Network that outlives us drops late frames as "unattached" instead
+  // of delivering them to freed hosts.
+  for (const auto& [id, host] : owned_hosts_) net_.detach(id);
+}
 
 std::uint64_t TwoLayerAggregator::model_wire(std::size_t dim) const {
   return cfg_.model_wire_bytes > 0
@@ -310,7 +332,7 @@ void TwoLayerAggregator::sac_complete(PeerState& p, RoundId round,
 void TwoLayerAggregator::retry_upload(PeerState& p) {
   if (!p.pending_upload || p.pending_upload->round != round_) return;
   if (net_.crashed(p.id)) return;
-  if (p.upload_attempts >= cfg_.upload_retry_limit) {
+  if (p.upload_attempts >= kUploadRetryLimit) {
     obs::Observability& ob = net_.obs();
     ob.metrics.counter("agg.uploads_abandoned").add(1);
     ob.spans.close_aborted(p.upload_span);

@@ -60,12 +60,10 @@ struct AggregationConfig {
   /// the silent peers (see SacActorOptions::share_retry_limit).
   std::size_t sac_share_retry_limit = 2;
   /// Subgroup-leader "agg/upload" retry: first resend after upload_retry,
-  /// doubling up to 8x, at most upload_retry_limit resends; stops as soon
-  /// as the round's result (or a new round) arrives. In a fault-free
-  /// round the result arrives long before the first resend, so the wire
-  /// cost is unchanged.
+  /// doubling up to 8x, at most 5 resends; stops as soon as the round's
+  /// result (or a new round) arrives. In a fault-free round the result
+  /// arrives long before the first resend, so the wire cost is unchanged.
   SimDuration upload_retry = 1 * kSecond;
-  std::size_t upload_retry_limit = 5;
   /// FedAvg-layer aggregation rule over the subgroup subtotals. The
   /// default (kMean) is the paper's plain weighted FedAvg, bit-exact
   /// with every pre-Byzantine golden; trimmed mean / median / norm-clip
@@ -88,6 +86,10 @@ struct AggregationConfig {
 struct RoundLeadership {
   std::vector<PeerId> subgroup_leaders;  // indexed by SubgroupId
   PeerId fedavg_leader = kNoPeer;        // must be one of the above
+
+  /// Fixed leadership: each subgroup's first member leads it, and
+  /// subgroup 0's leader chairs the FedAvg layer.
+  static RoundLeadership designated(const Topology& topology);
 };
 
 class TwoLayerAggregator {
@@ -97,9 +99,12 @@ class TwoLayerAggregator {
 
   /// `host_of` must yield the PeerHost attached for each topology peer;
   /// the aggregator registers its "sac/sg<g>" and "agg/" routes there.
+  /// Without it the aggregator creates, attaches and owns one host per
+  /// peer, and detaches them when destroyed (on TCP, destroy it after the
+  /// transport's shutdown()).
   TwoLayerAggregator(const Topology& topology, AggregationConfig cfg,
                      net::Network& net,
-                     std::function<net::PeerHost&(PeerId)> host_of);
+                     std::function<net::PeerHost&(PeerId)> host_of = {});
   ~TwoLayerAggregator();
 
   TwoLayerAggregator(const TwoLayerAggregator&) = delete;
@@ -206,6 +211,8 @@ class TwoLayerAggregator {
   /// rounds never draw from it, so enabling the machinery does not
   /// shift any pre-existing RNG stream.
   Rng byz_rng_;
+  /// Hosts created when no host_of was given; they outlive peers_.
+  std::map<PeerId, net::PeerHost> owned_hosts_;
   std::map<PeerId, PeerState> peers_;
   RoundLeadership leadership_;
   std::optional<FedState> fed_;

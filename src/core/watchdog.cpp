@@ -7,12 +7,20 @@
 
 namespace p2pfl::core {
 
+namespace {
+/// Samples the round series retains.
+constexpr std::size_t kSeriesCapacity = 4096;
+/// Alert post-mortems retained (a sustained incident breaches every
+/// round; the first few carry all the signal).
+constexpr std::size_t kMaxAlerts = 16;
+}  // namespace
+
 RoundWatchdog::RoundWatchdog(sim::Simulator& sim, net::Network& net,
                              const Topology& topology, WatchdogConfig cfg)
     : sim_(sim),
       net_(net),
       cfg_(std::move(cfg)),
-      series_(cfg_.series_capacity),
+      series_(kSeriesCapacity),
       engine_(cfg_.rules) {
   // Pre-create the slo.* counters so metric dumps have the same shape
   // whether or not any rule ever breached.
@@ -115,11 +123,9 @@ void RoundWatchdog::round_finished(std::uint64_t round, double loss,
   const std::vector<obs::SloBreach> fired =
       engine_.evaluate(s, &sim_.obs());
   breaches_total_ += fired.size();
-  if (cfg_.capture_alerts) {
-    for (const obs::SloBreach& b : fired) {
-      if (alerts_.size() >= cfg_.max_alerts) break;
-      alerts_.push_back(obs::make_slo_alert(spans, b));
-    }
+  for (const obs::SloBreach& b : fired) {
+    if (alerts_.size() >= kMaxAlerts) break;
+    alerts_.push_back(obs::make_slo_alert(spans, b));
   }
   series_.append(std::move(s));
   if (on_sample) on_sample(series_.back(), fired);

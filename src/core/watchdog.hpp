@@ -35,7 +35,6 @@ class P2pFlSystem;
 struct WatchdogConfig {
   /// SLO rules evaluated per sample (empty = record-only watchdog).
   std::vector<obs::SloRule> rules;
-  std::size_t series_capacity = 4096;
   /// |w| bytes of one model transfer (4 × dim for materialized vectors,
   /// or the modeled CNN size) — the unit of the Eq. (4)/(5) closed form.
   /// 0 = skip the expected-payload computation (byte-budget rules never
@@ -44,11 +43,6 @@ struct WatchdogConfig {
   /// SAC dropout tolerance f (per-subgroup k = n − f) for the Eq. (5)
   /// fault-tolerant form; 0 reduces to Eq. (4).
   std::size_t dropout_tolerance = 0;
-  /// Capture an alert post-mortem per breach via the span recorder.
-  bool capture_alerts = true;
-  /// Bound on retained alerts (a sustained incident breaches every
-  /// round; the first few carry all the signal).
-  std::size_t max_alerts = 16;
 };
 
 class RoundWatchdog {

@@ -2,9 +2,9 @@
 //
 // An AttackSpec names one adversarial behaviour and its magnitude; a
 // ByzantineRegistry maps peer ids to their currently active spec. The
-// chaos engine activates/deactivates registry entries on plan windows
-// (chaos::ByzantineSpec), and the protocol actors consult the registry
-// at their injection points:
+// caller owns the registry and activates/deactivates its entries
+// (`p2pflctl attack`, the Byzantine tests), and the protocol actors
+// consult it at their injection points:
 //
 //  * model poisoning (kSignFlip / kScaledUpdate / kRandomNoise /
 //    kConstantDrift) — applied to the local model a peer feeds into the
@@ -19,7 +19,7 @@
 //
 // Everything is deterministic: the transforms draw only from the Rng
 // the caller forks, so an attacked run is a pure function of
-// (seed, plan) exactly like every other chaos scenario.
+// (seed, adversary set) exactly like a chaos run is of (seed, plan).
 #pragma once
 
 #include <cstddef>

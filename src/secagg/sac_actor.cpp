@@ -10,6 +10,13 @@ namespace p2pfl::secagg {
 
 namespace {
 
+/// Retry timers double each firing, capped at this multiple of the base
+/// timeout.
+constexpr std::size_t kBackoffCap = 8;
+/// Full cycles through a subtotal's replica holders before the round is
+/// declared unrecoverable.
+constexpr std::size_t kRecoveryPasses = 3;
+
 /// Kind family of a channel ("ml/g3" -> "ml"): the codec-registry key
 /// prefix shared by every channel of the same protocol.
 std::string family_of(const std::string& channel) {
@@ -69,10 +76,10 @@ std::uint64_t SacPeer::share_wire_bytes(std::size_t dim) const {
 
 SimDuration SacPeer::backoff(SimDuration base, std::size_t step) const {
   std::size_t mult = 1;
-  for (std::size_t i = 0; i < step && mult < opts_.backoff_cap; ++i) {
+  for (std::size_t i = 0; i < step && mult < kBackoffCap; ++i) {
     mult *= 2;
   }
-  if (mult > opts_.backoff_cap) mult = opts_.backoff_cap;
+  if (mult > kBackoffCap) mult = kBackoffCap;
   return base * static_cast<SimDuration>(mult);
 }
 
@@ -610,7 +617,7 @@ void SacPeer::request_missing_subtotals() {
                   holders.end());
     std::size_t& attempt = st.recovery_attempts[idx];
     if (holders.empty() ||
-        attempt >= holders.size() * opts_.recovery_passes) {
+        attempt >= holders.size() * kRecoveryPasses) {
       P2PFL_WARN() << channel_ << " round " << st.round << ": subtotal "
                    << idx << " unrecoverable";
       net_.obs().metrics.counter("sac.unrecoverable").add(1);

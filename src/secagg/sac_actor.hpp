@@ -58,19 +58,16 @@ struct SacActorOptions {
   /// Setting it explicitly lets cost experiments model a 1.25M-parameter
   /// CNN while computing on tiny vectors.
   std::uint64_t wire_bytes_per_share = 0;
-  /// Base patience for shares / subtotals; retries back off from here.
+  /// Base patience for shares / subtotals; retries back off from here,
+  /// doubling each firing up to 8x the base timeout.
   SimDuration share_timeout = 500 * kMillisecond;
   SimDuration subtotal_timeout = 500 * kMillisecond;
-  /// Retry timers double each firing, capped at backoff_cap × the base
-  /// timeout.
-  std::size_t backoff_cap = 8;
   /// Leader: retransmission requests sent before on_share_timeout
   /// reports the still-silent positions (non-leaders retry forever; the
-  /// round controller supersedes them).
+  /// round controller supersedes them). A missing subtotal is requested
+  /// from its replica holders for three full cycles before the round is
+  /// declared unrecoverable.
   std::size_t share_retry_limit = 2;
-  /// Full cycles through a subtotal's replica holders before the round
-  /// is declared unrecoverable.
-  std::size_t recovery_passes = 3;
   /// Share-consistency detection: every share bundle carries an FNV-1a
   /// commitment of the sender's whole split, holders echo commitment
   /// digests to the leader, and the leader attributes inconsistent or
@@ -81,8 +78,8 @@ struct SacActorOptions {
   bool detect_inconsistent_shares = false;
   /// Adversary registry consulted at the Byzantine injection points
   /// (inconsistent share distribution, equivocating resends). nullptr =
-  /// everyone honest. The registry outlives the actor (the chaos engine
-  /// owns it).
+  /// everyone honest. The caller owns the registry; it outlives the
+  /// actor.
   const robust::ByzantineRegistry* byzantine = nullptr;
 };
 

@@ -180,15 +180,14 @@ TEST(CostModelVsMetrics, Eq4MatchesNetSentPayloadCounter) {
   for (const auto& [m, n] : std::vector<std::pair<std::size_t, std::size_t>>{
            {2, 3}, {5, 5}, {6, 4}}) {
     const std::vector<std::size_t> groups(m, n);
-    std::uint64_t metered_payload = 0;
-    std::uint64_t metered_wire = 0;
-    core::AggSimHooks hooks;
-    hooks.on_finish = [&](sim::Simulator& s) {
-      metered_payload = s.obs().metrics.counter("net.sent.payload").value();
-      metered_wire = s.obs().metrics.counter("net.sent.bytes").value();
-    };
-    const auto breakdown = core::simulate_aggregation_cost(groups, 0, hooks);
+    sim::Simulator sim(77);
+    net::Network net(sim);
+    const auto breakdown = core::simulate_aggregation_cost(net, groups, 0);
     ASSERT_TRUE(breakdown.completed) << "m=" << m << " n=" << n;
+    const std::uint64_t metered_payload =
+        sim.obs().metrics.counter("net.sent.payload").value();
+    const std::uint64_t metered_wire =
+        sim.obs().metrics.counter("net.sent.bytes").value();
     const double expected_units = two_layer_cost_eq4(m, n);
     EXPECT_EQ(metered_payload,
               static_cast<std::uint64_t>(expected_units) *

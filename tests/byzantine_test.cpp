@@ -6,7 +6,6 @@
 // sizes.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -27,14 +26,7 @@ struct ByzHarness {
         net(sim, {.base_latency = 15 * kMillisecond}) {
     cfg.detect_byzantine = detect;
     cfg.byzantine = registry;
-    for (PeerId p : topo.all_peers()) {
-      hosts.emplace(p, std::make_unique<net::PeerHost>());
-      net.attach(p, hosts.at(p).get());
-    }
-    agg = std::make_unique<TwoLayerAggregator>(
-        topo, cfg, net, [this](PeerId p) -> net::PeerHost& {
-          return *hosts.at(p);
-        });
+    agg = std::make_unique<TwoLayerAggregator>(topo, cfg, net);
     agg->on_global_model = [this](std::uint64_t, const secagg::Vector& g,
                                   std::size_t used) {
       global = g;
@@ -46,10 +38,7 @@ struct ByzHarness {
   }
 
   void begin(std::uint64_t round) {
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
-    agg->begin_round(round, lead, [](PeerId p) {
+    agg->begin_round(round, RoundLeadership::designated(topo), [](PeerId p) {
       return secagg::Vector(4, static_cast<float>(p + 1));
     });
   }
@@ -61,7 +50,6 @@ struct ByzHarness {
   Topology topo;
   sim::Simulator sim;
   net::Network net;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
   std::unique_ptr<TwoLayerAggregator> agg;
   std::optional<secagg::Vector> global;
   std::size_t groups_used = 0;

@@ -21,6 +21,7 @@
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
+#include "core/agg_cost_sim.hpp"
 #include "core/topology.hpp"
 #include "core/two_layer_agg.hpp"
 #include "core/wire.hpp"
@@ -646,31 +647,13 @@ TEST(ChaosAgg, DuplicationKeepsDeliveredBytesAtPaperCounts) {
   net::NetworkConfig ncfg{.base_latency = 15 * kMillisecond};
   ncfg.faults.duplicate_prob = 1.0;
   net::Network net(sim, ncfg);
-  const core::Topology topo = core::Topology::even(9, 3);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
   core::AggregationConfig cfg;
   cfg.model_wire_bytes = kWire;
-  core::TwoLayerAggregator agg(
-      topo, cfg, net, [&](PeerId id) -> net::PeerHost& {
-        return *hosts.at(id);
-      });
-  std::optional<secagg::Vector> global;
-  agg.on_global_model = [&](std::uint64_t, const secagg::Vector& g,
-                            std::size_t) { global = g; };
-  core::RoundLeadership lead;
-  lead.subgroup_leaders = {0, 3, 6};
-  lead.fedavg_leader = 0;
-  agg.begin_round(1, lead, [](PeerId id) {
-    return secagg::Vector(4, static_cast<float>(id + 1));
-  });
-  sim.run();
-  ASSERT_TRUE(global.has_value());
-  for (float v : *global) EXPECT_NEAR(v, 5.0f, 1e-4f);  // mean of 1..9
+  const core::FixedLeaderRound run(
+      net, core::Topology::even(9, 3), cfg,
+      [](PeerId id) { return secagg::Vector(4, static_cast<float>(id + 1)); });
+  ASSERT_TRUE(run.completed);
+  for (float v : run.global) EXPECT_NEAR(v, 5.0f, 1e-4f);  // mean of 1..9
 
   const net::TrafficStats& st = net.stats();
   // No loss: every original arrives, so delivered == sent, per kind and
@@ -713,19 +696,10 @@ TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
   sim::Simulator sim(5);
   net::Network net(sim, {.base_latency = 15 * kMillisecond});
   const core::Topology topo = core::Topology::even(9, 3);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
   core::AggregationConfig cfg;
   cfg.collect_timeout = 30 * kSecond;
   cfg.upload_retry = 400 * kMillisecond;
-  core::TwoLayerAggregator agg(
-      topo, cfg, net, [&](PeerId id) -> net::PeerHost& {
-        return *hosts.at(id);
-      });
+  core::TwoLayerAggregator agg(topo, cfg, net);
   std::optional<secagg::Vector> global;
   std::size_t groups_used = 0;
   agg.on_global_model = [&](std::uint64_t, const secagg::Vector& g,
@@ -736,10 +710,7 @@ TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
   net.set_kind_faults("agg/upload", {.drop_prob = 1.0});
   sim.schedule_at(1200 * kMillisecond,
                   [&] { net.clear_kind_faults("agg/upload"); });
-  core::RoundLeadership lead;
-  lead.subgroup_leaders = {0, 3, 6};
-  lead.fedavg_leader = 0;
-  agg.begin_round(1, lead, [](PeerId id) {
+  agg.begin_round(1, core::RoundLeadership::designated(topo), [](PeerId id) {
     return secagg::Vector(4, static_cast<float>(id + 1));
   });
   sim.run_for(30 * kSecond);

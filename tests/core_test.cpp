@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/cost_model.hpp"
 #include "core/agg_cost_sim.hpp"
 #include "core/fl_experiment.hpp"
 #include "core/topology.hpp"
+#include "net/network.hpp"
+#include "sim/simulator.hpp"
 
 namespace p2pfl::core {
 namespace {
@@ -105,6 +110,48 @@ TEST(AggCostSim, BreakdownComponentsMatchModelTerms) {
   EXPECT_DOUBLE_EQ(r.sac_units, static_cast<double>(m * (n * n - 1)));
   EXPECT_DOUBLE_EQ(r.fedavg_units, 2.0 * (m - 1));
   EXPECT_DOUBLE_EQ(r.broadcast_units, static_cast<double>(m * (n - 1)));
+}
+
+TEST(AggCostSim, LatencyFollowsUplinkClosedForms) {
+  // |w| = 5 MB over 100 Mbit/s uplinks: one transfer holds an uplink for
+  // t = 400 ms and each hop adds L = 15 ms; framing adds under 0.1 ms.
+  constexpr std::uint64_t kWire = 5'000'000;
+  constexpr double t = 400.0, L = 15.0;
+  const net::NetworkConfig uplink{.egress_bytes_per_sec = 100'000'000 / 8};
+  const auto round = [&](const net::NetworkConfig& link, std::size_t m,
+                         std::size_t tolerance) {
+    sim::Simulator sim(77);
+    net::Network net(sim, link);
+    return simulate_aggregation_cost(
+        net, std::vector<std::size_t>(m, 30 / m), tolerance, kWire);
+  };
+  for (const auto& [m, tau] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {2, 0}, {3, 0}, {5, 0}, {6, 0}, {10, 0}, {6, 1}}) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " tolerance=" +
+                 std::to_string(tau));
+    const double n = 30.0 / static_cast<double>(m);
+    const auto r = round(uplink, m, tau);
+    ASSERT_TRUE(r.completed);
+    // The FedAvg leader waits for its subgroup's n-1 share bundles of
+    // tau+1 parts each, one subtotal and one upload; then it returns the
+    // model to m-1 leaders, and the last of them fans it out to n-1 peers.
+    const double commit = ((n - 1) * (tau + 1) + 2) * t + 3 * L;
+    EXPECT_NEAR(r.aggregate_ms, commit, 0.1);
+    EXPECT_NEAR(r.all_received_ms,
+                commit + (static_cast<double>(m) + n - 2) * t + 2 * L, 0.1);
+  }
+  // Without an egress limit only the three and then two hops remain.
+  const auto unlimited = round({}, 6, 0);
+  EXPECT_DOUBLE_EQ(unlimited.aggregate_ms, 3 * L);
+  EXPECT_DOUBLE_EQ(unlimited.all_received_ms, 5 * L);
+  // One-layer SAC: every peer pushes N-1 shares, then broadcasts its
+  // subtotal to N-1 peers.
+  sim::Simulator sim(78);
+  net::Network net(sim, uplink);
+  const auto one = simulate_one_layer_latency(net, 30, kWire);
+  ASSERT_TRUE(one.completed);
+  EXPECT_NEAR(one.all_received_ms, 2 * 29 * t + 2 * L, 0.1);
 }
 
 TEST(AggCostSim, PlainFedAvgCornerCase) {

@@ -229,6 +229,29 @@ TEST(FaultInjectorSim, ReconnectStormResetsPeriodically) {
   EXPECT_EQ(counter_value(sim, "chaos.transport.stall_windows"), 10u);
 }
 
+TEST(FaultInjectorSim, EngineUninstallsItsInjectorWhenDestroyed) {
+  sim::Simulator sim(3);
+  Network net(sim, {.base_latency = kMillisecond});
+  TimedRecorder r(sim);
+  net.attach(0, &r);
+  net.attach(1, &r);
+  {
+    chaos::ChaosPlan plan;
+    plan.stall_window(0, 100 * kMillisecond, 0, 1);
+    chaos::ChaosEngine engine(net, plan);
+    engine.start();
+    sim.run();
+    EXPECT_NE(net.transport().fault_injector(), nullptr);
+  }
+  // The transport outlives the engine: no pointer to the freed injector
+  // stays behind, and the next frame goes through untouched.
+  ASSERT_EQ(net.transport().fault_injector(), nullptr);
+  net.send(0, 1, "msg", 1, 100);
+  sim.run();
+  ASSERT_EQ(r.arrived.size(), 1u);
+  EXPECT_EQ(r.arrived[1], sim.now());
+}
+
 TEST(FaultInjectorSim, PlanWithoutTransportFaultsRegistersNoCounters) {
   sim::Simulator sim(3);
   Network net(sim, {.base_latency = kMillisecond});

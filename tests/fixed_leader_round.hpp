@@ -1,25 +1,21 @@
-// One two-layer aggregation round over any net::Network, and the
-// closed-form checker for its traffic. WireAccounting runs it on the
-// simulator, TransportEquivalence on both backends, and the math-loop
-// oracle test compares its committed model with the math aggregation.
+// Test helpers around core::FixedLeaderRound (core/agg_cost_sim.hpp):
+// the even-groups round and the closed-form checker for its traffic.
+// WireAccounting runs the round on the simulator, TransportEquivalence
+// on both backends, and the math-loop oracle test compares its committed
+// model with the math aggregation.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "analysis/cost_model.hpp"
+#include "core/agg_cost_sim.hpp"
 #include "core/topology.hpp"
-#include "core/two_layer_agg.hpp"
 #include "core/wire.hpp"
-#include "net/mux.hpp"
 #include "net/network.hpp"
 #include "secagg/wire.hpp"
-#include "sim/simulator.hpp"
 
 namespace p2pfl::core {
 
@@ -30,61 +26,18 @@ inline AggregationConfig sac_config(std::size_t tolerance) {
   return cfg;
 }
 
-/// Leadership is fixed (each subgroup's designated leader; subgroup 0's
-/// chairs the FedAvg layer), `cfg` configures the aggregator and
-/// `model_of` gives every peer's model. The
-/// constructor starts the transport, runs the round until it committed
-/// and every message sent was delivered, then shuts the transport down.
-/// On the simulator it first runs on to quiescence, so a message sent
-/// after the commit (a retry timer left armed, say) is counted too.
-struct FixedLeaderRound {
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  std::optional<TwoLayerAggregator> agg;
-  bool completed = false;
-  secagg::Vector global;
-
-  FixedLeaderRound(net::Network& net, const Topology& topo,
-                   const AggregationConfig& cfg,
-                   const std::function<secagg::Vector(PeerId)>& model_of) {
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
-    agg.emplace(topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-      return *hosts.at(id);
-    });
-    agg->on_global_model = [this](std::uint64_t, const secagg::Vector& g,
-                                  std::size_t) {
-      completed = true;
-      global = g;
-    };
-    net::Transport& tr = net.transport();
-    tr.start();
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
-    tr.call([&] { agg->begin_round(1, lead, model_of); });
-    tr.run_until(
-        [&] {
-          return completed &&
-                 net.stats().delivered.messages == net.stats().sent.messages;
-        },
-        60 * kSecond, 2 * kMillisecond);
-    if (sim::Simulator* sim = tr.simulator()) sim->run();
-    tr.shutdown();
-  }
-
-  /// m even subgroups of n; peer p contributes the constant model p + 1.
-  /// No wire override: real encodings are charged byte-for-byte.
-  FixedLeaderRound(net::Network& net, std::size_t m, std::size_t n,
-                   std::size_t tolerance, std::size_t dim)
-      : FixedLeaderRound(net, Topology::even(m * n, m), sac_config(tolerance),
-                         [dim](PeerId id) {
-                           return secagg::Vector(dim,
-                                                 static_cast<float>(id + 1));
-                         }) {}
-};
+/// core::FixedLeaderRound over m even subgroups of n, each tolerating
+/// `tolerance` dropouts; peer p contributes the constant model p + 1.
+/// No wire override: real encodings are charged byte-for-byte.
+inline FixedLeaderRound even_round(net::Network& net, std::size_t m,
+                                   std::size_t n, std::size_t tolerance,
+                                   std::size_t dim) {
+  return FixedLeaderRound(net, Topology::even(m * n, m), sac_config(tolerance),
+                          [dim](PeerId id) {
+                            return secagg::Vector(dim,
+                                                  static_cast<float>(id + 1));
+                          });
+}
 
 using KindCounters = std::map<std::string, net::TrafficStats::Counter>;
 

@@ -17,7 +17,6 @@
 #include "chaos/soak.hpp"
 #include "core/topology.hpp"
 #include "core/two_layer_agg.hpp"
-#include "net/mux.hpp"
 #include "net/network.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/span.hpp"
@@ -205,20 +204,12 @@ struct RoundFixture {
   explicit RoundFixture(std::uint64_t seed, net::LinkFaults faults = {})
       : sim(seed), net(sim, make_cfg(faults)), topo(core::Topology::even(6, 2)) {
     sim.obs().spans.set_enabled(true);
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
     core::AggregationConfig cfg;
     cfg.collect_timeout = 1 * kSecond;
     cfg.sac_share_timeout = 150 * kMillisecond;
     cfg.sac_subtotal_timeout = 150 * kMillisecond;
     cfg.upload_retry = 300 * kMillisecond;
-    agg = std::make_unique<core::TwoLayerAggregator>(
-        topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-          return *hosts.at(id);
-        });
+    agg = std::make_unique<core::TwoLayerAggregator>(topo, cfg, net);
     agg->on_global_model = [this](std::uint64_t r, const secagg::Vector&,
                                   std::size_t) { committed_at[r] = sim.now(); };
   }
@@ -232,13 +223,11 @@ struct RoundFixture {
   /// Runs rounds 1..n back to back, then tears down any undecided round.
   void run_rounds(std::uint64_t n) {
     for (std::uint64_t r = 1; r <= n; ++r) {
-      core::RoundLeadership lead;
-      lead.subgroup_leaders = {0, 3};
-      lead.fedavg_leader = 0;
       started_at[r] = sim.now();
-      agg->begin_round(r, lead, [](PeerId id) {
-        return secagg::Vector(4, static_cast<float>(id + 1));
-      });
+      agg->begin_round(r, core::RoundLeadership::designated(topo),
+                       [](PeerId id) {
+                         return secagg::Vector(4, static_cast<float>(id + 1));
+                       });
       sim.run_for(2 * kSecond);
     }
     agg->abort_round();
@@ -247,7 +236,6 @@ struct RoundFixture {
   sim::Simulator sim;
   net::Network net;
   core::Topology topo;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
   std::unique_ptr<core::TwoLayerAggregator> agg;
   std::map<std::uint64_t, SimTime> started_at;
   std::map<std::uint64_t, SimTime> committed_at;

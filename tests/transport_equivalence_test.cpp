@@ -28,7 +28,8 @@ void check_backends_agree(std::size_t m, std::size_t n, std::size_t tolerance,
   for (const char* kind : {"sim", "tcp"}) {
     SCOPED_TRACE(std::string(kind) + " backend");
     net::Backend backend(kind, m * n, 31);
-    const FixedLeaderRound run(backend.net(), m, n, tolerance, dim);
+    const FixedLeaderRound run =
+        even_round(backend.net(), m, n, tolerance, dim);
     ASSERT_TRUE(run.completed);
     check_closed_forms(backend.net().stats(), m, n, tolerance, dim);
     stats[kind] = backend.net().stats();

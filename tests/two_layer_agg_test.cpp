@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "core/two_layer_agg.hpp"
@@ -17,33 +16,23 @@ struct AggHarness {
              std::uint64_t seed = 9)
       : topo(Topology::even(peers, groups)),
         sim(seed),
-        net(sim, {.base_latency = 15 * kMillisecond}) {
-    for (PeerId p : topo.all_peers()) {
-      hosts.emplace(p, std::make_unique<net::PeerHost>());
-      net.attach(p, hosts.at(p).get());
-    }
-    agg = std::make_unique<TwoLayerAggregator>(
-        topo, cfg, net, [this](PeerId p) -> net::PeerHost& {
-          return *hosts.at(p);
-        });
-    agg->on_global_model = [this](std::uint64_t, const secagg::Vector& g,
-                                  std::size_t used) {
+        net(sim, {.base_latency = 15 * kMillisecond}),
+        agg(topo, cfg, net) {
+    agg.on_global_model = [this](std::uint64_t, const secagg::Vector& g,
+                                 std::size_t used) {
       global = g;
       groups_used = used;
     };
-    agg->on_model_received = [this](std::uint64_t, PeerId p,
-                                    const secagg::Vector& g) {
+    agg.on_model_received = [this](std::uint64_t, PeerId p,
+                                   const secagg::Vector& g) {
       received[p] = g;
     };
-    agg->on_round_failed = [this](std::uint64_t) { failed = true; };
+    agg.on_round_failed = [this](std::uint64_t) { failed = true; };
   }
 
   void begin(std::uint64_t round = 1) {
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
     // Peer p contributes the constant vector (p+1).
-    agg->begin_round(round, lead, [](PeerId p) {
+    agg.begin_round(round, RoundLeadership::designated(topo), [](PeerId p) {
       return secagg::Vector(4, static_cast<float>(p + 1));
     });
   }
@@ -51,8 +40,7 @@ struct AggHarness {
   Topology topo;
   sim::Simulator sim;
   net::Network net;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  std::unique_ptr<TwoLayerAggregator> agg;
+  TwoLayerAggregator agg;
   std::optional<secagg::Vector> global;
   std::size_t groups_used = 0;
   std::map<PeerId, secagg::Vector> received;

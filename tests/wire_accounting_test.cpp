@@ -25,7 +25,7 @@ void check_round(std::size_t m, std::size_t n, std::size_t tolerance,
                " tol=" + std::to_string(tolerance));
   sim::Simulator sim(31);
   net::Network net(sim);
-  const FixedLeaderRound run(net, m, n, tolerance, dim);
+  const FixedLeaderRound run = even_round(net, m, n, tolerance, dim);
   ASSERT_TRUE(run.completed);
   check_closed_forms(net.stats(), m, n, tolerance, dim);
 }

@@ -4,18 +4,11 @@
 
 namespace p2pfl {
 
-std::uint64_t Rng::mix(std::uint64_t x) {
-  // SplitMix64 finalizer: turns correlated seeds into well-spread states.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 Rng Rng::fork(std::uint64_t salt) const {
   // Mixing the engine's seed-derived state with the salt gives streams
   // that are independent for distinct salts yet reproducible.
-  return Rng(mix(root_seed_ ^ mix(salt ^ 0xa076'1d64'78bd'642fULL)));
+  return Rng(splitmix64(root_seed_ ^
+                        splitmix64(salt ^ 0xa076'1d64'78bd'642fULL)));
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -13,9 +13,20 @@
 
 namespace p2pfl {
 
+/// One SplitMix64 step (Steele, Lea & Flood): mixes x + the golden gamma
+/// into a well-spread 64-bit value, so correlated seeds give unrelated
+/// states.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : root_seed_(seed), engine_(mix(seed)) {}
+  explicit Rng(std::uint64_t seed)
+      : root_seed_(seed), engine_(splitmix64(seed)) {}
 
   /// Derive an independent child generator. Deterministic in (seed, salt).
   Rng fork(std::uint64_t salt) const;
@@ -49,8 +60,6 @@ class Rng {
   std::mt19937_64& engine() { return engine_; }
 
  private:
-  static std::uint64_t mix(std::uint64_t x);
-
   std::uint64_t root_seed_ = 0;
   std::mt19937_64 engine_;
 };

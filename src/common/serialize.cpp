@@ -1,6 +1,21 @@
 #include "common/serialize.hpp"
 
+#include <bit>
+
 namespace p2pfl {
+
+namespace {
+
+// Host order <-> little-endian (the identity on little-endian hosts), so
+// the bulk float loops below copy whole 32-bit words.
+constexpr std::uint32_t host_le(std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = (v >> 24) | ((v >> 8) & 0xff00u) | ((v << 8) & 0xff0000u) | (v << 24);
+  }
+  return v;
+}
+
+}  // namespace
 
 void ByteWriter::u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -8,13 +23,6 @@ void ByteWriter::u32(std::uint32_t v) {
 
 void ByteWriter::u64(std::uint64_t v) {
   for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void ByteWriter::f32(float v) {
-  std::uint32_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u32(bits);
 }
 
 void ByteWriter::f64(double v) {
@@ -35,8 +43,20 @@ void ByteWriter::blob(const Bytes& b) {
 }
 
 void ByteWriter::vec_f32(const std::vector<float>& v) {
+  static_assert(sizeof(float) == sizeof(std::uint32_t));
   u32(static_cast<std::uint32_t>(v.size()));
-  for (float x : v) f32(x);
+  // Sized once and filled in one loop: payloads run to millions of floats.
+  const std::size_t at = buf_.size();
+  const std::size_t n = v.size();
+  const float* in = v.data();
+  buf_.resize(at + 4 * n);
+  std::uint8_t* out = buf_.data() + at;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, in + i, sizeof(bits));
+    bits = host_le(bits);
+    std::memcpy(out + 4 * i, &bits, sizeof(bits));
+  }
 }
 
 bool ByteReader::need(std::size_t n) {
@@ -63,13 +83,6 @@ std::uint64_t ByteReader::u64() {
   if (!need(8)) return 0;
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
-float ByteReader::f32() {
-  const std::uint32_t bits = u32();
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
@@ -100,10 +113,18 @@ Bytes ByteReader::blob() {
 
 std::vector<float> ByteReader::vec_f32() {
   const std::uint32_t n = u32();
+  // One bounds check for the whole vector, before anything is allocated.
   if (!need(static_cast<std::size_t>(n) * 4)) return {};
-  std::vector<float> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(f32());
+  std::vector<float> v(n);
+  const std::uint8_t* in = buf_.data() + pos_;
+  float* out = v.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, in + 4 * i, sizeof(bits));
+    bits = host_le(bits);
+    std::memcpy(out + i, &bits, sizeof(bits));
+  }
+  pos_ += static_cast<std::size_t>(n) * 4;
   return v;
 }
 

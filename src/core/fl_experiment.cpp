@@ -230,14 +230,14 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
           crashed[i] = sac_rng.chance(cfg.dropout_after_share_prob);
         }
         auto ft = secagg::fault_tolerant_sac_average(
-            models, k, crashed, sac_rng, cfg.split);
+            models, k, crashed, sac_rng);
         if (!ft.ok) {
           ++result.subgroup_quorum_failures;
           continue;  // below quorum: subgroup misses this round
         }
         finish_group(std::move(ft.average));
       } else {
-        finish_group(secagg::sac_average(models, sac_rng, cfg.split));
+        finish_group(secagg::sac_average(models, sac_rng));
       }
     }
 

@@ -75,7 +75,6 @@ struct FlExperimentConfig {
   /// (exercises Alg. 4 recovery; a subgroup below quorum k drops out of
   /// the round).
   double dropout_after_share_prob = 0.0;
-  secagg::SplitOptions split;
 
   ModelKind model = ModelKind::kMlp;
   std::vector<std::size_t> mlp_hidden = {64};

@@ -76,7 +76,6 @@ MultilayerAggregator::MultilayerAggregator(
   core::wire::register_codecs();
   runtimes_.resize(topo_.groups.size());
   secagg::SacActorOptions sac_opts;
-  sac_opts.split = opts_.split;
   sac_opts.wire_bytes_per_share = opts_.model_wire_bytes;
 
   for (std::size_t g = 0; g < topo_.groups.size(); ++g) {

@@ -63,7 +63,6 @@ struct MultilayerTopology {
 };
 
 struct MultilayerOptions {
-  secagg::SplitOptions split;
   /// Wire size of one model/subtree-sum transfer; 0 = 4 bytes * dim.
   std::uint64_t model_wire_bytes = 0;
 };

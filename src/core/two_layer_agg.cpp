@@ -44,7 +44,6 @@ TwoLayerAggregator::TwoLayerAggregator(
   wire::register_codecs();
   secagg::SacActorOptions sac_opts;
   sac_opts.k = 0;  // per-round thresholds are passed to begin_round
-  sac_opts.split = cfg_.split;
   sac_opts.broadcast_subtotals = false;
   sac_opts.wire_bytes_per_share = cfg_.model_wire_bytes;
   sac_opts.share_timeout = cfg_.sac_share_timeout;

@@ -46,7 +46,6 @@ struct AggregationConfig {
   /// (floored at 1). 0 = plain n-out-of-n SAC. A "k-n setting" of the
   /// paper maps to sac_dropout_tolerance = n - k.
   std::size_t sac_dropout_tolerance = 0;
-  secagg::SplitOptions split;
   /// Wire size of one model transfer; 0 = 4 bytes * model dimension.
   std::uint64_t model_wire_bytes = 0;
   /// Fraction p of subgroup models the FedAvg leader waits for.

@@ -8,13 +8,6 @@ namespace p2pfl::secagg {
 
 namespace {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::vector<double> prg_vector(std::uint64_t seed, std::size_t dim,
                                double range) {
   Rng rng(seed);
@@ -36,7 +29,7 @@ std::uint64_t PairwiseMasker::pair_seed(std::size_t i, std::size_t j) const {
   P2PFL_CHECK(i < n_ && j < n_ && i != j);
   const std::uint64_t lo = std::min(i, j);
   const std::uint64_t hi = std::max(i, j);
-  return mix64(session_ ^ mix64(lo * 0x1'0000'0001ULL + hi));
+  return splitmix64(session_ ^ splitmix64(lo * 0x1'0000'0001ULL + hi));
 }
 
 std::vector<double> PairwiseMasker::pair_mask(std::size_t i, std::size_t j,
@@ -47,8 +40,8 @@ std::vector<double> PairwiseMasker::pair_mask(std::size_t i, std::size_t j,
 std::vector<double> PairwiseMasker::individual_mask(std::size_t u,
                                                     std::size_t dim) const {
   P2PFL_CHECK(u < n_);
-  return prg_vector(mix64(session_ ^ mix64(0xb00b'5eedULL + u)), dim,
-                    range_);
+  return prg_vector(splitmix64(session_ ^ splitmix64(0xb00b'5eedULL + u)),
+                    dim, range_);
 }
 
 Vector PairwiseMasker::mask(std::size_t u,

@@ -24,7 +24,7 @@ std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
 }
 
 Vector sac_average(std::span<const Vector> models, Rng& rng,
-                   const SplitOptions& opts) {
+                   SplitScheme scheme) {
   P2PFL_CHECK(!models.empty());
   const std::size_t n = models.size();
   const std::size_t dim = models.front().size();
@@ -34,7 +34,7 @@ Vector sac_average(std::span<const Vector> models, Rng& rng,
   std::vector<std::vector<double>> subtotal(n, std::vector<double>(dim, 0.0));
   for (std::size_t i = 0; i < n; ++i) {
     P2PFL_CHECK(models[i].size() == dim);
-    const auto shares = divide(models[i], n, rng, opts);
+    const auto shares = divide(models[i], n, rng, scheme);
     for (std::size_t s = 0; s < n; ++s) accumulate(subtotal[s], shares[s]);
   }
   std::vector<double> total(dim, 0.0);
@@ -47,7 +47,7 @@ Vector sac_average(std::span<const Vector> models, Rng& rng,
 FtSacResult fault_tolerant_sac_average(
     std::span<const Vector> models, std::size_t k,
     const std::vector<bool>& crashed_after_sharing, Rng& rng,
-    const SplitOptions& opts) {
+    SplitScheme scheme) {
   P2PFL_CHECK(!models.empty());
   const std::size_t n = models.size();
   P2PFL_CHECK(k >= 1 && k <= n);
@@ -65,7 +65,7 @@ FtSacResult fault_tolerant_sac_average(
   shares.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     P2PFL_CHECK(models[i].size() == dim);
-    shares.push_back(divide(models[i], n, rng, opts));
+    shares.push_back(divide(models[i], n, rng, scheme));
   }
 
   // Reconstruction: each subtotal must be obtainable from a live holder.

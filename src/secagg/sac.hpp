@@ -35,7 +35,7 @@ std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
 /// and subtotals broadcast; returns the common average. All models must
 /// have equal size; models.size() >= 1.
 Vector sac_average(std::span<const Vector> models, Rng& rng,
-                   const SplitOptions& opts = {});
+                   SplitScheme scheme = SplitScheme::kProportional);
 
 struct FtSacResult {
   /// True if every subtotal had at least one live holder, i.e. the
@@ -54,6 +54,6 @@ struct FtSacResult {
 FtSacResult fault_tolerant_sac_average(
     std::span<const Vector> models, std::size_t k,
     const std::vector<bool>& crashed_after_sharing, Rng& rng,
-    const SplitOptions& opts = {});
+    SplitScheme scheme = SplitScheme::kProportional);
 
 }  // namespace p2pfl::secagg

@@ -60,11 +60,6 @@ SacPeer::~SacPeer() {
   }
 }
 
-std::optional<RoundId> SacPeer::active_round() const {
-  if (round_ && !round_->completed) return round_->round;
-  return std::nullopt;
-}
-
 bool SacPeer::is_leader() const {
   return round_ && round_->my_pos == round_->leader_pos;
 }
@@ -137,7 +132,7 @@ void SacPeer::begin_round(RoundId round, Vector model,
   // share links and any synchronous completion chain to it.
   obs::SpanStackScope share_scope(o.spans, round_->share_span);
 
-  round_->shares = divide(model, round_->n, rng_, opts_.split);
+  round_->shares = divide(model, round_->n, rng_);
   const std::vector<Vector>& shares = round_->shares;
   const std::size_t n = round_->n;
   const std::size_t k = round_->k;

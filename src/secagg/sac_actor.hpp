@@ -51,7 +51,6 @@ using RoundId = std::uint64_t;
 struct SacActorOptions {
   /// Reconstruction threshold k (clamped to the group size per round).
   std::size_t k = 0;  // 0 = n (no fault tolerance, plain SAC)
-  SplitOptions split;
   /// Alg. 2 mode: subtotals are broadcast and every peer completes.
   bool broadcast_subtotals = false;
   /// Wire size of one share / subtotal. 0 = 4 bytes * model dimension.
@@ -147,7 +146,6 @@ class SacPeer {
   void halt();
 
   PeerId id() const { return id_; }
-  std::optional<RoundId> active_round() const;
 
   /// Fired when the average is known: on the leader in collect mode, on
   /// every live peer in broadcast mode.

@@ -10,9 +10,9 @@
 //    applying one scalar fraction to the whole tensor would hand every
 //    peer a scaled copy of the model.
 //  * kUniformMask — classical additive masking: N−1 shares are uniform
-//    noise in [−R, R], the last is the secret minus their sum. Included
-//    because it is the textbook additive scheme ([13] in the paper) and
-//    has better numerical behaviour for large N.
+//    noise in [−kMaskRange, kMaskRange), the last is the secret minus
+//    their sum. Included because it is the textbook additive scheme ([13]
+//    in the paper) and has better numerical behaviour for large N.
 //
 // Shares are the unit of the k-out-of-n replication in Alg. 4: share
 // *placement* (which consecutive shares go to which peer) lives in
@@ -36,20 +36,21 @@ enum class SplitScheme {
   kUniformMask,   // additive masking with uniform noise
 };
 
-struct SplitOptions {
-  SplitScheme scheme = SplitScheme::kProportional;
-  /// Mask amplitude for kUniformMask.
-  double mask_range = 1.0;
-};
+/// Amplitude of the kUniformMask noise shares.
+inline constexpr double kMaskRange = 1.0;
 
 /// Split `secret` into n shares that sum (exactly up to FP rounding) to
 /// it. n >= 1. Shares all have secret.size() elements.
+///
+/// Per element, kProportional draws fractions f_i = 0.05 + 0.95·u_i (u_i
+/// uniform in [0, 1)) and sets share_i = f_i / Σf · x; kUniformMask draws
+/// n−1 masks uniform in [−kMaskRange, kMaskRange) and sets the last share
+/// to x minus their sum, taken in double. The randomness comes from a
+/// generator private to the split, seeded by exactly one rng.next_u64(),
+/// so a call advances `rng` by one draw whatever the size of the secret.
 std::vector<Vector> divide(std::span<const float> secret, std::size_t n,
-                           Rng& rng, const SplitOptions& opts = {});
-
-/// Element-wise sum of shares (double accumulation). All inputs must
-/// share one size.
-Vector sum_shares(std::span<const Vector> shares);
+                           Rng& rng,
+                           SplitScheme scheme = SplitScheme::kProportional);
 
 /// Element-wise in-place accumulate: acc += x.
 void accumulate(std::vector<double>& acc, std::span<const float> x);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/json.hpp"
@@ -122,6 +124,80 @@ TEST(Serialize, HostileLengthPrefixRejected) {
   ByteReader r(w.bytes());
   EXPECT_TRUE(r.vec_f32().empty());
   EXPECT_FALSE(r.ok());
+}
+
+// The encoding vec_f32 must keep: a u32 count, then each float's bits as
+// four little-endian bytes.
+Bytes reference_vec_f32(const std::vector<float>& v) {
+  Bytes out;
+  const auto put_u32 = [&](std::uint32_t x) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+    }
+  };
+  put_u32(static_cast<std::uint32_t>(v.size()));
+  for (float x : v) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    put_u32(bits);
+  }
+  return out;
+}
+
+std::uint32_t bits_of(float x) {
+  std::uint32_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+float from_bits(std::uint32_t b) {
+  float x;
+  std::memcpy(&x, &b, sizeof(x));
+  return x;
+}
+
+TEST(Serialize, VecF32MatchesPerElementReference) {
+  std::vector<std::vector<float>> cases = {
+      {},
+      {1.5f},
+      // ±0, ±inf, quiet and signalling NaNs with payloads, denormals, FLT_MAX.
+      {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+       -std::numeric_limits<float>::infinity(), from_bits(0x7fc00001u),
+       from_bits(0xffc0beefu), from_bits(0x7f800001u), from_bits(0x7fa5a5a5u),
+       std::numeric_limits<float>::denorm_min(), from_bits(0x807fffffu),
+       std::numeric_limits<float>::min(), std::numeric_limits<float>::max(),
+       -std::numeric_limits<float>::max()},
+  };
+  Rng rng(31);
+  for (std::size_t dim : {3u, 257u, 100'000u}) {
+    std::vector<float> v(dim);
+    for (float& x : v) x = static_cast<float>(rng.normal(0.0, 10.0));
+    cases.push_back(std::move(v));
+  }
+  std::vector<float> random_bits(1024);
+  for (float& x : random_bits) {
+    x = from_bits(static_cast<std::uint32_t>(rng.next_u64()));
+  }
+  cases.push_back(std::move(random_bits));
+
+  for (const auto& v : cases) {
+    ByteWriter w;
+    w.u8(0x5a);  // the vector need not start the buffer
+    w.vec_f32(v);
+    Bytes want{0x5a};
+    const Bytes ref = reference_vec_f32(v);
+    want.insert(want.end(), ref.begin(), ref.end());
+    EXPECT_EQ(w.bytes(), want) << "dim=" << v.size();
+
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.u8(), 0x5a);
+    const std::vector<float> back = r.vec_f32();
+    EXPECT_TRUE(r.complete());
+    ASSERT_EQ(back.size(), v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      ASSERT_EQ(bits_of(back[i]), bits_of(v[i])) << "element " << i;
+    }
+  }
 }
 
 TEST(Serialize, EmptyString) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "secagg/sac.hpp"
 #include "secagg/shares.hpp"
@@ -32,33 +33,169 @@ Vector plain_average(std::span<const Vector> models) {
 
 // --- shares ------------------------------------------------------------------
 
+// The per-element split that `divide` replaced: n out-of-line Rng draws
+// per element, written across the n share vectors. Kept as the oracle for
+// the distribution of the block kernel's shares.
+std::vector<Vector> reference_divide(std::span<const float> secret,
+                                     std::size_t n, Rng& rng,
+                                     SplitScheme scheme) {
+  std::vector<Vector> shares(n, Vector(secret.size()));
+  std::vector<double> fractions(n);
+  for (std::size_t e = 0; e < secret.size(); ++e) {
+    if (scheme == SplitScheme::kProportional) {
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        fractions[i] = rng.uniform(0.05, 1.0);
+        total += fractions[i];
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        shares[i][e] = static_cast<float>(fractions[i] / total *
+                                          static_cast<double>(secret[e]));
+      }
+    } else {
+      double acc = 0.0;
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        shares[i][e] =
+            static_cast<float>(rng.uniform(-kMaskRange, kMaskRange));
+        acc += static_cast<double>(shares[i][e]);
+      }
+      shares[n - 1][e] =
+          static_cast<float>(static_cast<double>(secret[e]) - acc);
+    }
+  }
+  return shares;
+}
+
+// Per share index, the first two moments over elements of share/secret
+// (proportional: the fraction, mean about 1/n) or of the share (mask: the
+// noise, mean 0 and mean square kMaskRange²/3; the last share, which
+// carries the secret, is left out).
+struct Moments {
+  std::vector<double> mean, mean_sq;
+};
+
+Moments per_index_moments(const std::vector<Vector>& shares,
+                          const Vector& secret, SplitScheme scheme) {
+  const bool prop = scheme == SplitScheme::kProportional;
+  const std::size_t k = prop ? shares.size() : shares.size() - 1;
+  Moments m{std::vector<double>(k, 0.0), std::vector<double>(k, 0.0)};
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t e = 0; e < secret.size(); ++e) {
+      const double v = prop ? shares[i][e] / static_cast<double>(secret[e])
+                            : static_cast<double>(shares[i][e]);
+      m.mean[i] += v;
+      m.mean_sq[i] += v * v;
+    }
+    m.mean[i] /= static_cast<double>(secret.size());
+    m.mean_sq[i] /= static_cast<double>(secret.size());
+  }
+  return m;
+}
+
 class DivideSchemes : public ::testing::TestWithParam<SplitScheme> {};
 
 TEST_P(DivideSchemes, SharesSumToSecret) {
   Rng rng(11);
-  SplitOptions opts;
-  opts.scheme = GetParam();
   for (std::size_t n : {1u, 2u, 3u, 5u, 10u, 31u}) {
     const Vector secret = random_vector(64, rng);
-    const auto shares = divide(secret, n, rng, opts);
+    const auto shares = divide(secret, n, rng, GetParam());
     ASSERT_EQ(shares.size(), n);
-    const Vector sum = sum_shares(shares);
+    std::vector<double> acc(secret.size(), 0.0);
+    for (const Vector& s : shares) accumulate(acc, s);
+    const Vector sum = to_vector(acc);
     expect_near(sum, secret, 1e-4f);
   }
 }
 
 TEST_P(DivideSchemes, SharesDifferFromSecret) {
   Rng rng(12);
-  SplitOptions opts;
-  opts.scheme = GetParam();
   const Vector secret = random_vector(128, rng);
-  const auto shares = divide(secret, 4, rng, opts);
+  const auto shares = divide(secret, 4, rng, GetParam());
   for (const auto& s : shares) {
     double diff = 0.0;
     for (std::size_t i = 0; i < s.size(); ++i) {
       diff += std::abs(static_cast<double>(s[i] - secret[i]));
     }
     EXPECT_GT(diff, 1.0) << "a share equals the secret";
+  }
+}
+
+TEST_P(DivideSchemes, MatchesReferenceContract) {
+  const SplitScheme scheme = GetParam();
+  // Dims straddle the kernel's 256-element blocks; 100k gives >= 1e5
+  // samples for the distribution check.
+  for (std::size_t dim : {0u, 1u, 255u, 256u, 257u, 100'000u}) {
+    for (std::size_t n : {1u, 2u, 3u, 5u, 31u, 33u}) {
+      SCOPED_TRACE(::testing::Message() << "dim=" << dim << " n=" << n);
+      Rng data(1000 + dim + n);
+      Vector secret = random_vector(dim, data);
+      for (float& x : secret) {
+        if (x == 0.0f) x = 1.0f;  // keep share/secret defined
+      }
+      Rng rng(7 * dim + n);
+      const auto shares = divide(secret, n, rng, scheme);
+      ASSERT_EQ(shares.size(), n);
+      for (const Vector& s : shares) ASSERT_EQ(s.size(), dim);
+
+      const double lo = 0.05 / (0.05 + static_cast<double>(n - 1));
+      const double hi = 1.0 / (1.0 + 0.05 * static_cast<double>(n - 1));
+      const double ulp = 0x1.0p-23;
+      std::size_t bad_sum = 0, bad_ratio = 0, bad_mask = 0;
+      for (std::size_t e = 0; e < dim; ++e) {
+        const double x = secret[e];
+        double sum = 0.0;
+        for (std::size_t i = 0; i < n; ++i) sum += shares[i][e];
+        const double bound =
+            scheme == SplitScheme::kProportional
+                ? ulp * std::abs(x)
+                : ulp * (std::abs(x) + static_cast<double>(n));
+        if (!(std::abs(sum - x) <= bound)) ++bad_sum;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double s = shares[i][e];
+          if (scheme == SplitScheme::kProportional) {
+            const double ratio = s / x;
+            if (!(ratio >= lo * (1 - ulp) && ratio <= hi * (1 + ulp))) {
+              ++bad_ratio;
+            }
+          } else if (i + 1 < n && !(s >= -kMaskRange && s <= kMaskRange)) {
+            ++bad_mask;
+          }
+        }
+      }
+      EXPECT_EQ(bad_sum, 0u) << "elements whose shares miss the secret";
+      EXPECT_EQ(bad_ratio, 0u) << "fractions outside [0.05, 1)";
+      EXPECT_EQ(bad_mask, 0u) << "masks outside [-1, 1]";
+
+      if (dim >= 100'000) {
+        Rng ref_rng(7 * dim + n);
+        const auto ref = reference_divide(secret, n, ref_rng, scheme);
+        const Moments got = per_index_moments(shares, secret, scheme);
+        const Moments want = per_index_moments(ref, secret, scheme);
+        // Tolerances sit at 4-8 standard errors of the difference of two
+        // 1e5-element means.
+        const bool prop = scheme == SplitScheme::kProportional;
+        for (std::size_t i = 0; i < got.mean.size(); ++i) {
+          EXPECT_NEAR(got.mean[i], want.mean[i], prop ? 0.005 : 0.02)
+              << "share " << i;
+          EXPECT_NEAR(got.mean_sq[i], want.mean_sq[i], prop ? 0.004 : 0.01)
+              << "share " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(DivideSchemes, AdvancesCallerRngByOneDraw) {
+  Rng data(4);
+  for (std::size_t dim : {0u, 1u, 257u, 5000u}) {
+    const Vector secret = random_vector(dim, data);
+    for (std::size_t n : {1u, 2u, 33u}) {
+      Rng used(99), expected(99);
+      divide(secret, n, used, GetParam());
+      expected.next_u64();
+      EXPECT_EQ(used.next_u64(), expected.next_u64())
+          << "dim=" << dim << " n=" << n;
+    }
   }
 }
 
@@ -83,11 +220,24 @@ TEST(Divide, EmptySecretYieldsEmptyShares) {
 }
 
 TEST(Divide, DeterministicGivenRngState) {
-  const Vector secret{1.0f, -2.0f, 3.5f};
-  Rng a(5), b(5);
-  const auto sa = divide(secret, 3, a);
-  const auto sb = divide(secret, 3, b);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(sa[i], sb[i]);
+  Rng data(3);
+  const Vector small{1.0f, -2.0f, 3.5f};
+  const Vector large = random_vector(1000, data);  // spans four blocks
+  for (SplitScheme scheme :
+       {SplitScheme::kProportional, SplitScheme::kUniformMask}) {
+    for (const Vector* secret : {&small, &large}) {
+      for (std::size_t n : {1u, 3u, 33u}) {
+        Rng a(5), b(5);
+        const auto sa = divide(*secret, n, a, scheme);
+        const auto sb = divide(*secret, n, b, scheme);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(0, std::memcmp(sa[i].data(), sb[i].data(),
+                                   sa[i].size() * sizeof(float)))
+              << "dim=" << secret->size() << " n=" << n << " share " << i;
+        }
+      }
+    }
+  }
 }
 
 // --- placement ----------------------------------------------------------------

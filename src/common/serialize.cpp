@@ -18,11 +18,21 @@ constexpr std::uint32_t host_le(std::uint32_t v) {
 }  // namespace
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  std::uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  buf_.insert(buf_.end(), b, b + 4);
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  std::uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  buf_.insert(buf_.end(), b, b + 8);
+}
+
+void ByteWriter::patch_u32(std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    buf_.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
 void ByteWriter::f64(double v) {

@@ -45,7 +45,15 @@ class ByteWriter {
     for (const T& x : v) u32(static_cast<std::uint32_t>(x));
   }
 
+  /// Overwrite the u32 at byte offset `at` (written earlier with u32),
+  /// e.g. a length prefix known only after what follows it is written.
+  void patch_u32(std::size_t at, std::uint32_t v);
+
   const Bytes& bytes() const { return buf_; }
+  std::size_t size() const { return buf_.size(); }
+  /// Empty the buffer but keep its capacity, so a writer reused for
+  /// every message stops allocating once it has held the largest one.
+  void clear() { buf_.clear(); }
   Bytes take() { return std::move(buf_); }
 
  private:

@@ -14,13 +14,11 @@ std::optional<T> guarded(const Bytes& b, Fn fn) {
 
 }  // namespace
 
-Bytes encode(const AggUploadMsg& m) {
-  ByteWriter w;
+void encode_to(const AggUploadMsg& m, ByteWriter& w) {
   w.u64(m.round);
   w.u32(m.group);
   w.u32(m.weight);
   w.vec_f32(m.model);
-  return w.take();
 }
 
 std::optional<AggUploadMsg> decode_upload(const Bytes& b) {
@@ -34,11 +32,9 @@ std::optional<AggUploadMsg> decode_upload(const Bytes& b) {
   });
 }
 
-Bytes encode(const AggResultMsg& m) {
-  ByteWriter w;
+void encode_to(const AggResultMsg& m, ByteWriter& w) {
   w.u64(m.round);
   w.vec_f32(m.model);
-  return w.take();
 }
 
 std::optional<AggResultMsg> decode_result(const Bytes& b) {
@@ -50,11 +46,9 @@ std::optional<AggResultMsg> decode_result(const Bytes& b) {
   });
 }
 
-Bytes encode(const JoinRequestMsg& m) {
-  ByteWriter w;
+void encode_to(const JoinRequestMsg& m, ByteWriter& w) {
   w.u32(m.candidate);
   w.u32(m.stale_representative);
-  return w.take();
 }
 
 std::optional<JoinRequestMsg> decode_join(const Bytes& b) {
@@ -66,12 +60,10 @@ std::optional<JoinRequestMsg> decode_join(const Bytes& b) {
   });
 }
 
-Bytes encode(const RejoinRequestMsg& m) {
-  ByteWriter w;
+void encode_to(const RejoinRequestMsg& m, ByteWriter& w) {
   w.u32(m.peer);
   w.u32(m.subgroup);
   w.u64(m.incarnation);
-  return w.take();
 }
 
 std::optional<RejoinRequestMsg> decode_rejoin(const Bytes& b) {
@@ -84,11 +76,9 @@ std::optional<RejoinRequestMsg> decode_rejoin(const Bytes& b) {
   });
 }
 
-Bytes encode(const ModelPullMsg& m) {
-  ByteWriter w;
+void encode_to(const ModelPullMsg& m, ByteWriter& w) {
   w.u32(m.peer);
   w.u64(m.last_round);
-  return w.take();
 }
 
 std::optional<ModelPullMsg> decode_pull(const Bytes& b) {
@@ -188,51 +178,28 @@ bool eq_pull(const ModelPullMsg& a, const ModelPullMsg& b) {
   return a.peer == b.peer && a.last_round == b.last_round;
 }
 
-template <typename T>
-net::Codec make_codec(std::string key,
-                      std::optional<T> (*decode_fn)(const Bytes&),
-                      T (*sample_fn)(Rng&, const net::WireSample&),
-                      bool (*eq_fn)(const T&, const T&)) {
-  net::Codec c;
-  c.key = std::move(key);
-  c.encode = [](const std::any& body) -> std::optional<Bytes> {
-    const T* m = net::payload<T>(body);
-    if (m == nullptr) return std::nullopt;
-    return encode(*m);
-  };
-  c.decode = [decode_fn](const Bytes& b) -> std::optional<std::any> {
-    std::optional<T> m = decode_fn(b);
-    if (!m.has_value()) return std::nullopt;
-    return std::any(std::move(*m));
-  };
-  c.sample = [sample_fn](Rng& rng, const net::WireSample& s) -> std::any {
-    return sample_fn(rng, s);
-  };
-  c.equals = [eq_fn](const std::any& a, const std::any& b) {
-    const T* x = net::payload<T>(a);
-    const T* y = net::payload<T>(b);
-    return x != nullptr && y != nullptr && eq_fn(*x, *y);
-  };
-  return c;
-}
-
 }  // namespace
 
 void register_codecs() {
   static const bool once = [] {
     auto& reg = net::CodecRegistry::global();
-    reg.add(make_codec<AggUploadMsg>("agg:upload", &decode_upload,
-                                     &sample_upload, &eq_upload));
-    reg.add(make_codec<AggResultMsg>("agg:result", &decode_result,
-                                     &sample_result, &eq_result));
-    reg.add(make_codec<AggResultMsg>("ml:result", &decode_result,
-                                     &sample_result, &eq_result));
-    reg.add(make_codec<JoinRequestMsg>("join", &decode_join, &sample_join,
-                                       &eq_join));
-    reg.add(make_codec<RejoinRequestMsg>("member:rejoin", &decode_rejoin,
-                                         &sample_rejoin, &eq_rejoin));
-    reg.add(make_codec<ModelPullMsg>("member:pull", &decode_pull,
-                                     &sample_pull, &eq_pull));
+    reg.add(net::make_codec<AggUploadMsg>("agg:upload", &encode_to,
+                                          &decode_upload, &sample_upload,
+                                          &eq_upload));
+    reg.add(net::make_codec<AggResultMsg>("agg:result", &encode_to,
+                                          &decode_result, &sample_result,
+                                          &eq_result));
+    reg.add(net::make_codec<AggResultMsg>("ml:result", &encode_to,
+                                          &decode_result, &sample_result,
+                                          &eq_result));
+    reg.add(net::make_codec<JoinRequestMsg>("join", &encode_to, &decode_join,
+                                            &sample_join, &eq_join));
+    reg.add(net::make_codec<RejoinRequestMsg>("member:rejoin", &encode_to,
+                                              &decode_rejoin, &sample_rejoin,
+                                              &eq_rejoin));
+    reg.add(net::make_codec<ModelPullMsg>("member:pull", &encode_to,
+                                          &decode_pull, &sample_pull,
+                                          &eq_pull));
     return true;
   }();
   (void)once;

@@ -19,6 +19,13 @@
 
 namespace p2pfl::net {
 
+/// Dense id of a message kind, interned per net::Network: the network
+/// resolves a kind's codec, counters and stats once per id rather than
+/// once per message. Ids mean nothing outside the Network that issued
+/// them; kNoKind marks an envelope no Network has stamped yet.
+using KindId = std::uint32_t;
+inline constexpr KindId kNoKind = ~KindId{0};
+
 /// One message on the wire. `body` is a typed payload (receivers access
 /// it through net::payload<T>); `wire_bytes` is the size accounted for
 /// cost analysis. When the network's encode-verify mode is on (the
@@ -49,6 +56,10 @@ struct Envelope {
   /// Chaos-duplicated copy: delivered normally but accounted under a
   /// distinct label so per-kind byte counts stay Eq. (4)/(5)-exact.
   bool chaos_duplicate = false;
+  /// `kind` interned by the Network carrying this envelope, stamped at
+  /// send time (PeerHost keys its route cache on it). A frame decoded
+  /// from a socket arrives as kNoKind and is interned on delivery.
+  KindId kind_id = kNoKind;
   /// Incarnation of the destination peer this message was addressed to,
   /// stamped by the network at send time. A crash bumps the target's
   /// incarnation, so messages still in flight toward the dead process

@@ -10,6 +10,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/network.hpp"
 
@@ -19,31 +21,49 @@ class PeerHost : public Endpoint {
  public:
   using Handler = std::function<void(const Envelope&)>;
 
+  PeerHost() = default;
+  /// The network holds the host's address, and its route cache points
+  /// into its own handler table: hosts are neither copied nor moved.
+  PeerHost(const PeerHost&) = delete;
+  PeerHost& operator=(const PeerHost&) = delete;
+
   /// Route messages whose kind starts with `prefix` to `handler`.
   /// The longest matching prefix wins. Re-registering replaces.
   void route(const std::string& prefix, Handler handler) {
     handlers_[prefix] = std::move(handler);
+    resolved_.clear();
   }
 
-  void unroute(const std::string& prefix) { handlers_.erase(prefix); }
+  void unroute(const std::string& prefix) {
+    handlers_.erase(prefix);
+    resolved_.clear();
+  }
 
   void deliver(const Envelope& env) override {
-    // Longest-prefix match: scan candidates not after env.kind.
-    auto it = handlers_.upper_bound(env.kind);
-    while (it != handlers_.begin()) {
-      --it;
-      const std::string& prefix = it->first;
-      if (env.kind.compare(0, prefix.size(), prefix) == 0) {
-        it->second(env);
-        return;
-      }
-      // Keys before a non-matching prefix can still match if shorter;
-      // continue scanning backwards.
-    }
+    const Handler* h = handler_for(env);
+    if (h != nullptr) (*h)(env);
   }
 
  private:
+  /// The handler of env's kind, resolved by longest-prefix scan once per
+  /// kind id and then read from the cache. Kind ids are per Network, so
+  /// a host serves the one Network it is attached to.
+  const Handler* handler_for(const Envelope& env) {
+    if (env.kind_id == kNoKind) {
+      return longest_prefix_match(handlers_, env.kind);
+    }
+    for (const auto& [id, h] : resolved_) {
+      if (id == env.kind_id) return h;
+    }
+    const Handler* h = longest_prefix_match(handlers_, env.kind);
+    resolved_.emplace_back(env.kind_id, h);
+    return h;
+  }
+
   std::map<std::string, Handler> handlers_;
+  /// Kinds this host has received, with their handler (null: no route).
+  /// A short list: a host receives a handful of kinds.
+  std::vector<std::pair<KindId, const Handler*>> resolved_;
 };
 
 }  // namespace p2pfl::net

@@ -14,10 +14,6 @@ Bytes encode_frame(const Envelope& env) {
                   "kind '" + env.kind +
                       "' has no registered codec; only canonical frames "
                       "may cross the TCP transport");
-  std::optional<Bytes> payload = codec->encode(env.body);
-  P2PFL_CHECK_MSG(payload.has_value(),
-                  "payload type does not match the codec for kind '" +
-                      env.kind + "'");
   ByteWriter w;
   w.u32(env.from);
   w.u32(env.to);
@@ -29,7 +25,15 @@ Bytes encode_frame(const Envelope& env) {
   w.u64(env.span.round);
   w.u64(env.span.span);
   w.u8(env.chaos_duplicate ? 1 : 0);
-  w.blob(*payload);
+  // The payload rides as a length-prefixed blob, encoded in place: the
+  // prefix is patched once the payload's length is known.
+  const std::size_t prefix_at = w.size();
+  w.u32(0);
+  P2PFL_CHECK_MSG(codec->encode_to(env.body, w),
+                  "payload type does not match the codec for kind '" +
+                      env.kind + "'");
+  w.patch_u32(prefix_at,
+              static_cast<std::uint32_t>(w.size() - prefix_at - 4));
   return w.take();
 }
 

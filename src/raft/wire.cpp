@@ -31,14 +31,12 @@ std::optional<T> guarded(const Bytes& b, Fn fn) {
 
 }  // namespace
 
-Bytes encode(const RequestVoteArgs& m) {
-  ByteWriter w;
+void encode_to(const RequestVoteArgs& m, ByteWriter& w) {
   w.u64(m.term);
   w.u32(m.candidate);
   w.u64(m.last_log_index);
   w.u64(m.last_log_term);
   w.u8(m.pre_vote ? 1 : 0);
-  return w.take();
 }
 
 std::optional<RequestVoteArgs> decode_request_vote(const Bytes& b) {
@@ -53,13 +51,11 @@ std::optional<RequestVoteArgs> decode_request_vote(const Bytes& b) {
   });
 }
 
-Bytes encode(const RequestVoteReply& m) {
-  ByteWriter w;
+void encode_to(const RequestVoteReply& m, ByteWriter& w) {
   w.u64(m.term);
   w.u8(m.vote_granted ? 1 : 0);
   w.u32(m.voter);
   w.u8(m.pre_vote ? 1 : 0);
-  return w.take();
 }
 
 std::optional<RequestVoteReply> decode_request_vote_reply(const Bytes& b) {
@@ -73,8 +69,7 @@ std::optional<RequestVoteReply> decode_request_vote_reply(const Bytes& b) {
   });
 }
 
-Bytes encode(const AppendEntriesArgs& m) {
-  ByteWriter w;
+void encode_to(const AppendEntriesArgs& m, ByteWriter& w) {
   w.u64(m.term);
   w.u32(m.leader);
   w.u64(m.prev_log_index);
@@ -82,7 +77,6 @@ Bytes encode(const AppendEntriesArgs& m) {
   w.u64(m.leader_commit);
   w.u32(static_cast<std::uint32_t>(m.entries.size()));
   for (const LogEntry& e : m.entries) put_entry(w, e);
-  return w.take();
 }
 
 std::optional<AppendEntriesArgs> decode_append_entries(const Bytes& b) {
@@ -104,14 +98,12 @@ std::optional<AppendEntriesArgs> decode_append_entries(const Bytes& b) {
   });
 }
 
-Bytes encode(const AppendEntriesReply& m) {
-  ByteWriter w;
+void encode_to(const AppendEntriesReply& m, ByteWriter& w) {
   w.u64(m.term);
   w.u8(m.success ? 1 : 0);
   w.u32(m.follower);
   w.u64(m.match_index);
   w.u64(m.conflict_index);
-  return w.take();
 }
 
 std::optional<AppendEntriesReply> decode_append_entries_reply(
@@ -127,15 +119,13 @@ std::optional<AppendEntriesReply> decode_append_entries_reply(
   });
 }
 
-Bytes encode(const InstallSnapshotArgs& m) {
-  ByteWriter w;
+void encode_to(const InstallSnapshotArgs& m, ByteWriter& w) {
   w.u64(m.term);
   w.u32(m.leader);
   w.u64(m.last_included_index);
   w.u64(m.last_included_term);
   w.vec_u32(m.members);
   w.blob(m.app_state);
-  return w.take();
 }
 
 std::optional<InstallSnapshotArgs> decode_install_snapshot(const Bytes& b) {
@@ -151,12 +141,10 @@ std::optional<InstallSnapshotArgs> decode_install_snapshot(const Bytes& b) {
   });
 }
 
-Bytes encode(const InstallSnapshotReply& m) {
-  ByteWriter w;
+void encode_to(const InstallSnapshotReply& m, ByteWriter& w) {
   w.u64(m.term);
   w.u32(m.follower);
   w.u64(m.match_index);
-  return w.take();
 }
 
 std::optional<InstallSnapshotReply> decode_install_snapshot_reply(
@@ -170,11 +158,9 @@ std::optional<InstallSnapshotReply> decode_install_snapshot_reply(
   });
 }
 
-Bytes encode(const TimeoutNowArgs& m) {
-  ByteWriter w;
+void encode_to(const TimeoutNowArgs& m, ByteWriter& w) {
   w.u64(m.term);
   w.u32(m.leader);
-  return w.take();
 }
 
 std::optional<TimeoutNowArgs> decode_timeout_now(const Bytes& b) {
@@ -187,35 +173,6 @@ std::optional<TimeoutNowArgs> decode_timeout_now(const Bytes& b) {
 }
 
 namespace {
-
-/// Build a registry Codec for one RPC type from its free encode/decode
-/// pair plus a sample generator and field-wise equality.
-template <typename T>
-net::Codec make_codec(std::string key, std::optional<T> (*decode_fn)(const Bytes&),
-                      T (*sample_fn)(Rng&, const net::WireSample&),
-                      bool (*eq_fn)(const T&, const T&)) {
-  net::Codec c;
-  c.key = std::move(key);
-  c.encode = [](const std::any& body) -> std::optional<Bytes> {
-    const T* m = net::payload<T>(body);
-    if (m == nullptr) return std::nullopt;
-    return encode(*m);
-  };
-  c.decode = [decode_fn](const Bytes& b) -> std::optional<std::any> {
-    std::optional<T> m = decode_fn(b);
-    if (!m.has_value()) return std::nullopt;
-    return std::any(std::move(*m));
-  };
-  c.sample = [sample_fn](Rng& rng, const net::WireSample& s) -> std::any {
-    return sample_fn(rng, s);
-  };
-  c.equals = [eq_fn](const std::any& a, const std::any& b) {
-    const T* x = net::payload<T>(a);
-    const T* y = net::payload<T>(b);
-    return x != nullptr && y != nullptr && eq_fn(*x, *y);
-  };
-  return c;
-}
 
 LogEntry sample_entry(Rng& rng, const net::WireSample& s) {
   LogEntry e;
@@ -341,20 +298,23 @@ bool eq_tn(const TimeoutNowArgs& a, const TimeoutNowArgs& b) {
 void register_codecs() {
   static const bool once = [] {
     auto& reg = net::CodecRegistry::global();
-    reg.add(make_codec<RequestVoteArgs>("raft:rv", &decode_request_vote,
-                                        &sample_rv, &eq_rv));
-    reg.add(make_codec<RequestVoteReply>("raft:rvr", &decode_request_vote_reply,
-                                         &sample_rvr, &eq_rvr));
-    reg.add(make_codec<AppendEntriesArgs>("raft:ae", &decode_append_entries,
-                                          &sample_ae, &eq_ae));
-    reg.add(make_codec<AppendEntriesReply>(
-        "raft:aer", &decode_append_entries_reply, &sample_aer, &eq_aer));
-    reg.add(make_codec<InstallSnapshotArgs>(
-        "raft:is", &decode_install_snapshot, &sample_is, &eq_is));
-    reg.add(make_codec<InstallSnapshotReply>(
-        "raft:isr", &decode_install_snapshot_reply, &sample_isr, &eq_isr));
-    reg.add(make_codec<TimeoutNowArgs>("raft:tn", &decode_timeout_now,
-                                       &sample_tn, &eq_tn));
+    reg.add(net::make_codec<RequestVoteArgs>(
+        "raft:rv", &encode_to, &decode_request_vote, &sample_rv, &eq_rv));
+    reg.add(net::make_codec<RequestVoteReply>(
+        "raft:rvr", &encode_to, &decode_request_vote_reply, &sample_rvr,
+        &eq_rvr));
+    reg.add(net::make_codec<AppendEntriesArgs>(
+        "raft:ae", &encode_to, &decode_append_entries, &sample_ae, &eq_ae));
+    reg.add(net::make_codec<AppendEntriesReply>(
+        "raft:aer", &encode_to, &decode_append_entries_reply, &sample_aer,
+        &eq_aer));
+    reg.add(net::make_codec<InstallSnapshotArgs>(
+        "raft:is", &encode_to, &decode_install_snapshot, &sample_is, &eq_is));
+    reg.add(net::make_codec<InstallSnapshotReply>(
+        "raft:isr", &encode_to, &decode_install_snapshot_reply, &sample_isr,
+        &eq_isr));
+    reg.add(net::make_codec<TimeoutNowArgs>(
+        "raft:tn", &encode_to, &decode_timeout_now, &sample_tn, &eq_tn));
     return true;
   }();
   (void)once;

@@ -16,8 +16,7 @@ std::optional<T> guarded(const Bytes& b, Fn fn) {
 
 }  // namespace
 
-Bytes encode(const SacShareMsg& m) {
-  ByteWriter w;
+void encode_to(const SacShareMsg& m, ByteWriter& w) {
   w.u64(m.round);
   w.u32(m.from_pos);
   w.u32(static_cast<std::uint32_t>(m.parts.size()));
@@ -31,7 +30,6 @@ Bytes encode(const SacShareMsg& m) {
     w.u32(static_cast<std::uint32_t>(m.commit.size()));
     for (std::uint64_t d : m.commit) w.u64(d);
   }
-  return w.take();
 }
 
 std::optional<SacShareMsg> decode_share(const Bytes& b) {
@@ -56,12 +54,10 @@ std::optional<SacShareMsg> decode_share(const Bytes& b) {
   });
 }
 
-Bytes encode(const SacSubtotalMsg& m) {
-  ByteWriter w;
+void encode_to(const SacSubtotalMsg& m, ByteWriter& w) {
   w.u64(m.round);
   w.u32(m.idx);
   w.vec_f32(m.value);
-  return w.take();
 }
 
 std::optional<SacSubtotalMsg> decode_subtotal(const Bytes& b) {
@@ -74,12 +70,10 @@ std::optional<SacSubtotalMsg> decode_subtotal(const Bytes& b) {
   });
 }
 
-Bytes encode(const SacSubtotalReq& m) {
-  ByteWriter w;
+void encode_to(const SacSubtotalReq& m, ByteWriter& w) {
   w.u64(m.round);
   w.u32(m.idx);
   w.u32(m.reply_to_pos);
-  return w.take();
 }
 
 std::optional<SacSubtotalReq> decode_subtotal_req(const Bytes& b) {
@@ -92,11 +86,9 @@ std::optional<SacSubtotalReq> decode_subtotal_req(const Bytes& b) {
   });
 }
 
-Bytes encode(const SacShareReq& m) {
-  ByteWriter w;
+void encode_to(const SacShareReq& m, ByteWriter& w) {
   w.u64(m.round);
   w.u32(m.reply_to_pos);
-  return w.take();
 }
 
 std::optional<SacShareReq> decode_share_req(const Bytes& b) {
@@ -108,15 +100,13 @@ std::optional<SacShareReq> decode_share_req(const Bytes& b) {
   });
 }
 
-Bytes encode(const SacCommitEchoMsg& m) {
-  ByteWriter w;
+void encode_to(const SacCommitEchoMsg& m, ByteWriter& w) {
   w.u64(m.round);
   w.u32(m.from_pos);
   w.u32(static_cast<std::uint32_t>(m.digests.size()));
   for (std::uint64_t d : m.digests) w.u64(d);
   w.u32(static_cast<std::uint32_t>(m.bad.size()));
   for (std::uint8_t f : m.bad) w.u8(f);
-  return w.take();
 }
 
 std::optional<SacCommitEchoMsg> decode_commit_echo(const Bytes& b) {
@@ -274,51 +264,27 @@ bool eq_share_req(const SacShareReq& a, const SacShareReq& b) {
   return a.round == b.round && a.reply_to_pos == b.reply_to_pos;
 }
 
-template <typename T>
-net::Codec make_codec(std::string key,
-                      std::optional<T> (*decode_fn)(const Bytes&),
-                      T (*sample_fn)(Rng&, const net::WireSample&),
-                      bool (*eq_fn)(const T&, const T&)) {
-  net::Codec c;
-  c.key = std::move(key);
-  c.encode = [](const std::any& body) -> std::optional<Bytes> {
-    const T* m = net::payload<T>(body);
-    if (m == nullptr) return std::nullopt;
-    return encode(*m);
-  };
-  c.decode = [decode_fn](const Bytes& b) -> std::optional<std::any> {
-    std::optional<T> m = decode_fn(b);
-    if (!m.has_value()) return std::nullopt;
-    return std::any(std::move(*m));
-  };
-  c.sample = [sample_fn](Rng& rng, const net::WireSample& s) -> std::any {
-    return sample_fn(rng, s);
-  };
-  c.equals = [eq_fn](const std::any& a, const std::any& b) {
-    const T* x = net::payload<T>(a);
-    const T* y = net::payload<T>(b);
-    return x != nullptr && y != nullptr && eq_fn(*x, *y);
-  };
-  return c;
-}
-
 }  // namespace
 
 void register_codecs(const std::string& family) {
   static std::set<std::string> done;
   if (!done.insert(family).second) return;
   auto& reg = net::CodecRegistry::global();
-  reg.add(make_codec<SacShareMsg>(family + ":share", &decode_share,
-                                  &sample_share, &eq_share));
-  reg.add(make_codec<SacSubtotalMsg>(family + ":subtotal", &decode_subtotal,
-                                     &sample_subtotal, &eq_subtotal));
-  reg.add(make_codec<SacSubtotalReq>(family + ":request",
-                                     &decode_subtotal_req,
-                                     &sample_subtotal_req, &eq_subtotal_req));
-  reg.add(make_codec<SacShareReq>(family + ":share_req", &decode_share_req,
-                                  &sample_share_req, &eq_share_req));
-  reg.add(make_codec<SacCommitEchoMsg>(family + ":echo", &decode_commit_echo,
-                                       &sample_commit_echo, &eq_commit_echo));
+  reg.add(net::make_codec<SacShareMsg>(family + ":share", &encode_to,
+                                       &decode_share, &sample_share,
+                                       &eq_share));
+  reg.add(net::make_codec<SacSubtotalMsg>(family + ":subtotal", &encode_to,
+                                          &decode_subtotal, &sample_subtotal,
+                                          &eq_subtotal));
+  reg.add(net::make_codec<SacSubtotalReq>(
+      family + ":request", &encode_to, &decode_subtotal_req,
+      &sample_subtotal_req, &eq_subtotal_req));
+  reg.add(net::make_codec<SacShareReq>(family + ":share_req", &encode_to,
+                                       &decode_share_req, &sample_share_req,
+                                       &eq_share_req));
+  reg.add(net::make_codec<SacCommitEchoMsg>(
+      family + ":echo", &encode_to, &decode_commit_echo, &sample_commit_echo,
+      &eq_commit_echo));
 }
 
 }  // namespace p2pfl::secagg::wire

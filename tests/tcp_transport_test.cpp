@@ -179,8 +179,9 @@ TEST(TcpTransport, SelfSendDeliversWithoutWireAccounting) {
 TEST(TcpTransport, LargeFrameSurvivesPartialWrites) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
   Network net(t, {});
+  CollectingEndpoint e0;
   CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   // ~4 MB of floats: far beyond any socket buffer, so the loop must
@@ -201,8 +202,9 @@ TEST(TcpTransport, LargeFrameSurvivesPartialWrites) {
 TEST(TcpTransport, ReconnectsAndFlushesAfterConnectionLoss) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
   Network net(t, {});
+  CollectingEndpoint e0;
   CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
@@ -226,8 +228,9 @@ TEST(TcpTransport, ReconnectsAndFlushesAfterConnectionLoss) {
 TEST(TcpTransport, InjectedConnectionResetHealsWithoutLoss) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
   Network net(t, {});
+  CollectingEndpoint e0;
   CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
@@ -253,8 +256,9 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
   cfg.max_outq_frames = 4;
   TcpTransport t(cfg);
   Network net(t, {});
+  CollectingEndpoint e0;
   CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
 
@@ -293,8 +297,9 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
 TEST(TcpTransport, OversizeFramePoisonsOnlyThatConnection) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
   Network net(t, {});
+  CollectingEndpoint e0;
   CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });

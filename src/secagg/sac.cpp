@@ -6,10 +6,12 @@ namespace p2pfl::secagg {
 
 std::vector<std::size_t> replica_share_indices(std::size_t j, std::size_t n,
                                                std::size_t k) {
-  P2PFL_CHECK(n >= 1 && k >= 1 && k <= n && j < n);
   std::vector<std::size_t> out;
-  out.reserve(n - k + 1);
-  for (std::size_t d = 0; d <= n - k; ++d) out.push_back((j + d) % n);
+  out.reserve(k <= n ? n - k + 1 : 0);
+  all_replica_share_indices(j, n, k, [&out](std::size_t s) {
+    out.push_back(s);
+    return true;
+  });
   return out;
 }
 

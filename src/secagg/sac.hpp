@@ -18,9 +18,24 @@
 #include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "secagg/shares.hpp"
 
 namespace p2pfl::secagg {
+
+/// True if `pred` holds for every share index peer at position j holds
+/// (Alg. 4 lines 3-9), visited in ascending mod-n order starting at j
+/// and stopping at the first false. n >= 1, 1 <= k <= n, j < n. Walks
+/// the indices in place, allocating nothing.
+template <typename Pred>
+bool all_replica_share_indices(std::size_t j, std::size_t n, std::size_t k,
+                               Pred pred) {
+  P2PFL_CHECK(n >= 1 && k >= 1 && k <= n && j < n);
+  for (std::size_t d = 0; d <= n - k; ++d) {
+    if (!pred((j + d) % n)) return false;
+  }
+  return true;
+}
 
 /// Share indices peer at position j holds (Alg. 4 lines 3-9), ascending
 /// mod-n order starting at j. n >= 1, 1 <= k <= n.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "raft/wire.hpp"
+#include "wire_encode.hpp"
 
 namespace p2pfl::raft {
 namespace {
@@ -23,7 +24,7 @@ TEST(RaftWire, RequestVoteRoundTripAndSize) {
   m.last_log_index = 1000;
   m.last_log_term = 41;
   m.pre_vote = true;
-  const Bytes b = wire::encode(m);
+  const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), RequestVoteArgs::kWireSize);
   const auto d = wire::decode_request_vote(b);
   ASSERT_TRUE(d.has_value());
@@ -40,7 +41,7 @@ TEST(RaftWire, RequestVoteReplyRoundTripAndSize) {
   m.vote_granted = true;
   m.voter = 12;
   m.pre_vote = false;
-  const Bytes b = wire::encode(m);
+  const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), RequestVoteReply::kWireSize);
   const auto d = wire::decode_request_vote_reply(b);
   ASSERT_TRUE(d.has_value());
@@ -59,7 +60,7 @@ TEST(RaftWire, AppendEntriesRoundTripAndSize) {
   m.entries.push_back(entry(9, EntryKind::kNoop, {}));
   m.entries.push_back(entry(9, EntryKind::kCommand, {1, 2, 3}));
   m.entries.push_back(entry(9, EntryKind::kConfig, {0xFF}));
-  const Bytes b = wire::encode(m);
+  const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), m.wire_size());
   const auto d = wire::decode_append_entries(b);
   ASSERT_TRUE(d.has_value());
@@ -75,7 +76,7 @@ TEST(RaftWire, AppendEntriesRoundTripAndSize) {
 
 TEST(RaftWire, EmptyHeartbeatSize) {
   AppendEntriesArgs m;
-  EXPECT_EQ(wire::encode(m).size(), m.wire_size());
+  EXPECT_EQ(wire_encode(m).size(), m.wire_size());
   EXPECT_EQ(m.wire_size(), 40u);
 }
 
@@ -86,7 +87,7 @@ TEST(RaftWire, AppendEntriesReplyRoundTripAndSize) {
   m.follower = 9;
   m.match_index = 17;
   m.conflict_index = 11;
-  const Bytes b = wire::encode(m);
+  const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), AppendEntriesReply::kWireSize);
   const auto d = wire::decode_append_entries_reply(b);
   ASSERT_TRUE(d.has_value());
@@ -102,7 +103,7 @@ TEST(RaftWire, InstallSnapshotRoundTripAndSize) {
   m.last_included_term = 5;
   m.members = {1, 4, 9};
   m.app_state = {9, 8, 7, 6};
-  const Bytes b = wire::encode(m);
+  const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), m.wire_size());
   const auto d = wire::decode_install_snapshot(b);
   ASSERT_TRUE(d.has_value());
@@ -116,14 +117,14 @@ TEST(RaftWire, InstallSnapshotReplyAndTimeoutNowSizes) {
   r.term = 1;
   r.follower = 2;
   r.match_index = 3;
-  EXPECT_EQ(wire::encode(r).size(), InstallSnapshotReply::kWireSize);
-  ASSERT_TRUE(wire::decode_install_snapshot_reply(wire::encode(r)));
+  EXPECT_EQ(wire_encode(r).size(), InstallSnapshotReply::kWireSize);
+  ASSERT_TRUE(wire::decode_install_snapshot_reply(wire_encode(r)));
 
   TimeoutNowArgs t;
   t.term = 10;
   t.leader = 0;
-  EXPECT_EQ(wire::encode(t).size(), TimeoutNowArgs::kWireSize);
-  const auto d = wire::decode_timeout_now(wire::encode(t));
+  EXPECT_EQ(wire_encode(t).size(), TimeoutNowArgs::kWireSize);
+  const auto d = wire::decode_timeout_now(wire_encode(t));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->term, 10u);
 }
@@ -132,7 +133,7 @@ TEST(RaftWire, TruncatedInputRejected) {
   AppendEntriesArgs m;
   m.term = 1;
   m.entries.push_back(entry(1, EntryKind::kCommand, {1, 2, 3, 4}));
-  Bytes b = wire::encode(m);
+  Bytes b = wire_encode(m);
   for (std::size_t cut = 1; cut < b.size(); cut += 7) {
     Bytes t(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_FALSE(wire::decode_append_entries(t).has_value())
@@ -142,7 +143,7 @@ TEST(RaftWire, TruncatedInputRejected) {
 
 TEST(RaftWire, TrailingGarbageRejected) {
   RequestVoteArgs m;
-  Bytes b = wire::encode(m);
+  Bytes b = wire_encode(m);
   b.push_back(0);
   EXPECT_FALSE(wire::decode_request_vote(b).has_value());
 }

@@ -1,12 +1,47 @@
 #include "chaos/engine.hpp"
 
 #include <cmath>
+#include <limits>
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace p2pfl::chaos {
+
+namespace {
+
+/// CHECK-fails when two `windows` [at, end) of one kind intersect; an
+/// end of 0 never comes. With `touching`, a window opening the instant
+/// another closes counts too: events at one instant fire in listing
+/// order, so that close may undo that open.
+void reject_overlaps(const std::string& kind,
+                     const std::vector<std::pair<SimTime, SimTime>>& windows,
+                     bool touching) {
+  const auto end = [](SimTime t) {
+    return t > 0 ? t : std::numeric_limits<SimTime>::max();
+  };
+  const auto show = [](const std::pair<SimTime, SimTime>& w) {
+    return std::string("[") + std::to_string(w.first) + ", " +
+           (w.second > 0 ? std::to_string(w.second) : "never") + ") us";
+  };
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      const auto [a, a_end] = windows[j];
+      const auto [b, b_end] = windows[i];
+      const bool overlap = touching ? a <= end(b_end) && b <= end(a_end)
+                                    : a < end(b_end) && b < end(a_end);
+      P2PFL_CHECK_MSG(!overlap, "overlapping " + kind + " windows " +
+                                    show(windows[j]) + " and " +
+                                    show(windows[i]));
+    }
+  }
+}
+
+}  // namespace
 
 ChaosEngine::ChaosEngine(net::Network& net, ChaosPlan plan,
                          ChaosEngineHooks hooks)
@@ -21,21 +56,6 @@ ChaosEngine::ChaosEngine(net::Network& net, ChaosPlan plan,
   if (!hooks_.crash) hooks_.crash = [this](PeerId p) { net_.crash(p); };
   if (!hooks_.restart) hooks_.restart = [this](PeerId p) { net_.restore(p); };
   if (!hooks_.restart_amnesia) hooks_.restart_amnesia = hooks_.restart;
-}
-
-ChaosEngine::~ChaosEngine() {
-  // Leave no dangling injector behind on a transport that outlives us.
-  if (injector_ && tr_.fault_injector() == injector_.get()) {
-    tr_.set_fault_injector(nullptr);
-  }
-}
-
-net::FaultInjector& ChaosEngine::injector() {
-  if (!injector_) {
-    injector_ = std::make_unique<net::FaultInjector>(net_.obs());
-    tr_.set_fault_injector(injector_.get());
-  }
-  return *injector_;
 }
 
 void ChaosEngine::schedule_at(SimTime at, std::function<void()> fn) {
@@ -135,6 +155,26 @@ void ChaosEngine::schedule_churn_failure(const ChurnSpec& spec, PeerId peer,
 
 void ChaosEngine::start() {
   P2PFL_CHECK_MSG(!started_, "ChaosEngine::start called twice");
+  // A fault window replaces the default faults, a partition window the
+  // partition and a throttle window its peer's rate, so two overlapping
+  // windows of one of these kinds cannot both be honoured.
+  std::vector<std::pair<SimTime, SimTime>> faults, partitions;
+  for (const FaultWindowEvent& e : plan_.fault_windows()) {
+    faults.emplace_back(e.at, e.clear_at);
+  }
+  for (const PartitionEvent& e : plan_.partitions()) {
+    partitions.emplace_back(e.at, e.heal_at);
+  }
+  std::map<PeerId, std::vector<std::pair<SimTime, SimTime>>> throttles;
+  for (const ThrottleWindowEvent& e : plan_.throttle_windows()) {
+    throttles[e.peer].emplace_back(e.at, e.until);
+  }
+  reject_overlaps("fault", faults, /*touching=*/true);
+  reject_overlaps("partition", partitions, /*touching=*/true);
+  for (const auto& [peer, windows] : throttles) {
+    reject_overlaps("peer " + std::to_string(peer) + " throttle", windows,
+                    /*touching=*/false);
+  }
   started_ = true;
 
   for (const CrashEvent& e : plan_.crashes()) {
@@ -181,16 +221,9 @@ void ChaosEngine::start() {
     }
   }
 
-  // Transport-native faults, scheduled after every legacy event type so
-  // pre-PR plans keep their exact event insertion order (and goldens).
-  // Install the injector up front: its windows must be ready before the
-  // first event fires, and creating it inside a TCP loop-thread callback
-  // would race the off-thread send_frame path.
-  if (!plan_.conn_resets().empty() || !plan_.stall_windows().empty() ||
-      !plan_.throttle_windows().empty() ||
-      !plan_.reconnect_storms().empty()) {
-    injector();
-  }
+  // Transport-native faults, scheduled after every other event type so
+  // plans without them keep their exact event insertion order (and
+  // goldens).
   for (const ConnResetEvent& e : plan_.conn_resets()) {
     schedule_at(e.at,
                 [this, e] { do_conn_reset(e.a, e.b, e.sim_outage); });
@@ -199,9 +232,9 @@ void ChaosEngine::start() {
     P2PFL_CHECK(e.until > e.at);
     schedule_at(e.at, [this, e] {
       if (e.bidirectional) {
-        injector().stall_pair(e.from, e.to, e.until);
+        net_.links().stall_pair(e.from, e.to, e.until);
       } else {
-        injector().stall_link(e.from, e.to, e.until);
+        net_.links().stall_link(e.from, e.to, e.until);
       }
       trace_fault("transport.stall", e.from,
                   {{"to", static_cast<std::uint64_t>(e.to)},
@@ -212,7 +245,7 @@ void ChaosEngine::start() {
     P2PFL_CHECK(e.until > e.at);
     P2PFL_CHECK(e.bytes_per_sec > 0);
     schedule_at(e.at, [this, e] {
-      injector().throttle_peer(e.peer, e.bytes_per_sec, e.until);
+      net_.links().throttle_peer(e.peer, e.bytes_per_sec, e.until);
       trace_fault("transport.throttle", e.peer,
                   {{"bytes_per_sec", e.bytes_per_sec},
                    {"until_us", e.until}});
@@ -231,7 +264,7 @@ void ChaosEngine::do_conn_reset(PeerId a, PeerId b, SimDuration sim_outage) {
   if (tr_.deterministic()) {
     // The simulator has no connections to tear down; model the reconnect
     // outage as a bidirectional stall of the modeled duration.
-    injector().stall_pair(a, b, tr_.now() + sim_outage);
+    net_.links().stall_pair(a, b, tr_.now() + sim_outage);
   } else {
     tr_.inject_connection_reset(a, b);
   }

@@ -12,10 +12,9 @@
 // the loop thread, so one plan exercises both backends.
 //
 // Transport-native faults (connection resets, half-open stall windows,
-// slow-writer throttling, reconnect storms) execute through a
-// net::FaultInjector the engine owns and installs lazily on the
-// transport — plans without transport faults never create it, keeping
-// legacy metric registries and goldens untouched.
+// slow-writer throttling, reconnect storms) write the Network's
+// net::LinkTable, which both transports honor at the frame boundary;
+// on TCP a connection reset tears real sockets down instead.
 //
 // Crashing a protocol peer usually involves more than silencing its
 // links (Raft nodes must stop, timers must be cancelled), so the engine
@@ -24,11 +23,9 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <set>
 
 #include "chaos/plan.hpp"
-#include "net/fault_injector.hpp"
 #include "net/network.hpp"
 
 namespace p2pfl::chaos {
@@ -45,23 +42,19 @@ struct ChaosEngineHooks {
 
 class ChaosEngine {
  public:
-  /// The engine must outlive the simulation run it drives. On TCP,
-  /// destroy it after the transport's shutdown(): the destructor
-  /// uninstalls the engine's injector, which the loop thread reads.
+  /// The engine must outlive the simulation run it drives.
   ChaosEngine(net::Network& net, ChaosPlan plan, ChaosEngineHooks hooks = {});
-  ~ChaosEngine();
 
   ChaosEngine(const ChaosEngine&) = delete;
   ChaosEngine& operator=(const ChaosEngine&) = delete;
 
   /// Schedule every plan event on the transport. Call once; events in
-  /// the past (at <= now) fire on the next transport step.
+  /// the past (at <= now) fire on the next transport step. CHECK-fails,
+  /// naming the kind and the times, when two fault windows, two
+  /// partition windows or two throttle windows on one peer overlap (a
+  /// missing end is open-ended; fault and partition windows that touch
+  /// also overlap).
   void start();
-
-  /// The transport-fault injector, created and installed on the
-  /// transport on first use. Tests may open stall/throttle windows on it
-  /// directly; plan events go through it automatically.
-  net::FaultInjector& injector();
 
   // --- observation -------------------------------------------------------
   std::size_t faults_injected() const { return faults_injected_; }
@@ -94,9 +87,6 @@ class ChaosEngine {
   ChaosPlan plan_;
   ChaosEngineHooks hooks_;
   Rng rng_;
-  /// Lazily created so plans without transport faults register no
-  /// chaos.transport.* counters (pre-PR metric dumps stay identical).
-  std::unique_ptr<net::FaultInjector> injector_;
   std::set<PeerId> down_;
   net::LinkFaults saved_defaults_;
   std::size_t faults_injected_ = 0;

@@ -36,6 +36,7 @@ Network::Network(std::unique_ptr<Transport> owned, Transport* external,
       cfg_(cfg),
       rng_(transport_.rng().fork(0x6e65'74ULL /*"net"*/)),
       fault_rng_(transport_.rng().fork(0x6368'616fULL /*"chao"*/)),
+      links_(transport_.obs(), cfg_.egress_bytes_per_sec),
       m_sent_msgs_(transport_.obs().metrics.counter("net.sent.messages")),
       m_sent_bytes_(transport_.obs().metrics.counter("net.sent.bytes")),
       m_sent_payload_(transport_.obs().metrics.counter("net.sent.payload")),
@@ -177,25 +178,17 @@ void Network::schedule_delivery(Envelope env, const LinkFaults& f) {
   SimDuration delay = 0;
   if (transport_.deterministic()) {
     // The simulator has no wire, so the Network models the link: latency
-    // with jitter, chaos reordering, egress serialization. On a real
-    // transport the kernel and socket provide all of these and the
-    // modeled delay stays 0 (ignored by the backend anyway).
+    // with jitter, chaos reordering, and the link table's hold (stalls,
+    // egress serialization). On a real transport the kernel provides the
+    // latency, the transport applies the link table at its writes, and
+    // the modeled delay stays 0.
     delay = latency_for(env.from, env.to);
     if (f.reorder_prob > 0.0 && f.reorder_jitter > 0 &&
         fault_rng_.chance(f.reorder_prob)) {
       delay += fault_rng_.uniform_int(0, f.reorder_jitter);
     }
-    if (cfg_.egress_bytes_per_sec > 0) {
-      // Serialize through the sender's NIC: transmission begins when the
-      // link frees up and occupies it for wire_bytes / bandwidth.
-      const SimDuration tx = static_cast<SimDuration>(
-          static_cast<double>(env.wire_bytes) /
-          static_cast<double>(cfg_.egress_bytes_per_sec) * kSecond);
-      SimTime& free_at = egress_free_at_[env.from];
-      const SimTime start = std::max(transport_.now(), free_at);
-      free_at = start + tx;
-      delay += (free_at - transport_.now());
-    }
+    delay += links_.frame_delay(env.from, env.to, env.wire_bytes,
+                                transport_.now());
   }
   transport_.send_frame(std::move(env), delay);
 }

@@ -2,24 +2,26 @@
 // transport seam.
 //
 // Network owns the *policy* of message exchange — typed sends with
-// exact byte accounting, encode verification, fault injection (peer
-// crashes, blocked links, extra per-link delay, probabilistic
-// loss/duplication/reordering/corruption, named partitions) — and
-// delegates the *mechanics* (clock, timers, physically moving a frame)
-// to a net::Transport:
+// exact byte accounting, encode verification, crashes and incarnations,
+// blocked links, named partitions, probabilistic
+// loss/duplication/reordering/corruption — and delegates the
+// *mechanics* (clock, timers, physically moving a frame) to a
+// net::Transport. Between the two sits its net::LinkTable: stalls,
+// throttles, the per-sender egress serializer and FIFO release floors,
+// which both transports honor at the frame boundary.
 //
 //  * backed by net::SimTransport it is the paper's localhost TCP mesh
 //    shaped by `tc netem`, reproduced on the deterministic simulator:
-//    every message is delivered after a configurable one-way latency
-//    (default 15 ms, matching §VI-B1) and the whole fault model above
-//    is available to the chaos engine in src/chaos;
+//    the Network's latency model (one-way base latency, default 15 ms
+//    as in §VI-B1, jitter, per-link extra delay, the reorder draw) plus
+//    the link table's hold gives every frame's delivery delay, and the
+//    whole fault model is available to the chaos engine in src/chaos;
 //  * backed by net::tcp::TcpTransport the same sends travel as
 //    length-prefixed canonical codec frames over real loopback sockets;
-//    the latency model is skipped (the kernel provides the real thing)
-//    and the stochastic fault draws that fire before transmission
-//    (loss, duplication) still apply, while in-flight modeling
-//    (reordering jitter, egress serialization) is meaningless and
-//    ignored.
+//    the latency model is skipped (the kernel provides the real thing),
+//    the stochastic draws that fire before transmission (loss,
+//    duplication) still apply, and the transport gates its writes
+//    through the link table.
 //
 // Either way the Network is the *measurement instrument* for the
 // communication-cost experiments (Figs. 13-14): every payload carries an
@@ -44,6 +46,7 @@
 #include "common/types.hpp"
 #include "net/codec.hpp"
 #include "net/envelope.hpp"
+#include "net/link_table.hpp"
 #include "net/transport.hpp"
 #include "sim/simulator.hpp"
 
@@ -144,11 +147,11 @@ struct NetworkConfig {
   SimDuration base_latency = 15 * kMillisecond;
   /// Uniform jitter in [0, latency_jitter] added per message.
   SimDuration latency_jitter = 0;
-  /// Per-peer egress bandwidth in bytes per simulated second; 0 =
-  /// infinite. When set, a sender's messages serialize through its NIC:
-  /// each transmission occupies the link for wire_bytes / bandwidth and
-  /// later sends queue behind it — which is what makes a one-layer SAC
-  /// leader a latency bottleneck (see bench/ablation_round_latency).
+  /// Per-peer egress bandwidth in bytes per second; 0 = infinite. When
+  /// set, the link table serializes a sender's frames: each occupies its
+  /// egress for wire_bytes / bandwidth and later sends queue behind it —
+  /// which is what makes a one-layer SAC leader a latency bottleneck
+  /// (see bench/ablation_round_latency). Applies on both transports.
   std::uint64_t egress_bytes_per_sec = 0;
   /// Default stochastic imperfection applied to every inter-peer message
   /// (overridable per link and per message-kind prefix).
@@ -269,6 +272,7 @@ class Network : public FrameSink {
   void unblock_link(PeerId from, PeerId to);
 
   /// Extra one-way latency for a directed link (simulates slow peers).
+  /// Simulator-only, like the rest of the latency model.
   void set_link_delay(PeerId from, PeerId to, SimDuration extra);
   void clear_link_delay(PeerId from, PeerId to);
 
@@ -309,6 +313,8 @@ class Network : public FrameSink {
   std::size_t envelope_pool_slots() const;
 
   // --- FrameSink (upcalls from the transport) ---------------------------
+  /// This network's link table; the chaos engine writes it.
+  LinkTable& links() override { return links_; }
   /// A frame arrived for a local peer: delivered-side accounting, chaos
   /// corruption decode, incarnation/crash checks, endpoint dispatch.
   void transport_deliver(Envelope& env) override;
@@ -381,6 +387,7 @@ class Network : public FrameSink {
   /// Separate stream for stochastic faults so enabling chaos never
   /// perturbs the latency-jitter draws of an otherwise identical run.
   Rng fault_rng_;
+  LinkTable links_;
   obs::Counter& m_sent_msgs_;
   obs::Counter& m_sent_bytes_;
   obs::Counter& m_sent_payload_;
@@ -405,8 +412,6 @@ class Network : public FrameSink {
   std::map<std::string, LinkFaults> kind_faults_;
   bool partition_active_ = false;
   std::unordered_map<PeerId, int> partition_group_;
-  /// Per-sender time at which its egress link becomes idle again.
-  std::unordered_map<PeerId, SimTime> egress_free_at_;
   TrafficStats stats_;
 };
 

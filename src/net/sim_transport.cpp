@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "net/fault_injector.hpp"
 
 namespace p2pfl::net {
 
@@ -30,12 +29,6 @@ void SimTransport::deliver_pooled(std::uint32_t slot) {
 
 void SimTransport::send_frame(Envelope&& env, SimDuration model_delay) {
   P2PFL_CHECK(sink_ != nullptr);
-  // Transport-native faults (stall windows, write throttling) extend
-  // the modeled delivery delay. Self-frames never touch a link.
-  if (FaultInjector* fi = fault_injector(); fi != nullptr && env.from != env.to) {
-    model_delay +=
-        fi->frame_delay(env.from, env.to, env.wire_bytes, sim_.now());
-  }
   const std::uint32_t slot = acquire_envelope(std::move(env));
   sim_.schedule_after(model_delay, [this, slot] { deliver_pooled(slot); });
 }

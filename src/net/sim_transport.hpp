@@ -1,14 +1,15 @@
 // Deterministic transport: the discrete-event simulator behind the seam.
 //
-// This is the pre-seam net::Network delivery machinery, verbatim: frames
-// ride in a slab-pooled record (recycled through an intrusive free
-// list), the scheduled delivery closure captures only (this, slot) —
-// small enough for std::function's inline storage — and the simulator's
-// (time, insertion seq) order decides arrival. The Network computes the
-// modeled delay (latency, jitter, per-link extras, egress serialization)
-// before calling send_frame, so enabling the seam changed no event
-// timestamps, no RNG draws and no pool behavior; the pre-refactor golden
-// in tests/determinism_test.cpp pins that byte-for-byte.
+// Frames ride in a slab-pooled record (recycled through an intrusive
+// free list), the scheduled delivery closure captures only (this,
+// slot) — small enough for std::function's inline storage — and the
+// simulator's (time, insertion seq) order decides arrival. The Network
+// computes each frame's whole delay before calling send_frame: its
+// latency model (latency, jitter, per-link extras, the reorder draw)
+// plus its link table's hold (stalls, egress serialization, FIFO
+// floors). This transport adds nothing and schedules the delivery
+// exactly that far ahead; the golden in tests/determinism_test.cpp
+// pins the resulting event order byte-for-byte.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "net/tcp/tcp_transport.hpp"
 
-#include "net/fault_injector.hpp"
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -437,16 +435,17 @@ void TcpTransport::start_connect(OutConn& c) {
 }
 
 void TcpTransport::flush_out(OutConn& c) {
+  // The sink's link table gates writes at frame boundaries only (a frame
+  // already in flight is always finished, never torn). While a stall,
+  // throttle or egress cap holds the link, frames accumulate in the
+  // bounded outq exactly like behind a real slow peer; a timer
+  // re-flushes when the hold should clear.
+  LinkTable* links =
+      sink_ != nullptr && sink_->links().active() ? &sink_->links() : nullptr;
   while (!c.outq.empty()) {
-    // Fault-injector gate, checked at frame boundaries only (a frame
-    // already in flight is always finished, never torn). While a stall
-    // or throttle window holds the link, frames accumulate in the
-    // bounded outq exactly like behind a real slow peer; a timer
-    // re-flushes when the window should clear.
-    FaultInjector* fi = fault_injector();
-    if (fi != nullptr && c.front_pos == 0) {
+    if (links != nullptr && c.front_pos == 0) {
       const SimTime now_us = now();
-      const SimTime at = fi->writable_at(c.from, c.to, now_us);
+      const SimTime at = links->writable_at(c.from, c.to, now_us);
       if (at > now_us) {
         if (c.flush_timer == kNoTimerToken) {
           const std::uint64_t key = pair_key(c.from, c.to);
@@ -477,7 +476,7 @@ void TcpTransport::flush_out(OutConn& c) {
                               std::memory_order_relaxed);
     c.front_pos += static_cast<std::size_t>(n);
     if (c.front_pos == front.size()) {
-      if (fi != nullptr) fi->note_written(c.from, front.size(), now());
+      if (links != nullptr) links->note_written(c.from, front.size(), now());
       c.outq.pop_front();
       c.front_pos = 0;
     }

@@ -153,8 +153,8 @@ class TcpTransport final : public Transport {
     std::size_t front_pos = 0;
     SimDuration backoff = 0;  // next reconnect delay (0 = fresh)
     TimerToken retry_timer = kNoTimerToken;
-    /// Armed while a fault-injector stall/throttle window holds writes;
-    /// fires a re-flush when the window is expected to clear.
+    /// Armed while the link table (a stall, throttle or egress cap)
+    /// holds writes; fires a re-flush when the hold should clear.
     TimerToken flush_timer = kNoTimerToken;
   };
 

@@ -2,21 +2,22 @@
 // net::Network.
 //
 // net::Network is the protocol actors' façade — typed sends, fault
-// injection, Eq. (4)/(5) byte accounting. Everything *mechanical* under
-// it (what time it is, how a deferred callback fires, how a frame
-// physically reaches the destination peer) lives behind this interface,
-// with two implementations:
+// injection, Eq. (4)/(5) byte accounting, the link table. Everything
+// *mechanical* under it (what time it is, how a deferred callback
+// fires, how a frame physically reaches the destination peer) lives
+// behind this interface, with two implementations:
 //
 //  * net::SimTransport — the deterministic discrete-event path. The
 //    clock is sim::Simulator's virtual clock, timers are simulator
 //    events, and send_frame schedules an in-memory delivery after the
-//    latency the Network modeled. Byte-for-byte identical to the
-//    pre-seam Network (goldens in tests/determinism_test.cpp pin this).
+//    delay the Network modeled (latency plus the link table's hold).
+//    Goldens in tests/determinism_test.cpp pin its event order.
 //  * net::tcp::TcpTransport — a threaded epoll event loop speaking
 //    length-prefixed frames of the canonical codec encodings over real
 //    loopback sockets (src/net/tcp). The clock is CLOCK_MONOTONIC
-//    microseconds since transport start; the modeled latency is ignored
-//    because the kernel provides the real thing.
+//    microseconds since transport start; the modeled delay is ignored
+//    because the kernel provides the latency, and writes are gated
+//    through the sink's link table instead.
 //
 // The seam's contract:
 //  * every frame that crosses a non-deterministic transport must have a
@@ -32,13 +33,13 @@
 //    so one scenario runs unchanged on either backend.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/envelope.hpp"
+#include "net/link_table.hpp"
 #include "obs/obs.hpp"
 
 namespace p2pfl::sim {
@@ -71,9 +72,12 @@ class FrameSink {
     (void)peer;
     (void)reason;
   }
-};
 
-class FaultInjector;
+  /// The link table whose stalls, throttles and egress serializer gate
+  /// the frames this sink sends. Real transports consult it before each
+  /// write; on the simulator the sink folds it into `model_delay`.
+  virtual LinkTable& links() = 0;
+};
 
 class Transport {
  public:
@@ -100,9 +104,10 @@ class Transport {
   virtual bool cancel(TimerToken token) = 0;
 
   /// Move one frame toward env.to. `model_delay` is the delivery delay
-  /// the Network's link model computed (latency + jitter + egress
-  /// serialization); deterministic transports honor it exactly, real
-  /// transports ignore it and let the wire impose its own timing.
+  /// the Network computed on a deterministic transport (its latency
+  /// model plus the link table's hold), which that transport honors
+  /// exactly. Real transports ignore it: the wire imposes the latency
+  /// and the sink's link table gates their writes.
   virtual void send_frame(Envelope&& env, SimDuration model_delay) = 0;
 
   /// Register the upcall sink (the Network). One sink at a time.
@@ -138,18 +143,6 @@ class Transport {
   virtual bool run_until(const std::function<bool()>& done,
                          SimDuration budget, SimDuration poll) = 0;
 
-  /// Install (or remove, with nullptr) the transport-fault injector.
-  /// Both backends consult it at the frame boundary; a null injector is
-  /// byte-for-byte the pre-seam behavior. The injector must outlive its
-  /// installation. Atomic because the chaos engine installs from outside
-  /// the TCP loop thread while the loop is already pumping frames.
-  void set_fault_injector(FaultInjector* injector) {
-    fault_injector_.store(injector, std::memory_order_release);
-  }
-  FaultInjector* fault_injector() const {
-    return fault_injector_.load(std::memory_order_acquire);
-  }
-
   /// Forcibly reset any established connection between `a` and `b`
   /// (both directions), as if the kernel sent RST. Real transports tear
   /// the sockets down and go through their reconnect path; the
@@ -159,9 +152,6 @@ class Transport {
     (void)a;
     (void)b;
   }
-
- protected:
-  std::atomic<FaultInjector*> fault_injector_{nullptr};
 };
 
 /// Resettable one-shot and periodic timer over the transport seam.

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -252,6 +253,92 @@ TEST(ChaosEngineTest, PartitionWindowAppliesAndHeals) {
   EXPECT_TRUE(net.partitioned(0, 1));
   sim.run_for(250 * kMillisecond);
   EXPECT_FALSE(net.partition_active());
+}
+
+/// What start() rejects `plan` with ("" when it accepts the plan).
+std::string start_error(const ChaosPlan& plan) {
+  sim::Simulator sim(7);
+  net::Network net(sim, {.base_latency = 10 * kMillisecond});
+  ChaosEngine engine(net, plan);
+  try {
+    engine.start();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ChaosEngineTest, RejectsOverlappingFaultWindows) {
+  constexpr SimDuration ms = kMillisecond;
+  ChaosPlan crossing;
+  crossing.fault_window(100 * ms, 500 * ms, {.drop_prob = 0.25});
+  crossing.fault_window(300 * ms, 700 * ms, {.drop_prob = 0.75});
+  const std::string err = start_error(crossing);
+  EXPECT_NE(err.find("overlapping fault windows [100000, 500000) us and "
+                     "[300000, 700000) us"),
+            std::string::npos)
+      << err;
+
+  // Touching windows listed out of order: both events at 500 ms would
+  // fire in listing order, the close after the open.
+  ChaosPlan touching;
+  touching.fault_window(500 * ms, 900 * ms, {.drop_prob = 0.75});
+  touching.fault_window(100 * ms, 500 * ms, {.drop_prob = 0.25});
+  EXPECT_NE(start_error(touching).find("overlapping fault windows"),
+            std::string::npos);
+
+  ChaosPlan open_ended;  // a window without an end never closes
+  open_ended.fault_window(100 * ms, 0, {.drop_prob = 0.25});
+  open_ended.fault_window(5 * kSecond, 6 * kSecond, {.drop_prob = 0.75});
+  EXPECT_NE(start_error(open_ended).find("[100000, never) us"),
+            std::string::npos);
+
+  ChaosPlan apart;
+  apart.fault_window(100 * ms, 300 * ms, {.drop_prob = 0.25});
+  apart.fault_window(400 * ms, 700 * ms, {.drop_prob = 0.75});
+  EXPECT_EQ(start_error(apart), "");
+}
+
+TEST(ChaosEngineTest, RejectsOverlappingPartitionWindows) {
+  constexpr SimDuration ms = kMillisecond;
+  ChaosPlan crossing;
+  crossing.partition_window(100 * ms, 500 * ms, {{0}, {1, 2}});
+  crossing.partition_window(300 * ms, 700 * ms, {{1}, {0, 2}});
+  const std::string err = start_error(crossing);
+  EXPECT_NE(err.find("overlapping partition windows [100000, 500000) us "
+                     "and [300000, 700000) us"),
+            std::string::npos)
+      << err;
+
+  ChaosPlan touching;  // the heal at 300 ms would end the second split
+  touching.partition_window(100 * ms, 300 * ms, {{0}, {1, 2}});
+  touching.partition_window(300 * ms, 500 * ms, {{1}, {0, 2}});
+  EXPECT_NE(start_error(touching).find("overlapping partition windows"),
+            std::string::npos);
+
+  ChaosPlan apart;
+  apart.partition_window(100 * ms, 300 * ms, {{0}, {1, 2}});
+  apart.partition_window(400 * ms, 500 * ms, {{1}, {0, 2}});
+  EXPECT_EQ(start_error(apart), "");
+}
+
+TEST(ChaosEngineTest, RejectsOverlappingThrottleWindowsOnOnePeer) {
+  constexpr SimDuration ms = kMillisecond;
+  ChaosPlan nested;
+  nested.throttle_window(0, 2 * kSecond, 4, 1'000'000);
+  nested.throttle_window(500 * ms, kSecond, 4, 4'000'000);
+  const std::string err = start_error(nested);
+  EXPECT_NE(err.find("overlapping peer 4 throttle windows [0, 2000000) us "
+                     "and [500000, 1000000) us"),
+            std::string::npos)
+      << err;
+
+  // Other peers' windows, and back-to-back windows on one peer, are fine.
+  ChaosPlan fine;
+  fine.throttle_window(0, 2 * kSecond, 4, 1'000'000);
+  fine.throttle_window(500 * ms, kSecond, 5, 4'000'000);
+  fine.throttle_window(2 * kSecond, 3 * kSecond, 4, 4'000'000);
+  EXPECT_EQ(start_error(fine), "");
 }
 
 using ChurnLog = std::vector<std::tuple<SimTime, PeerId, bool>>;

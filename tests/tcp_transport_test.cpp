@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/wire.hpp"
-#include "net/fault_injector.hpp"
 #include "net/network.hpp"
 #include "net/tcp/tcp_transport.hpp"
 #include "obs/metrics.hpp"
@@ -264,10 +263,8 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
 
   // Gate the 0->1 link far into the future so nothing leaves the queue,
   // then overfill it: the cap must shed from the front (oldest first).
-  FaultInjector fi(t.obs());
-  t.set_fault_injector(&fi);
   t.call([&] {
-    fi.stall_link(0, 1, t.now() + 3600 * kSecond);
+    net.links().stall_link(0, 1, t.now() + 3600 * kSecond);
     for (int i = 0; i < 10; ++i) net.send(result_envelope(0, 1, 4, 10 + i));
   });
   ASSERT_TRUE(t.run_until(
@@ -280,7 +277,7 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
   // Lift the stall; the next send both re-triggers the flush and (queue
   // still full) evicts one more victim. Survivors arrive in order.
   t.call([&] {
-    fi.clear(t.now());
+    net.links().clear(t.now());
     net.send(result_envelope(0, 1, 4, 99));
   });
   ASSERT_TRUE(t.run_until([&] { return e1.count() == 4; }, kWait, kPoll));
@@ -292,6 +289,37 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
     ASSERT_NE(msg, nullptr);
     EXPECT_EQ(msg->round, want[i]);
   }
+}
+
+TEST(TcpTransport, EgressCapPacesWrites) {
+  TcpTransport t({.peers = {0, 1}, .seed = 7});
+  // 1 MB/s: each ~200 KB frame occupies peer 0's egress for ~0.2 s.
+  Network net(t, {.egress_bytes_per_sec = 1'000'000});
+  // Written on the loop thread; read there through run_until, and here
+  // after shutdown() joined it.
+  struct ArrivalClock : Endpoint {
+    explicit ArrivalClock(TcpTransport& t) : t(t) {}
+    TcpTransport& t;
+    SimTime last = 0;
+    int count = 0;
+    void deliver(const Envelope&) override {
+      last = t.now();
+      ++count;
+    }
+  } e1(t);
+  net.attach(1, &e1);
+  t.start();
+  SimTime first_send = 0;
+  t.call([&] {
+    first_send = t.now();
+    for (int i = 0; i < 3; ++i) {
+      net.send(result_envelope(0, 1, 50'000, 1 + i));
+    }
+  });
+  ASSERT_TRUE(t.run_until([&] { return e1.count == 3; }, kWait, kPoll));
+  t.shutdown();
+  // The first frame leaves at once; the third waits out the first two.
+  EXPECT_GE(e1.last - first_send, 400 * kMillisecond);
 }
 
 TEST(TcpTransport, OversizeFramePoisonsOnlyThatConnection) {

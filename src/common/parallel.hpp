@@ -3,8 +3,11 @@
 // The discrete-event protocol simulation is single-threaded on purpose
 // (determinism), but the FL substrate's tensor kernels (conv2d, matmul)
 // are embarrassingly parallel across output elements. parallel_for splits
-// an index range over a lazily created pool of std::threads; on a
-// single-core host it degrades to a plain loop with zero thread overhead.
+// an index range into one contiguous chunk per worker and starts a fresh
+// std::thread for every chunk but the first, which runs on the caller;
+// there is no pool. With one worker it is a plain loop with no threads.
+// The fl kernels give every output element one owning thread, so their
+// results do not depend on the worker count.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "fl/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -156,42 +157,82 @@ void Conv2d::init(Rng& rng) {
   for (std::size_t i = nw; i < params_.size(); ++i) params_[i] = 0.0f;
 }
 
+// The conv kernels vectorize over runs of independent output elements and
+// give each element the direct loop's arithmetic (see layers.hpp); the
+// direct loops are their oracle in tests/fl_kernel_test.cpp. Where the
+// direct loop skips a tap outside the image, the kernels may add a zero
+// product instead, which changes at most the sign of an exact zero.
+
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   P2PFL_CHECK(x.rank() == 4 && x.dim(1) == in_c_);
   cached_input_ = x;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k_ / 2);
+  const std::size_t pad = k_ / 2, ph = h + 2 * pad, pw = w + 2 * pad;
+  const std::size_t plane = ph * pw;
+  // Output (oy, ox) accumulates at oy * pw + ox: each row carries 2 * pad
+  // trailing positions that are computed and dropped, so one tap is one
+  // contiguous loop over the whole image.
+  const std::size_t span = h * pw;
   Tensor y({batch, filters_, h, w});
   const float* wt = params_.data();
   const float* bias = params_.data() + filters_ * in_c_ * k_ * k_;
+  // Tap (c, ky, kx) reads the padded image at off[(c * k + ky) * k + kx].
+  const std::size_t taps = in_c_ * k_ * k_;
+  std::vector<std::size_t> off(taps);
+  for (std::size_t c = 0; c < in_c_; ++c) {
+    for (std::size_t ky = 0; ky < k_; ++ky) {
+      for (std::size_t kx = 0; kx < k_; ++kx) {
+        off[(c * k_ + ky) * k_ + kx] = c * plane + ky * pw + kx;
+      }
+    }
+  }
 
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
+    // Zero-padded image; the tail keeps the dropped positions in bounds.
+    std::vector<float> xp(in_c_ * plane + 2 * pad);
+    std::vector<double> acc(span);
     for (std::size_t s = lo; s < hi; ++s) {
       const float* xin = x.data() + s * in_c_ * h * w;
+      for (std::size_t c = 0; c < in_c_; ++c) {
+        for (std::size_t iy = 0; iy < h; ++iy) {
+          std::copy_n(xin + (c * h + iy) * w, w,
+                      xp.data() + c * plane + (iy + pad) * pw + pad);
+        }
+      }
       float* yout = y.data() + s * filters_ * h * w;
       for (std::size_t f = 0; f < filters_; ++f) {
-        const float* wf = wt + f * in_c_ * k_ * k_;
+        const float* wf = wt + f * taps;
+        std::fill(acc.begin(), acc.end(), static_cast<double>(bias[f]));
+        // Taps in (c, ky, kx) order, each adding double(w * x) per output,
+        // four to a pass so an accumulator is loaded and stored once per
+        // four products.
+        double* a = acc.data();
+        std::size_t t = 0;
+        for (; t + 4 <= taps; t += 4) {
+          const float w0 = wf[t], w1 = wf[t + 1], w2 = wf[t + 2],
+                      w3 = wf[t + 3];
+          const float* x0 = xp.data() + off[t];
+          const float* x1 = xp.data() + off[t + 1];
+          const float* x2 = xp.data() + off[t + 2];
+          const float* x3 = xp.data() + off[t + 3];
+          for (std::size_t i = 0; i < span; ++i) {
+            double v = a[i];
+            v += w0 * x0[i];
+            v += w1 * x1[i];
+            v += w2 * x2[i];
+            v += w3 * x3[i];
+            a[i] = v;
+          }
+        }
+        for (; t < taps; ++t) {
+          const float wv = wf[t];
+          const float* xs = xp.data() + off[t];
+          for (std::size_t i = 0; i < span; ++i) a[i] += wv * xs[i];
+        }
+        float* yf = yout + f * h * w;
         for (std::size_t oy = 0; oy < h; ++oy) {
           for (std::size_t ox = 0; ox < w; ++ox) {
-            double acc = bias[f];
-            for (std::size_t c = 0; c < in_c_; ++c) {
-              const float* xc = xin + c * h * w;
-              const float* wc = wf + c * k_ * k_;
-              for (std::size_t ky = 0; ky < k_; ++ky) {
-                const std::ptrdiff_t iy =
-                    static_cast<std::ptrdiff_t>(oy + ky) - pad;
-                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-                for (std::size_t kx = 0; kx < k_; ++kx) {
-                  const std::ptrdiff_t ix =
-                      static_cast<std::ptrdiff_t>(ox + kx) - pad;
-                  if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) {
-                    continue;
-                  }
-                  acc += wc[ky * k_ + kx] * xc[iy * w + ix];
-                }
-              }
-            }
-            yout[f * h * w + oy * w + ox] = static_cast<float>(acc);
+            yf[oy * w + ox] = static_cast<float>(acc[oy * pw + ox]);
           }
         }
       }
@@ -204,48 +245,112 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   P2PFL_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == filters_);
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k_ / 2);
-  const float* wt = params_.data();
+  const std::size_t pad = k_ / 2, pw = w + 2 * pad;
+  const std::size_t kk = k_ * k_, fsize = in_c_ * kk;
+  const std::size_t cells = (h + 2 * pad) * pw * in_c_;  // a padded image
+  const std::size_t row = k_ * in_c_;                     // (kx, c)
+  const float* gy = grad_out.data();
   float* gw = grads_.data();
-  float* gb = grads_.data() + filters_ * in_c_ * k_ * k_;
+  float* gb = grads_.data() + filters_ * fsize;
   Tensor gx({batch, in_c_, h, w});
 
-  // Serial over batch: parameter-gradient accumulation is shared.
-  for (std::size_t s = 0; s < batch; ++s) {
-    const float* xin = x.data() + s * in_c_ * h * w;
-    const float* gy = grad_out.data() + s * filters_ * h * w;
-    float* gxi = gx.data() + s * in_c_ * h * w;
-    for (std::size_t f = 0; f < filters_; ++f) {
-      const float* wf = wt + f * in_c_ * k_ * k_;
-      float* gwf = gw + f * in_c_ * k_ * k_;
-      const float* gyf = gy + f * h * w;
-      for (std::size_t oy = 0; oy < h; ++oy) {
-        for (std::size_t ox = 0; ox < w; ++ox) {
-          const float g = gyf[oy * w + ox];
-          if (g == 0.0f) continue;
-          gb[f] += g;
-          for (std::size_t c = 0; c < in_c_; ++c) {
-            const float* xc = xin + c * h * w;
-            float* gxc = gxi + c * h * w;
-            const float* wc = wf + c * k_ * k_;
-            float* gwc = gwf + c * k_ * k_;
+  // Channel-last copies: the weights as [f][ky][kx][c] and the zero-padded
+  // inputs as [s][iy][ix][c], where input (c, iy, ix) sits at cl(c, iy,
+  // ix). One kernel row of a filter, and the input under it, are then
+  // `row` contiguous floats.
+  std::vector<float> wcl(filters_ * fsize);
+  for (std::size_t f = 0; f < filters_; ++f) {
+    for (std::size_t c = 0; c < in_c_; ++c) {
+      for (std::size_t t = 0; t < kk; ++t) {
+        wcl[(f * kk + t) * in_c_ + c] = params_[f * fsize + c * kk + t];
+      }
+    }
+  }
+  const auto cl = [&](std::size_t c, std::size_t iy, std::size_t ix) {
+    return ((iy + pad) * pw + ix + pad) * in_c_ + c;
+  };
+  std::vector<float> xcl(batch * cells);
+
+  // Pass 1, parallel over images: the input gradient. An element gathers
+  // its terms in (f, oy, ox) order, as in the direct loop; positions with
+  // a zero upstream gradient are skipped.
+  parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> gcl(cells);
+    for (std::size_t s = lo; s < hi; ++s) {
+      const float* xin = x.data() + s * in_c_ * h * w;
+      float* xs = xcl.data() + s * cells;
+      for (std::size_t c = 0; c < in_c_; ++c) {
+        for (std::size_t iy = 0; iy < h; ++iy) {
+          for (std::size_t ix = 0; ix < w; ++ix) {
+            xs[cl(c, iy, ix)] = xin[(c * h + iy) * w + ix];
+          }
+        }
+      }
+      std::fill(gcl.begin(), gcl.end(), 0.0f);
+      for (std::size_t f = 0; f < filters_; ++f) {
+        const float* gyf = gy + (s * filters_ + f) * h * w;
+        for (std::size_t oy = 0; oy < h; ++oy) {
+          for (std::size_t ox = 0; ox < w; ++ox) {
+            const float g = gyf[oy * w + ox];
+            if (g == 0.0f) continue;
             for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy + ky) - pad;
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox + kx) - pad;
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                gwc[ky * k_ + kx] += g * xc[iy * w + ix];
-                gxc[iy * w + ix] += g * wc[ky * k_ + kx];
-              }
+              float* dst = gcl.data() + ((oy + ky) * pw + ox) * in_c_;
+              const float* src = wcl.data() + (f * k_ + ky) * row;
+              for (std::size_t j = 0; j < row; ++j) dst[j] += g * src[j];
+            }
+          }
+        }
+      }
+      float* gxi = gx.data() + s * in_c_ * h * w;
+      for (std::size_t c = 0; c < in_c_; ++c) {
+        for (std::size_t iy = 0; iy < h; ++iy) {
+          for (std::size_t ix = 0; ix < w; ++ix) {
+            gxi[(c * h + iy) * w + ix] = gcl[cl(c, iy, ix)];
+          }
+        }
+      }
+    }
+  });
+
+  // Pass 2, parallel over filters: the weight and bias gradients. They
+  // start from the current grads, kept channel-last while they gather
+  // their terms in (s, oy, ox) order, as in the direct loop.
+  parallel_for_chunked(0, filters_, [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> acc((hi - lo) * fsize);
+    for (std::size_t f = lo; f < hi; ++f) {
+      for (std::size_t c = 0; c < in_c_; ++c) {
+        for (std::size_t t = 0; t < kk; ++t) {
+          acc[((f - lo) * kk + t) * in_c_ + c] = gw[f * fsize + c * kk + t];
+        }
+      }
+    }
+    for (std::size_t s = 0; s < batch; ++s) {
+      const float* xs = xcl.data() + s * cells;
+      for (std::size_t f = lo; f < hi; ++f) {
+        const float* gyf = gy + (s * filters_ + f) * h * w;
+        float* af = acc.data() + (f - lo) * fsize;
+        for (std::size_t oy = 0; oy < h; ++oy) {
+          for (std::size_t ox = 0; ox < w; ++ox) {
+            const float g = gyf[oy * w + ox];
+            if (g == 0.0f) continue;
+            gb[f] += g;
+            for (std::size_t ky = 0; ky < k_; ++ky) {
+              float* dst = af + ky * row;
+              const float* src = xs + ((oy + ky) * pw + ox) * in_c_;
+              for (std::size_t j = 0; j < row; ++j) dst[j] += g * src[j];
             }
           }
         }
       }
     }
-  }
+    for (std::size_t f = lo; f < hi; ++f) {
+      for (std::size_t c = 0; c < in_c_; ++c) {
+        for (std::size_t t = 0; t < kk; ++t) {
+          gw[f * fsize + c * kk + t] = acc[((f - lo) * kk + t) * in_c_ + c];
+        }
+      }
+    }
+  });
   return gx;
 }
 

@@ -85,7 +85,14 @@ class Dropout : public Layer {
 };
 
 /// 3x3 (configurable) same-padding convolution: (B, C, H, W) ->
-/// (B, F, H, W). Naive direct kernels parallelized over the batch.
+/// (B, F, H, W). Forward runs in parallel over images: per filter, a
+/// plane of double accumulators gathers the taps over the zero-padded
+/// image. Backward runs two passes: the input gradient in parallel over
+/// images and the weight and bias gradients in parallel over filters,
+/// both over channel-last copies. Every output element gets exactly the
+/// direct loop's arithmetic (the same float products, summed in the same
+/// order, in double for forward and float for backward), so results are
+/// bit-identical to the direct loops at any worker count.
 class Conv2d : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t filters,

@@ -57,6 +57,7 @@ EvalResult PeerTrainer::evaluate(const Dataset& test,
 EvalResult evaluate_model(Model& model, const Dataset& test, Rng& rng,
                           std::size_t max_samples, std::size_t batch_size) {
   P2PFL_CHECK(test.size() > 0);
+  P2PFL_CHECK(batch_size >= 1);
   const std::size_t total =
       max_samples > 0 ? std::min(max_samples, test.size()) : test.size();
   double loss = 0.0;

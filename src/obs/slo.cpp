@@ -253,13 +253,15 @@ std::string SloReport::table() const {
                 "evaluated", "breaches", "first breach");
   out += line;
   for (const RuleStats& r : rules) {
+    std::string first = "-";
+    if (r.breaches > 0) {
+      first = "r";
+      first += std::to_string(r.first_breach_round);
+    }
     std::snprintf(line, sizeof line, "  %-22s %10llu %9llu %12s\n",
                   r.rule.c_str(),
                   static_cast<unsigned long long>(r.evaluated),
-                  static_cast<unsigned long long>(r.breaches),
-                  r.breaches > 0
-                      ? ("r" + std::to_string(r.first_breach_round)).c_str()
-                      : "-");
+                  static_cast<unsigned long long>(r.breaches), first.c_str());
     out += line;
   }
   std::snprintf(line, sizeof line, "  %zu samples, %zu breach(es): %s\n",

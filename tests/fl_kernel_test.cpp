@@ -1,0 +1,266 @@
+// The fl kernels in the fast suite, so the sanitizer jobs cover them.
+// Conv2d's kernels run against the direct loops they replaced: they
+// promise each output element the direct loop's arithmetic (the same
+// float products, summed in the same order into the same accumulator
+// type), so every element must compare equal with ==, at any worker
+// count.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <span>
+#include <stdexcept>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "fl/data.hpp"
+#include "fl/layers.hpp"
+#include "fl/model.hpp"
+#include "fl/trainer.hpp"
+
+namespace p2pfl::fl {
+namespace {
+
+// --- the direct loops (the oracle) -------------------------------------------
+// Conv2d::forward and Conv2d::backward as they were before the kernels
+// were vectorized, with the members turned into parameters.
+
+Tensor direct_forward(std::span<const float> params, std::size_t in_c,
+                      std::size_t filters, std::size_t k, const Tensor& x) {
+  const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k / 2);
+  Tensor y({batch, filters, h, w});
+  const float* wt = params.data();
+  const float* bias = params.data() + filters * in_c * k * k;
+
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* xin = x.data() + s * in_c * h * w;
+    float* yout = y.data() + s * filters * h * w;
+    for (std::size_t f = 0; f < filters; ++f) {
+      const float* wf = wt + f * in_c * k * k;
+      for (std::size_t oy = 0; oy < h; ++oy) {
+        for (std::size_t ox = 0; ox < w; ++ox) {
+          double acc = bias[f];
+          for (std::size_t c = 0; c < in_c; ++c) {
+            const float* xc = xin + c * h * w;
+            const float* wc = wf + c * k * k;
+            for (std::size_t ky = 0; ky < k; ++ky) {
+              const std::ptrdiff_t iy =
+                  static_cast<std::ptrdiff_t>(oy + ky) - pad;
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+              for (std::size_t kx = 0; kx < k; ++kx) {
+                const std::ptrdiff_t ix =
+                    static_cast<std::ptrdiff_t>(ox + kx) - pad;
+                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) {
+                  continue;
+                }
+                acc += wc[ky * k + kx] * xc[iy * w + ix];
+              }
+            }
+          }
+          yout[f * h * w + oy * w + ox] = static_cast<float>(acc);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+// Accumulates into `grads` (weights then bias) and returns the input
+// gradient.
+Tensor direct_backward(std::span<const float> params, std::span<float> grads,
+                       std::size_t in_c, std::size_t filters, std::size_t k,
+                       const Tensor& x, const Tensor& grad_out) {
+  const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k / 2);
+  const float* wt = params.data();
+  float* gw = grads.data();
+  float* gb = grads.data() + filters * in_c * k * k;
+  Tensor gx({batch, in_c, h, w});
+
+  // Serial over batch: parameter-gradient accumulation is shared.
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* xin = x.data() + s * in_c * h * w;
+    const float* gy = grad_out.data() + s * filters * h * w;
+    float* gxi = gx.data() + s * in_c * h * w;
+    for (std::size_t f = 0; f < filters; ++f) {
+      const float* wf = wt + f * in_c * k * k;
+      float* gwf = gw + f * in_c * k * k;
+      const float* gyf = gy + f * h * w;
+      for (std::size_t oy = 0; oy < h; ++oy) {
+        for (std::size_t ox = 0; ox < w; ++ox) {
+          const float g = gyf[oy * w + ox];
+          if (g == 0.0f) continue;
+          gb[f] += g;
+          for (std::size_t c = 0; c < in_c; ++c) {
+            const float* xc = xin + c * h * w;
+            float* gxc = gxi + c * h * w;
+            const float* wc = wf + c * k * k;
+            float* gwc = gwf + c * k * k;
+            for (std::size_t ky = 0; ky < k; ++ky) {
+              const std::ptrdiff_t iy =
+                  static_cast<std::ptrdiff_t>(oy + ky) - pad;
+              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
+              for (std::size_t kx = 0; kx < k; ++kx) {
+                const std::ptrdiff_t ix =
+                    static_cast<std::ptrdiff_t>(ox + kx) - pad;
+                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
+                gwc[ky * k + kx] += g * xc[iy * w + ix];
+                gxc[iy * w + ix] += g * wc[ky * k + kx];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return gx;
+}
+
+// --- the comparison ----------------------------------------------------------
+
+struct Shape {
+  std::size_t batch, in_c, filters, h, w, k;
+};
+
+std::string describe(const Shape& s) {
+  std::ostringstream os;
+  os << "batch " << s.batch << ", " << s.in_c << "->" << s.filters << " at "
+     << s.h << "x" << s.w << ", kernel " << s.k;
+  return os.str();
+}
+
+// Element-wise ==, naming the first differing element.
+::testing::AssertionResult all_equal(const char* what,
+                                     std::span<const float> got,
+                                     std::span<const float> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << what << ": " << got.size() << " elements, want " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!(got[i] == want[i])) {
+      return ::testing::AssertionFailure()
+             << what << "[" << i << "] = " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng, double zeros,
+                     double lo, double hi) {
+  Tensor t(std::move(shape));
+  for (float& v : t.flat()) {
+    v = rng.chance(zeros) ? 0.0f : static_cast<float>(rng.uniform(lo, hi));
+  }
+  return t;
+}
+
+// Runs Conv2d at 1 and 4 workers against the direct loops: the forward
+// output, then two backward calls without zero_grads (the second must
+// accumulate onto the first), each checked element by element.
+void expect_matches_direct(const Shape& s, double grad_zeros,
+                           std::uint64_t seed) {
+  SCOPED_TRACE(describe(s) + ", upstream zeros " + std::to_string(grad_zeros));
+  Rng rng(seed);
+  Conv2d conv(s.in_c, s.filters, s.k);
+  conv.init(rng);
+  const std::span<float> params = conv.params();
+  for (std::size_t i = params.size() - s.filters; i < params.size(); ++i) {
+    params[i] = static_cast<float>(rng.uniform(-0.5, 0.5));  // biases
+  }
+  // Non-negative inputs with exact zeros, as a ReLU leaves them.
+  const Tensor x =
+      random_tensor({s.batch, s.in_c, s.h, s.w}, rng, 0.3, 0.0, 2.0);
+  const Tensor gy = random_tensor({s.batch, s.filters, s.h, s.w}, rng,
+                                  grad_zeros, -1.0, 1.0);
+
+  const Tensor want_y = direct_forward(params, s.in_c, s.filters, s.k, x);
+  std::vector<float> want_grads(params.size(), 0.0f);
+  const Tensor want_gx =
+      direct_backward(params, want_grads, s.in_c, s.filters, s.k, x, gy);
+  std::vector<float> want_grads2 = want_grads;
+  direct_backward(params, want_grads2, s.in_c, s.filters, s.k, x, gy);
+
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    set_parallel_workers(workers);
+    Rng unused(0);
+    conv.zero_grads();
+    const Tensor y = conv.forward(x, /*train=*/true, unused);
+    EXPECT_EQ(y.shape(), want_y.shape());
+    EXPECT_TRUE(all_equal("forward", y.flat(), want_y.flat()));
+    const Tensor gx = conv.backward(gy);
+    EXPECT_EQ(gx.shape(), x.shape());
+    EXPECT_TRUE(all_equal("input grad", gx.flat(), want_gx.flat()));
+    EXPECT_TRUE(all_equal("param grads", conv.grads(), want_grads));
+    const Tensor gx2 = conv.backward(gy);
+    EXPECT_TRUE(all_equal("second input grad", gx2.flat(), want_gx.flat()));
+    EXPECT_TRUE(
+        all_equal("accumulated param grads", conv.grads(), want_grads2));
+  }
+  set_parallel_workers(0);  // restore the hardware default
+}
+
+// The four conv layers of the Fig. 5 CNN at a training batch of 8, with a
+// dense upstream gradient and with one that is ~85% zeros, as after ReLU
+// and max pooling.
+TEST(ConvOracle, PaperConv1) {
+  expect_matches_direct({8, 3, 32, 32, 32, 3}, 0.0, 11);
+  expect_matches_direct({8, 3, 32, 32, 32, 3}, 0.85, 12);
+}
+
+TEST(ConvOracle, PaperConv2) {
+  expect_matches_direct({8, 32, 32, 32, 32, 3}, 0.0, 21);
+  expect_matches_direct({8, 32, 32, 32, 32, 3}, 0.85, 22);
+}
+
+TEST(ConvOracle, PaperConv3) {
+  expect_matches_direct({8, 32, 64, 16, 16, 3}, 0.0, 31);
+  expect_matches_direct({8, 32, 64, 16, 16, 3}, 0.85, 32);
+}
+
+TEST(ConvOracle, PaperConv4) {
+  expect_matches_direct({8, 64, 64, 16, 16, 3}, 0.0, 41);
+  expect_matches_direct({8, 64, 64, 16, 16, 3}, 0.85, 42);
+}
+
+TEST(ConvOracle, EdgeShapes) {
+  const Shape shapes[] = {
+      {1, 4, 5, 8, 8, 3},   // batch 1
+      {3, 4, 5, 8, 8, 3},   // batch 3: uneven split over 4 workers
+      {3, 1, 6, 8, 8, 3},   // one input channel
+      {3, 4, 5, 6, 10, 3},  // non-square input
+      {3, 4, 5, 6, 10, 1},  // kernel 1: no padding
+      {3, 4, 5, 6, 10, 5},  // kernel 5
+      {3, 4, 5, 2, 2, 5},   // input smaller than the kernel
+  };
+  std::uint64_t seed = 50;
+  for (const Shape& s : shapes) {
+    expect_matches_direct(s, 0.0, ++seed);
+    expect_matches_direct(s, 0.85, ++seed);
+  }
+}
+
+// evaluate_model steps through the test set batch_size samples at a time;
+// a batch size of 0 would never advance.
+TEST(EvaluateModel, RejectsZeroBatchSize) {
+  Dataset test;
+  test.height = 2;
+  test.width = 2;
+  test.classes = 2;
+  test.images = {0.0f, 1.0f, 0.0f, 1.0f, 1.0f, 0.0f, 1.0f, 0.0f};
+  test.labels = {0, 1};
+  Model model = Model::mlp(4, {3}, 2);
+  Rng rng(1);
+  model.init(rng);
+  EXPECT_THROW(evaluate_model(model, test, rng, 0, 0), std::logic_error);
+  const EvalResult ok = evaluate_model(model, test, rng, 0, 1);
+  EXPECT_GE(ok.accuracy, 0.0);
+  EXPECT_LE(ok.accuracy, 1.0);
+}
+
+}  // namespace
+}  // namespace p2pfl::fl

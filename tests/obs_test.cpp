@@ -191,7 +191,9 @@ TEST(TraceStream, CapacityCapCountsDrops) {
   tr.set_capacity(3);
   for (int i = 0; i < 10; ++i) {
     clock = i;
-    tr.instant("sim", "e" + std::to_string(i), 0);
+    std::string name = "e";
+    name += std::to_string(i);
+    tr.instant("sim", name, 0);
   }
   // Ring semantics: the cap evicts the *oldest* events, so the stream
   // always holds the newest `capacity` in arrival order.

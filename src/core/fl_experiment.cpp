@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/model.hpp"
 #include "fl/optimizer.hpp"
@@ -139,12 +140,17 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
                                    static_cast<double>(m_groups)));
 
   for (std::size_t round = 1; round <= cfg.rounds; ++round) {
-    // Local update on every peer.
-    double train_loss = 0.0;
-    for (std::size_t p = 0; p < cfg.peers; ++p) {
+    // Local update on every peer, the peers training concurrently as on
+    // their own machines. A peer owns its model, optimizer state and Rng
+    // and only reads `global` and the training set; its kernels run
+    // inline on its task's thread. Losses are summed in peer order.
+    std::vector<double> losses(cfg.peers);
+    parallel_for(0, cfg.peers, [&](std::size_t p) {
       peers[p]->set_weights(global);
-      train_loss += peers[p]->train_round(cfg.train);
-    }
+      losses[p] = peers[p]->train_round(cfg.train);
+    });
+    double train_loss = 0.0;
+    for (double loss : losses) train_loss += loss;
     train_loss /= static_cast<double>(cfg.peers);
 
     // Slow-subgroup selection (Figs. 8-9): the FedAvg leader only waits

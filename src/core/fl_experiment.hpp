@@ -7,10 +7,15 @@
 //     fault-tolerant variant of Alg. 4 with injected dropouts),
 //   * plain FedAvg (no secure aggregation; the m = N corner of Fig. 13),
 // and the global model is evaluated on the test set. Aggregation here
-// uses the math form of SAC (secagg/sac.hpp) — identical numerics to the
-// message-driven actor without paying for simulated transport in a
+// uses the math form of SAC (secagg/sac.hpp), which computes the same
+// average as the message-driven actor up to float rounding (the two
+// agree within 1e-5) without paying for simulated transport in a
 // 1000-round loop; the actor path is exercised by core/two_layer_agg and
 // the integration tests.
+//
+// A round uses every parallel_for worker: the peers train concurrently,
+// one task per peer, and each subgroup's SAC streams over the model on
+// all workers. Every result is bit-identical at any worker count.
 //
 // Scale knobs (model kind, rounds, samples) default to CI-friendly
 // values; the bench binaries expose flags to run the paper's full

@@ -1,6 +1,10 @@
 #include "secagg/sac.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace p2pfl::secagg {
 
@@ -25,25 +29,86 @@ std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
   return out;
 }
 
+namespace {
+
+// Alg. 2's average in one streamed pass over the model (DESIGN.md,
+// "Math-path round"). Per block, each peer's shares, in peer order, are
+// added into n double subtotals that start at 0.0; per element the
+// subtotals, each rounded to float, are summed in share order and the sum
+// divided by n. That is the arithmetic of materializing every share and
+// subtotal, element for element, with O(n·kSplitBlock) scratch per
+// worker. `seeded` holds peer i's splitter, positioned at block 0; a
+// worker copies them and skips to its first block, so the result does not
+// depend on the worker count.
+Vector streamed_average(std::span<const Vector> models,
+                        const std::vector<ShareSplitter>& seeded) {
+  const std::size_t n = models.size();
+  const std::size_t dim = models.front().size();
+  const std::size_t blocks = (dim + kSplitBlock - 1) / kSplitBlock;
+  Vector out(dim);
+  parallel_for_chunked(0, blocks, [&](std::size_t lo, std::size_t hi) {
+    std::vector<ShareSplitter> splitters = seeded;
+    for (ShareSplitter& s : splitters) s.skip(lo);
+    std::vector<float> shares(n * kSplitBlock);
+    std::vector<float*> rows(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      rows[s] = shares.data() + s * kSplitBlock;
+    }
+    std::vector<double> subtotal(n * kSplitBlock);
+    std::vector<double> work;
+    std::array<double, kSplitBlock> total{};
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t base = b * kSplitBlock;
+      const std::size_t len = std::min(kSplitBlock, dim - base);
+      std::fill(subtotal.begin(), subtotal.end(), 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        splitters[i].split(std::span(models[i]).subspan(base, len), rows,
+                           work);
+        for (std::size_t s = 0; s < n; ++s) {
+          const float* share = rows[s];
+          double* sub = subtotal.data() + s * kSplitBlock;
+          for (std::size_t e = 0; e < len; ++e) {
+            sub[e] += static_cast<double>(share[e]);
+          }
+        }
+      }
+      std::fill_n(total.begin(), len, 0.0);
+      for (std::size_t s = 0; s < n; ++s) {
+        const double* sub = subtotal.data() + s * kSplitBlock;
+        for (std::size_t e = 0; e < len; ++e) {
+          total[e] += static_cast<double>(static_cast<float>(sub[e]));
+        }
+      }
+      for (std::size_t e = 0; e < len; ++e) {
+        out[base + e] =
+            static_cast<float>(total[e] / static_cast<double>(n));
+      }
+    }
+  });
+  return out;
+}
+
+// Each peer's splitter, seeded in peer order: one rng draw per peer.
+std::vector<ShareSplitter> seed_splitters(std::span<const Vector> models,
+                                          Rng& rng, SplitScheme scheme) {
+  const std::size_t n = models.size();
+  std::vector<ShareSplitter> splitters;
+  splitters.reserve(n);
+  for (const Vector& m : models) {
+    P2PFL_CHECK(m.size() == models.front().size());
+    splitters.emplace_back(n, scheme, rng);
+  }
+  return splitters;
+}
+
+}  // namespace
+
 Vector sac_average(std::span<const Vector> models, Rng& rng,
                    SplitScheme scheme) {
   P2PFL_CHECK(!models.empty());
-  const std::size_t n = models.size();
-  const std::size_t dim = models.front().size();
-
-  // Subtotal s accumulates share s of every peer's model; summing the
-  // subtotals reproduces the sum of the models (Eq. 1-3).
-  std::vector<std::vector<double>> subtotal(n, std::vector<double>(dim, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    P2PFL_CHECK(models[i].size() == dim);
-    const auto shares = divide(models[i], n, rng, scheme);
-    for (std::size_t s = 0; s < n; ++s) accumulate(subtotal[s], shares[s]);
-  }
-  std::vector<double> total(dim, 0.0);
-  for (std::size_t s = 0; s < n; ++s) {
-    accumulate(total, to_vector(subtotal[s]));
-  }
-  return to_vector(total, static_cast<double>(n));
+  // Subtotal s sums share s of every peer's model; summing the subtotals
+  // reproduces the sum of the models (Eq. 1-3).
+  return streamed_average(models, seed_splitters(models, rng, scheme));
 }
 
 FtSacResult fault_tolerant_sac_average(
@@ -54,7 +119,6 @@ FtSacResult fault_tolerant_sac_average(
   const std::size_t n = models.size();
   P2PFL_CHECK(k >= 1 && k <= n);
   P2PFL_CHECK(crashed_after_sharing.size() == n);
-  const std::size_t dim = models.front().size();
 
   FtSacResult result;
   for (std::size_t j = 0; j < n; ++j) {
@@ -62,16 +126,11 @@ FtSacResult fault_tolerant_sac_average(
   }
   if (result.alive == 0) return result;
 
-  // Share phase completed before any crash: every peer's shares exist.
-  std::vector<std::vector<Vector>> shares;  // shares[i][s]
-  shares.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    P2PFL_CHECK(models[i].size() == dim);
-    shares.push_back(divide(models[i], n, rng, scheme));
-  }
+  // Share phase completed before any crash: every peer split its model.
+  const std::vector<ShareSplitter> splitters =
+      seed_splitters(models, rng, scheme);
 
   // Reconstruction: each subtotal must be obtainable from a live holder.
-  std::vector<double> total(dim, 0.0);
   for (std::size_t s = 0; s < n; ++s) {
     bool have = false;
     for (std::size_t holder : subtotal_holders(s, n, k)) {
@@ -81,12 +140,9 @@ FtSacResult fault_tolerant_sac_average(
       }
     }
     if (!have) return result;  // ok stays false
-    std::vector<double> sub(dim, 0.0);
-    for (std::size_t i = 0; i < n; ++i) accumulate(sub, shares[i][s]);
-    accumulate(total, to_vector(sub));
   }
   result.ok = true;
-  result.average = to_vector(total, static_cast<double>(n));
+  result.average = streamed_average(models, splitters);
   return result;
 }
 

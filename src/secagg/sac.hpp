@@ -2,10 +2,19 @@
 //
 // Implements the math of Alg. 2 (n-out-of-n SAC) and Alg. 4
 // (fault-tolerant k-out-of-n SAC with replicated additive secret
-// sharing) directly on in-memory share matrices. The federated-training
-// experiments (Figs. 6-9) call these per round — they produce bit-exactly
-// the same averages the message-driven actor (sac_actor.hpp) converges
-// to, without paying for simulated message passing in the inner loop.
+// sharing) without messages; the federated-training experiments (Figs.
+// 6-9) call these per round. Both stream over the model: each peer's
+// ShareSplitter (shares.hpp) yields its shares one kSplitBlock-element
+// block at a time, and each block's n subtotals and their sum are formed
+// there and dropped, so no share or subtotal is ever stored whole. The
+// blocks run in parallel on the parallel_for workers. The average equals,
+// bit for bit and at any worker count, what splitting each model with
+// divide() and summing the share vectors, then the subtotals, gives.
+//
+// The message-driven actor (sac_actor.hpp) computes the same average but
+// not bit for bit: each of its peers splits with its own Rng, and a
+// subtotal adds shares in arrival order. The two agree within 1e-5
+// (TwoLayerAgg.EngineMatchesMathLoopOracle).
 //
 // Share placement (Alg. 4, 0-based): peer j holds, from every peer i,
 // the n−k+1 consecutive shares with indices {j, j+1, …, j+n−k} mod n.
@@ -48,7 +57,8 @@ std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
 
 /// Plain SAC (Alg. 2): every peer splits its model, shares are exchanged
 /// and subtotals broadcast; returns the common average. All models must
-/// have equal size; models.size() >= 1.
+/// have equal size; models.size() >= 1. Draws n values from `rng`, one
+/// per peer in peer order.
 Vector sac_average(std::span<const Vector> models, Rng& rng,
                    SplitScheme scheme = SplitScheme::kProportional);
 
@@ -65,7 +75,8 @@ struct FtSacResult {
 /// Fault-tolerant SAC (Alg. 4): all n peers distribute shares, then the
 /// peers flagged in `crashed_after_sharing` fail. The leader (first live
 /// position) reconstructs the average from live subtotal holders.
-/// Guaranteed ok when alive >= k.
+/// Guaranteed ok when alive >= k. Draws n values from `rng`, as
+/// sac_average() does, unless every peer crashed: then none.
 FtSacResult fault_tolerant_sac_average(
     std::span<const Vector> models, std::size_t k,
     const std::vector<bool>& crashed_after_sharing, Rng& rng,

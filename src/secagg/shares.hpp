@@ -19,6 +19,7 @@
 // sac.hpp; this header only creates and sums shares.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,6 +40,40 @@ enum class SplitScheme {
 /// Amplitude of the kUniformMask noise shares.
 inline constexpr double kMaskRange = 1.0;
 
+/// Elements per block of a split: the secret is split kSplitBlock
+/// elements at a time, each block's randomness drawn in one run.
+inline constexpr std::size_t kSplitBlock = 256;
+
+/// The block kernel of a split, shared by divide() and the streamed SAC
+/// (sac.hpp). A splitter owns the generator private to one split of a
+/// secret into n shares: xoshiro256+, seeded by exactly one
+/// rng.next_u64(). It splits the secret one block at a time, in order,
+/// and writes each block's n shares wherever the caller points, so
+/// splitting a secret block by block yields divide()'s shares bit for
+/// bit. A copy continues the same sequence on its own, which lets each
+/// thread stream its own range of blocks.
+class ShareSplitter {
+ public:
+  ShareSplitter(std::size_t n, SplitScheme scheme, Rng& rng);
+
+  /// Splits the next block `x` (1 to kSplitBlock elements, a full block
+  /// unless it ends the secret): share i of x[e] goes to shares[i][e].
+  /// `work` is scratch the call sizes to at most n·kSplitBlock doubles;
+  /// nothing in it carries over between calls.
+  void split(std::span<const float> x, std::span<float* const> shares,
+             std::vector<double>& work);
+
+  /// Advances past `blocks` full blocks without computing their shares:
+  /// the n·kSplitBlock (kProportional) or (n−1)·kSplitBlock
+  /// (kUniformMask) draws split() makes per block.
+  void skip(std::size_t blocks);
+
+ private:
+  std::array<std::uint64_t, 4> state_{};  // xoshiro256+
+  std::size_t n_;
+  SplitScheme scheme_;
+};
+
 /// Split `secret` into n shares that sum (exactly up to FP rounding) to
 /// it. n >= 1. Shares all have secret.size() elements.
 ///
@@ -46,8 +81,8 @@ inline constexpr double kMaskRange = 1.0;
 /// uniform in [0, 1)) and sets share_i = f_i / Σf · x; kUniformMask draws
 /// n−1 masks uniform in [−kMaskRange, kMaskRange) and sets the last share
 /// to x minus their sum, taken in double. The randomness comes from a
-/// generator private to the split, seeded by exactly one rng.next_u64(),
-/// so a call advances `rng` by one draw whatever the size of the secret.
+/// ShareSplitter run over the secret's blocks, so a call advances `rng`
+/// by one draw whatever the size of the secret.
 std::vector<Vector> divide(std::span<const float> secret, std::size_t n,
                            Rng& rng,
                            SplitScheme scheme = SplitScheme::kProportional);

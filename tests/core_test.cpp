@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/cost_model.hpp"
+#include "common/parallel.hpp"
 #include "core/agg_cost_sim.hpp"
 #include "core/fl_experiment.hpp"
 #include "core/topology.hpp"
@@ -295,6 +297,20 @@ TEST(FlExperiment, ObserverSeesEveryRound) {
     EXPECT_EQ(rec.round, calls);
   });
   EXPECT_EQ(calls, cfg.rounds);
+}
+
+TEST(FlExperiment, ZeroBatchSizeThrowsAtAnyWorkerCount) {
+  // train_round rejects a zero batch size; with the peers training
+  // concurrently the error must still reach the caller.
+  FlExperimentConfig cfg = tiny_config();
+  cfg.rounds = 1;
+  cfg.train.batch_size = 0;
+  for (std::size_t workers : {1u, 4u}) {
+    set_parallel_workers(workers);
+    EXPECT_THROW(run_fl_experiment(cfg), std::logic_error)
+        << "workers=" << workers;
+  }
+  set_parallel_workers(0);  // restore the hardware default
 }
 
 TEST(MovingAverage, WindowedMean) {

@@ -3,10 +3,12 @@
 // repo replayable and every failure seed debuggable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/fl_experiment.hpp"
 #include "core/two_layer_raft.hpp"
 #include "obs/export.hpp"
@@ -152,6 +154,28 @@ TEST(Determinism, KernelEventOrderMatchesPreWheelGolden) {
   EXPECT_EQ(fnv1a64(trace), kGoldenTraceHash);
 }
 
+// The peers of a round train concurrently and SAC streams on the
+// parallel_for workers, so the same seed must give the same run at any
+// worker count: one run on 1 worker, one on 4. Returns the first.
+core::FlExperimentResult expect_fl_bit_exact_across_worker_counts(
+    const core::FlExperimentConfig& cfg) {
+  set_parallel_workers(1);
+  const auto a = core::run_fl_experiment(cfg);
+  set_parallel_workers(4);
+  const auto b = core::run_fl_experiment(cfg);
+  set_parallel_workers(0);  // restore the hardware default
+  EXPECT_EQ(a.final_weights, b.final_weights);  // bit-identical weights
+  EXPECT_EQ(a.subgroup_quorum_failures, b.subgroup_quorum_failures);
+  EXPECT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < std::min(a.records.size(), b.records.size());
+       ++i) {
+    EXPECT_EQ(a.records[i].train_loss, b.records[i].train_loss);
+    EXPECT_EQ(a.records[i].test_accuracy, b.records[i].test_accuracy);
+    EXPECT_EQ(a.records[i].test_loss, b.records[i].test_loss);
+  }
+  return a;
+}
+
 TEST(Determinism, FlExperimentBitExactAcrossRuns) {
   core::FlExperimentConfig cfg;
   cfg.peers = 6;
@@ -163,14 +187,21 @@ TEST(Determinism, FlExperimentBitExactAcrossRuns) {
   cfg.data.train_samples = 240;
   cfg.data.test_samples = 60;
   cfg.seed = 77;
-  const auto a = core::run_fl_experiment(cfg);
-  const auto b = core::run_fl_experiment(cfg);
-  EXPECT_EQ(a.final_weights, b.final_weights);  // bit-identical weights
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].train_loss, b.records[i].train_loss);
-    EXPECT_EQ(a.records[i].test_accuracy, b.records[i].test_accuracy);
-  }
+  expect_fl_bit_exact_across_worker_counts(cfg);
+
+  // k-of-n SAC with crashes after the share phase (some subgroups below
+  // quorum), half the subgroups awaited, sample-weighted members.
+  cfg.peers = 10;
+  cfg.group_size = 5;
+  cfg.sac_k = 3;
+  cfg.dropout_after_share_prob = 0.5;
+  cfg.fraction_p = 0.5;
+  cfg.weight_by_samples = true;
+  cfg.distribution = core::DataDistribution::kNonIid5;
+  cfg.rounds = 8;
+  EXPECT_GT(expect_fl_bit_exact_across_worker_counts(cfg)
+                .subgroup_quorum_failures,
+            0u);
 }
 
 TEST(Determinism, FlExperimentSeedChangesWeights) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
@@ -58,6 +63,63 @@ TEST(Parallel, WorkerOverrideRoundTrips) {
   EXPECT_EQ(sum.load(), 4950);
   set_parallel_workers(0);  // restore hardware default
   EXPECT_EQ(parallel_workers(), before == 0 ? parallel_workers() : before);
+}
+
+TEST(Parallel, FirstExceptionReachesCallerAfterEveryChunk) {
+  set_parallel_workers(4);
+  // 100 indices in chunks of 25: [0, 25) runs on the caller, the rest on
+  // three threads. One index throws on the caller's chunk and one on a
+  // worker's; the two chunks that do not throw must still run to the end
+  // before the exception reaches the caller.
+  std::atomic<int> finished{0};
+  EXPECT_THROW(parallel_for(0, 100,
+                            [&](std::size_t i) {
+                              if (i == 10 || i == 60) {
+                                throw std::logic_error("index " +
+                                                       std::to_string(i));
+                              }
+                              if ((i >= 25 && i < 50) || i >= 75) ++finished;
+                            }),
+               std::logic_error);
+  EXPECT_EQ(finished.load(), 50);
+
+  // The caller left its chunk by an exception; a following call must
+  // still start threads rather than run inline as a nested call would.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(0, 4, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GT(ids.size(), 1u);
+  set_parallel_workers(0);  // restore the hardware default
+}
+
+TEST(Parallel, NestedCallRunsInlineOnItsThread) {
+  set_parallel_workers(4);
+  struct Call {
+    std::thread::id outer, inner;
+    std::size_t lo = 0, hi = 0;
+    int calls = 0;
+  };
+  std::vector<Call> calls(4);
+  parallel_for(0, calls.size(), [&](std::size_t task) {
+    Call& c = calls[task];
+    c.outer = std::this_thread::get_id();
+    parallel_for_chunked(0, 1000, [&](std::size_t lo, std::size_t hi) {
+      c.inner = std::this_thread::get_id();
+      c.lo = lo;
+      c.hi = hi;
+      ++c.calls;
+    });
+  });
+  for (const Call& c : calls) {
+    EXPECT_EQ(c.calls, 1);
+    EXPECT_EQ(c.lo, 0u);
+    EXPECT_EQ(c.hi, 1000u);
+    EXPECT_EQ(c.inner, c.outer);
+  }
+  set_parallel_workers(0);  // restore the hardware default
 }
 
 TEST(Log, LevelGatingAndRestore) {

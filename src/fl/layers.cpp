@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/parallel.hpp"
+#include "fl/kernel_isa.hpp"
 
 namespace p2pfl::fl {
 
@@ -24,6 +25,11 @@ void Dense::init(Rng& rng) {
   for (std::size_t i = out_ * in_; i < params_.size(); ++i) params_[i] = 0.0f;
 }
 
+// The Dense kernels give each output element the direct loop's arithmetic
+// (see layers.hpp); the direct loops are their oracle in
+// tests/fl_kernel_test.cpp. Their bodies run through widest()
+// (kernel_isa.hpp).
+
 Tensor Dense::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   P2PFL_CHECK(x.rank() == 2 && x.dim(1) == in_);
   cached_input_ = x;
@@ -32,73 +38,129 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   const float* w = params_.data();
   const float* b = params_.data() + out_ * in_;
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      const float* xin = x.data() + s * in_;
-      float* yout = y.data() + s * out_;
+    widest([&]() __attribute__((always_inline)) {
+      // The chunk's inputs as xt[i][s]: each output's double chain over
+      // the inputs, in order, then runs for every sample at once, samples
+      // innermost, so it vectorizes across samples.
+      const std::size_t n = hi - lo;
+      std::vector<float> xt(in_ * n);
+      for (std::size_t s = 0; s < n; ++s) {
+        const float* xin = x.data() + (lo + s) * in_;
+        for (std::size_t i = 0; i < in_; ++i) xt[i * n + s] = xin[i];
+      }
+      std::vector<double> acc(n);
+      double* a = acc.data();
+      float* yout = y.data() + lo * out_;
       for (std::size_t o = 0; o < out_; ++o) {
         const float* wrow = w + o * in_;
-        double acc = b[o];
-        for (std::size_t i = 0; i < in_; ++i) acc += wrow[i] * xin[i];
-        yout[o] = static_cast<float>(acc);
+        std::fill(acc.begin(), acc.end(), static_cast<double>(b[o]));
+        // Inputs in order, four to a pass, as the conv taps.
+        std::size_t i = 0;
+        for (; i + 4 <= in_; i += 4) {
+          const float w0 = wrow[i], w1 = wrow[i + 1], w2 = wrow[i + 2],
+                      w3 = wrow[i + 3];
+          const float* x0 = xt.data() + i * n;
+          const float* x1 = x0 + n;
+          const float* x2 = x1 + n;
+          const float* x3 = x2 + n;
+          for (std::size_t s = 0; s < n; ++s) {
+            double v = a[s];
+            v += w0 * x0[s];
+            v += w1 * x1[s];
+            v += w2 * x2[s];
+            v += w3 * x3[s];
+            a[s] = v;
+          }
+        }
+        for (; i < in_; ++i) {
+          const float wv = wrow[i];
+          const float* xi = xt.data() + i * n;
+          for (std::size_t s = 0; s < n; ++s) a[s] += wv * xi[s];
+        }
+        for (std::size_t s = 0; s < n; ++s) {
+          yout[s * out_ + o] = static_cast<float>(acc[s]);
+        }
       }
-    }
+    });
   });
   return y;
 }
 
-Tensor Dense::backward(const Tensor& grad_out) {
+Tensor Dense::backward(const Tensor& grad_out, bool input_grad) {
   const Tensor& x = cached_input_;
   P2PFL_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_);
   P2PFL_CHECK(grad_out.dim(0) == x.dim(0));
   const std::size_t batch = x.dim(0);
   const float* w = params_.data();
+  const float* gy = grad_out.data();
   float* gw = grads_.data();
   float* gb = grads_.data() + out_ * in_;
 
-  // Parameter gradients (serial over batch: accumulation race otherwise).
-  for (std::size_t s = 0; s < batch; ++s) {
-    const float* xin = x.data() + s * in_;
-    const float* gy = grad_out.data() + s * out_;
+  // Parameter gradients, serial: each element adds its samples' terms in
+  // sample order. One output at a time, so its weight-gradient row stays
+  // in cache while the samples pass over it.
+  widest([&]() __attribute__((always_inline)) {
     for (std::size_t o = 0; o < out_; ++o) {
       float* gwrow = gw + o * in_;
-      const float g = gy[o];
-      for (std::size_t i = 0; i < in_; ++i) gwrow[i] += g * xin[i];
-      gb[o] += g;
+      for (std::size_t s = 0; s < batch; ++s) {
+        const float* xin = x.data() + s * in_;
+        const float g = gy[s * out_ + o];
+        for (std::size_t i = 0; i < in_; ++i) gwrow[i] += g * xin[i];
+        gb[o] += g;
+      }
     }
-  }
+  });
+  if (!input_grad) return {};
 
   Tensor gx({batch, in_});
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      const float* gy = grad_out.data() + s * out_;
-      float* gxi = gx.data() + s * in_;
+    widest([&]() __attribute__((always_inline)) {
+      // Each element adds its outputs' terms in output order; one output
+      // at a time, so its weight row stays in cache across the samples.
       for (std::size_t o = 0; o < out_; ++o) {
         const float* wrow = w + o * in_;
-        const float g = gy[o];
-        for (std::size_t i = 0; i < in_; ++i) gxi[i] += g * wrow[i];
+        for (std::size_t s = lo; s < hi; ++s) {
+          float* gxi = gx.data() + s * in_;
+          const float g = gy[s * out_ + o];
+          for (std::size_t i = 0; i < in_; ++i) gxi[i] += g * wrow[i];
+        }
       }
-    }
+    });
   });
   return gx;
 }
 
 // --- ReLU --------------------------------------------------------------------
 
+// ReLU and MaxPool2d run in parallel over images, as the conv kernels do;
+// each output element is computed as in a serial loop.
+
 Tensor ReLU::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   cached_input_ = x;
-  Tensor y = x;
-  for (float& v : y.flat()) v = v > 0.0f ? v : 0.0f;
+  Tensor y(x.shape());
+  const std::size_t per = x.empty() ? 0 : x.size() / x.dim(0);
+  const float* xd = x.data();
+  float* yd = y.data();
+  parallel_for_chunked(0, x.dim(0), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo * per; i < hi * per; ++i) {
+      yd[i] = xd[i] > 0.0f ? xd[i] : 0.0f;
+    }
+  });
   return y;
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
+Tensor ReLU::backward(const Tensor& grad_out, bool /*input_grad*/) {
   P2PFL_CHECK(grad_out.size() == cached_input_.size());
-  Tensor gx = grad_out;
+  Tensor gx(grad_out.shape());
+  const std::size_t per = gx.empty() ? 0 : gx.size() / gx.dim(0);
   const float* x = cached_input_.data();
+  const float* gy = grad_out.data();
   float* g = gx.data();
-  for (std::size_t i = 0; i < gx.size(); ++i) {
-    if (x[i] <= 0.0f) g[i] = 0.0f;
-  }
+  parallel_for_chunked(0, gx.dim(0), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo * per; i < hi * per; ++i) {
+      g[i] = x[i] <= 0.0f ? 0.0f : gy[i];
+    }
+  });
   return gx;
 }
 
@@ -125,7 +187,7 @@ Tensor Dropout::forward(const Tensor& x, bool train, Rng& rng) {
   return y;
 }
 
-Tensor Dropout::backward(const Tensor& grad_out) {
+Tensor Dropout::backward(const Tensor& grad_out, bool /*input_grad*/) {
   if (mask_.empty()) return grad_out;
   P2PFL_CHECK(grad_out.size() == mask_.size());
   Tensor gx = grad_out;
@@ -188,60 +250,62 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   }
 
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
-    // Zero-padded image; the tail keeps the dropped positions in bounds.
-    std::vector<float> xp(in_c_ * plane + 2 * pad);
-    std::vector<double> acc(span);
-    for (std::size_t s = lo; s < hi; ++s) {
-      const float* xin = x.data() + s * in_c_ * h * w;
-      for (std::size_t c = 0; c < in_c_; ++c) {
-        for (std::size_t iy = 0; iy < h; ++iy) {
-          std::copy_n(xin + (c * h + iy) * w, w,
-                      xp.data() + c * plane + (iy + pad) * pw + pad);
-        }
-      }
-      float* yout = y.data() + s * filters_ * h * w;
-      for (std::size_t f = 0; f < filters_; ++f) {
-        const float* wf = wt + f * taps;
-        std::fill(acc.begin(), acc.end(), static_cast<double>(bias[f]));
-        // Taps in (c, ky, kx) order, each adding double(w * x) per output,
-        // four to a pass so an accumulator is loaded and stored once per
-        // four products.
-        double* a = acc.data();
-        std::size_t t = 0;
-        for (; t + 4 <= taps; t += 4) {
-          const float w0 = wf[t], w1 = wf[t + 1], w2 = wf[t + 2],
-                      w3 = wf[t + 3];
-          const float* x0 = xp.data() + off[t];
-          const float* x1 = xp.data() + off[t + 1];
-          const float* x2 = xp.data() + off[t + 2];
-          const float* x3 = xp.data() + off[t + 3];
-          for (std::size_t i = 0; i < span; ++i) {
-            double v = a[i];
-            v += w0 * x0[i];
-            v += w1 * x1[i];
-            v += w2 * x2[i];
-            v += w3 * x3[i];
-            a[i] = v;
+    widest([&]() __attribute__((always_inline)) {
+      // Zero-padded image; the tail keeps the dropped positions in bounds.
+      std::vector<float> xp(in_c_ * plane + 2 * pad);
+      std::vector<double> acc(span);
+      for (std::size_t s = lo; s < hi; ++s) {
+        const float* xin = x.data() + s * in_c_ * h * w;
+        for (std::size_t c = 0; c < in_c_; ++c) {
+          for (std::size_t iy = 0; iy < h; ++iy) {
+            std::copy_n(xin + (c * h + iy) * w, w,
+                        xp.data() + c * plane + (iy + pad) * pw + pad);
           }
         }
-        for (; t < taps; ++t) {
-          const float wv = wf[t];
-          const float* xs = xp.data() + off[t];
-          for (std::size_t i = 0; i < span; ++i) a[i] += wv * xs[i];
-        }
-        float* yf = yout + f * h * w;
-        for (std::size_t oy = 0; oy < h; ++oy) {
-          for (std::size_t ox = 0; ox < w; ++ox) {
-            yf[oy * w + ox] = static_cast<float>(acc[oy * pw + ox]);
+        float* yout = y.data() + s * filters_ * h * w;
+        for (std::size_t f = 0; f < filters_; ++f) {
+          const float* wf = wt + f * taps;
+          std::fill(acc.begin(), acc.end(), static_cast<double>(bias[f]));
+          // Taps in (c, ky, kx) order, each adding double(w * x) per
+          // output, four to a pass so an accumulator is loaded and stored
+          // once per four products.
+          double* a = acc.data();
+          std::size_t t = 0;
+          for (; t + 4 <= taps; t += 4) {
+            const float w0 = wf[t], w1 = wf[t + 1], w2 = wf[t + 2],
+                        w3 = wf[t + 3];
+            const float* x0 = xp.data() + off[t];
+            const float* x1 = xp.data() + off[t + 1];
+            const float* x2 = xp.data() + off[t + 2];
+            const float* x3 = xp.data() + off[t + 3];
+            for (std::size_t i = 0; i < span; ++i) {
+              double v = a[i];
+              v += w0 * x0[i];
+              v += w1 * x1[i];
+              v += w2 * x2[i];
+              v += w3 * x3[i];
+              a[i] = v;
+            }
+          }
+          for (; t < taps; ++t) {
+            const float wv = wf[t];
+            const float* xs = xp.data() + off[t];
+            for (std::size_t i = 0; i < span; ++i) a[i] += wv * xs[i];
+          }
+          float* yf = yout + f * h * w;
+          for (std::size_t oy = 0; oy < h; ++oy) {
+            for (std::size_t ox = 0; ox < w; ++ox) {
+              yf[oy * w + ox] = static_cast<float>(acc[oy * pw + ox]);
+            }
           }
         }
       }
-    }
+    });
   });
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+Tensor Conv2d::backward(const Tensor& grad_out, bool input_grad) {
   const Tensor& x = cached_input_;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   P2PFL_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == filters_);
@@ -252,7 +316,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const float* gy = grad_out.data();
   float* gw = grads_.data();
   float* gb = grads_.data() + filters_ * fsize;
-  Tensor gx({batch, in_c_, h, w});
+  Tensor gx;
+  if (input_grad) gx = Tensor({batch, in_c_, h, w});
 
   // Channel-last copies: the weights as [f][ky][kx][c] and the zero-padded
   // inputs as [s][iy][ix][c], where input (c, iy, ix) sits at cl(c, iy,
@@ -271,85 +336,91 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   };
   std::vector<float> xcl(batch * cells);
 
-  // Pass 1, parallel over images: the input gradient. An element gathers
-  // its terms in (f, oy, ox) order, as in the direct loop; positions with
-  // a zero upstream gradient are skipped.
+  // Pass 1, parallel over images: the channel-last inputs and, unless the
+  // caller reads none, the input gradient. An element gathers its terms
+  // in (f, oy, ox) order, as in the direct loop; positions with a zero
+  // upstream gradient are skipped.
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
-    std::vector<float> gcl(cells);
-    for (std::size_t s = lo; s < hi; ++s) {
-      const float* xin = x.data() + s * in_c_ * h * w;
-      float* xs = xcl.data() + s * cells;
-      for (std::size_t c = 0; c < in_c_; ++c) {
-        for (std::size_t iy = 0; iy < h; ++iy) {
-          for (std::size_t ix = 0; ix < w; ++ix) {
-            xs[cl(c, iy, ix)] = xin[(c * h + iy) * w + ix];
+    widest([&]() __attribute__((always_inline)) {
+      std::vector<float> gcl(input_grad ? cells : 0);
+      for (std::size_t s = lo; s < hi; ++s) {
+        const float* xin = x.data() + s * in_c_ * h * w;
+        float* xs = xcl.data() + s * cells;
+        for (std::size_t c = 0; c < in_c_; ++c) {
+          for (std::size_t iy = 0; iy < h; ++iy) {
+            for (std::size_t ix = 0; ix < w; ++ix) {
+              xs[cl(c, iy, ix)] = xin[(c * h + iy) * w + ix];
+            }
           }
         }
-      }
-      std::fill(gcl.begin(), gcl.end(), 0.0f);
-      for (std::size_t f = 0; f < filters_; ++f) {
-        const float* gyf = gy + (s * filters_ + f) * h * w;
-        for (std::size_t oy = 0; oy < h; ++oy) {
-          for (std::size_t ox = 0; ox < w; ++ox) {
-            const float g = gyf[oy * w + ox];
-            if (g == 0.0f) continue;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              float* dst = gcl.data() + ((oy + ky) * pw + ox) * in_c_;
-              const float* src = wcl.data() + (f * k_ + ky) * row;
-              for (std::size_t j = 0; j < row; ++j) dst[j] += g * src[j];
+        if (!input_grad) continue;
+        std::fill(gcl.begin(), gcl.end(), 0.0f);
+        for (std::size_t f = 0; f < filters_; ++f) {
+          const float* gyf = gy + (s * filters_ + f) * h * w;
+          for (std::size_t oy = 0; oy < h; ++oy) {
+            for (std::size_t ox = 0; ox < w; ++ox) {
+              const float g = gyf[oy * w + ox];
+              if (g == 0.0f) continue;
+              for (std::size_t ky = 0; ky < k_; ++ky) {
+                float* dst = gcl.data() + ((oy + ky) * pw + ox) * in_c_;
+                const float* src = wcl.data() + (f * k_ + ky) * row;
+                for (std::size_t j = 0; j < row; ++j) dst[j] += g * src[j];
+              }
+            }
+          }
+        }
+        float* gxi = gx.data() + s * in_c_ * h * w;
+        for (std::size_t c = 0; c < in_c_; ++c) {
+          for (std::size_t iy = 0; iy < h; ++iy) {
+            for (std::size_t ix = 0; ix < w; ++ix) {
+              gxi[(c * h + iy) * w + ix] = gcl[cl(c, iy, ix)];
             }
           }
         }
       }
-      float* gxi = gx.data() + s * in_c_ * h * w;
-      for (std::size_t c = 0; c < in_c_; ++c) {
-        for (std::size_t iy = 0; iy < h; ++iy) {
-          for (std::size_t ix = 0; ix < w; ++ix) {
-            gxi[(c * h + iy) * w + ix] = gcl[cl(c, iy, ix)];
-          }
-        }
-      }
-    }
+    });
   });
 
   // Pass 2, parallel over filters: the weight and bias gradients. They
   // start from the current grads, kept channel-last while they gather
   // their terms in (s, oy, ox) order, as in the direct loop.
   parallel_for_chunked(0, filters_, [&](std::size_t lo, std::size_t hi) {
-    std::vector<float> acc((hi - lo) * fsize);
-    for (std::size_t f = lo; f < hi; ++f) {
-      for (std::size_t c = 0; c < in_c_; ++c) {
-        for (std::size_t t = 0; t < kk; ++t) {
-          acc[((f - lo) * kk + t) * in_c_ + c] = gw[f * fsize + c * kk + t];
+    widest([&]() __attribute__((always_inline)) {
+      std::vector<float> acc((hi - lo) * fsize);
+      for (std::size_t f = lo; f < hi; ++f) {
+        for (std::size_t c = 0; c < in_c_; ++c) {
+          for (std::size_t t = 0; t < kk; ++t) {
+            acc[((f - lo) * kk + t) * in_c_ + c] = gw[f * fsize + c * kk + t];
+          }
         }
       }
-    }
-    for (std::size_t s = 0; s < batch; ++s) {
-      const float* xs = xcl.data() + s * cells;
-      for (std::size_t f = lo; f < hi; ++f) {
-        const float* gyf = gy + (s * filters_ + f) * h * w;
-        float* af = acc.data() + (f - lo) * fsize;
-        for (std::size_t oy = 0; oy < h; ++oy) {
-          for (std::size_t ox = 0; ox < w; ++ox) {
-            const float g = gyf[oy * w + ox];
-            if (g == 0.0f) continue;
-            gb[f] += g;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              float* dst = af + ky * row;
-              const float* src = xs + ((oy + ky) * pw + ox) * in_c_;
-              for (std::size_t j = 0; j < row; ++j) dst[j] += g * src[j];
+      for (std::size_t s = 0; s < batch; ++s) {
+        const float* xs = xcl.data() + s * cells;
+        for (std::size_t f = lo; f < hi; ++f) {
+          const float* gyf = gy + (s * filters_ + f) * h * w;
+          float* af = acc.data() + (f - lo) * fsize;
+          for (std::size_t oy = 0; oy < h; ++oy) {
+            for (std::size_t ox = 0; ox < w; ++ox) {
+              const float g = gyf[oy * w + ox];
+              if (g == 0.0f) continue;
+              gb[f] += g;
+              for (std::size_t ky = 0; ky < k_; ++ky) {
+                float* dst = af + ky * row;
+                const float* src = xs + ((oy + ky) * pw + ox) * in_c_;
+                for (std::size_t j = 0; j < row; ++j) dst[j] += g * src[j];
+              }
             }
           }
         }
       }
-    }
-    for (std::size_t f = lo; f < hi; ++f) {
-      for (std::size_t c = 0; c < in_c_; ++c) {
-        for (std::size_t t = 0; t < kk; ++t) {
-          gw[f * fsize + c * kk + t] = acc[((f - lo) * kk + t) * in_c_ + c];
+      for (std::size_t f = lo; f < hi; ++f) {
+        for (std::size_t c = 0; c < in_c_; ++c) {
+          for (std::size_t t = 0; t < kk; ++t) {
+            gw[f * fsize + c * kk + t] = acc[((f - lo) * kk + t) * in_c_ + c];
+          }
         }
       }
-    }
+    });
   });
   return gx;
 }
@@ -365,44 +436,47 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   in_shape_ = x.shape();
   const std::size_t oh = h / 2, ow = w / 2;
   Tensor y({batch, c, oh, ow});
-  argmax_.assign(y.size(), 0);
-  for (std::size_t s = 0; s < batch * c; ++s) {
-    const float* xc = x.data() + s * h * w;
-    float* yc = y.data() + s * oh * ow;
-    std::size_t* am = argmax_.data() + s * oh * ow;
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
-        for (std::size_t dy = 0; dy < 2; ++dy) {
-          for (std::size_t dx = 0; dx < 2; ++dx) {
-            const std::size_t idx = (oy * 2 + dy) * w + (ox * 2 + dx);
-            if (xc[idx] > best) {
-              best = xc[idx];
-              best_idx = idx;
+  argmax_.resize(y.size());  // every element is written below
+  parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t p = lo * c; p < hi * c; ++p) {
+      const float* xc = x.data() + p * h * w;
+      float* yc = y.data() + p * oh * ow;
+      std::size_t* am = argmax_.data() + p * oh * ow;
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          std::size_t best_idx = 0;
+          for (std::size_t dy = 0; dy < 2; ++dy) {
+            for (std::size_t dx = 0; dx < 2; ++dx) {
+              const std::size_t idx = (oy * 2 + dy) * w + (ox * 2 + dx);
+              if (xc[idx] > best) {
+                best = xc[idx];
+                best_idx = idx;
+              }
             }
           }
+          yc[oy * ow + ox] = best;
+          am[oy * ow + ox] = best_idx;
         }
-        yc[oy * ow + ox] = best;
-        am[oy * ow + ox] = best_idx;
       }
     }
-  }
+  });
   return y;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_out) {
+Tensor MaxPool2d::backward(const Tensor& grad_out, bool /*input_grad*/) {
   P2PFL_CHECK(grad_out.size() == argmax_.size());
   Tensor gx(in_shape_);
-  const std::size_t h = in_shape_[2], w = in_shape_[3];
+  const std::size_t c = in_shape_[1], h = in_shape_[2], w = in_shape_[3];
   const std::size_t oh = h / 2, ow = w / 2;
-  const std::size_t planes = in_shape_[0] * in_shape_[1];
-  for (std::size_t s = 0; s < planes; ++s) {
-    const float* gy = grad_out.data() + s * oh * ow;
-    const std::size_t* am = argmax_.data() + s * oh * ow;
-    float* gxc = gx.data() + s * h * w;
-    for (std::size_t i = 0; i < oh * ow; ++i) gxc[am[i]] += gy[i];
-  }
+  parallel_for_chunked(0, in_shape_[0], [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t p = lo * c; p < hi * c; ++p) {
+      const float* gy = grad_out.data() + p * oh * ow;
+      const std::size_t* am = argmax_.data() + p * oh * ow;
+      float* gxc = gx.data() + p * h * w;
+      for (std::size_t i = 0; i < oh * ow; ++i) gxc[am[i]] += gy[i];
+    }
+  });
   return gx;
 }
 
@@ -414,7 +488,7 @@ Tensor Flatten::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   return x.reshaped({x.dim(0), x.size() / x.dim(0)});
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+Tensor Flatten::backward(const Tensor& grad_out, bool /*input_grad*/) {
   return grad_out.reshaped(in_shape_);
 }
 

@@ -24,8 +24,10 @@ class Layer {
   /// `train` enables stochastic behaviour (dropout).
   virtual Tensor forward(const Tensor& x, bool train, Rng& rng) = 0;
 
-  /// Gradient w.r.t. this layer's input; accumulates parameter grads.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// Accumulates parameter grads and returns the gradient w.r.t. this
+  /// layer's input. With `input_grad` false nothing reads that gradient:
+  /// a layer may skip it and return an empty tensor.
+  virtual Tensor backward(const Tensor& grad_out, bool input_grad = true) = 0;
 
   /// Flat views of parameters / their gradients (empty if stateless).
   virtual std::span<float> params() { return {}; }
@@ -39,12 +41,20 @@ class Layer {
 };
 
 /// Fully connected: (B, in) -> (B, out). He-uniform initialization.
+/// Forward runs in parallel over samples: per chunk, the inputs are
+/// copied samples-innermost, and each output's double chain over the
+/// inputs runs across the chunk's samples at once. Backward adds the
+/// weight and bias gradients one output at a time, and the input gradient
+/// in parallel over samples. Every output element gets exactly the direct
+/// loop's arithmetic (the same float products, summed in the same order,
+/// in double for forward and float for backward), so results are
+/// bit-identical to the direct loops at any worker count and vector level.
 class Dense : public Layer {
  public:
   Dense(std::size_t in, std::size_t out);
   std::string name() const override { return "dense"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
   std::span<float> params() override { return params_; }
   std::span<float> grads() override { return grads_; }
   void init(Rng& rng) override;
@@ -64,7 +74,7 @@ class ReLU : public Layer {
  public:
   std::string name() const override { return "relu"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
 
  private:
   Tensor cached_input_;
@@ -77,7 +87,7 @@ class Dropout : public Layer {
   explicit Dropout(float rate);
   std::string name() const override { return "dropout"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
 
  private:
   float rate_;
@@ -92,14 +102,14 @@ class Dropout : public Layer {
 /// both over channel-last copies. Every output element gets exactly the
 /// direct loop's arithmetic (the same float products, summed in the same
 /// order, in double for forward and float for backward), so results are
-/// bit-identical to the direct loops at any worker count.
+/// bit-identical to the direct loops at any worker count and vector level.
 class Conv2d : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t filters,
          std::size_t kernel = 3);
   std::string name() const override { return "conv2d"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
   std::span<float> params() override { return params_; }
   std::span<float> grads() override { return grads_; }
   void init(Rng& rng) override;
@@ -116,7 +126,7 @@ class MaxPool2d : public Layer {
  public:
   std::string name() const override { return "maxpool2d"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
 
  private:
   std::vector<std::size_t> argmax_;
@@ -128,7 +138,7 @@ class Flatten : public Layer {
  public:
   std::string name() const override { return "flatten"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
 
  private:
   std::vector<std::size_t> in_shape_;

@@ -20,9 +20,16 @@ Tensor Model::forward(const Tensor& x, bool train, Rng& rng) {
 }
 
 void Model::backward(const Tensor& grad) {
+  // Nothing reads the gradient below the lowest layer with parameters:
+  // that layer computes its parameter gradients only, and the layers
+  // under it do not run.
+  std::size_t lowest = 0;
+  while (lowest < layers_.size() && layers_[lowest]->params().empty()) {
+    ++lowest;
+  }
   Tensor g = grad;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size(); i-- > lowest;) {
+    g = layers_[i]->backward(g, /*input_grad=*/i > lowest);
   }
 }
 

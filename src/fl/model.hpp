@@ -28,7 +28,8 @@ class Model {
 
   Tensor forward(const Tensor& x, bool train, Rng& rng);
 
-  /// Backpropagate loss gradient through all layers (after a forward).
+  /// Backpropagate loss gradient through the layers (after a forward),
+  /// accumulating every parameter gradient.
   void backward(const Tensor& grad);
 
   std::size_t param_count() const;
@@ -38,6 +39,7 @@ class Model {
   void zero_grads();
 
   std::size_t layer_count() const { return layers_.size(); }
+  Layer& layer(std::size_t i) { return *layers_.at(i); }
 
   /// Fig. 5 CNN. `channels`/`hw` describe the square input image.
   static Model paper_cnn(std::size_t channels, std::size_t hw,

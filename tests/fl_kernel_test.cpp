@@ -1,12 +1,15 @@
 // The fl kernels in the fast suite, so the sanitizer jobs cover them.
-// Conv2d's kernels run against the direct loops they replaced: they
-// promise each output element the direct loop's arithmetic (the same
-// float products, summed in the same order into the same accumulator
-// type), so every element must compare equal with ==, at any worker
-// count.
+// The Conv2d and Dense kernels run against the direct loops they
+// replaced: they promise each output element the direct loop's arithmetic
+// (the same float products, summed in the same order into the same
+// accumulator type), so every element must compare equal with ==, at any
+// worker count. They run at the widest vector level the CPU has, which
+// the tests print once.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <iostream>
 #include <span>
 #include <stdexcept>
 #include <sstream>
@@ -16,6 +19,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fl/data.hpp"
+#include "fl/kernel_isa.hpp"
 #include "fl/layers.hpp"
 #include "fl/model.hpp"
 #include "fl/trainer.hpp"
@@ -119,7 +123,75 @@ Tensor direct_backward(std::span<const float> params, std::span<float> grads,
   return gx;
 }
 
+// Dense::forward and Dense::backward as they were before the samples
+// moved innermost, serial over the batch.
+
+Tensor direct_dense_forward(std::span<const float> params, std::size_t in,
+                            std::size_t out, const Tensor& x) {
+  const std::size_t batch = x.dim(0);
+  Tensor y({batch, out});
+  const float* w = params.data();
+  const float* b = params.data() + out * in;
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* xin = x.data() + s * in;
+    float* yout = y.data() + s * out;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float* wrow = w + o * in;
+      double acc = b[o];
+      for (std::size_t i = 0; i < in; ++i) acc += wrow[i] * xin[i];
+      yout[o] = static_cast<float>(acc);
+    }
+  }
+  return y;
+}
+
+// Accumulates into `grads` (weights then bias) and returns the input
+// gradient.
+Tensor direct_dense_backward(std::span<const float> params,
+                             std::span<float> grads, std::size_t in,
+                             std::size_t out, const Tensor& x,
+                             const Tensor& grad_out) {
+  const std::size_t batch = x.dim(0);
+  const float* w = params.data();
+  float* gw = grads.data();
+  float* gb = grads.data() + out * in;
+
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* xin = x.data() + s * in;
+    const float* gy = grad_out.data() + s * out;
+    for (std::size_t o = 0; o < out; ++o) {
+      float* gwrow = gw + o * in;
+      const float g = gy[o];
+      for (std::size_t i = 0; i < in; ++i) gwrow[i] += g * xin[i];
+      gb[o] += g;
+    }
+  }
+
+  Tensor gx({batch, in});
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* gy = grad_out.data() + s * out;
+    float* gxi = gx.data() + s * in;
+    for (std::size_t o = 0; o < out; ++o) {
+      const float* wrow = w + o * in;
+      const float g = gy[o];
+      for (std::size_t i = 0; i < in; ++i) gxi[i] += g * wrow[i];
+    }
+  }
+  return gx;
+}
+
 // --- the comparison ----------------------------------------------------------
+
+// Prints, once per run, the vector level the kernels run at, so a test log
+// shows which build was checked.
+void note_isa() {
+  static const bool noted = [] {
+    std::cout << "[ fl kernels ] running the " << isa_name(cpu_isa())
+              << " build\n";
+    return true;
+  }();
+  (void)noted;
+}
 
 struct Shape {
   std::size_t batch, in_c, filters, h, w, k;
@@ -164,6 +236,7 @@ Tensor random_tensor(std::vector<std::size_t> shape, Rng& rng, double zeros,
 void expect_matches_direct(const Shape& s, double grad_zeros,
                            std::uint64_t seed) {
   SCOPED_TRACE(describe(s) + ", upstream zeros " + std::to_string(grad_zeros));
+  note_isa();
   Rng rng(seed);
   Conv2d conv(s.in_c, s.filters, s.k);
   conv.init(rng);
@@ -242,6 +315,128 @@ TEST(ConvOracle, EdgeShapes) {
     expect_matches_direct(s, 0.0, ++seed);
     expect_matches_direct(s, 0.85, ++seed);
   }
+}
+
+// Runs Dense at 1 and 4 workers against the direct loops, as
+// expect_matches_direct does for Conv2d. The inputs are non-negative with
+// exact zeros, as a ReLU leaves them. With `cancel` set, inputs 0 and 1
+// of every sample are 2^40 and every output weighs them w and -w: each
+// double chain then passes through a partial sum near 2^35, which rounds
+// away low bits, so the order of the chain's terms shows in the outputs.
+void expect_dense_matches_direct(std::size_t batch, std::size_t in,
+                                 std::size_t out, std::uint64_t seed,
+                                 bool cancel = false) {
+  SCOPED_TRACE("batch " + std::to_string(batch) + ", " + std::to_string(in) +
+               "->" + std::to_string(out) + (cancel ? ", cancelling" : ""));
+  note_isa();
+  Rng rng(seed);
+  Dense dense(in, out);
+  dense.init(rng);
+  const std::span<float> params = dense.params();
+  for (std::size_t i = params.size() - out; i < params.size(); ++i) {
+    params[i] = static_cast<float>(rng.uniform(-0.5, 0.5));  // biases
+  }
+  Tensor x = random_tensor({batch, in}, rng, 0.3, 0.0, 2.0);
+  if (cancel) {
+    for (std::size_t o = 0; o < out; ++o) params[o * in + 1] = -params[o * in];
+    for (std::size_t s = 0; s < batch; ++s) {
+      x[s * in] = x[s * in + 1] = std::ldexp(1.0f, 40);
+    }
+  }
+  const Tensor gy = random_tensor({batch, out}, rng, 0.1, -1.0, 1.0);
+
+  const Tensor want_y = direct_dense_forward(params, in, out, x);
+  std::vector<float> want_grads(params.size(), 0.0f);
+  const Tensor want_gx =
+      direct_dense_backward(params, want_grads, in, out, x, gy);
+  std::vector<float> want_grads2 = want_grads;
+  direct_dense_backward(params, want_grads2, in, out, x, gy);
+
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    set_parallel_workers(workers);
+    Rng unused(0);
+    dense.zero_grads();
+    const Tensor y = dense.forward(x, /*train=*/true, unused);
+    EXPECT_EQ(y.shape(), want_y.shape());
+    EXPECT_TRUE(all_equal("forward", y.flat(), want_y.flat()));
+    const Tensor gx = dense.backward(gy);
+    EXPECT_EQ(gx.shape(), x.shape());
+    EXPECT_TRUE(all_equal("input grad", gx.flat(), want_gx.flat()));
+    EXPECT_TRUE(all_equal("param grads", dense.grads(), want_grads));
+    const Tensor gx2 = dense.backward(gy);
+    EXPECT_TRUE(all_equal("second input grad", gx2.flat(), want_gx.flat()));
+    EXPECT_TRUE(
+        all_equal("accumulated param grads", dense.grads(), want_grads2));
+  }
+  set_parallel_workers(0);  // restore the hardware default
+}
+
+// The Fig. 5 CNN's two dense layers, at a training batch of 8 and at
+// evaluate_model's batch of 40.
+TEST(DenseOracle, PaperDense) {
+  expect_dense_matches_direct(8, 4096, 287, 61);
+  expect_dense_matches_direct(40, 4096, 287, 62);
+  expect_dense_matches_direct(8, 287, 10, 63);
+}
+
+// The CI-scale MLP of Figs. 6-9 and perfbench system_1k's 16-4-10 MLP.
+TEST(DenseOracle, MlpShapes) {
+  expect_dense_matches_direct(50, 784, 64, 71);
+  expect_dense_matches_direct(4, 16, 4, 72);
+  expect_dense_matches_direct(4, 4, 10, 73);
+}
+
+// One sample, and three samples split unevenly over 4 workers.
+TEST(DenseOracle, EdgeShapes) {
+  expect_dense_matches_direct(1, 7, 5, 81);
+  expect_dense_matches_direct(3, 7, 5, 82);
+}
+
+// Partial sums that round: an output is exact only if its terms are added
+// in the direct loop's order.
+TEST(DenseOracle, CancellingTerms) {
+  expect_dense_matches_direct(8, 4096, 287, 65, /*cancel=*/true);
+  expect_dense_matches_direct(4, 16, 4, 75, /*cancel=*/true);
+  expect_dense_matches_direct(3, 7, 5, 85, /*cancel=*/true);
+}
+
+// Model::backward stops at the lowest layer with parameters and asks it
+// for its parameter gradients only. Those gradients must equal the ones a
+// loop that runs every layer's full backward accumulates.
+void expect_backward_matches_full(Model model,
+                                  std::vector<std::size_t> input_shape,
+                                  std::uint64_t seed) {
+  note_isa();
+  Rng rng(seed);
+  model.init(rng);
+  const std::size_t batch = input_shape[0];
+  const Tensor x = random_tensor(std::move(input_shape), rng, 0.3, 0.0, 1.0);
+  const Tensor gy = random_tensor({batch, 10}, rng, 0.0, -1.0, 1.0);
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    set_parallel_workers(workers);
+    Rng train_rng(seed + 1);  // dropout masks
+    model.forward(x, /*train=*/true, train_rng);
+    model.zero_grads();
+    model.backward(gy);
+    const std::vector<float> got = model.get_grads();
+    model.zero_grads();
+    Tensor g = gy;
+    for (std::size_t i = model.layer_count(); i-- > 0;) {
+      g = model.layer(i).backward(g);
+    }
+    EXPECT_TRUE(all_equal("param grads", got, model.get_grads()));
+  }
+  set_parallel_workers(0);  // restore the hardware default
+}
+
+TEST(ModelBackward, PaperCnnMatchesFullBackward) {
+  expect_backward_matches_full(Model::paper_cnn(3, 32), {8, 3, 32, 32}, 91);
+}
+
+TEST(ModelBackward, MlpMatchesFullBackward) {
+  expect_backward_matches_full(Model::mlp(784, {64}), {50, 1, 28, 28}, 92);
 }
 
 // evaluate_model steps through the test set batch_size samples at a time;

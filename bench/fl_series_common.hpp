@@ -84,8 +84,10 @@ inline SeriesResult run_series(const core::FlExperimentConfig& cfg,
   return out;
 }
 
-inline void print_series(const std::vector<SeriesResult>& series,
-                         bool accuracy) {
+/// One row per evaluated round and configuration: test accuracy (%) or
+/// training loss.
+inline void print_table(const std::vector<SeriesResult>& series,
+                        bool accuracy) {
   std::printf("%-28s %6s %10s\n", "config", "round",
               accuracy ? "test-acc%" : "train-loss");
   for (const auto& s : series) {
@@ -94,6 +96,10 @@ inline void print_series(const std::vector<SeriesResult>& series,
                   accuracy ? p.accuracy * 100.0 : p.train_loss);
     }
   }
+}
+
+/// Final-round test accuracy and loss per configuration.
+inline void print_summary(const std::vector<SeriesResult>& series) {
   std::printf("\nsummary (final round):\n");
   for (const auto& s : series) {
     std::printf("  %-28s acc %6.2f%%  test loss %.4f\n", s.label.c_str(),

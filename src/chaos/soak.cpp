@@ -17,6 +17,11 @@
 
 namespace p2pfl::chaos {
 
+namespace {
+/// Max |committed − exact| accepted as float-accumulation noise.
+constexpr double kExactTol = 5e-3;
+}  // namespace
+
 ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
   P2PFL_CHECK(cfg.peers > 0 && cfg.groups > 0 && cfg.rounds > 0);
   sim::Simulator sim(cfg.seed);
@@ -157,7 +162,7 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
       ++res.rounds_committed;
       res.max_abs_error = std::max(res.max_abs_error,
                                    current->max_abs_error);
-      if (current->max_abs_error > cfg.exact_tol) {
+      if (current->max_abs_error > kExactTol) {
         res.all_commits_exact = false;
       }
     } else {

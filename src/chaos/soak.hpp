@@ -65,8 +65,6 @@ struct ChaosSoakConfig {
   SimTime heal_at = 0;
   /// SAC share-phase retransmission budget (generous: ambient loss).
   std::size_t sac_share_retries = 6;
-  /// Max |committed − exact| accepted as float-accumulation noise.
-  double exact_tol = 5e-3;
   /// Record the full trace stream into ChaosSoakResult::trace_json.
   bool capture_trace = false;
   /// Record causal spans: per-round critical paths for committed rounds,

@@ -56,9 +56,6 @@ class Rng {
 
   std::uint64_t next_u64() { return engine_(); }
 
-  /// The underlying engine, for use with <random> distributions.
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::uint64_t root_seed_ = 0;
   std::mt19937_64 engine_;

@@ -35,13 +35,6 @@ void ByteWriter::patch_u32(std::size_t at, std::uint32_t v) {
   }
 }
 
-void ByteWriter::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
 void ByteWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());
@@ -93,13 +86,6 @@ std::uint64_t ByteReader::u64() {
   if (!need(8)) return 0;
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
-double ByteReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 

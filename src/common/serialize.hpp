@@ -29,7 +29,6 @@ class ByteWriter {
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void f64(double v);
   void str(const std::string& s);
   /// Length-prefixed byte string (u32 count + raw bytes).
   void blob(const Bytes& b);
@@ -67,7 +66,6 @@ class ByteReader {
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
-  double f64();
   std::string str();
   Bytes blob();
   std::vector<float> vec_f32();

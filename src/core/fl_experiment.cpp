@@ -163,13 +163,8 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
     // Subgroup SAC, then FedAvg across subgroup averages (Alg. 3).
     std::vector<std::vector<float>> group_avgs;
     std::vector<double> group_weights;
-    if (cfg.aggregation == AggregationKind::kPlainFedAvg ||
-        cfg.aggregation == AggregationKind::kGossipCenter) {
-      // No SAC anywhere: weight directly by per-peer sample counts. For
-      // the gossip baseline the averaging peer rotates each round
-      // (BrainTorrent's dynamic center) — numerically identical, but the
-      // center sees every raw model, which is the privacy gap the paper
-      // closes.
+    if (cfg.aggregation == AggregationKind::kPlainFedAvg) {
+      // No SAC anywhere: weight directly by per-peer sample counts.
       std::vector<std::vector<float>> models;
       std::vector<double> weights;
       for (std::size_t p = 0; p < cfg.peers; ++p) {
@@ -270,19 +265,6 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
   }
   result.final_weights = std::move(global);
   return result;
-}
-
-std::vector<double> moving_average(const std::vector<double>& xs,
-                                   std::size_t window) {
-  P2PFL_CHECK(window >= 1);
-  std::vector<double> out(xs.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    acc += xs[i];
-    if (i >= window) acc -= xs[i - window];
-    out[i] = acc / static_cast<double>(std::min(i + 1, window));
-  }
-  return out;
 }
 
 }  // namespace p2pfl::core

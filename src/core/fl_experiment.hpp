@@ -48,8 +48,6 @@ enum class AggregationKind {
   kOneLayerSac,    // Alg. 2 over all N peers (baseline)
   kTwoLayerSac,    // Alg. 3 (SAC per subgroup + FedAvg layer)
   kPlainFedAvg,    // no SAC anywhere (m = N corner case)
-  kGossipCenter,   // BrainTorrent-style ([3]): a rotating center peer
-                   // averages everyone's raw models (no privacy)
 };
 
 enum class ModelKind { kMlp, kPaperCnn };
@@ -135,9 +133,5 @@ using RoundObserver = std::function<void(const RoundRecord&)>;
 
 FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
                                      const RoundObserver& observer = {});
-
-/// Simple trailing moving average used when printing figure series.
-std::vector<double> moving_average(const std::vector<double>& xs,
-                                   std::size_t window);
 
 }  // namespace p2pfl::core

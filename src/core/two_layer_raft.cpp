@@ -13,6 +13,10 @@ namespace p2pfl::core {
 namespace {
 
 constexpr std::uint8_t kFedConfigCommand = 1;
+/// Both layers snapshot their config logs after this many applied
+/// entries (they grow forever otherwise: one config commit every
+/// config_commit_interval).
+constexpr std::size_t kLogCompactionThreshold = 64;
 
 std::string subgroup_channel(SubgroupId g) {
   return "raft/sg" + std::to_string(g);
@@ -114,7 +118,7 @@ TwoLayerRaftSystem::TwoLayerRaftSystem(Topology topology,
         std::find(designated.begin(), designated.end(), id) !=
         designated.end();
     raft::RaftOptions sg_opts = opts_.raft;
-    sg_opts.compaction_threshold = opts_.log_compaction_threshold;
+    sg_opts.compaction_threshold = kLogCompactionThreshold;
     if (is_designated) {
       // Bootstrap determinism: the designated representative campaigns
       // first, so the initial subgroup leaders coincide with the initial
@@ -212,7 +216,7 @@ void TwoLayerRaftSystem::wire_subgroup_node(Peer& p) {
 
 void TwoLayerRaftSystem::make_fed_node(Peer& p) {
   raft::RaftOptions fed_opts = opts_.raft;
-  fed_opts.compaction_threshold = opts_.log_compaction_threshold;
+  fed_opts.compaction_threshold = kLogCompactionThreshold;
   if (!opts_.storage_dir.empty() && !p.fed_storage) {
     p.fed_storage = std::make_unique<raft::WalStorage>(fed_storage_prefix(p));
   }
@@ -373,7 +377,7 @@ void TwoLayerRaftSystem::check_join_complete(Peer& p) {
 // --- self-healing membership -------------------------------------------
 
 void TwoLayerRaftSystem::supervise(Peer& p) {
-  if (!opts_.self_healing || net_.crashed(p.id)) return;
+  if (net_.crashed(p.id)) return;
   const SimTime now = net_.now();
   if (p.sg_node->running() && p.sg_node->is_leader()) {
     supervise_layer(p, *p.sg_node, p.sg_suspected, /*fed_layer=*/false);
@@ -567,7 +571,6 @@ void TwoLayerRaftSystem::supervise_layer(
 
 void TwoLayerRaftSystem::handle_subgroup_config(
     Peer& p, const std::vector<PeerId>& cfg) {
-  if (!opts_.self_healing) return;
   const bool member = std::find(cfg.begin(), cfg.end(), p.id) != cfg.end();
   if (member) {
     if (p.rejoining) finish_rejoin(p);
@@ -586,7 +589,7 @@ void TwoLayerRaftSystem::handle_subgroup_config(
 }
 
 void TwoLayerRaftSystem::start_rejoin(Peer& p) {
-  if (!opts_.self_healing || p.rejoining) return;
+  if (p.rejoining) return;
   if (p.sg_node->in_config()) return;
   p.rejoining = true;
   p.rejoin_attempts = 0;
@@ -626,7 +629,6 @@ void TwoLayerRaftSystem::send_rejoin_request(Peer& p) {
 
 void TwoLayerRaftSystem::handle_rejoin_request(
     Peer& p, const wire::RejoinRequestMsg& req) {
-  if (!opts_.self_healing) return;
   if (net_.crashed(p.id) || !p.sg_node->running()) return;
   if (req.subgroup != p.subgroup || req.peer == p.id) return;
   raft::RaftNode& sg = *p.sg_node;
@@ -638,8 +640,8 @@ void TwoLayerRaftSystem::handle_rejoin_request(
     }
     return;
   }
-  // Denounced peers stay out: the rejoin handshake heals crashes, not
-  // Byzantine attributions (lifted only by an explicit forgive()).
+  // Denounced peers stay out for good: the rejoin handshake heals
+  // crashes, not Byzantine attributions.
   if (banned_.count(req.peer) > 0) {
     obs::Observability& o = net_.obs();
     o.metrics.counter("membership.rejoin_refused").add(1);
@@ -718,8 +720,6 @@ void TwoLayerRaftSystem::denounce(PeerId peer) {
     l.sg_node->propose_remove_server(peer);
   }
 }
-
-void TwoLayerRaftSystem::forgive(PeerId peer) { banned_.erase(peer); }
 
 bool TwoLayerRaftSystem::push_state_snapshot(PeerId leader, PeerId to) {
   if (net_.crashed(leader) || leader == to) return false;
@@ -814,11 +814,9 @@ void TwoLayerRaftSystem::start_all() {
     } else {
       peer->sg_node->start();
     }
-    if (opts_.self_healing) {
-      peer->sg_contact_mark = net_.now();
-      peer->fed_contact_mark = net_.now();
-      peer->supervise_timer->arm_periodic(opts_.membership_poll);
-    }
+    peer->sg_contact_mark = net_.now();
+    peer->fed_contact_mark = net_.now();
+    peer->supervise_timer->arm_periodic(opts_.membership_poll);
   }
 }
 
@@ -837,7 +835,7 @@ void TwoLayerRaftSystem::crash_peer(PeerId peer) {
 
 void TwoLayerRaftSystem::rebuild_from_storage(Peer& p) {
   raft::RaftOptions sg_opts = opts_.raft;
-  sg_opts.compaction_threshold = opts_.log_compaction_threshold;
+  sg_opts.compaction_threshold = kLogCompactionThreshold;
   make_sg_node(p, topology_.group(p.subgroup), sg_opts);
   if (p.sg_node->recovered_from_storage()) {
     p.sg_node->restart();
@@ -872,13 +870,11 @@ void TwoLayerRaftSystem::restart_peer(PeerId peer) {
     // already replaced this peer it simply never campaigns again.
     if (p.fed_node) p.fed_node->restart();
   }
-  if (opts_.self_healing) {
-    p.sg_contact_mark = net_.now();
-    p.fed_contact_mark = net_.now();
-    p.supervise_timer->arm_periodic(opts_.membership_poll);
-    // Evicted while down: the surviving log no longer names this peer.
-    if (!p.sg_node->in_config()) start_rejoin(p);
-  }
+  p.sg_contact_mark = net_.now();
+  p.fed_contact_mark = net_.now();
+  p.supervise_timer->arm_periodic(opts_.membership_poll);
+  // Evicted while down: the surviving log no longer names this peer.
+  if (!p.sg_node->in_config()) start_rejoin(p);
 }
 
 void TwoLayerRaftSystem::restart_peer_amnesia(PeerId peer) {
@@ -898,7 +894,7 @@ void TwoLayerRaftSystem::restart_peer_amnesia(PeerId peer) {
   p.announced_join = false;
   p.known_fed_cfg = topology_.designated_leaders();
   raft::RaftOptions sg_opts = opts_.raft;
-  sg_opts.compaction_threshold = opts_.log_compaction_threshold;
+  sg_opts.compaction_threshold = kLogCompactionThreshold;
   make_sg_node(p, {}, sg_opts);
   p.sg_node->start();
   obs::Observability& o = net_.obs();
@@ -907,16 +903,10 @@ void TwoLayerRaftSystem::restart_peer_amnesia(PeerId peer) {
     o.trace.instant("raft", "membership.amnesia_restart", peer,
                     {{"subgroup", p.subgroup}});
   }
-  if (opts_.self_healing) {
-    p.sg_contact_mark = net_.now();
-    p.fed_contact_mark = net_.now();
-    p.supervise_timer->arm_periodic(opts_.membership_poll);
-    start_rejoin(p);
-  }
-}
-
-bool TwoLayerRaftSystem::peer_crashed(PeerId peer) const {
-  return net_.crashed(peer);
+  p.sg_contact_mark = net_.now();
+  p.fed_contact_mark = net_.now();
+  p.supervise_timer->arm_periodic(opts_.membership_poll);
+  start_rejoin(p);
 }
 
 PeerId TwoLayerRaftSystem::subgroup_leader(SubgroupId g) const {
@@ -978,10 +968,6 @@ bool TwoLayerRaftSystem::stabilized() const {
 
 raft::RaftNode& TwoLayerRaftSystem::subgroup_node(PeerId peer) {
   return *peer_ref(peer).sg_node;
-}
-
-raft::RaftNode* TwoLayerRaftSystem::fedavg_node(PeerId peer) {
-  return peer_ref(peer).fed_node.get();
 }
 
 net::PeerHost& TwoLayerRaftSystem::host(PeerId peer) {

@@ -50,15 +50,10 @@ struct TwoLayerRaftOptions {
   /// Interval at which a subgroup leader commits the FedAvg-layer
   /// configuration into its subgroup log.
   SimDuration config_commit_interval = 200 * kMillisecond;
-  /// Snapshot the config logs after this many applied entries (they grow
-  /// forever otherwise — one config commit every interval). 0 disables.
-  std::size_t log_compaction_threshold = 64;
 
   // --- self-healing membership -------------------------------------------
-  /// Master switch for the membership supervisor: leaders suspect and
-  /// evict silent members; evicted (or wiped) peers run the rejoin
-  /// handshake to be configured back in.
-  bool self_healing = true;
+  // Leaders suspect and evict silent members; evicted (or wiped) peers
+  // run the rejoin handshake to be configured back in.
   /// A member whose AppendEntries/InstallSnapshot replies have been
   /// silent for longer than this is suspected and proposed for removal.
   /// Must be well above the election timeout, or a transient hiccup
@@ -121,7 +116,6 @@ class TwoLayerRaftSystem {
   /// and runs the rejoin handshake until its subgroup leader configures
   /// it back in and replication (or a snapshot install) catches it up.
   void restart_peer_amnesia(PeerId peer);
-  bool peer_crashed(PeerId peer) const;
 
   // --- Byzantine denunciation --------------------------------------------
   /// Ban a peer attributed as Byzantine by detection: its layers evict it
@@ -129,10 +123,8 @@ class TwoLayerRaftSystem {
   /// refuses its join/rejoin handshakes from now on, and — if it
   /// currently leads its subgroup — leadership is transferred to an
   /// honest member first (modelling honest followers refusing a
-  /// denounced leader's authority). Idempotent.
+  /// denounced leader's authority). The ban is permanent. Idempotent.
   void denounce(PeerId peer);
-  /// Lift a ban (the peer may rejoin through the normal handshake).
-  void forgive(PeerId peer);
   bool is_banned(PeerId peer) const { return banned_.count(peer) > 0; }
   const std::set<PeerId>& banned() const { return banned_; }
 
@@ -172,7 +164,6 @@ class TwoLayerRaftSystem {
 
   /// Access to a peer's Raft instances (tests / integration).
   raft::RaftNode& subgroup_node(PeerId peer);
-  raft::RaftNode* fedavg_node(PeerId peer);
   net::PeerHost& host(PeerId peer);
 
   /// FedAvg configuration a peer learned through its subgroup log (the

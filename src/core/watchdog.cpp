@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/cost_model.hpp"
-#include "core/system.hpp"
 
 namespace p2pfl::core {
 
@@ -129,29 +128,6 @@ void RoundWatchdog::round_finished(std::uint64_t round, double loss,
   }
   series_.append(std::move(s));
   if (on_sample) on_sample(series_.back(), fired);
-}
-
-void RoundWatchdog::attach(P2pFlSystem& sys) {
-  auto prev_started = sys.on_round_started;
-  sys.on_round_started = [this, prev_started](std::uint64_t r) {
-    if (prev_started) prev_started(r);
-    round_started(r);
-  };
-  auto prev_complete = sys.on_round_complete;
-  P2pFlSystem* sysp = &sys;
-  sys.on_round_complete = [this, prev_complete, sysp](
-                              std::uint64_t r, const secagg::Vector& g,
-                              std::size_t groups_used) {
-    if (prev_complete) prev_complete(r, g, groups_used);
-    round_committed(r, sysp->aggregator().last_contributors().size(),
-                    groups_used);
-    round_finished(r);
-  };
-  auto prev_aborted = sys.on_round_aborted;
-  sys.on_round_aborted = [this, prev_aborted](std::uint64_t r) {
-    if (prev_aborted) prev_aborted(r);
-    round_finished(r);
-  };
 }
 
 }  // namespace p2pfl::core

@@ -11,11 +11,8 @@
 // post-mortem from the span flight recorder, the same evidence
 // `p2pflctl explain` renders.
 //
-// Two drive modes share the sampling path:
-//   * manual — a round loop (the chaos soak) calls
-//     round_started / round_committed / round_finished itself;
-//   * attached — attach(P2pFlSystem&) chains onto the system's
-//     round-lifecycle hooks, closing each sample at commit/abort time.
+// The loop that drives the rounds (the chaos soak) calls round_started /
+// round_committed / round_finished itself.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +26,6 @@
 #include "sim/simulator.hpp"
 
 namespace p2pfl::core {
-
-class P2pFlSystem;
 
 struct WatchdogConfig {
   /// SLO rules evaluated per sample (empty = record-only watchdog).
@@ -50,7 +45,6 @@ class RoundWatchdog {
   RoundWatchdog(sim::Simulator& sim, net::Network& net,
                 const Topology& topology, WatchdogConfig cfg);
 
-  // --- manual drive ------------------------------------------------------
   /// Open the observation window of `round`. An already-open window is
   /// closed first (as uncommitted) so a superseded round still samples.
   void round_started(std::uint64_t round);
@@ -61,11 +55,6 @@ class RoundWatchdog {
   /// Negative loss/accuracy mean "not evaluated this round".
   void round_finished(std::uint64_t round, double loss = -1.0,
                       double accuracy = -1.0);
-
-  // --- attached drive ----------------------------------------------------
-  /// Chain onto the system's on_round_started / on_round_complete /
-  /// on_round_aborted hooks (previously installed hooks keep firing).
-  void attach(P2pFlSystem& sys);
 
   // --- results -----------------------------------------------------------
   const obs::RoundSeries& series() const { return series_; }

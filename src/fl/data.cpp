@@ -162,59 +162,4 @@ PeerIndices partition_non_iid(const Dataset& data, std::size_t peers,
   return out;
 }
 
-PeerIndices partition_dirichlet(const Dataset& data, std::size_t peers,
-                                double alpha, Rng& rng) {
-  P2PFL_CHECK(peers >= 1 && data.size() >= peers);
-  P2PFL_CHECK(alpha > 0.0);
-
-  std::vector<std::vector<std::size_t>> by_class(data.classes);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    by_class[static_cast<std::size_t>(data.labels[i])].push_back(i);
-  }
-  for (auto& pool : by_class) {
-    P2PFL_CHECK_MSG(!pool.empty(), "a class has no samples");
-    rng.shuffle(pool);
-  }
-  std::vector<std::size_t> cursor(data.classes, 0);
-  auto draw = [&](std::size_t cls) {
-    const auto& pool = by_class[cls];
-    const std::size_t idx = pool[cursor[cls] % pool.size()];
-    ++cursor[cls];
-    return idx;
-  };
-
-  std::gamma_distribution<double> gamma(alpha, 1.0);
-  const std::size_t quota = data.size() / peers;
-  PeerIndices out(peers);
-  for (std::size_t p = 0; p < peers; ++p) {
-    // Dir(alpha) sample via normalized Gamma draws.
-    std::vector<double> mix(data.classes);
-    double total = 0.0;
-    for (double& v : mix) {
-      v = std::max(gamma(rng.engine()), 1e-12);
-      total += v;
-    }
-    // Largest-remainder apportionment of the quota over classes.
-    std::vector<std::size_t> counts(data.classes, 0);
-    std::vector<std::pair<double, std::size_t>> remainders;
-    std::size_t assigned = 0;
-    for (std::size_t c = 0; c < data.classes; ++c) {
-      const double exact =
-          mix[c] / total * static_cast<double>(quota);
-      counts[c] = static_cast<std::size_t>(exact);
-      assigned += counts[c];
-      remainders.emplace_back(exact - static_cast<double>(counts[c]), c);
-    }
-    std::sort(remainders.rbegin(), remainders.rend());
-    for (std::size_t i = 0; assigned < quota; ++i, ++assigned) {
-      ++counts[remainders[i % remainders.size()].second];
-    }
-    for (std::size_t c = 0; c < data.classes; ++c) {
-      for (std::size_t i = 0; i < counts[c]; ++i) out[p].push_back(draw(c));
-    }
-    rng.shuffle(out[p]);
-  }
-  return out;
-}
-
 }  // namespace p2pfl::fl

@@ -75,14 +75,4 @@ PeerIndices partition_non_iid(const Dataset& data, std::size_t peers,
                               double off_fraction, Rng& rng,
                               std::size_t main_classes = 2);
 
-/// Dirichlet(alpha) label-skew partitioning — the continuous
-/// heterogeneity knob common in the FL literature (beyond the paper's
-/// two discrete Non-IID settings). Each peer's class mixture is drawn
-/// from Dir(alpha): alpha -> infinity approaches IID, alpha -> 0
-/// approaches one-class-per-peer. Every peer receives quota =
-/// data.size() / peers samples (drawn from per-class pools, cyclically
-/// when exhausted).
-PeerIndices partition_dirichlet(const Dataset& data, std::size_t peers,
-                                double alpha, Rng& rng);
-
 }  // namespace p2pfl::fl

@@ -28,10 +28,4 @@ std::vector<float> federated_average(
   return out;
 }
 
-std::vector<float> federated_average(
-    std::span<const std::vector<float>> models) {
-  std::vector<double> weights(models.size(), 1.0);
-  return federated_average(models, weights);
-}
-
 }  // namespace p2pfl::fl

@@ -16,8 +16,4 @@ std::vector<float> federated_average(
     std::span<const std::vector<float>> models,
     std::span<const double> weights);
 
-/// Unweighted convenience overload.
-std::vector<float> federated_average(
-    std::span<const std::vector<float>> models);
-
 }  // namespace p2pfl::fl

@@ -6,19 +6,6 @@
 
 namespace p2pfl::fl {
 
-void Sgd::step(std::span<float> params, std::span<const float> grads) {
-  P2PFL_CHECK(params.size() == grads.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i] -= lr_ * grads[i];
-  }
-}
-
-void Adam::reset() {
-  m_.clear();
-  v_.clear();
-  t_ = 0;
-}
-
 void Adam::step(std::span<float> params, std::span<const float> grads) {
   P2PFL_CHECK(params.size() == grads.size());
   if (m_.size() != params.size()) {

@@ -1,46 +1,24 @@
-// Optimizers operating on flattened parameter vectors.
+// The optimizer, operating on flattened parameter vectors.
 //
-// The paper trains with Adam (lr = 1e-4); plain SGD is included for
-// ablations. State (Adam moments) is sized lazily on the first step and
-// persists across federated rounds on each peer.
+// The paper trains with Adam (lr = 1e-4). State (Adam moments) is sized
+// lazily on the first step and persists across federated rounds on each
+// peer.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 namespace p2pfl::fl {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// In-place update of `params` from `grads` (equal sizes).
-  virtual void step(std::span<float> params,
-                    std::span<const float> grads) = 0;
-
-  /// Drop accumulated state (fresh training run).
-  virtual void reset() = 0;
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(float lr) : lr_(lr) {}
-  void step(std::span<float> params, std::span<const float> grads) override;
-  void reset() override {}
-
- private:
-  float lr_;
-};
-
-class Adam final : public Optimizer {
+class Adam {
  public:
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float eps = 1e-8f)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
-  void step(std::span<float> params, std::span<const float> grads) override;
-  void reset() override;
+
+  /// In-place update of `params` from `grads` (equal sizes).
+  void step(std::span<float> params, std::span<const float> grads);
 
  private:
   float lr_, beta1_, beta2_, eps_;

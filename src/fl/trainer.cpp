@@ -6,7 +6,7 @@
 
 namespace p2pfl::fl {
 
-PeerTrainer::PeerTrainer(Model model, std::unique_ptr<Optimizer> optimizer,
+PeerTrainer::PeerTrainer(Model model, std::unique_ptr<Adam> optimizer,
                          const Dataset& data,
                          std::vector<std::size_t> indices, Rng rng)
     : model_(std::move(model)),

@@ -30,7 +30,7 @@ class PeerTrainer {
  public:
   /// `indices` selects this peer's local samples within `data` (which
   /// must outlive the trainer).
-  PeerTrainer(Model model, std::unique_ptr<Optimizer> optimizer,
+  PeerTrainer(Model model, std::unique_ptr<Adam> optimizer,
               const Dataset& data, std::vector<std::size_t> indices,
               Rng rng);
 
@@ -49,7 +49,7 @@ class PeerTrainer {
 
  private:
   Model model_;
-  std::unique_ptr<Optimizer> optimizer_;
+  std::unique_ptr<Adam> optimizer_;
   const Dataset& data_;
   std::vector<std::size_t> indices_;
   Rng rng_;

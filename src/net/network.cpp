@@ -34,7 +34,6 @@ Network::Network(std::unique_ptr<Transport> owned, Transport* external,
     : owned_transport_(std::move(owned)),
       transport_(external != nullptr ? *external : *owned_transport_),
       cfg_(cfg),
-      rng_(transport_.rng().fork(0x6e65'74ULL /*"net"*/)),
       fault_rng_(transport_.rng().fork(0x6368'616fULL /*"chao"*/)),
       links_(transport_.obs(), cfg_.egress_bytes_per_sec),
       m_sent_msgs_(transport_.obs().metrics.counter("net.sent.messages")),
@@ -47,20 +46,11 @@ Network::Network(std::unique_ptr<Transport> owned, Transport* external,
       m_delivered_payload_(
           transport_.obs().metrics.counter("net.delivered.payload")) {
   P2PFL_CHECK(cfg_.base_latency >= 0);
-  P2PFL_CHECK(cfg_.latency_jitter >= 0);
   sim_transport_ = dynamic_cast<SimTransport*>(&transport_);
   transport_.set_sink(this);
 }
 
 Network::~Network() { transport_.set_sink(nullptr); }
-
-sim::Simulator& Network::simulator() {
-  sim::Simulator* sim = transport_.simulator();
-  P2PFL_CHECK_MSG(sim != nullptr,
-                  "Network::simulator() called on a non-deterministic "
-                  "transport; simulation-only layers cannot run here");
-  return *sim;
-}
 
 std::size_t Network::envelope_pool_slots() const {
   return sim_transport_ != nullptr ? sim_transport_->envelope_pool_slots() : 0;
@@ -111,42 +101,11 @@ void Network::attach(PeerId peer, Endpoint* endpoint) {
 
 void Network::detach(PeerId peer) { endpoints_.erase(peer); }
 
-bool Network::attached(PeerId peer) const {
-  return endpoints_.count(peer) > 0;
-}
-
-SimDuration Network::latency_for(PeerId from, PeerId to) {
+SimDuration Network::latency_for(PeerId from, PeerId to) const {
   SimDuration d = cfg_.base_latency;
-  if (cfg_.latency_jitter > 0) {
-    d += rng_.uniform_int(0, cfg_.latency_jitter);
-  }
   auto it = extra_delay_.find(link_key(from, to));
   if (it != extra_delay_.end()) d += it->second;
   return d;
-}
-
-const LinkFaults& Network::faults_for(PeerId from, PeerId to,
-                                      const std::string& kind) const {
-  auto lit = link_faults_.find(link_key(from, to));
-  if (lit != link_faults_.end()) return lit->second;
-  const LinkFaults* f = longest_prefix_match(kind_faults_, kind);
-  return f != nullptr ? *f : cfg_.faults;
-}
-
-void Network::set_link_faults(PeerId from, PeerId to, LinkFaults faults) {
-  link_faults_[link_key(from, to)] = faults;
-}
-
-void Network::clear_link_faults(PeerId from, PeerId to) {
-  link_faults_.erase(link_key(from, to));
-}
-
-void Network::set_kind_faults(std::string kind_prefix, LinkFaults faults) {
-  kind_faults_[std::move(kind_prefix)] = faults;
-}
-
-void Network::clear_kind_faults(const std::string& kind_prefix) {
-  kind_faults_.erase(kind_prefix);
 }
 
 void Network::partition(const std::vector<std::vector<PeerId>>& groups) {
@@ -177,9 +136,9 @@ bool Network::partitioned(PeerId from, PeerId to) const {
 void Network::schedule_delivery(Envelope env, const LinkFaults& f) {
   SimDuration delay = 0;
   if (transport_.deterministic()) {
-    // The simulator has no wire, so the Network models the link: latency
-    // with jitter, chaos reordering, and the link table's hold (stalls,
-    // egress serialization). On a real transport the kernel provides the
+    // The simulator has no wire, so the Network models the link: latency,
+    // chaos reordering, and the link table's hold (stalls, egress
+    // serialization). On a real transport the kernel provides the
     // latency, the transport applies the link table at its writes, and
     // the modeled delay stays 0.
     delay = latency_for(env.from, env.to);
@@ -209,7 +168,7 @@ void Network::send(Envelope env) {
   // Always re-stamped: a caller may reuse an envelope with another kind.
   env.kind_id = intern(env.kind);
   KindSlot& k = kinds_[env.kind_id];
-  if (cfg_.encode_verify) verify_encoding(env, k);
+  verify_encoding(env, k);
   env.dest_incarnation = incarnation(env.to);
 
   obs::SpanRecorder& sr = transport_.obs().spans;
@@ -244,7 +203,7 @@ void Network::send(Envelope env) {
                {{"to", env.to}, {"bytes", env.wire_bytes}});
   }
 
-  const LinkFaults& f = faults_for(env.from, env.to, env.kind);
+  const LinkFaults& f = cfg_.faults;
   if (f.drop_prob > 0.0 && fault_rng_.chance(f.drop_prob)) {
     // Lost in flight: the sender paid the bytes, nobody receives them.
     count_drop(kChaosLoss);

@@ -13,7 +13,7 @@
 //  * backed by net::SimTransport it is the paper's localhost TCP mesh
 //    shaped by `tc netem`, reproduced on the deterministic simulator:
 //    the Network's latency model (one-way base latency, default 15 ms
-//    as in §VI-B1, jitter, per-link extra delay, the reorder draw) plus
+//    as in §VI-B1, per-link extra delay, the reorder draw) plus
 //    the link table's hold gives every frame's delivery delay, and the
 //    whole fault model is available to the chaos engine in src/chaos;
 //  * backed by net::tcp::TcpTransport the same sends travel as
@@ -110,10 +110,12 @@ struct TrafficStats {
                                   std::uint64_t payload);
 };
 
-/// Stochastic link-imperfection knobs. All draws come from the network's
-/// own deterministic RNG fork, so identical seeds produce identical loss
-/// patterns. The all-zero default is a perfect link and makes no RNG
-/// draws at all (existing byte-exact cost experiments stay untouched).
+/// Stochastic link-imperfection knobs, applied alike to every inter-peer
+/// message (NetworkConfig::faults; chaos fault windows replace it for
+/// their duration). All draws come from the network's own deterministic
+/// RNG fork, so identical seeds produce identical loss patterns. The
+/// all-zero default is a perfect link and makes no RNG draws at all
+/// (existing byte-exact cost experiments stay untouched).
 struct LinkFaults {
   /// Probability a message is lost in flight (after send accounting).
   double drop_prob = 0.0;
@@ -145,29 +147,14 @@ struct NetworkConfig {
   /// One-way delivery latency applied to every message (paper: 15 ms).
   /// Simulator-only; a real transport's wire provides the latency.
   SimDuration base_latency = 15 * kMillisecond;
-  /// Uniform jitter in [0, latency_jitter] added per message.
-  SimDuration latency_jitter = 0;
   /// Per-peer egress bandwidth in bytes per second; 0 = infinite. When
   /// set, the link table serializes a sender's frames: each occupies its
   /// egress for wire_bytes / bandwidth and later sends queue behind it —
   /// which is what makes a one-layer SAC leader a latency bottleneck
   /// (see bench/ablation_round_latency). Applies on both transports.
   std::uint64_t egress_bytes_per_sec = 0;
-  /// Default stochastic imperfection applied to every inter-peer message
-  /// (overridable per link and per message-kind prefix).
+  /// Stochastic imperfection applied to every inter-peer message.
   LinkFaults faults = {};
-  /// Encode every payload whose kind has a registered codec at send time
-  /// and assert the charged wire_bytes equals the encoded length (plus
-  /// the envelope's declared modeled_delta). Every such send is encoded
-  /// in full — no size-only shortcut, no sampling — into one buffer the
-  /// network clears and reuses, so the check allocates nothing once the
-  /// buffer has held the largest message. On by default so every test
-  /// run cross-checks the Eq. (4)/(5) byte accounting against real
-  /// encodings; turn off only to send raw un-encodable bodies on
-  /// protocol kinds (some fault-injection tests do). On a
-  /// non-deterministic transport a codec is additionally *required*:
-  /// only canonical frames cross the seam.
-  bool encode_verify = true;
 };
 
 class Network : public FrameSink {
@@ -196,24 +183,27 @@ class Network : public FrameSink {
   /// Root RNG of the backing transport (fork children from it).
   Rng& rng() { return transport_.rng(); }
 
-  /// The simulator behind a sim-backed network. CHECK-fails on a real
-  /// transport — simulation-only layers (chaos engine, scale benches)
-  /// call this; protocol actors must use now()/obs()/rng() instead.
-  sim::Simulator& simulator();
-
   const NetworkConfig& config() const { return cfg_; }
 
   /// Register the handler for a peer. A peer must be attached before it
   /// can receive; re-attaching replaces the handler (peer restart).
   void attach(PeerId peer, Endpoint* endpoint);
   void detach(PeerId peer);
-  bool attached(PeerId peer) const;
 
   /// Queue a message. Drops silently (like a dead TCP connection) when
   /// the sender is crashed or the link is blocked; latency and crash of
   /// the destination are evaluated at delivery time, so a message can be
   /// lost to a crash that happens while it is in flight. Stamps
   /// env.kind_id with this network's id for env.kind.
+  ///
+  /// Encode verification: a payload whose kind has a registered codec is
+  /// encoded in full at send time — no size-only shortcut, no sampling —
+  /// into one buffer the network clears and reuses, and the charged
+  /// wire_bytes must equal the encoded length plus the envelope's
+  /// declared modeled_delta, so every run cross-checks the Eq. (4)/(5)
+  /// byte accounting against real encodings. On a non-deterministic
+  /// transport a codec is additionally *required*: only canonical frames
+  /// cross the seam.
   void send(Envelope env);
 
   /// Typed convenience wrapper building the envelope (pure control
@@ -277,18 +267,8 @@ class Network : public FrameSink {
   void clear_link_delay(PeerId from, PeerId to);
 
   // --- stochastic imperfection ------------------------------------------
-  /// Replace the default faults applied to every inter-peer message.
+  /// Replace the faults applied to every inter-peer message.
   void set_default_faults(LinkFaults faults) { cfg_.faults = faults; }
-
-  /// Per-directed-link faults; take precedence over kind and default.
-  void set_link_faults(PeerId from, PeerId to, LinkFaults faults);
-  void clear_link_faults(PeerId from, PeerId to);
-
-  /// Faults for every message whose kind starts with `kind_prefix`
-  /// (e.g. "raft/" or "agg/upload"); longest matching prefix wins.
-  /// Precedence: link > kind > default.
-  void set_kind_faults(std::string kind_prefix, LinkFaults faults);
-  void clear_kind_faults(const std::string& kind_prefix);
 
   // --- partitions --------------------------------------------------------
   /// Split the network: peers in different `groups` cannot exchange
@@ -364,9 +344,7 @@ class Network : public FrameSink {
   /// The id of `kind`, interning it (with an empty slot) on first sight.
   KindId intern(const std::string& kind);
   const Codec* codec_of(KindSlot& k) const;
-  SimDuration latency_for(PeerId from, PeerId to);
-  const LinkFaults& faults_for(PeerId from, PeerId to,
-                               const std::string& kind) const;
+  SimDuration latency_for(PeerId from, PeerId to) const;
   void schedule_delivery(Envelope env, const LinkFaults& f);
   void count_drop(Drop reason);
   /// Encode-verify: charge must equal real encoding + modeled_delta.
@@ -383,9 +361,8 @@ class Network : public FrameSink {
   /// (envelope pool introspection); null on real transports.
   SimTransport* sim_transport_ = nullptr;
   NetworkConfig cfg_;
-  Rng rng_;
-  /// Separate stream for stochastic faults so enabling chaos never
-  /// perturbs the latency-jitter draws of an otherwise identical run.
+  /// Stream of the stochastic faults (its own fork of the transport's
+  /// root RNG, so enabling chaos perturbs no protocol draw).
   Rng fault_rng_;
   LinkTable links_;
   obs::Counter& m_sent_msgs_;
@@ -408,8 +385,6 @@ class Network : public FrameSink {
   std::unordered_map<PeerId, std::uint64_t> incarnation_;
   std::unordered_set<Link> blocked_;
   std::unordered_map<Link, SimDuration> extra_delay_;
-  std::unordered_map<Link, LinkFaults> link_faults_;
-  std::map<std::string, LinkFaults> kind_faults_;
   bool partition_active_ = false;
   std::unordered_map<PeerId, int> partition_group_;
   TrafficStats stats_;

@@ -21,6 +21,10 @@ namespace p2pfl::net::tcp {
 
 namespace {
 
+/// Reconnect backoff: first retry after the min, doubling to the max.
+constexpr SimDuration kReconnectBackoffMin = 20 * kMillisecond;
+constexpr SimDuration kReconnectBackoffMax = 500 * kMillisecond;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   P2PFL_CHECK(flags >= 0);
@@ -40,8 +44,6 @@ TcpTransport::TcpTransport(TcpTransportConfig cfg)
       obs_(&clock_us_),
       epoch_(std::chrono::steady_clock::now()) {
   P2PFL_CHECK(!cfg_.peers.empty());
-  P2PFL_CHECK(cfg_.reconnect_backoff_min > 0);
-  P2PFL_CHECK(cfg_.reconnect_backoff_max >= cfg_.reconnect_backoff_min);
 }
 
 TcpTransport::~TcpTransport() { shutdown(); }
@@ -510,15 +512,12 @@ void TcpTransport::fail_out(OutConn& c, const char* reason) {
 
 void TcpTransport::schedule_reconnect(OutConn& c) {
   if (c.retry_timer != kNoTimerToken) return;
-  c.backoff = c.backoff == 0
-                  ? cfg_.reconnect_backoff_min
-                  : std::min(c.backoff * 2, cfg_.reconnect_backoff_max);
-  // Jitter the delay so the mesh's retries against a dead peer spread
-  // out instead of synchronizing into a reconnect storm.
-  const SimDuration delay =
-      cfg_.reconnect_jitter && c.backoff > 1
-          ? rng_.uniform_int(c.backoff / 2, c.backoff)
-          : c.backoff;
+  c.backoff = c.backoff == 0 ? kReconnectBackoffMin
+                             : std::min(c.backoff * 2, kReconnectBackoffMax);
+  // Jitter the delay uniformly in [backoff/2, backoff] so the mesh's
+  // retries against a dead peer spread out instead of synchronizing
+  // into a reconnect storm.
+  const SimDuration delay = rng_.uniform_int(c.backoff / 2, c.backoff);
   const std::uint64_t key = pair_key(c.from, c.to);
   c.retry_timer = schedule_after(delay, [this, key] {
     auto it = out_conns_.find(key);
@@ -547,7 +546,7 @@ void TcpTransport::handle_accept(Listener& l) {
       c = &in_conns_[in_free_.back()];
       in_free_.pop_back();
     } else {
-      in_conns_.emplace_back(cfg_.max_frame_bytes);
+      in_conns_.emplace_back();
       c = &in_conns_.back();
       c->slot = in_conns_.size() - 1;
     }

@@ -16,11 +16,11 @@
 //  * The clock is CLOCK_MONOTONIC microseconds since construction;
 //    timers ride a min-heap with lazy cancellation and fire at-or-after
 //    their deadline on the loop thread.
-//  * A broken connection is retried with exponential backoff
-//    (reconnect_backoff_min doubling up to reconnect_backoff_max);
-//    frames queued while disconnected are flushed on reconnect, frames
-//    already handed to the kernel are lost with the connection — the
-//    protocols above already tolerate message loss.
+//  * A broken connection is retried with jittered exponential backoff
+//    (20 ms doubling up to 500 ms); frames queued while disconnected
+//    are flushed on reconnect, frames already handed to the kernel are
+//    lost with the connection — the protocols above already tolerate
+//    message loss.
 //  * shutdown() briefly flushes pending writes, then stops and joins
 //    the loop thread and closes every socket. Destruction shuts down.
 //
@@ -55,19 +55,11 @@ struct TcpTransportConfig {
   /// Seed of the transport's root RNG (actors fork from it, as they fork
   /// from the simulator's).
   std::uint64_t seed = 1;
-  /// Reconnect backoff: first retry after min, doubling to max.
-  SimDuration reconnect_backoff_min = 20 * kMillisecond;
-  SimDuration reconnect_backoff_max = 500 * kMillisecond;
-  /// Jitter each reconnect delay uniformly in [backoff/2, backoff] so a
-  /// mesh of peers retrying a dead target never synchronizes into a
-  /// reconnect storm.
-  bool reconnect_jitter = true;
   /// Per-directed-pair outbound queue cap, in frames. When a dead or
   /// stalled peer lets the queue reach the cap, the oldest *undelivered*
   /// frame is dropped (never the partially-written front, which would
   /// tear the stream) and `net.tcp.outq_dropped` counts it. 0 = no cap.
   std::size_t max_outq_frames = 4096;
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
 };
 
 class TcpTransport final : public Transport {
@@ -166,7 +158,6 @@ class TcpTransport final : public Transport {
     int fd = -1;
     FrameAssembler assembler;
     std::size_t slot = 0;
-    explicit InConn(std::uint32_t max) : assembler(max) {}
   };
 
   struct TimerEntry {

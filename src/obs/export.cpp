@@ -120,12 +120,10 @@ std::string chrome_trace_json_impl(const TraceStream& trace,
   for (const TraceEvent& ev : trace.events()) {
     sep();
     out += "{\"name\":" + json_quote(ev.name) +
-           ",\"cat\":" + json_quote(ev.cat) + ",\"ph\":\"" + ev.ph +
-           "\",\"ts\":" + std::to_string(ev.ts) +
-           ",\"pid\":1,\"tid\":" + std::to_string(ev.tid);
-    if (ev.ph == 'X') out += ",\"dur\":" + std::to_string(ev.dur);
-    if (ev.ph == 'i') out += ",\"s\":\"t\"";
-    out += ',';
+           ",\"cat\":" + json_quote(ev.cat) +
+           ",\"ph\":\"i\",\"ts\":" + std::to_string(ev.ts) +
+           ",\"pid\":1,\"tid\":" + std::to_string(ev.tid) +
+           ",\"s\":\"t\",";
     append_args(out, ev.args);
     out += '}';
   }

@@ -74,17 +74,6 @@ double slo_field(const RoundSample& s, SloField f) {
   return 0.0;
 }
 
-const char* slo_rule_kind_name(SloRuleKind k) {
-  switch (k) {
-    case SloRuleKind::kThreshold: return "threshold";
-    case SloRuleKind::kEwmaDrift: return "ewma_drift";
-    case SloRuleKind::kQuantileDrift: return "quantile_drift";
-    case SloRuleKind::kConvergenceStall: return "convergence_stall";
-    case SloRuleKind::kByteBudget: return "byte_budget";
-  }
-  return "?";
-}
-
 SloEngine::SloEngine(std::vector<SloRule> rules)
     : rules_(std::move(rules)), states_(rules_.size()) {}
 

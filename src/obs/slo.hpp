@@ -66,8 +66,6 @@ enum class SloRuleKind : std::uint8_t {
   kByteBudget,
 };
 
-const char* slo_rule_kind_name(SloRuleKind k);
-
 struct SloRule {
   std::string name;          ///< stable id; metric suffix `slo.breach.<name>`
   SloRuleKind kind = SloRuleKind::kThreshold;

@@ -35,39 +35,10 @@ void TraceStream::instant(std::string_view cat, std::string_view name,
   if (!category_enabled(cat)) return;
   TraceEvent ev;
   ev.ts = *clock_;
-  ev.ph = 'i';
   ev.tid = tid;
   ev.cat = cat;
   ev.name = name;
   ev.args = std::move(args);
-  push(std::move(ev));
-}
-
-void TraceStream::complete(std::string_view cat, std::string_view name,
-                           std::uint32_t tid, SimTime start, SimDuration dur,
-                           TraceArgs args) {
-  if (!category_enabled(cat)) return;
-  TraceEvent ev;
-  ev.ts = start;
-  ev.dur = dur;
-  ev.ph = 'X';
-  ev.tid = tid;
-  ev.cat = cat;
-  ev.name = name;
-  ev.args = std::move(args);
-  push(std::move(ev));
-}
-
-void TraceStream::counter(std::string_view cat, std::string_view name,
-                          std::int64_t value) {
-  if (!category_enabled(cat)) return;
-  TraceEvent ev;
-  ev.ts = *clock_;
-  ev.ph = 'C';
-  ev.tid = 0;
-  ev.cat = cat;
-  ev.name = name;
-  ev.args.emplace_back("value", value);
   push(std::move(ev));
 }
 

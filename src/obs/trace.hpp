@@ -1,9 +1,11 @@
 // Structured trace-event stream on virtual time.
 //
 // A TraceEvent is one timestamped protocol observation ("peer 7 won the
-// raft/sg1 election for term 3") modeled on the Chrome trace_event
-// format, so a recorded stream can be opened directly in about://tracing
-// (or https://ui.perfetto.dev) with one row per peer. Events carry the
+// raft/sg1 election for term 3"), recorded as a Chrome trace_event
+// instant, so a recorded stream can be opened directly in
+// about://tracing (or https://ui.perfetto.dev) with one row per peer.
+// The stream records instants only; spans reach the Chrome trace
+// through their own path (obs/span.hpp). Events carry the
 // simulator's virtual timestamp — never the wall clock — so identical
 // seeds serialize to byte-identical traces (the golden-trace test relies
 // on this).
@@ -46,8 +48,6 @@ using TraceArgs = std::vector<std::pair<std::string, ArgValue>>;
 
 struct TraceEvent {
   SimTime ts = 0;        // virtual microseconds
-  SimDuration dur = 0;   // for phase 'X' (complete) events
-  char ph = 'i';         // 'i' instant, 'X' complete, 'C' counter
   std::uint32_t tid = 0; // track: peer id (or 0 for system-wide events)
   std::string cat;
   std::string name;
@@ -74,15 +74,6 @@ class TraceStream {
   /// Instantaneous event at the current virtual time.
   void instant(std::string_view cat, std::string_view name,
                std::uint32_t tid, TraceArgs args = {});
-
-  /// Spanning event: [start, start + dur] on track `tid`.
-  void complete(std::string_view cat, std::string_view name,
-                std::uint32_t tid, SimTime start, SimDuration dur,
-                TraceArgs args = {});
-
-  /// Counter-track sample (renders as a stacked chart in the viewer).
-  void counter(std::string_view cat, std::string_view name,
-               std::int64_t value);
 
   const std::deque<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }

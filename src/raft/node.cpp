@@ -8,6 +8,11 @@
 
 namespace p2pfl::raft {
 
+namespace {
+/// Max log entries shipped per AppendEntries RPC.
+constexpr std::size_t kMaxEntriesPerAppend = 128;
+}  // namespace
+
 const char* role_name(Role r) {
   switch (r) {
     case Role::kFollower: return "follower";
@@ -352,7 +357,8 @@ void RaftNode::become_leader() {
   P2PFL_DEBUG() << channel_ << " peer " << id_ << " elected leader, term "
                 << term_;
   broadcast_append();
-  heartbeat_timer_.arm_periodic(opts_.effective_heartbeat());
+  // Heartbeats at a third of the minimum election timeout.
+  heartbeat_timer_.arm_periodic(opts_.election_timeout_min / 3);
   if (on_become_leader) on_become_leader();
 }
 
@@ -390,7 +396,7 @@ void RaftNode::send_append(PeerId to) {
   args.leader = id_;
   args.prev_log_index = next - 1;
   args.prev_log_term = log_.term_at(next - 1);
-  args.entries = log_.slice(next, opts_.max_entries_per_append);
+  args.entries = log_.slice(next, kMaxEntriesPerAppend);
   args.leader_commit = commit_;
   const std::uint64_t wire = args.wire_size();
   send_rpc(to, "/ae", std::move(args), wire);
@@ -426,19 +432,16 @@ void RaftNode::handle_request_vote(const RequestVoteArgs& args) {
   // §4.2.3 stickiness: while we have heard from a live leader recently,
   // drop vote requests entirely (without even adopting the term), so a
   // server removed from the configuration — or one with a stale config —
-  // cannot depose a healthy leader by inflating terms. The leader itself
-  // applies the check-quorum form: while a quorum of its followers is in
-  // active contact it ignores vote requests too, closing the hole where
-  // the removed server's inflated term deposes the leader directly.
-  if (opts_.leader_stickiness) {
-    const bool follower_sticky =
-        role_ == Role::kFollower && last_leader_contact_ >= 0 &&
-        net_.now() - last_leader_contact_ <
-            opts_.election_timeout_min;
-    const bool leader_sticky =
-        role_ == Role::kLeader && quorum_contact_recent();
-    if (follower_sticky || leader_sticky) return;
-  }
+  // cannot depose a healthy leader by inflating terms (essential once
+  // membership changes, §V joins, happen). The leader itself applies the
+  // check-quorum form: while a quorum of its followers is in active
+  // contact it ignores vote requests too, closing the hole where the
+  // removed server's inflated term deposes the leader directly.
+  const bool follower_sticky =
+      role_ == Role::kFollower && last_leader_contact_ >= 0 &&
+      net_.now() - last_leader_contact_ < opts_.election_timeout_min;
+  const bool leader_sticky = role_ == Role::kLeader && quorum_contact_recent();
+  if (follower_sticky || leader_sticky) return;
   if (args.term > term_) become_follower(args.term, kNoPeer);
 
   RequestVoteReply reply;

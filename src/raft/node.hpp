@@ -41,32 +41,18 @@ struct RaftOptions {
   /// The paper samples from U(T, 2T); set min = T, max = 2T.
   SimDuration election_timeout_min = 150 * kMillisecond;
   SimDuration election_timeout_max = 300 * kMillisecond;
-  /// Leader heartbeat interval; 0 = election_timeout_min / 3.
-  SimDuration heartbeat_interval = 0;
-  /// Max log entries shipped per AppendEntries RPC.
-  std::size_t max_entries_per_append = 128;
   /// First election timeout after start(); 0 = random like every other.
   /// A designated bootstrap leader gets a short value so it reliably
   /// wins the initial election (the paper's evaluation likewise starts
   /// from a steady state with known leaders).
   SimDuration initial_election_timeout = 0;
-  /// §4.2.3 leader stickiness: ignore RequestVote while a heartbeat from
-  /// a current leader was seen within the minimum election timeout.
-  /// Prevents removed or stale servers from disrupting a healthy
-  /// cluster — essential once membership changes (§V joins) happen.
-  bool leader_stickiness = true;
   /// §7 log compaction: snapshot automatically once this many applied
   /// entries accumulate past the previous snapshot (0 = manual only).
   std::size_t compaction_threshold = 0;
   /// §9.6 PreVote: poll electability before incrementing the term. Off
   /// by default (the paper's hashicorp baseline also defaults off);
-  /// composes with leader_stickiness.
+  /// composes with leader stickiness (see handle_request_vote).
   bool pre_vote = false;
-
-  SimDuration effective_heartbeat() const {
-    return heartbeat_interval > 0 ? heartbeat_interval
-                                  : election_timeout_min / 3;
-  }
 };
 
 /// Observable protocol counters (used by tests and the Raft benches).

@@ -22,6 +22,9 @@ constexpr std::uint8_t kEntryRec = 2;
 constexpr std::uint8_t kTruncateRec = 3;
 constexpr std::uint8_t kSnapshotMark = 4;
 
+/// Records larger than this are treated as corruption during recovery.
+constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
+
 Bytes encode_term_vote(Term term, PeerId voted_for) {
   ByteWriter w;
   w.u8(kTermVote);
@@ -105,12 +108,12 @@ bool read_file(const std::string& path, Bytes& out) {
 
 /// tmp + fsync + rename: the target is either the old file or the new
 /// one, never a torn hybrid.
-void atomic_write(const std::string& path, const Bytes& data, bool do_fsync) {
+void atomic_write(const std::string& path, const Bytes& data) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
   P2PFL_CHECK_MSG(fd >= 0, "raft WAL tmp open failed");
   write_all(fd, data.data(), data.size());
-  if (do_fsync) ::fsync(fd);
+  ::fsync(fd);
   ::close(fd);
   P2PFL_CHECK_MSG(::rename(tmp.c_str(), path.c_str()) == 0,
                   "raft WAL rename failed");
@@ -133,8 +136,7 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-WalStorage::WalStorage(std::string prefix, WalOptions opts)
-    : prefix_(std::move(prefix)), opts_(opts) {}
+WalStorage::WalStorage(std::string prefix) : prefix_(std::move(prefix)) {}
 
 WalStorage::~WalStorage() { close_fd(); }
 
@@ -144,7 +146,7 @@ bool WalStorage::exists(const std::string& prefix) {
 
 void WalStorage::close_fd() {
   if (fd_ >= 0) {
-    if (dirty_ && opts_.fsync) ::fsync(fd_);
+    if (dirty_) ::fsync(fd_);
     ::close(fd_);
     fd_ = -1;
     dirty_ = false;
@@ -175,7 +177,7 @@ PersistentState WalStorage::load() {
     if (read_file(snap_path(), raw) && raw.size() >= 8) {
       const std::uint32_t len = read_u32_le(raw.data());
       const std::uint32_t crc = read_u32_le(raw.data() + 4);
-      if (len <= opts_.max_record_bytes && 8 + len <= raw.size() &&
+      if (len <= kMaxRecordBytes && 8 + len <= raw.size() &&
           crc32(raw.data() + 8, len) == crc) {
         const Bytes payload(raw.begin() + 8, raw.begin() + 8 + len);
         ByteReader r(payload);
@@ -198,7 +200,7 @@ PersistentState WalStorage::load() {
   while (off + 8 <= wal.size()) {
     const std::uint32_t len = read_u32_le(wal.data() + off);
     const std::uint32_t crc = read_u32_le(wal.data() + off + 4);
-    if (len > opts_.max_record_bytes || off + 8 + len > wal.size() ||
+    if (len > kMaxRecordBytes || off + 8 + len > wal.size() ||
         crc32(wal.data() + off + 8, len) != crc) {
       bad_tail = true;
       break;
@@ -280,7 +282,7 @@ PersistentState WalStorage::load() {
     if (fd >= 0) {
       P2PFL_CHECK_MSG(::ftruncate(fd, static_cast<off_t>(off)) == 0,
                       "raft WAL truncate failed");
-      if (opts_.fsync) ::fsync(fd);
+      ::fsync(fd);
       ::close(fd);
     }
   }
@@ -364,7 +366,7 @@ void WalStorage::save_snapshot(Index index, Term term,
     Bytes framed;
     const Bytes payload = w.take();
     append_framed(framed, payload);
-    atomic_write(snap_path(), framed, opts_.fsync);
+    atomic_write(snap_path(), framed);
   }
   // 2. Rewrite the WAL from scratch: term/vote, the snapshot mark, and
   //    the surviving tail. This is what bounds WAL growth.
@@ -381,12 +383,12 @@ void WalStorage::rewrite_wal(const std::vector<Bytes>& payloads) {
   Bytes framed;
   for (const Bytes& p : payloads) append_framed(framed, p);
   close_fd();
-  atomic_write(wal_path(), framed, opts_.fsync);
+  atomic_write(wal_path(), framed);
   open_wal_for_append();
 }
 
 void WalStorage::sync() {
-  if (dirty_ && opts_.fsync && fd_ >= 0) ::fsync(fd_);
+  if (dirty_ && fd_ >= 0) ::fsync(fd_);
   dirty_ = false;
 }
 

@@ -82,18 +82,12 @@ class Storage {
   virtual const RecoveryInfo& recovery() const = 0;
 };
 
-struct WalOptions {
-  /// fsync on sync(). Off only for tests that measure logical behavior.
-  bool fsync = true;
-  /// Records larger than this are treated as corruption during recovery.
-  std::uint32_t max_record_bytes = 64u << 20;
-};
-
 /// File-backed Storage. `prefix` names the per-node file pair
 /// (`<prefix>.wal` / `<prefix>.snap`); parent directories must exist.
+/// sync() and every atomic file replace fsync.
 class WalStorage final : public Storage {
  public:
-  explicit WalStorage(std::string prefix, WalOptions opts = {});
+  explicit WalStorage(std::string prefix);
   ~WalStorage() override;
 
   WalStorage(const WalStorage&) = delete;
@@ -127,7 +121,6 @@ class WalStorage final : public Storage {
   void close_fd();
 
   std::string prefix_;
-  WalOptions opts_;
   int fd_ = -1;
   bool dirty_ = false;
   RecoveryInfo recovery_;

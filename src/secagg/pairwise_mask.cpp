@@ -90,8 +90,4 @@ Vector PairwiseMasker::unmask_sum(
   return to_vector(acc);
 }
 
-double PairwiseMasker::server_round_cost_units(std::size_t users) {
-  return 2.0 * static_cast<double>(users);
-}
-
 }  // namespace p2pfl::secagg

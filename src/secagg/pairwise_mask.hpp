@@ -60,13 +60,6 @@ class PairwiseMasker {
                     std::span<const std::size_t> survivor_ids,
                     std::span<const std::size_t> dropout_ids) const;
 
-  /// Communication cost (in |w| units) of one CCS'17-style aggregation
-  /// round with a central server: each of N users uploads one masked
-  /// vector and downloads the result: 2N|w| (key/share traffic is
-  /// O(N^2) scalars, negligible next to |w|). Provided for the ablation
-  /// bench.
-  static double server_round_cost_units(std::size_t users);
-
  private:
   std::size_t n_;
   std::uint64_t session_;

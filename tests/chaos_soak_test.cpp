@@ -17,7 +17,6 @@
 #include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
 #include "core/system.hpp"
-#include "core/watchdog.hpp"
 
 namespace p2pfl::chaos {
 namespace {
@@ -175,45 +174,6 @@ TEST(ChaosSoakSlow, CrashWindowTripsLatencySloWithAlertPostmortem) {
   // latency, not as gaps.
   EXPECT_NE(breached.timeseries_jsonl.find("\"latency_ms\":1000"),
             std::string::npos);
-}
-
-TEST(ChaosSoakSlow, WatchdogAttachesToFullSystemRounds) {
-  // The attach() path: P2pFlSystem round hooks (started / committed /
-  // aborted) drive the watchdog directly, so a live deployment gets the
-  // same per-round series as the soak harness.
-  FullSystemChaos f(9, 3, 7);
-  core::WatchdogConfig wcfg;
-  wcfg.rules = obs::default_rules(/*max_latency_ms=*/5000.0);
-  core::RoundWatchdog watchdog(f.sim, f.net, core::Topology::even(9, 3),
-                               wcfg);
-  watchdog.attach(*f.sys);
-  f.sys->start();
-  f.sim.run_for(6 * kSecond);
-  ASSERT_GE(f.sys->rounds_completed(), 1u);
-
-  ChaosPlan plan;
-  plan.partition_window(f.sim.now() + 100 * kMillisecond,
-                        f.sim.now() + 3 * kSecond + 100 * kMillisecond,
-                        {{0, 1, 2}, {3, 4, 5, 6, 7, 8}});
-  ChaosEngine engine(f.net, std::move(plan));
-  engine.start();
-  f.sim.run_for(8 * kSecond);
-
-  const obs::RoundSeries& series = watchdog.series();
-  ASSERT_FALSE(series.empty());
-  std::size_t committed = 0, uncommitted = 0;
-  for (const obs::RoundSample& s : series.samples()) {
-    (s.committed ? committed : uncommitted) += 1;
-    EXPECT_GT(s.end, s.start) << "round " << s.round;
-  }
-  EXPECT_GT(committed, 0u);
-  // The partition window produced at least one aborted/censored round.
-  EXPECT_GT(uncommitted, 0u);
-  // Typed SLO metrics were registered on the system's registry.
-  // `slo.evaluations` counts rule evaluations; the always-applicable
-  // latency threshold rule alone contributes one per sample.
-  EXPECT_GE(f.sim.obs().metrics.counter_value("slo.evaluations"),
-            series.total_appended());
 }
 
 TEST(ChaosSoakSlow, SystemLearnsOnLossyNetwork) {

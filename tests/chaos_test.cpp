@@ -105,53 +105,6 @@ TEST(ChaosNet, ReorderJitterShufflesArrivalOrder) {
   EXPECT_EQ(arrival, sent_order);  // ...but nothing was lost or duplicated
 }
 
-TEST(ChaosNet, PerLinkFaultsOverrideDefaults) {
-  sim::Simulator sim(7);
-  net::Network net(sim, {.base_latency = 10 * kMillisecond});
-  Recorder r1, r2;
-  net.attach(0, &r1);
-  net.attach(1, &r1);
-  net.attach(2, &r2);
-  net.set_link_faults(0, 1, {.drop_prob = 1.0});
-  for (int i = 0; i < 5; ++i) {
-    net.send(0, 1, "msg", i, 100);
-    net.send(0, 2, "msg", i, 100);
-  }
-  sim.run();
-  EXPECT_TRUE(r1.got.empty());
-  EXPECT_EQ(r2.got.size(), 5u);
-  net.clear_link_faults(0, 1);
-  net.send(0, 1, "msg", 99, 100);
-  sim.run();
-  EXPECT_EQ(r1.got.size(), 1u);
-}
-
-TEST(ChaosNet, KindPrefixFaultsLongestPrefixWins) {
-  sim::Simulator sim(7);
-  // Raw int bodies on protocol kinds: disable encode verification, which
-  // would otherwise reject bodies the registered codecs cannot encode.
-  net::NetworkConfig ncfg{.base_latency = 10 * kMillisecond};
-  ncfg.encode_verify = false;
-  net::Network net(sim, ncfg);
-  Recorder r1;
-  net.attach(0, &r1);
-  net.attach(1, &r1);
-  // "agg/" is lossless but the more specific "agg/upload" loses all.
-  net.set_kind_faults("agg/", {});
-  net.set_kind_faults("agg/upload", {.drop_prob = 1.0});
-  net.send(0, 1, "agg/upload", 1, 100);
-  net.send(0, 1, "agg/result", 2, 100);
-  net.send(0, 1, "raft/vote", 3, 100);
-  sim.run();
-  ASSERT_EQ(r1.got.size(), 2u);
-  EXPECT_EQ(r1.got[0].kind, "agg/result");
-  EXPECT_EQ(r1.got[1].kind, "raft/vote");
-  net.clear_kind_faults("agg/upload");
-  net.send(0, 1, "agg/upload", 4, 100);
-  sim.run();
-  EXPECT_EQ(r1.got.size(), 3u);
-}
-
 TEST(ChaosNet, PartitionBlocksCrossGroupTrafficUntilHealed) {
   sim::Simulator sim(7);
   net::Network net(sim, {.base_latency = 10 * kMillisecond});
@@ -777,9 +730,12 @@ TEST(ChaosAgg, DuplicationKeepsDeliveredBytesAtPaperCounts) {
 }
 
 TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
-  // All "agg/upload" transfers are lost for the first 1.2 s; the
-  // subgroup leaders' capped-backoff retries deliver them afterwards and
-  // the round commits with every subgroup included.
+  // Every upload is lost for the first 1.2 s: under the designated
+  // leadership of even(9, 3) the links 3->0 and 6->0 carry only the
+  // subgroup leaders' "agg/upload" transfers to the FedAvg leader, and
+  // both stay blocked until then. The leaders' capped-backoff retries
+  // deliver the uploads afterwards and the round commits with every
+  // subgroup included.
   sim::Simulator sim(5);
   net::Network net(sim, {.base_latency = 15 * kMillisecond});
   const core::Topology topo = core::Topology::even(9, 3);
@@ -794,9 +750,12 @@ TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
     global = g;
     groups_used = used;
   };
-  net.set_kind_faults("agg/upload", {.drop_prob = 1.0});
-  sim.schedule_at(1200 * kMillisecond,
-                  [&] { net.clear_kind_faults("agg/upload"); });
+  net.block_link(3, 0);
+  net.block_link(6, 0);
+  sim.schedule_at(1200 * kMillisecond, [&] {
+    net.unblock_link(3, 0);
+    net.unblock_link(6, 0);
+  });
   agg.begin_round(1, core::RoundLeadership::designated(topo), [](PeerId id) {
     return secagg::Vector(4, static_cast<float>(id + 1));
   });
@@ -806,7 +765,7 @@ TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
   EXPECT_EQ(agg.last_contributors().size(), 9u);
   for (float v : *global) EXPECT_NEAR(v, 5.0f, 1e-4f);  // mean of 1..9
   EXPECT_GE(counter_value(sim, "agg.upload_retries"), 2u);
-  EXPECT_GT(counter_value(sim, "net.dropped.chaos_loss"), 0u);
+  EXPECT_GT(counter_value(sim, "net.dropped.link_blocked"), 0u);
 }
 
 // --- chaos soak (fast configuration; the long one lives in the slow

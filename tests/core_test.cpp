@@ -261,18 +261,6 @@ TEST(FlExperiment, NonIidHurtsAccuracy) {
   EXPECT_GE(iid.final_accuracy + 0.05, non0.final_accuracy);
 }
 
-TEST(FlExperiment, GossipBaselineMatchesPlainFedAvg) {
-  // BrainTorrent-style gossip averaging is numerically the same global
-  // model as plain FedAvg — the difference is privacy, not accuracy.
-  FlExperimentConfig cfg = tiny_config();
-  cfg.rounds = 8;
-  cfg.aggregation = AggregationKind::kPlainFedAvg;
-  const auto plain = run_fl_experiment(cfg);
-  cfg.aggregation = AggregationKind::kGossipCenter;
-  const auto gossip = run_fl_experiment(cfg);
-  EXPECT_EQ(plain.final_accuracy, gossip.final_accuracy);
-}
-
 TEST(FlExperiment, SampleWeightedSacMatchesPlainFedAvg) {
   // With weight_by_samples, a single-subgroup secure aggregation equals
   // the exact McMahan sample-weighted average.
@@ -311,16 +299,6 @@ TEST(FlExperiment, ZeroBatchSizeThrowsAtAnyWorkerCount) {
         << "workers=" << workers;
   }
   set_parallel_workers(0);  // restore the hardware default
-}
-
-TEST(MovingAverage, WindowedMean) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  const auto ma = moving_average(xs, 3);
-  EXPECT_DOUBLE_EQ(ma[0], 1.0);
-  EXPECT_DOUBLE_EQ(ma[1], 1.5);
-  EXPECT_DOUBLE_EQ(ma[2], 2.0);
-  EXPECT_DOUBLE_EQ(ma[3], 3.0);
-  EXPECT_DOUBLE_EQ(ma[4], 4.0);
 }
 
 }  // namespace

@@ -263,25 +263,5 @@ TEST(Membership, HealthReportsDegradedThresholdWhileBelowNominal) {
   EXPECT_FALSE(healed.degraded);
 }
 
-TEST(Membership, SelfHealingOffLeavesEvictionToNobody) {
-  TwoLayerRaftOptions opts = fast_options();
-  opts.self_healing = false;
-  System s(9, 3, 17, opts);
-  s.sys.start_all();
-  ASSERT_TRUE(s.run_until_stable());
-  const PeerId victim = s.pure_follower();
-  ASSERT_NE(victim, kNoPeer);
-  s.sys.crash_peer(victim);
-  s.sim.run_for(5 * kSecond);
-  // Without the supervisor nobody proposes the removal: the dead peer
-  // stays in its subgroup's configuration (pre-PR behaviour).
-  EXPECT_EQ(s.counter("membership.evicted"), 0u);
-  const SubgroupHealth h =
-      s.sys.health().subgroups[s.sys.topology().subgroup_of(victim)];
-  EXPECT_TRUE(h.evicted.empty());
-  EXPECT_NE(std::find(h.config.begin(), h.config.end(), victim),
-            h.config.end());
-}
-
 }  // namespace
 }  // namespace p2pfl::core

@@ -306,24 +306,6 @@ TEST(PeerHost, UnrouteStopsDelivery) {
   EXPECT_EQ(hits, 1);
 }
 
-TEST(NetworkJitter, JitterStaysWithinBound) {
-  sim::Simulator sim(7);
-  Network net(sim, {.base_latency = 10 * kMillisecond,
-                    .latency_jitter = 5 * kMillisecond});
-  Recorder r;
-  r.sim = &sim;
-  net.attach(1, &r);
-  net.attach(0, &r);
-  for (int i = 0; i < 50; ++i) net.send(0, 1, "k", i, 1);
-  sim.run();
-  ASSERT_EQ(r.times.size(), 50u);
-  for (SimTime t : r.times) {
-    EXPECT_GE(t, 10 * kMillisecond);
-    EXPECT_LE(t, 15 * kMillisecond);
-  }
-}
-
-
 TEST(NetworkBandwidth, TransmissionDelayAddsToLatency) {
   sim::Simulator sim(3);
   NetworkConfig cfg;

@@ -115,9 +115,5 @@ TEST(PairwiseMask, MissingDropoutSeedsLeaveGarbage) {
   EXPECT_GT(dist, 0.5);
 }
 
-TEST(PairwiseMask, ServerCostIsLinearButCentralized) {
-  EXPECT_DOUBLE_EQ(PairwiseMasker::server_round_cost_units(30), 60.0);
-}
-
 }  // namespace
 }  // namespace p2pfl::secagg

@@ -13,29 +13,6 @@ const Value* Value::get(std::string_view key) const {
   return nullptr;
 }
 
-const Value* Value::at_path(std::string_view dotted) const {
-  const Value* cur = this;
-  while (!dotted.empty()) {
-    const std::size_t dot = dotted.find('.');
-    const std::string_view seg = dotted.substr(0, dot);
-    dotted = dot == std::string_view::npos ? std::string_view{}
-                                           : dotted.substr(dot + 1);
-    if (cur->is_array()) {
-      std::size_t idx = 0;
-      for (char c : seg) {
-        if (c < '0' || c > '9') return nullptr;
-        idx = idx * 10 + static_cast<std::size_t>(c - '0');
-      }
-      if (seg.empty() || idx >= cur->array.size()) return nullptr;
-      cur = &cur->array[idx];
-    } else {
-      cur = cur->get(seg);
-      if (cur == nullptr) return nullptr;
-    }
-  }
-  return cur;
-}
-
 namespace {
 
 class Parser {

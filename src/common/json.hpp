@@ -41,10 +41,6 @@ class Value {
 
   /// Object member by key, or nullptr.
   const Value* get(std::string_view key) const;
-
-  /// Lookup by dotted path ("gate.failed", "cells.3.accuracy" — bare
-  /// integers index arrays). Returns nullptr when any step is missing.
-  const Value* at_path(std::string_view dotted) const;
 };
 
 struct ParseError {

@@ -2,94 +2,6 @@
 
 namespace p2pfl::core::wire {
 
-namespace {
-
-template <typename T, typename Fn>
-std::optional<T> guarded(const Bytes& b, Fn fn) {
-  ByteReader r(b);
-  T out = fn(r);
-  if (!r.complete()) return std::nullopt;
-  return out;
-}
-
-}  // namespace
-
-void encode_to(const AggUploadMsg& m, ByteWriter& w) {
-  w.u64(m.round);
-  w.u32(m.group);
-  w.u32(m.weight);
-  w.vec_f32(m.model);
-}
-
-std::optional<AggUploadMsg> decode_upload(const Bytes& b) {
-  return guarded<AggUploadMsg>(b, [](ByteReader& r) {
-    AggUploadMsg m;
-    m.round = r.u64();
-    m.group = r.u32();
-    m.weight = r.u32();
-    m.model = r.vec_f32();
-    return m;
-  });
-}
-
-void encode_to(const AggResultMsg& m, ByteWriter& w) {
-  w.u64(m.round);
-  w.vec_f32(m.model);
-}
-
-std::optional<AggResultMsg> decode_result(const Bytes& b) {
-  return guarded<AggResultMsg>(b, [](ByteReader& r) {
-    AggResultMsg m;
-    m.round = r.u64();
-    m.model = r.vec_f32();
-    return m;
-  });
-}
-
-void encode_to(const JoinRequestMsg& m, ByteWriter& w) {
-  w.u32(m.candidate);
-  w.u32(m.stale_representative);
-}
-
-std::optional<JoinRequestMsg> decode_join(const Bytes& b) {
-  return guarded<JoinRequestMsg>(b, [](ByteReader& r) {
-    JoinRequestMsg m;
-    m.candidate = r.u32();
-    m.stale_representative = r.u32();
-    return m;
-  });
-}
-
-void encode_to(const RejoinRequestMsg& m, ByteWriter& w) {
-  w.u32(m.peer);
-  w.u32(m.subgroup);
-  w.u64(m.incarnation);
-}
-
-std::optional<RejoinRequestMsg> decode_rejoin(const Bytes& b) {
-  return guarded<RejoinRequestMsg>(b, [](ByteReader& r) {
-    RejoinRequestMsg m;
-    m.peer = r.u32();
-    m.subgroup = r.u32();
-    m.incarnation = r.u64();
-    return m;
-  });
-}
-
-void encode_to(const ModelPullMsg& m, ByteWriter& w) {
-  w.u32(m.peer);
-  w.u64(m.last_round);
-}
-
-std::optional<ModelPullMsg> decode_pull(const Bytes& b) {
-  return guarded<ModelPullMsg>(b, [](ByteReader& r) {
-    ModelPullMsg m;
-    m.peer = r.u32();
-    m.last_round = r.u64();
-    return m;
-  });
-}
-
 net::WireSize upload_wire(std::uint64_t payload, std::size_t dim) {
   net::WireSize s;
   s.payload = payload;
@@ -140,20 +52,6 @@ JoinRequestMsg sample_join(Rng& rng, const net::WireSample& s) {
   return m;
 }
 
-bool eq_upload(const AggUploadMsg& a, const AggUploadMsg& b) {
-  return a.round == b.round && a.group == b.group && a.weight == b.weight &&
-         a.model == b.model;
-}
-
-bool eq_result(const AggResultMsg& a, const AggResultMsg& b) {
-  return a.round == b.round && a.model == b.model;
-}
-
-bool eq_join(const JoinRequestMsg& a, const JoinRequestMsg& b) {
-  return a.candidate == b.candidate &&
-         a.stale_representative == b.stale_representative;
-}
-
 RejoinRequestMsg sample_rejoin(Rng& rng, const net::WireSample& s) {
   RejoinRequestMsg m;
   m.peer = static_cast<PeerId>(rng.index(s.n));
@@ -169,37 +67,17 @@ ModelPullMsg sample_pull(Rng& rng, const net::WireSample& s) {
   return m;
 }
 
-bool eq_rejoin(const RejoinRequestMsg& a, const RejoinRequestMsg& b) {
-  return a.peer == b.peer && a.subgroup == b.subgroup &&
-         a.incarnation == b.incarnation;
-}
-
-bool eq_pull(const ModelPullMsg& a, const ModelPullMsg& b) {
-  return a.peer == b.peer && a.last_round == b.last_round;
-}
-
 }  // namespace
 
 void register_codecs() {
   static const bool once = [] {
     auto& reg = net::CodecRegistry::global();
-    reg.add(net::make_codec<AggUploadMsg>("agg:upload", &encode_to,
-                                          &decode_upload, &sample_upload,
-                                          &eq_upload));
-    reg.add(net::make_codec<AggResultMsg>("agg:result", &encode_to,
-                                          &decode_result, &sample_result,
-                                          &eq_result));
-    reg.add(net::make_codec<AggResultMsg>("ml:result", &encode_to,
-                                          &decode_result, &sample_result,
-                                          &eq_result));
-    reg.add(net::make_codec<JoinRequestMsg>("join", &encode_to, &decode_join,
-                                            &sample_join, &eq_join));
-    reg.add(net::make_codec<RejoinRequestMsg>("member:rejoin", &encode_to,
-                                              &decode_rejoin, &sample_rejoin,
-                                              &eq_rejoin));
-    reg.add(net::make_codec<ModelPullMsg>("member:pull", &encode_to,
-                                          &decode_pull, &sample_pull,
-                                          &eq_pull));
+    reg.add(net::make_codec("agg:upload", &sample_upload));
+    reg.add(net::make_codec("agg:result", &sample_result));
+    reg.add(net::make_codec("ml:result", &sample_result));
+    reg.add(net::make_codec("join", &sample_join));
+    reg.add(net::make_codec("member:rejoin", &sample_rejoin));
+    reg.add(net::make_codec("member:pull", &sample_pull));
     return true;
   }();
   (void)once;

@@ -1,17 +1,17 @@
-// Binary wire codec for the core aggregation-layer messages.
+// The core aggregation-layer messages and their codecs.
 //
 // The typed structs that ride net::Envelope between the core actors —
 // the subgroup-leader upload, the global-model result (two-layer "agg/*"
-// and multilayer "ml/result" flavors), and the FedAvg-layer join request
-// — with their canonical little-endian encodings. The charged WireSize
-// helpers split each charge into the real framing plus the |w|-unit
-// model payload the paper's cost analysis counts (and the declared
-// modeled-CNN delta when model_wire_bytes overrides the real vector
-// size).
+// and multilayer "ml/result" flavors), the FedAvg-layer join request and
+// the membership rejoin and model pull — each with its canonical
+// little-endian encoding stated once, as fields() (common/serialize.hpp).
+// The charged WireSize helpers, stated independently of fields(), split
+// each charge into the real framing plus the |w|-unit model payload the
+// paper's cost analysis counts (and the declared modeled-CNN delta when
+// model_wire_bytes overrides the real vector size).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/types.hpp"
 #include "net/codec.hpp"
@@ -27,12 +27,24 @@ struct AggUploadMsg {
   SubgroupId group = 0;
   std::uint32_t weight = 0;  // peers aggregated in the subgroup
   secagg::Vector model;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.group, m.weight, m.model);
+  }
+  bool operator==(const AggUploadMsg&) const = default;
 };
 
 /// Global model fanned back down ("agg/result" / "ml/result").
 struct AggResultMsg {
   std::uint64_t round = 0;
   secagg::Vector model;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.model);
+  }
+  bool operator==(const AggResultMsg&) const = default;
 };
 
 /// New subgroup representative asking the FedAvg leader to swap it in
@@ -40,6 +52,12 @@ struct AggResultMsg {
 struct JoinRequestMsg {
   PeerId candidate = kNoPeer;
   PeerId stale_representative = kNoPeer;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.candidate, m.stale_representative);
+  }
+  bool operator==(const JoinRequestMsg&) const = default;
 };
 
 /// Evicted (or freshly wiped) peer asking its subgroup leader to be
@@ -50,6 +68,12 @@ struct RejoinRequestMsg {
   PeerId peer = kNoPeer;
   SubgroupId subgroup = 0;
   std::uint64_t incarnation = 0;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.peer, m.subgroup, m.incarnation);
+  }
+  bool operator==(const RejoinRequestMsg&) const = default;
 };
 
 /// Catch-up state transfer, peer -> subgroup leader: "send me the
@@ -58,21 +82,13 @@ struct RejoinRequestMsg {
 struct ModelPullMsg {
   PeerId peer = kNoPeer;
   std::uint64_t last_round = 0;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.peer, m.last_round);
+  }
+  bool operator==(const ModelPullMsg&) const = default;
 };
-
-/// Append the canonical encoding of `m` to `w` (what net::Codec::encode_to
-/// runs for the message's kind).
-void encode_to(const AggUploadMsg& m, ByteWriter& w);
-void encode_to(const AggResultMsg& m, ByteWriter& w);
-void encode_to(const JoinRequestMsg& m, ByteWriter& w);
-void encode_to(const RejoinRequestMsg& m, ByteWriter& w);
-void encode_to(const ModelPullMsg& m, ByteWriter& w);
-
-std::optional<AggUploadMsg> decode_upload(const Bytes& b);
-std::optional<AggResultMsg> decode_result(const Bytes& b);
-std::optional<JoinRequestMsg> decode_join(const Bytes& b);
-std::optional<RejoinRequestMsg> decode_rejoin(const Bytes& b);
-std::optional<ModelPullMsg> decode_pull(const Bytes& b);
 
 /// Framing: upload = round + group + weight + element count; result =
 /// round + element count; join = candidate + stale representative.

@@ -3,8 +3,10 @@
 // Every message that crosses net::Network rides as a typed std::any for
 // speed, but its accounted wire size must be honest. Each protocol layer
 // (raft/wire, secagg/wire, core/wire) registers a Codec here for every
-// message it sends, built by make_codec from the layer's typed encoder
-// and decoder. The network consults the registry to
+// message it sends, built by make_codec from the message type alone:
+// its fields() layout (common/serialize.hpp) gives the encoding and the
+// strict decode, its operator== the equality. The network consults the
+// registry to
 //
 //  * encode-verify: at send time, encode the payload in full and assert
 //    the charged wire_bytes equals the encoded length (plus the declared
@@ -107,33 +109,30 @@ const T* payload(const std::any& body) {
   return std::any_cast<T>(&body);
 }
 
-/// A registry Codec for message type T from its layer's typed encoder
-/// and decoder, a sample generator and field-wise equality.
+/// A registry Codec for message type T: encode and strict decode by its
+/// fields() layout, equality by its operator==, and a sample generator.
 template <typename T>
-Codec make_codec(std::string key, void (*encode_fn)(const T&, ByteWriter&),
-                 std::optional<T> (*decode_fn)(const Bytes&),
-                 T (*sample_fn)(Rng&, const WireSample&),
-                 bool (*eq_fn)(const T&, const T&)) {
+Codec make_codec(std::string key, T (*sample_fn)(Rng&, const WireSample&)) {
   Codec c;
   c.key = std::move(key);
-  c.encode_to = [encode_fn](const std::any& body, ByteWriter& out) {
+  c.encode_to = [](const std::any& body, ByteWriter& out) {
     const T* m = payload<T>(body);
     if (m == nullptr) return false;
-    encode_fn(*m, out);
+    out(*m);
     return true;
   };
-  c.decode = [decode_fn](const Bytes& b) -> std::optional<std::any> {
-    std::optional<T> m = decode_fn(b);
+  c.decode = [](const Bytes& b) -> std::optional<std::any> {
+    std::optional<T> m = decode_wire<T>(b);
     if (!m.has_value()) return std::nullopt;
     return std::any(std::move(*m));
   };
   c.sample = [sample_fn](Rng& rng, const WireSample& s) -> std::any {
     return sample_fn(rng, s);
   };
-  c.equals = [eq_fn](const std::any& a, const std::any& b) {
+  c.equals = [](const std::any& a, const std::any& b) {
     const T* x = payload<T>(a);
     const T* y = payload<T>(b);
-    return x != nullptr && y != nullptr && eq_fn(*x, *y);
+    return x != nullptr && y != nullptr && *x == *y;
   };
   return c;
 }

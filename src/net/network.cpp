@@ -70,15 +70,6 @@ void Network::count_drop(Drop reason) {
   *dropped_[reason] += 1;
 }
 
-void Network::reset_stats() {
-  stats_ = {};
-  for (KindSlot& k : kinds_) {
-    k.sent = nullptr;
-    k.delivered = nullptr;
-  }
-  for (std::uint64_t*& d : dropped_) d = nullptr;
-}
-
 KindId Network::intern(const std::string& kind) {
   auto [it, inserted] =
       kind_ids_.try_emplace(kind, static_cast<KindId>(kinds_.size()));

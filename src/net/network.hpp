@@ -285,7 +285,6 @@ class Network : public FrameSink {
 
   // --- accounting -------------------------------------------------------
   const TrafficStats& stats() const { return stats_; }
-  void reset_stats();
 
   /// Pooled in-flight envelope records ever allocated by a sim-backed
   /// transport (high-water of simultaneously in-flight messages);
@@ -313,8 +312,7 @@ class Network : public FrameSink {
   /// What the per-message path needs about one kind, resolved on the
   /// kind's first use. Registry counters and TrafficStats entries are
   /// still created at the kind's first send or delivery, so metric dumps
-  /// list exactly the kinds that moved; reset_stats() clears the
-  /// TrafficStats pointers.
+  /// list exactly the kinds that moved.
   struct KindSlot {
     const std::string* kind = nullptr;  // the key in kind_ids_
     /// Cached once found; a kind sent before its codec was registered is

@@ -8,6 +8,19 @@
 
 namespace p2pfl::net::tcp {
 
+namespace {
+
+/// The frame header in wire order, for both encode (const envelope,
+/// ByteWriter) and decode (ByteReader); the payload blob follows it.
+template <typename IO, typename Env>
+void header(IO& io, Env& env) {
+  io(env.from, env.to, env.kind, env.wire_bytes, env.payload_bytes,
+     env.modeled_delta, env.dest_incarnation, env.span.round, env.span.span,
+     env.chaos_duplicate);
+}
+
+}  // namespace
+
 Bytes encode_frame(const Envelope& env) {
   const Codec* codec = CodecRegistry::global().find_kind(env.kind);
   P2PFL_CHECK_MSG(codec != nullptr,
@@ -15,16 +28,7 @@ Bytes encode_frame(const Envelope& env) {
                       "' has no registered codec; only canonical frames "
                       "may cross the TCP transport");
   ByteWriter w;
-  w.u32(env.from);
-  w.u32(env.to);
-  w.str(env.kind);
-  w.u64(env.wire_bytes);
-  w.u64(env.payload_bytes);
-  w.u64(static_cast<std::uint64_t>(env.modeled_delta));
-  w.u64(env.dest_incarnation);
-  w.u64(env.span.round);
-  w.u64(env.span.span);
-  w.u8(env.chaos_duplicate ? 1 : 0);
+  header(w, env);
   // The payload rides as a length-prefixed blob, encoded in place: the
   // prefix is patched once the payload's length is known.
   const std::size_t prefix_at = w.size();
@@ -40,16 +44,7 @@ Bytes encode_frame(const Envelope& env) {
 std::optional<Envelope> decode_frame(const Bytes& body) {
   ByteReader r(body);
   Envelope env;
-  env.from = r.u32();
-  env.to = r.u32();
-  env.kind = r.str();
-  env.wire_bytes = r.u64();
-  env.payload_bytes = r.u64();
-  env.modeled_delta = static_cast<std::int64_t>(r.u64());
-  env.dest_incarnation = r.u64();
-  env.span.round = r.u64();
-  env.span.span = r.u64();
-  env.chaos_duplicate = r.u8() != 0;
+  header(r, env);
   const Bytes payload = r.blob();
   if (!r.complete()) return std::nullopt;
   const Codec* codec = CodecRegistry::global().find_kind(env.kind);

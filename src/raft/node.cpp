@@ -24,7 +24,7 @@ const char* role_name(Role r) {
 
 RaftNode::RaftNode(PeerId id, std::string channel,
                    std::vector<PeerId> initial_members, RaftOptions opts,
-                   net::Network& net, net::PeerHost& host, Storage* storage)
+                   net::Network& net, net::PeerHost& host, WalStorage* storage)
     : id_(id),
       channel_(std::move(channel)),
       initial_members_(std::move(initial_members)),

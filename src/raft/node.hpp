@@ -74,7 +74,7 @@ class RaftNode {
   ///
   /// `storage` (optional, not owned, must outlive the node) makes the
   /// Figure-2 persistent state crash-durable: the constructor replays it
-  /// via Storage::load() and every persistent-state mutation writes
+  /// via WalStorage::load() and every persistent-state mutation writes
   /// through before the node acts on it. When the replay recovered
   /// state, wire the callbacks and then call restart() instead of
   /// start() so the snapshot installs into the application and the
@@ -82,7 +82,7 @@ class RaftNode {
   RaftNode(PeerId id, std::string channel,
            std::vector<PeerId> initial_members, RaftOptions opts,
            net::Network& net, net::PeerHost& host,
-           Storage* storage = nullptr);
+           WalStorage* storage = nullptr);
   ~RaftNode();
 
   RaftNode(const RaftNode&) = delete;
@@ -250,7 +250,7 @@ class RaftNode {
   const RaftOptions opts_;
   net::Network& net_;
   net::PeerHost& host_;
-  Storage* storage_ = nullptr;  // not owned; null = in-memory only
+  WalStorage* storage_ = nullptr;  // not owned; null = in-memory only
   bool recovered_from_storage_ = false;
   Rng rng_;
 

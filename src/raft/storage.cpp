@@ -25,36 +25,12 @@ constexpr std::uint8_t kSnapshotMark = 4;
 /// Records larger than this are treated as corruption during recovery.
 constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
-Bytes encode_term_vote(Term term, PeerId voted_for) {
+/// One record payload: its type byte, then `fields` by the wire layout
+/// rules of common/serialize.hpp (an entry record is index + LogEntry).
+template <typename... Ts>
+Bytes record(std::uint8_t type, const Ts&... fields) {
   ByteWriter w;
-  w.u8(kTermVote);
-  w.u64(term);
-  w.u32(voted_for);
-  return w.take();
-}
-
-Bytes encode_entry(Index index, const LogEntry& e) {
-  ByteWriter w;
-  w.u8(kEntryRec);
-  w.u64(index);
-  w.u64(e.term);
-  w.u8(static_cast<std::uint8_t>(e.kind));
-  w.blob(e.data);
-  return w.take();
-}
-
-Bytes encode_truncate(Index from) {
-  ByteWriter w;
-  w.u8(kTruncateRec);
-  w.u64(from);
-  return w.take();
-}
-
-Bytes encode_mark(Index index, Term term) {
-  ByteWriter w;
-  w.u8(kSnapshotMark);
-  w.u64(index);
-  w.u64(term);
+  w(type, fields...);
   return w.take();
 }
 
@@ -181,10 +157,7 @@ PersistentState WalStorage::load() {
           crc32(raw.data() + 8, len) == crc) {
         const Bytes payload(raw.begin() + 8, raw.begin() + 8 + len);
         ByteReader r(payload);
-        file_snap_index = r.u64();
-        file_snap_term = r.u64();
-        file_members = r.vec_u32<PeerId>();
-        file_app = r.blob();
+        r(file_snap_index, file_snap_term, file_members, file_app);
         have_snap_file = r.complete();
       }
     }
@@ -221,11 +194,9 @@ PersistentState WalStorage::load() {
         break;
       }
       case kEntryRec: {
-        const Index idx = r.u64();
+        Index idx = 0;
         LogEntry e;
-        e.term = r.u64();
-        e.kind = static_cast<EntryKind>(r.u8());
-        e.data = r.blob();
+        r(idx, e);
         if ((ok = r.complete())) {
           const Index last = st.snap_index + st.entries.size();
           if (idx <= st.snap_index || idx > last + 1) {
@@ -338,15 +309,15 @@ void WalStorage::append_record(const Bytes& payload) {
 }
 
 void WalStorage::persist_term_vote(Term term, PeerId voted_for) {
-  append_record(encode_term_vote(term, voted_for));
+  append_record(record(kTermVote, term, voted_for));
 }
 
 void WalStorage::append_entry(Index index, const LogEntry& entry) {
-  append_record(encode_entry(index, entry));
+  append_record(record(kEntryRec, index, entry));
 }
 
 void WalStorage::truncate_from(Index index) {
-  append_record(encode_truncate(index));
+  append_record(record(kTruncateRec, index));
 }
 
 void WalStorage::save_snapshot(Index index, Term term,
@@ -359,23 +330,21 @@ void WalStorage::save_snapshot(Index index, Term term,
   //    newer snapshot over the old WAL).
   {
     ByteWriter w;
-    w.u64(index);
-    w.u64(term);
-    w.vec_u32(members);
-    w.blob(app_state);
+    w(index, term, members, app_state);
     Bytes framed;
-    const Bytes payload = w.take();
-    append_framed(framed, payload);
+    append_framed(framed, w.bytes());
     atomic_write(snap_path(), framed);
   }
   // 2. Rewrite the WAL from scratch: term/vote, the snapshot mark, and
   //    the surviving tail. This is what bounds WAL growth.
   std::vector<Bytes> payloads;
   payloads.reserve(2 + tail.size());
-  payloads.push_back(encode_term_vote(current_term, voted_for));
-  payloads.push_back(encode_mark(index, term));
+  payloads.push_back(record(kTermVote, current_term, voted_for));
+  payloads.push_back(record(kSnapshotMark, index, term));
   Index idx = index;
-  for (const LogEntry& e : tail) payloads.push_back(encode_entry(++idx, e));
+  for (const LogEntry& e : tail) {
+    payloads.push_back(record(kEntryRec, ++idx, e));
+  }
   rewrite_wal(payloads);
 }
 

@@ -1,6 +1,10 @@
 // Crash-durable Raft persistence: a CRC-framed write-ahead log plus an
 // atomically-replaced snapshot file.
 //
+// Record payloads use the wire layout rules of common/serialize.hpp: an
+// entry record is a type byte, the index and the LogEntry's fields(),
+// the same bytes an AppendEntries carries per entry.
+//
 // Raft requires currentTerm, votedFor and the log to survive a crash
 // (Figure 2, "Persistent state"). WalStorage appends one framed record
 // per mutation to `<prefix>.wal` and keeps the latest snapshot (boundary
@@ -53,59 +57,38 @@ struct RecoveryInfo {
   double duration_ms = 0.0;           ///< wall-clock load time
 };
 
-/// Persistence seam RaftNode writes through. A null Storage* keeps the
-/// node purely in-memory (the pre-PR behavior).
-class Storage {
- public:
-  virtual ~Storage() = default;
-
-  /// Replay durable state. Called once by the recovering node before
-  /// any mutation; implementations may be called again after wipe().
-  virtual PersistentState load() = 0;
-
-  virtual void persist_term_vote(Term term, PeerId voted_for) = 0;
-  virtual void append_entry(Index index, const LogEntry& entry) = 0;
-  virtual void truncate_from(Index index) = 0;
-  /// Durably replace everything below the snapshot boundary. `tail`
-  /// holds the surviving entries above `index`.
-  virtual void save_snapshot(Index index, Term term,
-                             const std::vector<PeerId>& members,
-                             const Bytes& app_state, Term current_term,
-                             PeerId voted_for,
-                             const std::vector<LogEntry>& tail) = 0;
-  /// Flush appended records to stable storage. The node calls this once
-  /// per mutation batch, before acting on the persisted state.
-  virtual void sync() = 0;
-  /// Destroy all durable state (the amnesia restart: delete the WAL).
-  virtual void wipe() = 0;
-
-  virtual const RecoveryInfo& recovery() const = 0;
-};
-
-/// File-backed Storage. `prefix` names the per-node file pair
-/// (`<prefix>.wal` / `<prefix>.snap`); parent directories must exist.
-/// sync() and every atomic file replace fsync.
-class WalStorage final : public Storage {
+/// File-backed Raft persistence, the store RaftNode writes through (a
+/// null WalStorage* keeps a node purely in-memory). `prefix` names the
+/// per-node file pair (`<prefix>.wal` / `<prefix>.snap`); parent
+/// directories must exist. sync() and every atomic file replace fsync.
+class WalStorage {
  public:
   explicit WalStorage(std::string prefix);
-  ~WalStorage() override;
+  ~WalStorage();
 
   WalStorage(const WalStorage&) = delete;
   WalStorage& operator=(const WalStorage&) = delete;
 
-  PersistentState load() override;
-  void persist_term_vote(Term term, PeerId voted_for) override;
-  void append_entry(Index index, const LogEntry& entry) override;
-  void truncate_from(Index index) override;
+  /// Replay durable state. Called once by the recovering node before
+  /// any mutation; may be called again after wipe().
+  PersistentState load();
+
+  void persist_term_vote(Term term, PeerId voted_for);
+  void append_entry(Index index, const LogEntry& entry);
+  void truncate_from(Index index);
+  /// Durably replace everything below the snapshot boundary. `tail`
+  /// holds the surviving entries above `index`.
   void save_snapshot(Index index, Term term,
                      const std::vector<PeerId>& members,
                      const Bytes& app_state, Term current_term,
-                     PeerId voted_for,
-                     const std::vector<LogEntry>& tail) override;
-  void sync() override;
-  void wipe() override;
+                     PeerId voted_for, const std::vector<LogEntry>& tail);
+  /// Flush appended records to stable storage. The node calls this once
+  /// per mutation batch, before acting on the persisted state.
+  void sync();
+  /// Destroy all durable state (the amnesia restart: delete the WAL).
+  void wipe();
 
-  const RecoveryInfo& recovery() const override { return recovery_; }
+  const RecoveryInfo& recovery() const { return recovery_; }
 
   std::string wal_path() const { return prefix_ + ".wal"; }
   std::string snap_path() const { return prefix_ + ".snap"; }

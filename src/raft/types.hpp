@@ -2,9 +2,12 @@
 //
 // Hand-rolled reproduction of the Raft protocol (Ongaro & Ousterhout,
 // USENIX ATC'14) that the paper builds its two-layer backend on. The RPC
-// structs mirror Figure 2 of the Raft paper; wire_size() feeds the
+// structs mirror Figure 2 of the Raft paper. Each states its encoding
+// once, as fields() in wire order (common/serialize.hpp); LogEntry's
+// also frames the WAL's entry records. kWireSize / wire_size() feed the
 // network's byte accounting (Raft control traffic is negligible next to
-// model transfers, but we account for it anyway).
+// model transfers, but we account for it anyway) and are stated
+// independently, so encode-verify can check every charge against them.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +33,14 @@ struct LogEntry {
   EntryKind kind = EntryKind::kCommand;
   Bytes data;
 
-  /// Exact encoded size (term + kind + length + payload; see wire.hpp).
+  /// Exact encoded size (term + kind + length + payload).
   std::uint64_t wire_size() const { return 13 + data.size(); }
 
-  friend bool operator==(const LogEntry& a, const LogEntry& b) {
-    return a.term == b.term && a.kind == b.kind && a.data == b.data;
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.kind, m.data);
   }
+  bool operator==(const LogEntry&) const = default;
 };
 
 /// Encode / decode a membership list for a kConfig entry.
@@ -52,6 +57,12 @@ struct RequestVoteArgs {
   bool pre_vote = false;
 
   static constexpr std::uint64_t kWireSize = 29;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.candidate, m.last_log_index, m.last_log_term, m.pre_vote);
+  }
+  bool operator==(const RequestVoteArgs&) const = default;
 };
 
 struct RequestVoteReply {
@@ -61,6 +72,12 @@ struct RequestVoteReply {
   bool pre_vote = false;
 
   static constexpr std::uint64_t kWireSize = 14;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.vote_granted, m.voter, m.pre_vote);
+  }
+  bool operator==(const RequestVoteReply&) const = default;
 };
 
 /// Leadership transfer (dissertation §3.10): the leader asks a
@@ -71,6 +88,12 @@ struct TimeoutNowArgs {
   PeerId leader = kNoPeer;
 
   static constexpr std::uint64_t kWireSize = 12;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.leader);
+  }
+  bool operator==(const TimeoutNowArgs&) const = default;
 };
 
 struct AppendEntriesArgs {
@@ -86,6 +109,13 @@ struct AppendEntriesArgs {
     for (const LogEntry& e : entries) n += e.wire_size();
     return n;
   }
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.leader, m.prev_log_index, m.prev_log_term,
+       m.leader_commit, m.entries);
+  }
+  bool operator==(const AppendEntriesArgs&) const = default;
 };
 
 /// §7: shipped when a follower needs entries the leader has compacted.
@@ -102,6 +132,13 @@ struct InstallSnapshotArgs {
   std::uint64_t wire_size() const {
     return 36 + 4 * members.size() + app_state.size();
   }
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.leader, m.last_included_index,
+       m.last_included_term, m.members, m.app_state);
+  }
+  bool operator==(const InstallSnapshotArgs&) const = default;
 };
 
 struct InstallSnapshotReply {
@@ -110,6 +147,12 @@ struct InstallSnapshotReply {
   Index match_index = 0;
 
   static constexpr std::uint64_t kWireSize = 20;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.follower, m.match_index);
+  }
+  bool operator==(const InstallSnapshotReply&) const = default;
 };
 
 struct AppendEntriesReply {
@@ -123,6 +166,13 @@ struct AppendEntriesReply {
   Index conflict_index = 0;
 
   static constexpr std::uint64_t kWireSize = 29;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.term, m.success, m.follower, m.match_index,
+       m.conflict_index);
+  }
+  bool operator==(const AppendEntriesReply&) const = default;
 };
 
 }  // namespace p2pfl::raft

@@ -82,7 +82,8 @@ struct SacActorOptions {
   const robust::ByzantineRegistry* byzantine = nullptr;
 };
 
-/// Messages (bodies carried in net::Envelope::body).
+/// Messages (bodies carried in net::Envelope::body). fields() is each
+/// one's wire layout (common/serialize.hpp; codecs in secagg/wire).
 struct SacShareMsg {
   RoundId round = 0;
   std::uint32_t from_pos = 0;
@@ -94,6 +95,15 @@ struct SacShareMsg {
   /// inconsistent shares is caught either by the direct check (data ≠
   /// commitment) or by the cross-holder echo (commitments differ).
   std::vector<std::uint64_t> commit;
+
+  /// The commitment rides as a trailer, so a non-detecting round keeps
+  /// the historical encoding (and byte accounting).
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.from_pos, m.parts);
+    io.trailer(m.commit);
+  }
+  bool operator==(const SacShareMsg&) const = default;
 };
 /// Per-holder detection report, sent to the leader when the share phase
 /// settles: for every position, the digest of the commit vector first
@@ -105,21 +115,45 @@ struct SacCommitEchoMsg {
   std::uint32_t from_pos = 0;
   std::vector<std::uint64_t> digests;
   std::vector<std::uint8_t> bad;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.from_pos, m.digests, m.bad);
+  }
+  bool operator==(const SacCommitEchoMsg&) const = default;
 };
 struct SacSubtotalMsg {
   RoundId round = 0;
   std::uint32_t idx = 0;
   Vector value;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.idx, m.value);
+  }
+  bool operator==(const SacSubtotalMsg&) const = default;
 };
 struct SacSubtotalReq {
   RoundId round = 0;
   std::uint32_t idx = 0;
   std::uint32_t reply_to_pos = 0;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.idx, m.reply_to_pos);
+  }
+  bool operator==(const SacSubtotalReq&) const = default;
 };
 /// "Your shares for my position never arrived — send them again."
 struct SacShareReq {
   RoundId round = 0;
   std::uint32_t reply_to_pos = 0;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.reply_to_pos);
+  }
+  bool operator==(const SacShareReq&) const = default;
 };
 
 class SacPeer {

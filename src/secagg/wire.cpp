@@ -6,128 +6,6 @@ namespace p2pfl::secagg::wire {
 
 namespace {
 
-template <typename T, typename Fn>
-std::optional<T> guarded(const Bytes& b, Fn fn) {
-  ByteReader r(b);
-  T out = fn(r);
-  if (!r.complete()) return std::nullopt;
-  return out;
-}
-
-}  // namespace
-
-void encode_to(const SacShareMsg& m, ByteWriter& w) {
-  w.u64(m.round);
-  w.u32(m.from_pos);
-  w.u32(static_cast<std::uint32_t>(m.parts.size()));
-  for (const auto& [idx, data] : m.parts) {
-    w.u32(idx);
-    w.vec_f32(data);
-  }
-  // Detection-mode commitment rides as a trailer so non-detecting
-  // rounds keep the exact historical encoding (and byte accounting).
-  if (!m.commit.empty()) {
-    w.u32(static_cast<std::uint32_t>(m.commit.size()));
-    for (std::uint64_t d : m.commit) w.u64(d);
-  }
-}
-
-std::optional<SacShareMsg> decode_share(const Bytes& b) {
-  return guarded<SacShareMsg>(b, [](ByteReader& r) {
-    SacShareMsg m;
-    m.round = r.u64();
-    m.from_pos = r.u32();
-    const std::uint32_t parts = r.u32();
-    // Gate on ok(): each successful part consumes >= 8 bytes, so a
-    // corrupted count cannot drive an unbounded loop.
-    for (std::uint32_t i = 0; i < parts && r.ok(); ++i) {
-      const std::uint32_t idx = r.u32();
-      m.parts.emplace_back(idx, r.vec_f32());
-    }
-    if (r.ok() && !r.exhausted()) {
-      const std::uint32_t entries = r.u32();
-      for (std::uint32_t i = 0; i < entries && r.ok(); ++i) {
-        m.commit.push_back(r.u64());
-      }
-    }
-    return m;
-  });
-}
-
-void encode_to(const SacSubtotalMsg& m, ByteWriter& w) {
-  w.u64(m.round);
-  w.u32(m.idx);
-  w.vec_f32(m.value);
-}
-
-std::optional<SacSubtotalMsg> decode_subtotal(const Bytes& b) {
-  return guarded<SacSubtotalMsg>(b, [](ByteReader& r) {
-    SacSubtotalMsg m;
-    m.round = r.u64();
-    m.idx = r.u32();
-    m.value = r.vec_f32();
-    return m;
-  });
-}
-
-void encode_to(const SacSubtotalReq& m, ByteWriter& w) {
-  w.u64(m.round);
-  w.u32(m.idx);
-  w.u32(m.reply_to_pos);
-}
-
-std::optional<SacSubtotalReq> decode_subtotal_req(const Bytes& b) {
-  return guarded<SacSubtotalReq>(b, [](ByteReader& r) {
-    SacSubtotalReq m;
-    m.round = r.u64();
-    m.idx = r.u32();
-    m.reply_to_pos = r.u32();
-    return m;
-  });
-}
-
-void encode_to(const SacShareReq& m, ByteWriter& w) {
-  w.u64(m.round);
-  w.u32(m.reply_to_pos);
-}
-
-std::optional<SacShareReq> decode_share_req(const Bytes& b) {
-  return guarded<SacShareReq>(b, [](ByteReader& r) {
-    SacShareReq m;
-    m.round = r.u64();
-    m.reply_to_pos = r.u32();
-    return m;
-  });
-}
-
-void encode_to(const SacCommitEchoMsg& m, ByteWriter& w) {
-  w.u64(m.round);
-  w.u32(m.from_pos);
-  w.u32(static_cast<std::uint32_t>(m.digests.size()));
-  for (std::uint64_t d : m.digests) w.u64(d);
-  w.u32(static_cast<std::uint32_t>(m.bad.size()));
-  for (std::uint8_t f : m.bad) w.u8(f);
-}
-
-std::optional<SacCommitEchoMsg> decode_commit_echo(const Bytes& b) {
-  return guarded<SacCommitEchoMsg>(b, [](ByteReader& r) {
-    SacCommitEchoMsg m;
-    m.round = r.u64();
-    m.from_pos = r.u32();
-    const std::uint32_t nd = r.u32();
-    for (std::uint32_t i = 0; i < nd && r.ok(); ++i) {
-      m.digests.push_back(r.u64());
-    }
-    const std::uint32_t nb = r.u32();
-    for (std::uint32_t i = 0; i < nb && r.ok(); ++i) {
-      m.bad.push_back(r.u8());
-    }
-    return m;
-  });
-}
-
-namespace {
-
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -241,50 +119,17 @@ SacShareReq sample_share_req(Rng& rng, const net::WireSample& s) {
   return m;
 }
 
-bool eq_share(const SacShareMsg& a, const SacShareMsg& b) {
-  return a.round == b.round && a.from_pos == b.from_pos &&
-         a.parts == b.parts && a.commit == b.commit;
-}
-
-bool eq_commit_echo(const SacCommitEchoMsg& a, const SacCommitEchoMsg& b) {
-  return a.round == b.round && a.from_pos == b.from_pos &&
-         a.digests == b.digests && a.bad == b.bad;
-}
-
-bool eq_subtotal(const SacSubtotalMsg& a, const SacSubtotalMsg& b) {
-  return a.round == b.round && a.idx == b.idx && a.value == b.value;
-}
-
-bool eq_subtotal_req(const SacSubtotalReq& a, const SacSubtotalReq& b) {
-  return a.round == b.round && a.idx == b.idx &&
-         a.reply_to_pos == b.reply_to_pos;
-}
-
-bool eq_share_req(const SacShareReq& a, const SacShareReq& b) {
-  return a.round == b.round && a.reply_to_pos == b.reply_to_pos;
-}
-
 }  // namespace
 
 void register_codecs(const std::string& family) {
   static std::set<std::string> done;
   if (!done.insert(family).second) return;
   auto& reg = net::CodecRegistry::global();
-  reg.add(net::make_codec<SacShareMsg>(family + ":share", &encode_to,
-                                       &decode_share, &sample_share,
-                                       &eq_share));
-  reg.add(net::make_codec<SacSubtotalMsg>(family + ":subtotal", &encode_to,
-                                          &decode_subtotal, &sample_subtotal,
-                                          &eq_subtotal));
-  reg.add(net::make_codec<SacSubtotalReq>(
-      family + ":request", &encode_to, &decode_subtotal_req,
-      &sample_subtotal_req, &eq_subtotal_req));
-  reg.add(net::make_codec<SacShareReq>(family + ":share_req", &encode_to,
-                                       &decode_share_req, &sample_share_req,
-                                       &eq_share_req));
-  reg.add(net::make_codec<SacCommitEchoMsg>(
-      family + ":echo", &encode_to, &decode_commit_echo, &sample_commit_echo,
-      &eq_commit_echo));
+  reg.add(net::make_codec(family + ":share", &sample_share));
+  reg.add(net::make_codec(family + ":subtotal", &sample_subtotal));
+  reg.add(net::make_codec(family + ":request", &sample_subtotal_req));
+  reg.add(net::make_codec(family + ":share_req", &sample_share_req));
+  reg.add(net::make_codec(family + ":echo", &sample_commit_echo));
 }
 
 }  // namespace p2pfl::secagg::wire

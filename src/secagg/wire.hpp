@@ -1,35 +1,21 @@
-// Binary wire codec for the SAC protocol messages.
+// The SAC protocol codecs and their closed-form sizes.
 //
-// Canonical little-endian encoding for the four SacPeer message types
-// (share bundle, subtotal, subtotal request, share retransmission
-// request). The network's encode-verify mode checks every charge against
-// these encodings; the charged WireSize helpers below also expose the
+// The five SacPeer message types (share bundle, subtotal, subtotal
+// request, share retransmission request, commit echo) state their
+// canonical little-endian encoding as fields() in secagg/sac_actor.hpp;
+// this registers one net::Codec per type. The network's encode-verify
+// checks every charge against these encodings; the charged WireSize
+// helpers below, stated independently of fields(), also expose the
 // |w|-unit payload portion the paper's Eq. (4)/(5) cost analysis counts
 // and, when a round models a large CNN on tiny vectors
 // (wire_bytes_per_share override), the declared modeled-payload delta.
 #pragma once
-
-#include <optional>
 
 #include "net/codec.hpp"
 #include "net/network.hpp"
 #include "secagg/sac_actor.hpp"
 
 namespace p2pfl::secagg::wire {
-
-/// Append the canonical encoding of `m` to `w` (what net::Codec::encode_to
-/// runs for the message's kind).
-void encode_to(const SacShareMsg& m, ByteWriter& w);
-void encode_to(const SacSubtotalMsg& m, ByteWriter& w);
-void encode_to(const SacSubtotalReq& m, ByteWriter& w);
-void encode_to(const SacShareReq& m, ByteWriter& w);
-void encode_to(const SacCommitEchoMsg& m, ByteWriter& w);
-
-std::optional<SacShareMsg> decode_share(const Bytes& b);
-std::optional<SacSubtotalMsg> decode_subtotal(const Bytes& b);
-std::optional<SacSubtotalReq> decode_subtotal_req(const Bytes& b);
-std::optional<SacShareReq> decode_share_req(const Bytes& b);
-std::optional<SacCommitEchoMsg> decode_commit_echo(const Bytes& b);
 
 /// FNV-1a digest of one share's raw float bytes (the per-share
 /// commitment entry) / of a whole commitment vector (what holders echo

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -24,22 +23,17 @@ namespace {
 // A message type outside the protocol catalog.
 struct LateMsg {
   std::uint32_t v = 0;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.v);
+  }
+  bool operator==(const LateMsg&) const = default;
 };
-
-void encode_late(const LateMsg& m, ByteWriter& w) { w.u32(m.v); }
-
-std::optional<LateMsg> decode_late(const Bytes& b) {
-  ByteReader r(b);
-  LateMsg m{r.u32()};
-  if (!r.complete()) return std::nullopt;
-  return m;
-}
 
 LateMsg sample_late(Rng& rng, const WireSample&) {
   return {static_cast<std::uint32_t>(rng.index(1000))};
 }
-
-bool eq_late(const LateMsg& a, const LateMsg& b) { return a.v == b.v; }
 
 TEST(LateCodec, KindSentBeforeItsCodecExistsIsVerifiedOnceRegistered) {
   // A fresh family on every run, so --gtest_repeat starts each run with
@@ -52,8 +46,7 @@ TEST(LateCodec, KindSentBeforeItsCodecExistsIsVerifiedOnceRegistered) {
   Network net(sim);
   // No codec yet: on the simulator a raw kind goes out unchecked.
   EXPECT_NO_THROW(net.send(0, 1, kind, LateMsg{7}, 99));
-  CodecRegistry::global().add(make_codec<LateMsg>(
-      family + ":msg", &encode_late, &decode_late, &sample_late, &eq_late));
+  CodecRegistry::global().add(make_codec(family + ":msg", &sample_late));
   EXPECT_THROW(net.send(0, 1, kind, LateMsg{7}, 99), std::logic_error);
   EXPECT_NO_THROW(net.send(0, 1, kind, LateMsg{7}, 4));
   EXPECT_EQ(net.stats().sent_by_kind.at(kind).messages, 2u);

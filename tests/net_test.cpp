@@ -129,14 +129,6 @@ TEST_F(NetworkTest, UnattachedDestinationDropsSilently) {
   EXPECT_EQ(net_.stats().delivered.messages, 0u);
 }
 
-TEST_F(NetworkTest, ResetStatsClearsCounters) {
-  net_.send(0, 1, "k", 1, 10);
-  sim_.run();
-  net_.reset_stats();
-  EXPECT_EQ(net_.stats().sent.messages, 0u);
-  EXPECT_EQ(net_.stats().delivered.bytes, 0u);
-}
-
 TEST_F(NetworkTest, SplitsDeliveredByKind) {
   net_.send(0, 1, "k1", 1, 100);
   net_.send(0, 1, "k2", 2, 40);
@@ -195,8 +187,8 @@ TEST_F(NetworkTest, PerKindDeliveredNeverExceedsSentUnderFaults) {
 
 TEST_F(NetworkTest, PerKindStatsStayExactAcrossResetStats) {
   // The network reaches per-kind stats and counters through pointers
-  // cached on the kind's first use; reset_stats() must drop the stats
-  // pointers, while the registry counters keep accumulating.
+  // cached on the kind's first use; a second batch through the cached
+  // pointers must add to the same stats and counters.
   net_.set_default_faults({.duplicate_prob = 1.0});
   net_.send(0, 1, "k1", 1, 100);
   net_.block_link(0, 1);
@@ -205,22 +197,21 @@ TEST_F(NetworkTest, PerKindStatsStayExactAcrossResetStats) {
   sim_.run();
   ASSERT_EQ(net_.stats().delivered_by_kind.at("dup:k1").messages, 1u);
 
-  net_.reset_stats();
   net_.send(0, 1, "k1", 3, 30);
   net_.block_link(0, 1);
   net_.send(0, 1, "k1", 4, 30);
   sim_.run();
 
   const TrafficStats& st = net_.stats();
-  EXPECT_EQ(st.sent.messages, 1u);
-  EXPECT_EQ(st.sent_by_kind.at("k1").messages, 1u);
-  EXPECT_EQ(st.sent_by_kind.at("k1").bytes, 30u);
-  EXPECT_EQ(st.delivered_by_kind.at("k1").messages, 1u);
-  EXPECT_EQ(st.delivered_by_kind.at("k1").bytes, 30u);
-  EXPECT_EQ(st.delivered_by_kind.at("dup:k1").messages, 1u);
-  EXPECT_EQ(st.delivered_by_kind.at("dup:k1").bytes, 30u);
-  EXPECT_EQ(st.duplicated.bytes, 30u);
-  EXPECT_EQ(st.dropped_by_reason.at("link_blocked"), 1u);
+  EXPECT_EQ(st.sent.messages, 2u);
+  EXPECT_EQ(st.sent_by_kind.at("k1").messages, 2u);
+  EXPECT_EQ(st.sent_by_kind.at("k1").bytes, 130u);
+  EXPECT_EQ(st.delivered_by_kind.at("k1").messages, 2u);
+  EXPECT_EQ(st.delivered_by_kind.at("k1").bytes, 130u);
+  EXPECT_EQ(st.delivered_by_kind.at("dup:k1").messages, 2u);
+  EXPECT_EQ(st.delivered_by_kind.at("dup:k1").bytes, 130u);
+  EXPECT_EQ(st.duplicated.bytes, 130u);
+  EXPECT_EQ(st.dropped_by_reason.at("link_blocked"), 2u);
 
   const auto& counters = sim_.obs().metrics.counters();
   EXPECT_EQ(counters.at("net.sent.bytes.k1").value(), 130u);

@@ -3,7 +3,7 @@
 // the network (kWireSize / wire_size()) and the actual encoded length.
 #include <gtest/gtest.h>
 
-#include "raft/wire.hpp"
+#include "raft/types.hpp"
 #include "wire_encode.hpp"
 
 namespace p2pfl::raft {
@@ -26,7 +26,7 @@ TEST(RaftWire, RequestVoteRoundTripAndSize) {
   m.pre_vote = true;
   const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), RequestVoteArgs::kWireSize);
-  const auto d = wire::decode_request_vote(b);
+  const auto d = decode_wire<RequestVoteArgs>(b);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->term, 42u);
   EXPECT_EQ(d->candidate, 7u);
@@ -43,7 +43,7 @@ TEST(RaftWire, RequestVoteReplyRoundTripAndSize) {
   m.pre_vote = false;
   const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), RequestVoteReply::kWireSize);
-  const auto d = wire::decode_request_vote_reply(b);
+  const auto d = decode_wire<RequestVoteReply>(b);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->term, 3u);
   EXPECT_TRUE(d->vote_granted);
@@ -62,7 +62,7 @@ TEST(RaftWire, AppendEntriesRoundTripAndSize) {
   m.entries.push_back(entry(9, EntryKind::kConfig, {0xFF}));
   const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), m.wire_size());
-  const auto d = wire::decode_append_entries(b);
+  const auto d = decode_wire<AppendEntriesArgs>(b);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->term, 9u);
   EXPECT_EQ(d->leader, 2u);
@@ -89,7 +89,7 @@ TEST(RaftWire, AppendEntriesReplyRoundTripAndSize) {
   m.conflict_index = 11;
   const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), AppendEntriesReply::kWireSize);
-  const auto d = wire::decode_append_entries_reply(b);
+  const auto d = decode_wire<AppendEntriesReply>(b);
   ASSERT_TRUE(d.has_value());
   EXPECT_FALSE(d->success);
   EXPECT_EQ(d->conflict_index, 11u);
@@ -105,7 +105,7 @@ TEST(RaftWire, InstallSnapshotRoundTripAndSize) {
   m.app_state = {9, 8, 7, 6};
   const Bytes b = wire_encode(m);
   EXPECT_EQ(b.size(), m.wire_size());
-  const auto d = wire::decode_install_snapshot(b);
+  const auto d = decode_wire<InstallSnapshotArgs>(b);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->members, m.members);
   EXPECT_EQ(d->app_state, m.app_state);
@@ -118,13 +118,13 @@ TEST(RaftWire, InstallSnapshotReplyAndTimeoutNowSizes) {
   r.follower = 2;
   r.match_index = 3;
   EXPECT_EQ(wire_encode(r).size(), InstallSnapshotReply::kWireSize);
-  ASSERT_TRUE(wire::decode_install_snapshot_reply(wire_encode(r)));
+  ASSERT_TRUE(decode_wire<InstallSnapshotReply>(wire_encode(r)));
 
   TimeoutNowArgs t;
   t.term = 10;
   t.leader = 0;
   EXPECT_EQ(wire_encode(t).size(), TimeoutNowArgs::kWireSize);
-  const auto d = wire::decode_timeout_now(wire_encode(t));
+  const auto d = decode_wire<TimeoutNowArgs>(wire_encode(t));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->term, 10u);
 }
@@ -136,7 +136,7 @@ TEST(RaftWire, TruncatedInputRejected) {
   Bytes b = wire_encode(m);
   for (std::size_t cut = 1; cut < b.size(); cut += 7) {
     Bytes t(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(wire::decode_append_entries(t).has_value())
+    EXPECT_FALSE(decode_wire<AppendEntriesArgs>(t).has_value())
         << "cut at " << cut;
   }
 }
@@ -145,7 +145,7 @@ TEST(RaftWire, TrailingGarbageRejected) {
   RequestVoteArgs m;
   Bytes b = wire_encode(m);
   b.push_back(0);
-  EXPECT_FALSE(wire::decode_request_vote(b).has_value());
+  EXPECT_FALSE(decode_wire<RequestVoteArgs>(b).has_value());
 }
 
 }  // namespace

@@ -2,9 +2,16 @@
 // kind round-trips through its canonical encoding, every strict prefix
 // of a valid encoding is rejected, and random single-bit damage never
 // crashes the strict decoders (the sanitizer CI job turns any
-// out-of-bounds read this provokes into a failure).
+// out-of-bounds read this provokes into a failure). The WireGolden
+// tests pin the bytes themselves: every codec's sample encodings, a
+// fixed WAL sequence and a fixed TCP frame hash to recorded values.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +19,8 @@
 #include "common/rng.hpp"
 #include "core/wire.hpp"
 #include "net/codec.hpp"
+#include "net/tcp/frame.hpp"
+#include "raft/storage.hpp"
 #include "raft/wire.hpp"
 #include "secagg/wire.hpp"
 #include "wire_encode.hpp"
@@ -228,6 +237,131 @@ TEST(CodecSizes, ClosedFormFramingMatchesRealEncodings) {
             core::wire::kResultHeader + 4 * 9);
   EXPECT_EQ(wire_encode(core::wire::JoinRequestMsg{}).size(),
             core::wire::kJoinWire);
+}
+
+std::uint64_t fnv1a64(const Bytes& b) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint8_t x : b) {
+    h ^= x;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+Bytes read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(WireGolden, EveryCodecsSampleEncodingsKeepTheirBytes) {
+  // FNV-1a-64 of each codec's 64 concatenated sample encodings. A change
+  // to a layout, a field order or a sample generator moves its hash.
+  const std::map<std::string, std::uint64_t> golden = {
+      {"raft:ae", 0x48f68e7bdd06380aull},
+      {"raft:aer", 0x0c8fa71e98a41c64ull},
+      {"raft:is", 0xed86eb0b8c75d673ull},
+      {"raft:isr", 0x09714e70218c5880ull},
+      {"raft:rv", 0xbf302f35e0fc13bdull},
+      {"raft:rvr", 0x19c9371b4cc6df28ull},
+      {"raft:tn", 0xbb31a4cd3720213aull},
+      {"sac:share", 0xa0d2dab2fa651d41ull},
+      {"ml:share", 0xa0d2dab2fa651d41ull},
+      {"sac:subtotal", 0xd6d64d3df387341cull},
+      {"ml:subtotal", 0xd6d64d3df387341cull},
+      {"sac:request", 0x7b2f2235b1ff42dcull},
+      {"ml:request", 0x7b2f2235b1ff42dcull},
+      {"sac:share_req", 0x021183cf7dc242dcull},
+      {"ml:share_req", 0x021183cf7dc242dcull},
+      {"sac:echo", 0xb0d745f0634f70b6ull},
+      {"ml:echo", 0xb0d745f0634f70b6ull},
+      {"agg:upload", 0x1f2c300c2ff4a5f7ull},
+      {"agg:result", 0xa96f582e9c7ecc29ull},
+      {"ml:result", 0xa96f582e9c7ecc29ull},
+      {"join", 0x756f6eba89d2eb2full},
+      {"member:rejoin", 0xdcb3a0fd8984afd0ull},
+      {"member:pull", 0x4b6254c3c28e876cull}};
+  register_everything();
+  const std::vector<WireSample> golden_shapes = {
+      {.dim = 1, .n = 2, .k = 1, .round = 1},
+      {.dim = 8, .n = 4, .k = 3, .round = 7},
+      {.dim = 17, .n = 6, .k = 6, .round = 1000},
+      {.dim = 1000, .n = 5, .k = 3, .round = 3}};
+  std::size_t checked = 0;
+  for (const Codec* c : CodecRegistry::global().all()) {
+    Rng rng(2024);
+    Bytes all;
+    for (const WireSample& shape : golden_shapes) {
+      for (int rep = 0; rep < 16; ++rep) {
+        const std::optional<Bytes> b = c->encode(c->sample(rng, shape));
+        ASSERT_TRUE(b.has_value()) << c->key;
+        all.insert(all.end(), b->begin(), b->end());
+      }
+    }
+    const auto it = golden.find(c->key);
+    ASSERT_NE(it, golden.end()) << c->key;
+    EXPECT_EQ(fnv1a64(all), it->second) << c->key;
+    ++checked;
+  }
+  EXPECT_EQ(checked, golden.size());
+}
+
+TEST(WireGolden, WalAndSnapshotFilesKeepTheirBytes) {
+  using raft::EntryKind;
+  using raft::LogEntry;
+  const std::string prefix = testing::TempDir() + "p2pfl_wal_golden_" +
+                             std::to_string(::getpid());
+  {
+    raft::WalStorage s(prefix);
+    s.load();
+    s.persist_term_vote(3, 7);
+    s.append_entry(1, LogEntry{3, EntryKind::kNoop, {}});
+    s.append_entry(2, LogEntry{3, EntryKind::kCommand, {1, 2, 3, 4, 5}});
+    s.append_entry(3, LogEntry{3, EntryKind::kConfig,
+                               raft::encode_members({4, 1, 9})});
+    s.truncate_from(3);
+    s.append_entry(3, LogEntry{4, EntryKind::kCommand, {9, 8}});
+    s.sync();
+    const Bytes wal = read_file(s.wal_path());
+    EXPECT_EQ(wal.size(), 181u);
+    EXPECT_EQ(fnv1a64(wal), 0xa4770e34f84189e2ull);
+
+    s.save_snapshot(2, 3, {1, 4, 9}, {0xAA, 0xBB}, 4, 1,
+                    {LogEntry{4, EntryKind::kCommand, {9, 8}}});
+    s.append_entry(4, LogEntry{4, EntryKind::kCommand, {7}});
+    s.sync();
+  }
+  const Bytes wal = read_file(prefix + ".wal");
+  const Bytes snap = read_file(prefix + ".snap");
+  EXPECT_EQ(wal.size(), 109u);
+  EXPECT_EQ(fnv1a64(wal), 0x1c9a755b63d57bbfull);
+  EXPECT_EQ(snap.size(), 46u);
+  EXPECT_EQ(fnv1a64(snap), 0x30a088b4e19c7cafull);
+  std::remove((prefix + ".wal").c_str());
+  std::remove((prefix + ".snap").c_str());
+}
+
+TEST(WireGolden, TcpFrameKeepsItsBytes) {
+  core::wire::register_codecs();
+  Envelope env;
+  env.from = 3;
+  env.to = 7;
+  env.kind = "agg/result";
+  env.body = core::wire::AggResultMsg{9, {1.5f, -2.0f, 0.25f}};
+  env.wire_bytes = 24;
+  env.payload_bytes = 12;
+  env.modeled_delta = -5;
+  env.dest_incarnation = 2;
+  env.span.round = 9;
+  env.span.span = 77;
+  env.chaos_duplicate = true;
+  const Bytes frame = tcp::encode_frame(env);
+  EXPECT_EQ(frame.size(), 99u);
+  EXPECT_EQ(fnv1a64(frame), 0x2de0bd1bfa541ae6ull);
+  const std::optional<Envelope> back = tcp::decode_frame(frame);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->modeled_delta, -5);
+  EXPECT_TRUE(back->chaos_duplicate);
+  EXPECT_EQ(tcp::encode_frame(*back), frame);
 }
 
 }  // namespace

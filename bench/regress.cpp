@@ -69,11 +69,18 @@ const std::vector<MetricRule>& rules_for(const std::string& bench) {
       // Geometry, seeds, byzantine_peers, gate verdicts: exact.
       {"**", MetricClass::kExact},
   };
+  static const std::vector<MetricRule> kPaper = {
+      {"settings.*.wall_s", MetricClass::kPerf, kPerfRel, 0.0},
+      {"settings.*.peak_rss_mb", MetricClass::kPerf, kPerfRel, 0.0},
+      // Geometry, completion and the Eq. (5) |w| counts: exact.
+      {"**", MetricClass::kExact},
+  };
   static const std::vector<MetricRule> kDefault = {
       {"**", MetricClass::kBand, 0.05, 1e-9},
   };
   if (bench == "scale_sweep") return kScale;
   if (bench == "attack_sweep") return kAttack;
+  if (bench == "paper_round") return kPaper;
   return kDefault;
 }
 
@@ -350,6 +357,31 @@ int self_test() {
          diff_documents(*abase, *a_in, false).failures.empty());
   expect("out-of-band accuracy fails",
          !diff_documents(*abase, *a_out, false).failures.empty());
+
+  // Paper round: |w| counts and completion exact, time and RSS perf.
+  auto paper = [](const char* completed, const char* units, const char* wall,
+                  const char* rss) {
+    return *json::parse(
+        std::string("{\"bench\":\"paper_round\",\"schema_version\":1,") +
+        "\"settings\":{\"3-2\":{\"completed\":" + completed +
+        ",\"units\":" + units + ",\"eq5_units\":168.0,\"wall_s\":" + wall +
+        ",\"peak_rss_mb\":" + rss + "}}}");
+  };
+  const json::Value pbase = paper("true", "168.0", "2.1", "1500.0");
+  expect("identical paper rounds pass",
+         diff_documents(pbase, pbase, false).failures.empty());
+  expect("paper |w| drift fails",
+         !diff_documents(pbase, paper("true", "169.0", "2.1", "1500.0"), false)
+              .failures.empty());
+  expect("paper round that did not complete fails",
+         !diff_documents(pbase, paper("false", "168.0", "2.1", "1500.0"), false)
+              .failures.empty());
+  {
+    const GateResult r =
+        diff_documents(pbase, paper("true", "168.0", "9.9", "2900.0"), false);
+    expect("paper time and RSS drift soft-fail",
+           r.failures.empty() && r.warnings.size() == 2);
+  }
 
   std::printf("regress --self-test: %zu check(s), %zu failure(s)\n", checks,
               bad);

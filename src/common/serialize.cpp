@@ -40,7 +40,7 @@ void ByteWriter::str(const std::string& s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void ByteWriter::blob(const Bytes& b) {
+void ByteWriter::blob(ByteSpan b) {
   u32(static_cast<std::uint32_t>(b.size()));
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
@@ -48,17 +48,21 @@ void ByteWriter::blob(const Bytes& b) {
 void ByteWriter::vec_f32(const std::vector<float>& v) {
   static_assert(sizeof(float) == sizeof(std::uint32_t));
   u32(static_cast<std::uint32_t>(v.size()));
-  // Sized once and filled in one loop: payloads run to millions of floats.
-  const std::size_t at = buf_.size();
-  const std::size_t n = v.size();
-  const float* in = v.data();
-  buf_.resize(at + 4 * n);
-  std::uint8_t* out = buf_.data() + at;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t bits;
-    std::memcpy(&bits, in + i, sizeof(bits));
-    bits = host_le(bits);
-    std::memcpy(out + 4 * i, &bits, sizeof(bits));
+  // Payloads run to millions of floats: each byte is written once, never
+  // zero-filled first. A little-endian host's floats are their wire bytes.
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* in = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_.insert(buf_.end(), in, in + 4 * v.size());
+  } else {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + 4 * v.size());
+    std::uint8_t* out = buf_.data() + at;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      std::uint32_t bits;
+      std::memcpy(&bits, v.data() + i, sizeof(bits));
+      bits = host_le(bits);
+      std::memcpy(out + 4 * i, &bits, sizeof(bits));
+    }
   }
 }
 
@@ -99,10 +103,14 @@ std::string ByteReader::str() {
 }
 
 Bytes ByteReader::blob() {
+  const ByteSpan b = blob_view();
+  return Bytes(b.begin(), b.end());
+}
+
+ByteSpan ByteReader::blob_view() {
   const std::uint32_t n = u32();
   if (!need(n)) return {};
-  Bytes b(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-          buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const ByteSpan b = buf_.subspan(pos_, n);
   pos_ += n;
   return b;
 }

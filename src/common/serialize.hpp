@@ -22,12 +22,15 @@
 // becomes false, subsequent reads return zero values). decode_wire
 // accepts a buffer only when `ok() && exhausted()` — truncated,
 // oversized or length-corrupted input can never read out of bounds or
-// allocate from an unvalidated length field.
+// allocate from an unvalidated length field. A reader views bytes it
+// does not own (a span, which a Bytes converts to), so a frame is
+// decoded where it was received.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -36,6 +39,8 @@
 namespace p2pfl {
 
 using Bytes = std::vector<std::uint8_t>;
+/// Bytes viewed in place (a Bytes converts implicitly).
+using ByteSpan = std::span<const std::uint8_t>;
 
 /// Integers and enums, encoded by width (u8 / u32 / u64).
 template <typename T>
@@ -57,7 +62,7 @@ class ByteWriter {
   void u64(std::uint64_t v);
   void str(const std::string& s);
   /// Length-prefixed byte string (u32 count + raw bytes).
-  void blob(const Bytes& b);
+  void blob(ByteSpan b);
   /// Length-prefixed f32 vector (u32 count + 4 bytes per element).
   void vec_f32(const std::vector<float>& v);
 
@@ -87,6 +92,9 @@ class ByteWriter {
 
   const Bytes& bytes() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
+  /// Allocate room for `n` bytes in all, so a writer whose final size is
+  /// known up front fills one exact buffer.
+  void reserve(std::size_t n) { buf_.reserve(n); }
   /// Empty the buffer but keep its capacity, so a writer reused for
   /// every message stops allocating once it has held the largest one.
   void clear() { buf_.clear(); }
@@ -132,13 +140,17 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  explicit ByteReader(const Bytes& buf) : buf_(buf) {}
+  /// Reads `buf`, which must outlive the reader.
+  explicit ByteReader(ByteSpan buf) : buf_(buf) {}
 
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
   std::string str();
   Bytes blob();
+  /// A blob's bytes where they lie in the reader's buffer (empty after a
+  /// failed read).
+  ByteSpan blob_view();
   std::vector<float> vec_f32();
 
   template <typename T>
@@ -215,15 +227,23 @@ class ByteReader {
     T::fields(m, *this);
   }
 
-  const Bytes& buf_;
+  ByteSpan buf_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
 
+/// The encoding of any value with a wire layout, in a fresh buffer.
+template <typename T>
+Bytes encode_wire(const T& m) {
+  ByteWriter w;
+  w(m);
+  return w.take();
+}
+
 /// The strict decoder of any value with a wire layout: nullopt unless
 /// the whole buffer is consumed without an out-of-range read.
 template <typename T>
-std::optional<T> decode_wire(const Bytes& b) {
+std::optional<T> decode_wire(ByteSpan b) {
   ByteReader r(b);
   T m{};
   r(m);

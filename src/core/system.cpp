@@ -10,6 +10,22 @@
 
 namespace p2pfl::core {
 
+namespace {
+
+/// The application blob every subgroup snapshot carries: the saver's
+/// newest global model, as a checkpoint, and its round.
+struct GlobalModelSnapshot {
+  std::uint64_t round = 0;
+  Bytes checkpoint;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.round, m.checkpoint);
+  }
+};
+
+}  // namespace
+
 SystemConfig SystemConfig::real_clock() {
   SystemConfig cfg;
   cfg.raft.raft.election_timeout_min = 1 * kSecond;
@@ -83,20 +99,18 @@ P2pFlSystem::P2pFlSystem(Topology topology, SystemConfig cfg,
   raft_.app_snapshot_save = [this](PeerId id) -> Bytes {
     const PeerRuntime& rt = peers_.at(id);
     if (rt.last_global_round == 0) return {};
-    ByteWriter w;
-    w.u64(rt.last_global_round);
-    w.blob(fl::encode_checkpoint(rt.latest_global));
-    return w.take();
+    return encode_wire(GlobalModelSnapshot{
+        rt.last_global_round, fl::encode_checkpoint(rt.latest_global)});
   };
   raft_.app_snapshot_install = [this](PeerId id, const Bytes& app) {
     if (net_.crashed(id)) return;
-    ByteReader r(app);
-    const std::uint64_t round = r.u64();
-    const Bytes ckpt = r.blob();
-    if (!r.complete()) return;
+    const std::optional<GlobalModelSnapshot> snap =
+        decode_wire<GlobalModelSnapshot>(app);
+    if (!snap.has_value()) return;
+    const std::uint64_t round = snap->round;
     PeerRuntime& rt = peers_.at(id);
     if (round <= rt.last_global_round) return;  // apply-if-newer
-    auto weights = fl::decode_checkpoint(ckpt);
+    auto weights = fl::decode_checkpoint(snap->checkpoint);
     if (!weights.has_value() || weights->size() != w0_.size()) return;
     rt.catchup_timer->cancel();
     rt.last_global_round = round;
@@ -217,8 +231,7 @@ fl::EvalResult P2pFlSystem::evaluate_global() {
 }
 
 void P2pFlSystem::drive_round(PeerId self) {
-  if (net_.crashed(self)) return;
-  if (raft_.fedavg_leader() != self) return;
+  if (!raft_.leads_fedavg(self)) return;
 
   // Snapshot current leadership from the Raft backend; skip the tick if
   // any live subgroup is still electing (Raft repairs, we retry next

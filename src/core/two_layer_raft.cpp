@@ -12,7 +12,6 @@ namespace p2pfl::core {
 
 namespace {
 
-constexpr std::uint8_t kFedConfigCommand = 1;
 /// Both layers snapshot their config logs after this many applied
 /// entries (they grow forever otherwise: one config commit every
 /// config_commit_interval).
@@ -26,50 +25,41 @@ const char* kFedChannel = "raft/fed";
 const char* kJoinChannel = "join";
 const char* kRejoinChannel = "member/rejoin";
 
-Bytes encode_fed_config(const std::vector<PeerId>& members) {
-  ByteWriter w;
-  w.u8(kFedConfigCommand);
-  w.vec_u32(members);
-  return w.take();
-}
+/// The subgroup log's command: the FedAvg-layer configuration, tagged.
+struct FedConfigCommand {
+  static constexpr std::uint8_t kTag = 1;
+  std::uint8_t tag = kTag;
+  std::vector<PeerId> members;
 
-std::optional<std::vector<PeerId>> decode_fed_config(const Bytes& data) {
-  ByteReader r(data);
-  if (r.u8() != kFedConfigCommand) return std::nullopt;
-  auto members = r.vec_u32<PeerId>();
-  if (!r.complete()) return std::nullopt;
-  return members;
-}
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.tag, m.members);
+  }
+};
 
 // Composite subgroup snapshot: the replicated state machine (FedAvg
 // configuration) plus an opaque application blob piggy-backed for
 // state-transfer catch-up (the newest global model, see
 // app_snapshot_save). Tagged so a fed-config-only blob from an older
-// snapshot still decodes.
-constexpr std::uint8_t kCompositeSnapshot = 2;
-
+// snapshot (a FedConfigCommand) still decodes.
 struct SnapshotState {
+  static constexpr std::uint8_t kTag = 2;
+  std::uint8_t tag = kTag;
   std::vector<PeerId> fed_cfg;
   Bytes app;
+
+  template <typename Self, typename IO>
+  static void fields(Self& m, IO& io) {
+    io(m.tag, m.fed_cfg, m.app);
+  }
 };
 
-Bytes encode_snapshot_state(const std::vector<PeerId>& members,
-                            const Bytes& app) {
-  ByteWriter w;
-  w.u8(kCompositeSnapshot);
-  w.vec_u32(members);
-  w.blob(app);
-  return w.take();
-}
-
-std::optional<SnapshotState> decode_snapshot_state(const Bytes& data) {
-  ByteReader r(data);
-  if (r.u8() != kCompositeSnapshot) return std::nullopt;
-  SnapshotState s;
-  s.fed_cfg = r.vec_u32<PeerId>();
-  s.app = r.blob();
-  if (!r.complete()) return std::nullopt;
-  return s;
+/// decode_wire that also requires the value's leading tag to be T's.
+template <typename T>
+std::optional<T> decode_tagged(const Bytes& data) {
+  std::optional<T> m = decode_wire<T>(data);
+  if (m.has_value() && m->tag != T::kTag) return std::nullopt;
+  return m;
 }
 
 }  // namespace
@@ -182,8 +172,8 @@ void TwoLayerRaftSystem::wire_subgroup_node(Peer& p) {
     handle_subgroup_config(p, cfg);
   };
   node.on_apply = [this, &p](raft::Index, const raft::LogEntry& e) {
-    if (auto cfg = decode_fed_config(e.data)) {
-      p.known_fed_cfg = std::move(*cfg);
+    if (auto cmd = decode_tagged<FedConfigCommand>(e.data)) {
+      p.known_fed_cfg = std::move(cmd->members);
     }
   };
   // The subgroup state machine is the FedAvg-layer configuration; the
@@ -191,24 +181,26 @@ void TwoLayerRaftSystem::wire_subgroup_node(Peer& p) {
   // far-behind (or amnesiac) member recovers config AND model state in
   // one InstallSnapshot instead of a separate model push.
   node.on_snapshot_save = [this, &p] {
-    const Bytes app = app_snapshot_save ? app_snapshot_save(p.id) : Bytes{};
-    return encode_snapshot_state(p.known_fed_cfg, app);
+    SnapshotState state;
+    state.fed_cfg = p.known_fed_cfg;
+    if (app_snapshot_save) state.app = app_snapshot_save(p.id);
+    return encode_wire(state);
   };
   node.on_snapshot_install = [this, &p](raft::Index, const Bytes& state) {
     if (state.empty()) return;
-    if (auto s = decode_snapshot_state(state)) {
+    if (auto s = decode_tagged<SnapshotState>(state)) {
       p.known_fed_cfg = std::move(s->fed_cfg);
       if (!s->app.empty() && app_snapshot_install) {
         app_snapshot_install(p.id, s->app);
       }
-    } else if (auto cfg = decode_fed_config(state)) {
+    } else if (auto cmd = decode_tagged<FedConfigCommand>(state)) {
       // Pre-composite snapshot blob (restored at restart()).
-      p.known_fed_cfg = std::move(*cfg);
+      p.known_fed_cfg = std::move(cmd->members);
     }
   };
   node.snapshot_payload = [this](const Bytes& state) -> std::uint64_t {
     if (!app_snapshot_payload) return 0;
-    auto s = decode_snapshot_state(state);
+    auto s = decode_tagged<SnapshotState>(state);
     if (!s || s->app.empty()) return 0;
     return app_snapshot_payload(s->app);
   };
@@ -285,7 +277,9 @@ void TwoLayerRaftSystem::commit_fed_config(Peer& p) {
           ? p.fed_node->members()
           : p.known_fed_cfg;
   if (members.empty()) return;
-  p.sg_node->propose(encode_fed_config(members));
+  FedConfigCommand cmd;
+  cmd.members = members;
+  p.sg_node->propose(encode_wire(cmd));
 }
 
 void TwoLayerRaftSystem::send_join_request(Peer& p) {
@@ -936,6 +930,15 @@ PeerId TwoLayerRaftSystem::fedavg_leader() const {
     }
   }
   return best;
+}
+
+bool TwoLayerRaftSystem::leads_fedavg(PeerId peer) const {
+  const Peer& p = peer_ref(peer);
+  // fedavg_leader() names only a live peer whose FedAvg node leads.
+  if (net_.crashed(peer) || !p.fed_node || !p.fed_node->is_leader()) {
+    return false;
+  }
+  return fedavg_leader() == peer;
 }
 
 std::vector<PeerId> TwoLayerRaftSystem::fedavg_members() const {

@@ -154,6 +154,11 @@ class TwoLayerRaftSystem {
   /// Current live FedAvg-layer leader (kNoPeer if none).
   PeerId fedavg_leader() const;
 
+  /// fedavg_leader() == peer, without scanning every peer unless the
+  /// peer's own FedAvg node is a live leader (the round driver asks this
+  /// on every peer's tick).
+  bool leads_fedavg(PeerId peer) const;
+
   /// FedAvg-layer membership as seen by its current leader (empty if no
   /// leader).
   std::vector<PeerId> fedavg_members() const;

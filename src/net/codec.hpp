@@ -16,10 +16,11 @@
 //    message or drops the envelope with reason "corrupt".
 //
 // Codec::encode_to appends to a caller's ByteWriter: the network
-// encode-verifies into one writer it clears and reuses, and the TCP frame
-// encoder writes the payload straight into the frame, so neither
-// allocates a buffer per message. Codec::encode is the allocating
-// convenience form.
+// encode-verifies every send into one writer it clears and reuses, and
+// hands those bytes to the transport, so a payload is encoded once per
+// send and no buffer is allocated for it. Codec::encode is the
+// allocating convenience form. Codec::decode reads bytes where they lie
+// (a span), so the TCP transport decodes a frame's payload in place.
 //
 // Kinds are channel-qualified ("sac/sg2/share", "raft/fed/ae"), so the
 // registry is keyed by the channel-independent codec key
@@ -65,7 +66,7 @@ struct Codec {
   /// false, with nothing written, if the body is not this codec's type.
   std::function<bool(const std::any&, ByteWriter&)> encode_to;
   /// Strict decode; nullopt on truncated / malformed / trailing input.
-  std::function<std::optional<std::any>(const Bytes&)> decode;
+  std::function<std::optional<std::any>(ByteSpan)> decode;
   /// Random plausible instance for the given shape (fuzz + catalog).
   std::function<std::any(Rng&, const WireSample&)> sample;
   /// Deep equality of two payloads of this type (round-trip checks).
@@ -121,7 +122,7 @@ Codec make_codec(std::string key, T (*sample_fn)(Rng&, const WireSample&)) {
     out(*m);
     return true;
   };
-  c.decode = [](const Bytes& b) -> std::optional<std::any> {
+  c.decode = [](ByteSpan b) -> std::optional<std::any> {
     std::optional<T> m = decode_wire<T>(b);
     if (!m.has_value()) return std::nullopt;
     return std::any(std::move(*m));

@@ -124,7 +124,8 @@ bool Network::partitioned(PeerId from, PeerId to) const {
   return gf != gt;
 }
 
-void Network::schedule_delivery(Envelope env, const LinkFaults& f) {
+void Network::schedule_delivery(Envelope env, const LinkFaults& f,
+                                ByteSpan payload) {
   SimDuration delay = 0;
   if (transport_.deterministic()) {
     // The simulator has no wire, so the Network models the link: latency,
@@ -140,7 +141,7 @@ void Network::schedule_delivery(Envelope env, const LinkFaults& f) {
     delay += links_.frame_delay(env.from, env.to, env.wire_bytes,
                                 transport_.now());
   }
-  transport_.send_frame(std::move(env), delay);
+  transport_.send_frame(std::move(env), delay, payload);
 }
 
 void Network::send(Envelope env) {
@@ -159,7 +160,9 @@ void Network::send(Envelope env) {
   // Always re-stamped: a caller may reuse an envelope with another kind.
   env.kind_id = intern(env.kind);
   KindSlot& k = kinds_[env.kind_id];
-  verify_encoding(env, k);
+  // The verified encoding is the payload the transport sends: one
+  // encode per send.
+  ByteSpan payload = verify_encoding(env, k);
   env.dest_incarnation = incarnation(env.to);
 
   obs::SpanRecorder& sr = transport_.obs().spans;
@@ -173,7 +176,7 @@ void Network::send(Envelope env) {
       env.span.span = sr.open(obs::SpanKind::kLink, env.kind, env.from,
                               env.span.round, env.span.span);
     }
-    transport_.send_frame(std::move(env), 0);
+    transport_.send_frame(std::move(env), 0, payload);
     return;
   }
 
@@ -210,7 +213,10 @@ void Network::send(Envelope env) {
       f.corrupt_prob > 0.0 && fault_rng_.chance(f.corrupt_prob);
   const bool trunc =
       f.truncate_prob > 0.0 && fault_rng_.chance(f.truncate_prob);
-  if (flip || trunc) maybe_corrupt(env, k, flip, trunc);
+  if (flip || trunc) {
+    maybe_corrupt(env, payload, flip, trunc);
+    payload = {};  // the damaged body has no verified encoding
+  }
   const bool duplicate =
       f.duplicate_prob > 0.0 && fault_rng_.chance(f.duplicate_prob);
   if (duplicate) {
@@ -227,7 +233,7 @@ void Network::send(Envelope env) {
       dup.span.span = sr.open(obs::SpanKind::kLink, dup.kind, dup.from,
                               dup.span.round, dup.span.span);
     }
-    schedule_delivery(std::move(dup), f);
+    schedule_delivery(std::move(dup), f, payload);
   }
   if (sr.enabled()) {
     // Each in-flight copy gets its own link span: open at send, closed at
@@ -235,10 +241,10 @@ void Network::send(Envelope env) {
     env.span.span = sr.open(obs::SpanKind::kLink, env.kind, env.from,
                             env.span.round, env.span.span);
   }
-  schedule_delivery(std::move(env), f);
+  schedule_delivery(std::move(env), f, payload);
 }
 
-void Network::verify_encoding(const Envelope& env, KindSlot& k) {
+ByteSpan Network::verify_encoding(const Envelope& env, KindSlot& k) {
   const Codec* codec = codec_of(k);
   if (codec == nullptr) {
     // Raw / test-only kind: nothing to check on the simulator, a hard
@@ -247,7 +253,7 @@ void Network::verify_encoding(const Envelope& env, KindSlot& k) {
                     "kind '" + env.kind +
                         "' has no registered codec; only canonical codec "
                         "frames may cross a real transport");
-    return;
+    return {};
   }
   verify_buf_.clear();
   P2PFL_CHECK_MSG(codec->encode_to(env.body, verify_buf_),
@@ -262,15 +268,13 @@ void Network::verify_encoding(const Envelope& env, KindSlot& k) {
                       std::to_string(verify_buf_.size()) +
                       " + modeled_delta " +
                       std::to_string(env.modeled_delta));
+  return verify_buf_.bytes();
 }
 
-void Network::maybe_corrupt(Envelope& env, KindSlot& k, bool flip,
+void Network::maybe_corrupt(Envelope& env, ByteSpan encoded, bool flip,
                             bool truncate) {
-  const Codec* codec = codec_of(k);
-  if (codec == nullptr) return;  // only real encodings can be damaged
-  std::optional<Bytes> encoded = codec->encode(env.body);
-  if (!encoded.has_value()) return;
-  Bytes wire = std::move(*encoded);
+  if (encoded.empty()) return;  // only real encodings can be damaged
+  Bytes wire(encoded.begin(), encoded.end());
   if (truncate && !wire.empty()) {
     // Random strict prefix (possibly empty) — strict decoders reject it.
     wire.resize(fault_rng_.index(wire.size()));

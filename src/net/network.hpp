@@ -201,9 +201,10 @@ class Network : public FrameSink {
   /// into one buffer the network clears and reuses, and the charged
   /// wire_bytes must equal the encoded length plus the envelope's
   /// declared modeled_delta, so every run cross-checks the Eq. (4)/(5)
-  /// byte accounting against real encodings. On a non-deterministic
-  /// transport a codec is additionally *required*: only canonical frames
-  /// cross the seam.
+  /// byte accounting against real encodings. Those bytes are the
+  /// payload send_frame hands the transport, so a send encodes its
+  /// payload once. On a non-deterministic transport a codec is
+  /// additionally *required*: only canonical frames cross the seam.
   void send(Envelope env);
 
   /// Typed convenience wrapper building the envelope (pure control
@@ -343,14 +344,20 @@ class Network : public FrameSink {
   KindId intern(const std::string& kind);
   const Codec* codec_of(KindSlot& k) const;
   SimDuration latency_for(PeerId from, PeerId to) const;
-  void schedule_delivery(Envelope env, const LinkFaults& f);
+  /// Hand one copy to the transport with its verified `payload` bytes.
+  void schedule_delivery(Envelope env, const LinkFaults& f,
+                         ByteSpan payload);
   void count_drop(Drop reason);
   /// Encode-verify: charge must equal real encoding + modeled_delta.
-  void verify_encoding(const Envelope& env, KindSlot& k);
-  /// Damage the message's real encoding in flight (bit flip and/or
-  /// truncation); the body becomes a CorruptPayload the receiving side
-  /// must decode. No-op for kinds without a registered codec.
-  void maybe_corrupt(Envelope& env, KindSlot& k, bool flip, bool truncate);
+  /// Returns that encoding (in verify_buf_, valid until the next send),
+  /// or an empty span for a kind without a registered codec.
+  ByteSpan verify_encoding(const Envelope& env, KindSlot& k);
+  /// Damage the message's real encoding `encoded` in flight (bit flip
+  /// and/or truncation); the body becomes a CorruptPayload the
+  /// receiving side must decode. No-op when `encoded` is empty (a kind
+  /// without a registered codec).
+  void maybe_corrupt(Envelope& env, ByteSpan encoded, bool flip,
+                     bool truncate);
 
   /// Set for the legacy simulator constructor, which owns its transport.
   std::unique_ptr<Transport> owned_transport_;
@@ -376,7 +383,8 @@ class Network : public FrameSink {
   /// survive interning more kinds).
   std::unordered_map<std::string, KindId> kind_ids_;
   std::deque<KindSlot> kinds_;
-  /// Encode-verify's buffer, cleared and reused for every send.
+  /// Encode-verify's buffer, cleared and reused for every send; its
+  /// bytes are the payload the transport sends.
   ByteWriter verify_buf_;
   std::unordered_map<PeerId, Endpoint*> endpoints_;
   std::unordered_set<PeerId> crashed_;

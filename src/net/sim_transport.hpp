@@ -40,7 +40,9 @@ class SimTransport final : public Transport {
 
   bool cancel(TimerToken token) override { return sim_.cancel(token); }
 
-  void send_frame(Envelope&& env, SimDuration model_delay) override;
+  /// Schedules the typed envelope's delivery; `payload` is not needed.
+  void send_frame(Envelope&& env, SimDuration model_delay,
+                  ByteSpan payload) override;
 
   void set_sink(FrameSink* sink) override { sink_ = sink; }
 

@@ -1,5 +1,6 @@
 #include "net/tcp/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -19,7 +20,34 @@ void header(IO& io, Env& env) {
      env.chaos_duplicate);
 }
 
+/// Header bytes besides the kind's characters: from, to, the kind's
+/// length prefix, six u64 fields and the duplicate flag.
+constexpr std::size_t kHeaderFixedBytes = 4 + 4 + 4 + 6 * 8 + 1;
+
+/// The frame body: the header, then the payload as a length-prefixed
+/// blob.
+void write_body(ByteWriter& w, const Envelope& env, ByteSpan payload) {
+  header(w, env);
+  w.blob(payload);
+}
+
+std::uint32_t read_u32_le(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 }  // namespace
+
+Bytes write_frame(const Envelope& env, ByteSpan payload) {
+  ByteWriter w;
+  w.reserve(4 + kHeaderFixedBytes + env.kind.size() + 4 + payload.size());
+  w.u32(0);  // the body's length, patched once the body is written
+  write_body(w, env, payload);
+  w.patch_u32(0, static_cast<std::uint32_t>(w.size() - 4));
+  return w.take();
+}
 
 Bytes encode_frame(const Envelope& env) {
   const Codec* codec = CodecRegistry::global().find_kind(env.kind);
@@ -27,25 +55,20 @@ Bytes encode_frame(const Envelope& env) {
                   "kind '" + env.kind +
                       "' has no registered codec; only canonical frames "
                       "may cross the TCP transport");
-  ByteWriter w;
-  header(w, env);
-  // The payload rides as a length-prefixed blob, encoded in place: the
-  // prefix is patched once the payload's length is known.
-  const std::size_t prefix_at = w.size();
-  w.u32(0);
-  P2PFL_CHECK_MSG(codec->encode_to(env.body, w),
+  ByteWriter payload;
+  P2PFL_CHECK_MSG(codec->encode_to(env.body, payload),
                   "payload type does not match the codec for kind '" +
                       env.kind + "'");
-  w.patch_u32(prefix_at,
-              static_cast<std::uint32_t>(w.size() - prefix_at - 4));
+  ByteWriter w;
+  write_body(w, env, payload.bytes());
   return w.take();
 }
 
-std::optional<Envelope> decode_frame(const Bytes& body) {
+std::optional<Envelope> decode_frame(ByteSpan body) {
   ByteReader r(body);
   Envelope env;
   header(r, env);
-  const Bytes payload = r.blob();
+  const ByteSpan payload = r.blob_view();
   if (!r.complete()) return std::nullopt;
   const Codec* codec = CodecRegistry::global().find_kind(env.kind);
   if (codec == nullptr) return std::nullopt;
@@ -55,44 +78,54 @@ std::optional<Envelope> decode_frame(const Bytes& body) {
   return env;
 }
 
-void append_length_prefixed(Bytes& out, const Bytes& body) {
-  const std::uint32_t n = static_cast<std::uint32_t>(body.size());
-  out.push_back(static_cast<std::uint8_t>(n & 0xff));
-  out.push_back(static_cast<std::uint8_t>((n >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((n >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((n >> 24) & 0xff));
-  out.insert(out.end(), body.begin(), body.end());
+std::span<std::uint8_t> FrameAssembler::read_space() {
+  // Bytes the frame being assembled still lacks; 0 until its length
+  // prefix is in (received() has checked that prefix against the max).
+  std::size_t rest = 0;
+  if (end_ - pos_ >= 4) {
+    rest = pos_ + 4 + read_u32_le(buf_.get() + pos_) - end_;
+  }
+  // Room for the rest of the frame where it lies, or else for a full
+  // read: move the buffered bytes to the front, and grow to exactly one
+  // frame (or one read) only when that still leaves too little room.
+  const std::size_t room = rest > 0 ? rest : kReadBytes;
+  if (cap_ - end_ < room) {
+    const std::size_t held = end_ - pos_;
+    if (cap_ < held + room) {
+      std::unique_ptr<std::uint8_t[]> bigger(new std::uint8_t[held + room]);
+      if (held > 0) std::memcpy(bigger.get(), buf_.get() + pos_, held);
+      buf_ = std::move(bigger);
+      cap_ = held + room;
+    } else if (held > 0) {
+      std::memmove(buf_.get(), buf_.get() + pos_, held);
+    }
+    pos_ = 0;
+    end_ = held;
+  }
+  // A frame longer than one read is read to its end and no further, so
+  // what follows it in the buffer is less than one read.
+  return {buf_.get() + end_,
+          std::min(cap_ - end_, std::max(rest, kReadBytes))};
 }
 
-bool FrameAssembler::feed(const std::uint8_t* data, std::size_t n,
-                          const std::function<void(Bytes&&)>& on_frame) {
+bool FrameAssembler::received(std::size_t n, const FrameFn& on_frame) {
   if (poisoned_) return false;
-  buf_.insert(buf_.end(), data, data + n);
-  for (;;) {
-    const std::size_t avail = buf_.size() - pos_;
-    if (avail < 4) break;
-    const std::uint8_t* p = buf_.data() + pos_;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(p[0]) |
-        (static_cast<std::uint32_t>(p[1]) << 8) |
-        (static_cast<std::uint32_t>(p[2]) << 16) |
-        (static_cast<std::uint32_t>(p[3]) << 24);
+  P2PFL_CHECK(n <= cap_ - end_);
+  end_ += n;
+  // A delivery that resets the assembler empties it, which ends the loop:
+  // the buffer is not touched again.
+  while (end_ - pos_ >= 4) {
+    const std::uint32_t len = read_u32_le(buf_.get() + pos_);
     if (len > max_frame_bytes_) {
       poisoned_ = true;
       return false;
     }
-    if (avail < 4 + static_cast<std::size_t>(len)) break;
-    Bytes body(buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4 + len));
-    pos_ += 4 + len;
-    on_frame(std::move(body));
+    if (end_ - pos_ - 4 < len) break;
+    const ByteSpan body(buf_.get() + pos_ + 4, len);
+    pos_ += 4 + static_cast<std::size_t>(len);
+    on_frame(body);
   }
-  // Compact once the consumed prefix dominates, keeping feed amortized
-  // O(bytes) without shifting the tail on every frame.
-  if (pos_ > 0 && (pos_ >= buf_.size() || pos_ > 4096)) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
+  if (pos_ == end_) pos_ = end_ = 0;
   return true;
 }
 

@@ -348,38 +348,44 @@ void TcpTransport::run_loop() {
   drain_tasks();  // run stragglers (unblocks any call() in flight)
 }
 
-void TcpTransport::send_frame(Envelope&& env, SimDuration model_delay) {
+void TcpTransport::send_frame(Envelope&& env, SimDuration model_delay,
+                              ByteSpan payload) {
   (void)model_delay;  // the wire provides the timing
+  P2PFL_CHECK_MSG(!payload.empty(),
+                  "kind '" + env.kind +
+                      "' has no verified canonical encoding; only canonical "
+                      "codec frames may cross the TCP transport");
+  // Written here, on any thread: `payload` is valid only for this call.
+  Bytes frame = write_frame(env, payload);
   if (running_.load() && on_loop_thread()) {
-    send_on_loop(std::move(env));
+    send_on_loop(env.from, env.to, std::move(frame));
     return;
   }
-  auto boxed = std::make_shared<Envelope>(std::move(env));
-  post([this, boxed] { send_on_loop(std::move(*boxed)); });
+  auto boxed = std::make_shared<Bytes>(std::move(frame));
+  post([this, from = env.from, to = env.to, boxed] {
+    send_on_loop(from, to, std::move(*boxed));
+  });
 }
 
-void TcpTransport::send_on_loop(Envelope&& env) {
+void TcpTransport::send_on_loop(PeerId from, PeerId to, Bytes&& frame) {
   P2PFL_CHECK(sink_ != nullptr);
-  Bytes body = encode_frame(env);
-  if (env.from == env.to) {
-    // Self-delivery skips the wire but still round-trips the canonical
-    // encoding, and is deferred through the task queue so the sender
-    // never sees a reentrant delivery (mirrors the simulator's
-    // schedule-at-0 self path).
-    auto boxed = std::make_shared<Bytes>(std::move(body));
+  if (from == to) {
+    // Self-delivery skips the wire but still decodes the canonical frame,
+    // and is deferred through the task queue so the sender never sees a
+    // reentrant delivery (mirrors the simulator's schedule-at-0 self
+    // path).
+    auto boxed = std::make_shared<Bytes>(std::move(frame));
     {
       std::lock_guard<std::mutex> lock(task_mu_);
-      tasks_.push_back([this, boxed] { deliver_local(std::move(*boxed)); });
+      tasks_.push_back(
+          [this, boxed] { deliver_frame(ByteSpan(*boxed).subspan(4)); });
     }
     wake();
     return;
   }
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  OutConn& c = out_conn(env.from, env.to);
-  Bytes framed;
-  framed.reserve(body.size() + 4);
-  append_length_prefixed(framed, body);
-  c.outq.push_back(std::move(framed));
+  OutConn& c = out_conn(from, to);
+  c.outq.push_back(std::move(frame));
   if (cfg_.max_outq_frames > 0 && c.outq.size() > cfg_.max_outq_frames) {
     // Bounded queue: drop the oldest undelivered frame. The front frame
     // is exempt while partially written — dropping it would tear the
@@ -392,8 +398,8 @@ void TcpTransport::send_on_loop(Envelope&& env) {
   if (c.connected) flush_out(c);
 }
 
-void TcpTransport::deliver_local(Bytes&& frame_body) {
-  std::optional<Envelope> env = decode_frame(frame_body);
+void TcpTransport::deliver_frame(ByteSpan body) {
+  std::optional<Envelope> env = decode_frame(body);
   if (!env.has_value()) {
     obs_.metrics.counter("net.tcp.bad_frames").add(1);
     return;
@@ -558,9 +564,13 @@ void TcpTransport::handle_accept(Listener& l) {
 }
 
 void TcpTransport::handle_readable(InConn& c) {
-  std::uint8_t buf[65536];
+  // Frames are decoded where they were read, in the assembler's buffer.
+  const FrameAssembler::FrameFn deliver = [this](ByteSpan body) {
+    deliver_frame(body);
+  };
   for (;;) {
-    const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
+    const std::span<std::uint8_t> space = c.assembler.read_space();
+    const ssize_t n = ::recv(c.fd, space.data(), space.size(), 0);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
@@ -573,10 +583,7 @@ void TcpTransport::handle_readable(InConn& c) {
     }
     raw_bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
                                   std::memory_order_relaxed);
-    const bool ok = c.assembler.feed(
-        buf, static_cast<std::size_t>(n),
-        [this](Bytes&& body) { deliver_local(std::move(body)); });
-    if (!ok) {
+    if (!c.assembler.received(static_cast<std::size_t>(n), deliver)) {
       // Oversized length prefix: stream desync, the connection is dead.
       obs_.metrics.counter("net.tcp.frame_protocol_error").add(1);
       close_in(c);

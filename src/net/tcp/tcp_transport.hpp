@@ -10,9 +10,13 @@
 // them on its caller thread.
 //
 //  * Frames are the canonical length-prefixed codec encodings
-//    (src/net/tcp/frame.hpp); arbitrary kernel chunking is reassembled
-//    by FrameAssembler, so partial reads and coalesced frames are
-//    routine, not errors.
+//    (src/net/tcp/frame.hpp). A send writes the payload bytes the
+//    network's encode-verify produced, with the header and length
+//    prefix, once into the buffer the socket sends from; the receive
+//    loop reads into the connection's FrameAssembler and decodes each
+//    frame where it landed. Arbitrary kernel chunking is reassembled
+//    there, so partial reads and coalesced frames are routine, not
+//    errors.
 //  * The clock is CLOCK_MONOTONIC microseconds since construction;
 //    timers ride a min-heap with lazy cancellation and fire at-or-after
 //    their deadline on the loop thread.
@@ -77,11 +81,15 @@ class TcpTransport final : public Transport {
   TimerToken schedule_after(SimDuration delay,
                             std::function<void()> fn) override;
   bool cancel(TimerToken token) override;
-  /// Encode + route one frame. from==to short-circuits through the task
-  /// queue (still via encode/decode, so self-frames stay canonical);
-  /// everything else rides the from->to connection. `model_delay` is
-  /// ignored: the wire provides the timing.
-  void send_frame(Envelope&& env, SimDuration model_delay) override;
+  /// Write one frame from the verified payload bytes and route it; off
+  /// the loop thread the frame is written here and its task posted.
+  /// from==to short-circuits through the task queue (still decoded from
+  /// the frame, so self-frames stay canonical); everything else rides
+  /// the from->to connection. CHECK-fails on an empty `payload` (no
+  /// verified encoding). `model_delay` is ignored: the wire provides the
+  /// timing.
+  void send_frame(Envelope&& env, SimDuration model_delay,
+                  ByteSpan payload) override;
   void set_sink(FrameSink* sink) override { sink_ = sink; }
   obs::Observability& obs() override { return obs_; }
   Rng& rng() override { return rng_; }
@@ -137,7 +145,7 @@ class TcpTransport final : public Transport {
     PeerId to = kNoPeer;
     int fd = -1;
     bool connected = false;  // connect() completed
-    /// Queued frames, each already length-prefixed, plus the write
+    /// Queued frames, each written whole by write_frame, plus the write
     /// offset into the front frame. Queuing whole frames (not one flat
     /// buffer) lets a broken connection drop exactly the torn
     /// partially-written frame and resend the rest after reconnect.
@@ -185,8 +193,9 @@ class TcpTransport final : public Transport {
   SimTime fire_due_timers(SimTime now_us);
 
   // All loop-thread-only:
-  void send_on_loop(Envelope&& env);
-  void deliver_local(Bytes&& frame_body);
+  void send_on_loop(PeerId from, PeerId to, Bytes&& frame);
+  /// Decode one frame body where it lies and hand it to the sink.
+  void deliver_frame(ByteSpan body);
   OutConn& out_conn(PeerId from, PeerId to);
   void start_connect(OutConn& c);
   void flush_out(OutConn& c);

@@ -108,7 +108,16 @@ class Transport {
   /// model plus the link table's hold), which that transport honors
   /// exactly. Real transports ignore it: the wire imposes the latency
   /// and the sink's link table gates their writes.
-  virtual void send_frame(Envelope&& env, SimDuration model_delay) = 0;
+  ///
+  /// `payload` is env.body's canonical encoding, the bytes the Network's
+  /// encode-verify produced and checked for this send; it is valid only
+  /// for the duration of the call, so a transport that keeps it copies
+  /// it. It is empty when the send has no verified encoding: a kind
+  /// without a codec (simulator only) or a chaos-corrupted body. The
+  /// simulator moves the typed body and ignores it; a real transport
+  /// sends these bytes and nothing else, and refuses an empty span.
+  virtual void send_frame(Envelope&& env, SimDuration model_delay,
+                          ByteSpan payload) = 0;
 
   /// Register the upcall sink (the Network). One sink at a time.
   virtual void set_sink(FrameSink* sink) = 0;

@@ -8,17 +8,6 @@
 
 namespace p2pfl::secagg {
 
-std::vector<std::size_t> replica_share_indices(std::size_t j, std::size_t n,
-                                               std::size_t k) {
-  std::vector<std::size_t> out;
-  out.reserve(k <= n ? n - k + 1 : 0);
-  all_replica_share_indices(j, n, k, [&out](std::size_t s) {
-    out.push_back(s);
-    return true;
-  });
-  return out;
-}
-
 std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
                                           std::size_t k) {
   P2PFL_CHECK(n >= 1 && k >= 1 && k <= n && s < n);

@@ -46,11 +46,6 @@ bool all_replica_share_indices(std::size_t j, std::size_t n, std::size_t k,
   return true;
 }
 
-/// Share indices peer at position j holds (Alg. 4 lines 3-9), ascending
-/// mod-n order starting at j. n >= 1, 1 <= k <= n.
-std::vector<std::size_t> replica_share_indices(std::size_t j, std::size_t n,
-                                               std::size_t k);
-
 /// Positions of the peers that can compute subtotal s.
 std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
                                           std::size_t k);

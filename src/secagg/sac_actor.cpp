@@ -113,6 +113,9 @@ void SacPeer::begin_round(RoundId round, Vector model,
   st.my_pos = static_cast<std::size_t>(me);
   st.share_bytes = share_wire_bytes(model.size());
   st.got_share_from.assign(st.n, false);
+  st.model = std::move(model);
+  // divide()'s one draw: every share keeps the bits divide() gives it.
+  st.splitter.emplace(st.n, SplitScheme::kProportional, rng_);
   round_ = std::move(st);
 
   obs::Observability& o = net_.obs();
@@ -132,33 +135,30 @@ void SacPeer::begin_round(RoundId round, Vector model,
   // share links and any synchronous completion chain to it.
   obs::SpanStackScope share_scope(o.spans, round_->share_span);
 
-  round_->shares = divide(model, round_->n, rng_);
-  const std::vector<Vector>& shares = round_->shares;
+  // One bundle per position, this peer's own included: the split writes
+  // every share straight into the parts of all its holders.
   const std::size_t n = round_->n;
-  const std::size_t k = round_->k;
+  const std::size_t my_pos = round_->my_pos;
+  std::vector<SacShareMsg> bundles;
+  bundles.reserve(n);
+  for (std::size_t j = 0; j < n; ++j) bundles.push_back(blank_bundle(j));
   if (opts_.detect_inconsistent_shares) {
-    round_->my_commit.reserve(n);
-    for (const Vector& s : shares) {
-      round_->my_commit.push_back(wire::share_digest(s));
-    }
+    round_->my_commit.assign(n, wire::kEmptyShareDigest);
+    split_into(bundles, &round_->my_commit);
     round_->seen_digest.assign(n, 0);
     round_->peer_bad.assign(n, 0);
     round_->pos_bad.assign(n, 0);
+  } else {
+    split_into(bundles, nullptr);
   }
 
-  // Distribute the n−k+1 consecutive shares each peer replicates.
+  // Distribute the n−k+1 consecutive shares each peer replicates, then
+  // contribute this peer's own.
   for (std::size_t j = 0; j < n; ++j) {
-    if (j == round_->my_pos) continue;
-    SacShareMsg msg = make_share_bundle(j, /*resend=*/false);
-    const net::WireSize wire =
-        wire::share_wire(msg.parts.size(), round_->share_bytes, model.size(),
-                         msg.commit.size());
-    net_.send(id_, round_->group[j], channel_ + "/share", std::move(msg),
-              wire);
+    if (j != my_pos) send_bundle(j, std::move(bundles[j]), /*resend=*/false);
   }
-  // Own contribution to the indices this peer holds.
-  for (std::size_t s : replica_share_indices(round_->my_pos, n, k)) {
-    contribute(round_->my_pos, s, shares[s]);
+  for (const auto& [s, data] : bundles[my_pos].parts) {
+    contribute(my_pos, s, data);
   }
 
   // Every peer watches its own share phase: when it stays incomplete the
@@ -196,21 +196,61 @@ void SacPeer::handle_share_request(const SacShareReq& msg) {
       msg.reply_to_pos == static_cast<std::uint32_t>(st.my_pos)) {
     return;
   }
-  if (st.shares.empty()) return;  // never split in this round
-  SacShareMsg out = make_share_bundle(msg.reply_to_pos, /*resend=*/true);
+  if (!st.splitter) return;  // never split in this round
+  SacShareMsg out = blank_bundle(msg.reply_to_pos);
+  split_into({&out, 1}, nullptr);
   net_.obs().metrics.counter("sac.share_resends").add(1);
-  const net::WireSize wire =
-      wire::share_wire(out.parts.size(), st.share_bytes,
-                       out.parts.front().second.size(), out.commit.size());
-  net_.send(id_, st.group[msg.reply_to_pos], channel_ + "/share",
-            std::move(out), wire);
+  send_bundle(msg.reply_to_pos, std::move(out), /*resend=*/true);
 }
 
-SacShareMsg SacPeer::make_share_bundle(std::size_t dest_pos, bool resend) {
-  RoundState& st = *round_;
+SacShareMsg SacPeer::blank_bundle(std::size_t dest_pos) const {
+  const RoundState& st = *round_;
   SacShareMsg msg;
   msg.round = st.round;
   msg.from_pos = static_cast<std::uint32_t>(st.my_pos);
+  msg.parts.reserve(st.n - st.k + 1);
+  all_replica_share_indices(dest_pos, st.n, st.k, [&](std::size_t s) {
+    msg.parts.emplace_back(static_cast<std::uint32_t>(s), Vector())
+        .second.reserve(st.model.size());
+    return true;
+  });
+  return msg;
+}
+
+void SacPeer::split_into(std::span<SacShareMsg> bundles,
+                         std::vector<std::uint64_t>* digests) const {
+  const RoundState& st = *round_;
+  const std::size_t n = st.n;
+  const std::size_t dim = st.model.size();
+  // Each block's n shares land in an L1-sized scratch and are appended
+  // to every part that holds them: a part's bytes are written once,
+  // never zero-filled first.
+  const std::size_t stride = std::min(dim, kSplitBlock);
+  std::vector<float> scratch(n * stride);
+  std::vector<float*> out(n);
+  for (std::size_t s = 0; s < n; ++s) out[s] = scratch.data() + s * stride;
+  std::vector<double> work;
+  ShareSplitter splitter = *st.splitter;
+  for (std::size_t base = 0; base < dim; base += kSplitBlock) {
+    const std::size_t len = std::min(kSplitBlock, dim - base);
+    splitter.split(std::span<const float>(st.model).subspan(base, len), out,
+                   work);
+    for (SacShareMsg& b : bundles) {
+      for (auto& [s, data] : b.parts) {
+        data.insert(data.end(), out[s], out[s] + len);
+      }
+    }
+    if (digests != nullptr) {
+      for (std::size_t s = 0; s < n; ++s) {
+        (*digests)[s] = wire::share_digest({out[s], len}, (*digests)[s]);
+      }
+    }
+  }
+}
+
+void SacPeer::send_bundle(std::size_t dest_pos, SacShareMsg msg,
+                          bool resend) {
+  RoundState& st = *round_;
   const robust::AttackSpec* atk =
       opts_.byzantine ? opts_.byzantine->spec(id_) : nullptr;
   float offset = 0.0f;
@@ -228,12 +268,10 @@ SacShareMsg SacPeer::make_share_bundle(std::size_t dest_pos, bool resend) {
                static_cast<float>(st.equivocations_sent);
     }
   }
-  for (std::size_t s : replica_share_indices(dest_pos, st.n, st.k)) {
-    Vector data = st.shares[s];
-    if (offset != 0.0f) {
+  if (offset != 0.0f) {
+    for (auto& [idx, data] : msg.parts) {
       for (float& v : data) v += offset;
     }
-    msg.parts.emplace_back(static_cast<std::uint32_t>(s), std::move(data));
   }
   if (opts_.detect_inconsistent_shares) {
     msg.commit = st.my_commit;
@@ -252,7 +290,10 @@ SacShareMsg SacPeer::make_share_bundle(std::size_t dest_pos, bool resend) {
                                 : "byzantine.inconsistent_bundles_sent")
         .add(1);
   }
-  return msg;
+  const net::WireSize wire = wire::share_wire(
+      msg.parts.size(), st.share_bytes, st.model.size(), msg.commit.size());
+  net_.send(id_, st.group[dest_pos], channel_ + "/share", std::move(msg),
+            wire);
 }
 
 bool SacPeer::check_share_consistency(const SacShareMsg& msg) {
@@ -552,17 +593,18 @@ void SacPeer::on_share_timer() {
     return;
   }
   // Ask every position whose shares for our held indices are still
-  // missing to retransmit; receivers re-send the same retained shares,
-  // and contribute() drops duplicates, so this is loss-safe.
+  // missing to retransmit; senders regenerate the same shares, and
+  // contribute() drops duplicates, so this is loss-safe.
   std::vector<bool> want(st.n, false);
-  for (std::size_t s : replica_share_indices(st.my_pos, st.n, st.k)) {
-    if (st.subtotal.count(s) > 0) continue;
+  all_replica_share_indices(st.my_pos, st.n, st.k, [&](std::size_t s) {
+    if (st.subtotal.count(s) > 0) return true;
     auto it = st.contributed.find(s);
     for (std::size_t p = 0; p < st.n; ++p) {
       if (p == st.my_pos) continue;
       if (it == st.contributed.end() || !it->second[p]) want[p] = true;
     }
-  }
+    return true;
+  });
   std::size_t requested = 0;
   {
     // Timer context has an empty span stack; parent the burst explicitly

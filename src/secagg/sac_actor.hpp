@@ -15,15 +15,22 @@
 //    subtotal the leader does not hold send it to the leader only;
 //    cost {n(n−1)(n−k+1) + (k−1)}|w|, reducing to (n²−1)|w| at k = n.
 //
-// Retry hardening (for lossy/duplicating networks, see src/chaos): every
-// peer retains its round's shares and, while its held subtotals are
-// incomplete, requests retransmission from silent positions on a
-// capped-exponential-backoff timer; all handlers are idempotent, so
-// duplicated or retransmitted messages never double-count. The leader's
-// subtotal recovery cycles through replica holders for several passes
-// (a holder that was merely behind answers on a later pass) before
-// declaring the round unrecoverable. In a fault-free round no retry
-// timer ever fires and the wire cost is unchanged.
+// Share data plane: a peer splits its model block by block straight into
+// the bundles it sends and the shares it holds itself, each share byte
+// written once. It keeps no shares afterwards, only its model and the
+// ShareSplitter seeded by the round's one draw from its Rng; a resend
+// regenerates the asked-for bundle from a copy of that splitter, bit for
+// bit the first send.
+//
+// Retry hardening (for lossy/duplicating networks, see src/chaos): while
+// a peer's held subtotals are incomplete, it requests retransmission
+// from silent positions on a capped-exponential-backoff timer; all
+// handlers are idempotent, so duplicated or retransmitted messages never
+// double-count. The leader's subtotal recovery cycles through replica
+// holders for several passes (a holder that was merely behind answers on
+// a later pass) before declaring the round unrecoverable. In a
+// fault-free round no retry timer ever fires and the wire cost is
+// unchanged.
 //
 // Round control (who calls begin_round, restarts after a pre-share-phase
 // dropout, pushing the result up to the FedAvg layer) belongs to the
@@ -35,6 +42,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -210,8 +218,10 @@ class SacPeer {
     std::size_t my_pos = 0;
     std::size_t leader_pos = 0;
     std::uint64_t share_bytes = 0;
-    /// This peer's own split, retained for retransmission requests.
-    std::vector<Vector> shares;
+    /// This peer's model and its splitter, seeded by the round's one
+    /// draw from rng_ and never advanced: a copy regenerates any bundle.
+    Vector model;
+    std::optional<ShareSplitter> splitter;
     /// Detection mode: commitment over the true split (resends must
     /// repeat it bit-identically or be flagged as equivocation).
     std::vector<std::uint64_t> my_commit;
@@ -279,10 +289,22 @@ class SacPeer {
   void handle_request(const SacSubtotalReq& msg);
   void handle_share_request(const SacShareReq& msg);
   void handle_commit_echo(const SacCommitEchoMsg& msg);
-  /// Build the share bundle for `dest_pos`, applying any active
-  /// Byzantine behaviour (and the matching commitment so the lie is
-  /// self-consistent — only cross-holder comparison can catch it).
-  SacShareMsg make_share_bundle(std::size_t dest_pos, bool resend);
+  /// The bundle for `dest_pos`: one empty part, with room for the
+  /// model, per share index that position holds; split_into fills them.
+  SacShareMsg blank_bundle(std::size_t dest_pos) const;
+  /// Fill every part of `bundles` with its share of this round's model,
+  /// in one pass of a copy of the round's splitter: each block's shares
+  /// are split into an L1-sized scratch and appended to every part that
+  /// holds them. A share no part wants is computed and dropped. With
+  /// `digests`, each share's FNV-1a digest (wire::share_digest) is taken
+  /// across its blocks into it.
+  void split_into(std::span<SacShareMsg> bundles,
+                  std::vector<std::uint64_t>* digests) const;
+  /// Apply any active Byzantine behaviour to the bundle about to go to
+  /// `dest_pos` and attach the commitment (recomputed for perturbed
+  /// parts, so the lie is self-consistent — only cross-holder
+  /// comparison can catch it), then send it.
+  void send_bundle(std::size_t dest_pos, SacShareMsg msg, bool resend);
   /// Detection bookkeeping for one received bundle. Updates first-seen
   /// digests / bad flags; on the leader feeds attribution directly.
   /// Returns false when the bundle failed its direct consistency check

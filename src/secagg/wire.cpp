@@ -6,12 +6,12 @@ namespace p2pfl::secagg::wire {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-std::uint64_t fnv1a(const void* data, std::size_t len) {
+/// FNV-1a of `len` bytes, continuing the digest `h`.
+std::uint64_t fnv1a(const void* data, std::size_t len,
+                    std::uint64_t h = kEmptyShareDigest) {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < len; ++i) {
     h ^= p[i];
     h *= kFnvPrime;
@@ -21,8 +21,9 @@ std::uint64_t fnv1a(const void* data, std::size_t len) {
 
 }  // namespace
 
-std::uint64_t share_digest(const Vector& share) {
-  return fnv1a(share.data(), share.size() * sizeof(float));
+std::uint64_t share_digest(std::span<const float> share,
+                           std::uint64_t digest) {
+  return fnv1a(share.data(), share.size() * sizeof(float), digest);
 }
 
 std::uint64_t commit_digest(const std::vector<std::uint64_t>& commit) {

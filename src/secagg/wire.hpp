@@ -11,17 +11,26 @@
 // (wire_bytes_per_share override), the declared modeled-payload delta.
 #pragma once
 
+#include <span>
+
 #include "net/codec.hpp"
 #include "net/network.hpp"
 #include "secagg/sac_actor.hpp"
 
 namespace p2pfl::secagg::wire {
 
+/// The digest of an empty share (FNV-1a's offset basis).
+inline constexpr std::uint64_t kEmptyShareDigest = 1469598103934665603ull;
+
 /// FNV-1a digest of one share's raw float bytes (the per-share
 /// commitment entry) / of a whole commitment vector (what holders echo
 /// to the leader). Not cryptographic: the threat model is consistency
 /// attribution among known members, not forgery by outsiders.
-std::uint64_t share_digest(const Vector& share);
+/// `digest` is the digest of the elements before `share`, so a share
+/// digested block by block, each call continuing the last, gets the
+/// digest of the whole share.
+std::uint64_t share_digest(std::span<const float> share,
+                           std::uint64_t digest = kEmptyShareDigest);
 std::uint64_t commit_digest(const std::vector<std::uint64_t>& commit);
 
 /// Fixed encoded sizes of the control messages (u64 round + u32 fields).

@@ -13,7 +13,6 @@
 #include "core/two_layer_agg.hpp"
 #include "robust/attack.hpp"
 #include "secagg/wire.hpp"
-#include "wire_encode.hpp"
 
 namespace p2pfl::core {
 namespace {
@@ -147,7 +146,7 @@ TEST(ByzantineDetection, DetectionFramingMatchesClosedForms) {
   share.commit = {secagg::wire::share_digest(share.parts[0].second),
                   secagg::wire::share_digest(share.parts[1].second),
                   7u};
-  const std::size_t encoded = wire_encode(share).size();
+  const std::size_t encoded = encode_wire(share).size();
   EXPECT_EQ(encoded, secagg::wire::kShareHeader +
                          2 * (secagg::wire::kPerPartHeader + 4 * 6) +
                          secagg::wire::kCommitPrefix +
@@ -160,7 +159,7 @@ TEST(ByzantineDetection, DetectionFramingMatchesClosedForms) {
   echo.from_pos = 2;
   echo.digests = {1u, 2u, 3u, 4u};
   echo.bad = {0, 1, 0, 0};
-  const std::size_t echo_encoded = wire_encode(echo).size();
+  const std::size_t echo_encoded = encode_wire(echo).size();
   EXPECT_EQ(echo_encoded,
             secagg::wire::kEchoHeader + 4 * secagg::wire::kEchoPerPos);
   EXPECT_EQ(echo_encoded, secagg::wire::echo_wire(4).wire);

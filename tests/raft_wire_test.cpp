@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "raft/types.hpp"
-#include "wire_encode.hpp"
 
 namespace p2pfl::raft {
 namespace {
@@ -24,7 +23,7 @@ TEST(RaftWire, RequestVoteRoundTripAndSize) {
   m.last_log_index = 1000;
   m.last_log_term = 41;
   m.pre_vote = true;
-  const Bytes b = wire_encode(m);
+  const Bytes b = encode_wire(m);
   EXPECT_EQ(b.size(), RequestVoteArgs::kWireSize);
   const auto d = decode_wire<RequestVoteArgs>(b);
   ASSERT_TRUE(d.has_value());
@@ -41,7 +40,7 @@ TEST(RaftWire, RequestVoteReplyRoundTripAndSize) {
   m.vote_granted = true;
   m.voter = 12;
   m.pre_vote = false;
-  const Bytes b = wire_encode(m);
+  const Bytes b = encode_wire(m);
   EXPECT_EQ(b.size(), RequestVoteReply::kWireSize);
   const auto d = decode_wire<RequestVoteReply>(b);
   ASSERT_TRUE(d.has_value());
@@ -60,7 +59,7 @@ TEST(RaftWire, AppendEntriesRoundTripAndSize) {
   m.entries.push_back(entry(9, EntryKind::kNoop, {}));
   m.entries.push_back(entry(9, EntryKind::kCommand, {1, 2, 3}));
   m.entries.push_back(entry(9, EntryKind::kConfig, {0xFF}));
-  const Bytes b = wire_encode(m);
+  const Bytes b = encode_wire(m);
   EXPECT_EQ(b.size(), m.wire_size());
   const auto d = decode_wire<AppendEntriesArgs>(b);
   ASSERT_TRUE(d.has_value());
@@ -76,7 +75,7 @@ TEST(RaftWire, AppendEntriesRoundTripAndSize) {
 
 TEST(RaftWire, EmptyHeartbeatSize) {
   AppendEntriesArgs m;
-  EXPECT_EQ(wire_encode(m).size(), m.wire_size());
+  EXPECT_EQ(encode_wire(m).size(), m.wire_size());
   EXPECT_EQ(m.wire_size(), 40u);
 }
 
@@ -87,7 +86,7 @@ TEST(RaftWire, AppendEntriesReplyRoundTripAndSize) {
   m.follower = 9;
   m.match_index = 17;
   m.conflict_index = 11;
-  const Bytes b = wire_encode(m);
+  const Bytes b = encode_wire(m);
   EXPECT_EQ(b.size(), AppendEntriesReply::kWireSize);
   const auto d = decode_wire<AppendEntriesReply>(b);
   ASSERT_TRUE(d.has_value());
@@ -103,7 +102,7 @@ TEST(RaftWire, InstallSnapshotRoundTripAndSize) {
   m.last_included_term = 5;
   m.members = {1, 4, 9};
   m.app_state = {9, 8, 7, 6};
-  const Bytes b = wire_encode(m);
+  const Bytes b = encode_wire(m);
   EXPECT_EQ(b.size(), m.wire_size());
   const auto d = decode_wire<InstallSnapshotArgs>(b);
   ASSERT_TRUE(d.has_value());
@@ -117,14 +116,14 @@ TEST(RaftWire, InstallSnapshotReplyAndTimeoutNowSizes) {
   r.term = 1;
   r.follower = 2;
   r.match_index = 3;
-  EXPECT_EQ(wire_encode(r).size(), InstallSnapshotReply::kWireSize);
-  ASSERT_TRUE(decode_wire<InstallSnapshotReply>(wire_encode(r)));
+  EXPECT_EQ(encode_wire(r).size(), InstallSnapshotReply::kWireSize);
+  ASSERT_TRUE(decode_wire<InstallSnapshotReply>(encode_wire(r)));
 
   TimeoutNowArgs t;
   t.term = 10;
   t.leader = 0;
-  EXPECT_EQ(wire_encode(t).size(), TimeoutNowArgs::kWireSize);
-  const auto d = decode_wire<TimeoutNowArgs>(wire_encode(t));
+  EXPECT_EQ(encode_wire(t).size(), TimeoutNowArgs::kWireSize);
+  const auto d = decode_wire<TimeoutNowArgs>(encode_wire(t));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->term, 10u);
 }
@@ -133,7 +132,7 @@ TEST(RaftWire, TruncatedInputRejected) {
   AppendEntriesArgs m;
   m.term = 1;
   m.entries.push_back(entry(1, EntryKind::kCommand, {1, 2, 3, 4}));
-  Bytes b = wire_encode(m);
+  Bytes b = encode_wire(m);
   for (std::size_t cut = 1; cut < b.size(); cut += 7) {
     Bytes t(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(cut));
     EXPECT_FALSE(decode_wire<AppendEntriesArgs>(t).has_value())
@@ -143,7 +142,7 @@ TEST(RaftWire, TruncatedInputRejected) {
 
 TEST(RaftWire, TrailingGarbageRejected) {
   RequestVoteArgs m;
-  Bytes b = wire_encode(m);
+  Bytes b = encode_wire(m);
   b.push_back(0);
   EXPECT_FALSE(decode_wire<RequestVoteArgs>(b).has_value());
 }

@@ -1,17 +1,28 @@
-// Oracle for the streamed SAC (secagg/sac.hpp): the materializing
-// sac_average and fault_tolerant_sac_average that the stream replaced
-// are kept here verbatim, and the stream must match them bit for bit,
-// and leave the caller's Rng at the same draw, at every worker count.
+// Oracles for the streamed SAC. The math path (secagg/sac.hpp): the
+// materializing sac_average and fault_tolerant_sac_average that the
+// stream replaced are kept here verbatim, and the stream must match them
+// bit for bit, and leave the caller's Rng at the same draw, at every
+// worker count. The actor (secagg/sac_actor.hpp): a SacPeer splits
+// straight into its bundles and regenerates a bundle for a resend, and
+// divide() over a copy of its Rng is the oracle of every byte it sends
+// and every share it keeps.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "net/mux.hpp"
+#include "net/network.hpp"
 #include "secagg/sac.hpp"
+#include "secagg/sac_actor.hpp"
 #include "secagg/shares.hpp"
+#include "secagg/wire.hpp"
 
 namespace p2pfl::secagg {
 namespace {
@@ -267,6 +278,279 @@ TEST(SacStreamOracle, StreamedBlocksEqualDivide) {
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(bit_mismatches(got[i], want[i]), 0u) << "share " << i;
         EXPECT_EQ(bit_mismatches(skipped[i], want[i]), 0u) << "share " << i;
+      }
+    }
+  }
+}
+
+// --- the actor's split against divide() --------------------------------------
+
+constexpr char kChannel[] = "sac/oracle";
+
+/// One SacPeer at position `pos` of an n-peer group on the simulator.
+/// Every other position is a bare host that records the share bundles
+/// (as their bytes) and the subtotals that reach it, and can send the
+/// peer what the test scripts.
+struct LoneSacPeer {
+  LoneSacPeer(std::size_t n, std::size_t pos, SacActorOptions opts)
+      : sim(17), net(sim, {.base_latency = kMillisecond}), pos(pos) {
+    opts.share_timeout = 3600 * kSecond;  // no retry unless scripted
+    for (PeerId id = 0; id < n; ++id) {
+      group.push_back(id);
+      hosts.push_back(std::make_unique<net::PeerHost>());
+      net.attach(id, hosts.back().get());
+      if (id == pos) continue;
+      hosts.back()->route(std::string(kChannel) + "/share",
+                          [this, id](const net::Envelope& env) {
+                            bundles[id].push_back(encode_wire(
+                                *net::payload<SacShareMsg>(env.body)));
+                          });
+      hosts.back()->route(std::string(kChannel) + "/subtotal",
+                          [this](const net::Envelope& env) {
+                            const auto* m =
+                                net::payload<SacSubtotalMsg>(env.body);
+                            subtotals[m->idx] = m->value;
+                          });
+    }
+    peer = std::make_unique<SacPeer>(static_cast<PeerId>(pos), kChannel,
+                                     opts, net, *hosts[pos]);
+    peer->on_complete = [this](RoundId, const Vector& avg) { average = avg; };
+  }
+
+  /// The peer's generator before its first round: SacPeer forks it from
+  /// the network's root Rng with this salt.
+  Rng peer_rng() {
+    return sim.rng().fork(0x7361'63ULL ^ (pos * 2654435761ULL));
+  }
+
+  /// Position `from` sends the peer a bundle of zeros for every share
+  /// index the peer holds (with a matching commitment when `commit`),
+  /// so each of the peer's subtotals equals its own share.
+  void send_zero_bundle(std::size_t from, std::size_t k, std::size_t dim,
+                        bool commit) {
+    SacShareMsg zeros;
+    zeros.round = 1;
+    zeros.from_pos = static_cast<std::uint32_t>(from);
+    all_replica_share_indices(pos, group.size(), k, [&](std::size_t s) {
+      zeros.parts.emplace_back(static_cast<std::uint32_t>(s), Vector(dim));
+      return true;
+    });
+    if (commit) {
+      zeros.commit.assign(group.size(), wire::share_digest(Vector(dim)));
+    }
+    const net::WireSize w = wire::share_wire(zeros.parts.size(), 4 * dim,
+                                             dim, zeros.commit.size());
+    net.send(group[from], group[pos], std::string(kChannel) + "/share",
+             std::move(zeros), w);
+  }
+
+  sim::Simulator sim;
+  net::Network net;
+  std::size_t pos;
+  std::vector<PeerId> group;
+  std::vector<std::unique_ptr<net::PeerHost>> hosts;
+  std::unique_ptr<SacPeer> peer;
+  std::map<std::size_t, std::vector<Bytes>> bundles;  // by receiving position
+  std::map<std::size_t, Vector> subtotals;            // by share index
+  Vector average;
+};
+
+/// The bundle today's rule sends `dest` from the shares divide() gave:
+/// its held shares, each element plus `offset`, and with `detect` the
+/// commitment to all n shares, recomputed for the perturbed parts.
+Bytes expected_bundle(const std::vector<Vector>& shares, std::size_t from,
+                      std::size_t dest, std::size_t k, bool detect,
+                      float offset = 0.0f) {
+  const std::size_t n = shares.size();
+  SacShareMsg msg;
+  msg.round = 1;
+  msg.from_pos = static_cast<std::uint32_t>(from);
+  all_replica_share_indices(dest, n, k, [&](std::size_t s) {
+    Vector data = shares[s];
+    if (offset != 0.0f) {
+      for (float& v : data) v += offset;
+    }
+    msg.parts.emplace_back(static_cast<std::uint32_t>(s), std::move(data));
+    return true;
+  });
+  if (detect) {
+    for (const Vector& share : shares) {
+      msg.commit.push_back(wire::share_digest(share));
+    }
+    if (offset != 0.0f) {
+      for (const auto& [idx, data] : msg.parts) {
+        msg.commit[idx] = wire::share_digest(data);
+      }
+    }
+  }
+  return encode_wire(msg);
+}
+
+/// What a subtotal holds when the share is the only nonzero one: the
+/// share itself, with -0.0 summed to +0.0.
+Vector alone_in_subtotal(const Vector& share) {
+  std::vector<double> acc(share.size(), 0.0);
+  accumulate(acc, share);
+  return to_vector(acc);
+}
+
+/// n with k = n and a k < n, the peer last in the group and the leader
+/// first: every (n, k) placement shape up to n = 5.
+struct Shape {
+  std::size_t n, k;
+};
+constexpr Shape kShapes[] = {{1, 1}, {2, 2}, {2, 1}, {3, 3},
+                             {3, 2}, {5, 5}, {5, 3}};
+constexpr std::size_t kActorDim = 4 * kSplitBlock + 3;
+
+TEST(SacStreamOracle, ActorSendsAndKeepsDivideShares) {
+  for (const Shape shape : kShapes) {
+    for (const bool detect : {false, true}) {
+      const std::size_t n = shape.n, k = shape.k, pos = n - 1;
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
+                                        << " detect=" << detect);
+      SacActorOptions opts;
+      opts.detect_inconsistent_shares = detect;
+      LoneSacPeer s(n, pos, opts);
+      const Vector model = mixed_models(1, kActorDim, 31 * n + k).front();
+      Rng oracle_rng = s.peer_rng();
+      const std::vector<Vector> shares = divide(model, n, oracle_rng);
+
+      s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
+      s.sim.run_for(50 * kMillisecond);
+      for (std::size_t j = 0; j + 1 < n; ++j) {
+        ASSERT_EQ(s.bundles[j].size(), 1u) << "to " << j;
+        EXPECT_EQ(s.bundles[j][0], expected_bundle(shares, pos, j, k, detect))
+            << "to " << j;
+      }
+      if (n == 1) {
+        // Alone, the peer leads and its average is its one subtotal,
+        // its one share.
+        EXPECT_EQ(bit_mismatches(s.average, alone_in_subtotal(shares[0])),
+                  0u);
+        continue;
+      }
+      // With every other contribution zero, each held subtotal is the
+      // peer's own share: ask the peer for each one.
+      for (std::size_t j = 0; j + 1 < n; ++j) {
+        s.send_zero_bundle(j, k, kActorDim, detect);
+      }
+      s.sim.run_for(50 * kMillisecond);
+      std::size_t held = 0;
+      all_replica_share_indices(pos, n, k, [&](std::size_t idx) {
+        s.net.send(s.group[0], s.group[pos],
+                   std::string(kChannel) + "/request",
+                   SacSubtotalReq{1, static_cast<std::uint32_t>(idx), 0},
+                   wire::kSubtotalReqWire);
+        ++held;
+        return true;
+      });
+      s.sim.run_for(50 * kMillisecond);
+      ASSERT_EQ(s.subtotals.size(), held);
+      for (const auto& [idx, value] : s.subtotals) {
+        EXPECT_EQ(bit_mismatches(value, alone_in_subtotal(shares[idx])), 0u)
+            << "held share " << idx;
+      }
+    }
+  }
+}
+
+TEST(SacStreamOracle, ActorResendEqualsFirstSend) {
+  for (const Shape shape : kShapes) {
+    if (shape.n == 1) continue;  // nobody to resend to
+    for (const bool detect : {false, true}) {
+      const std::size_t n = shape.n, k = shape.k, pos = n - 1;
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
+                                        << " detect=" << detect);
+      SacActorOptions opts;
+      opts.detect_inconsistent_shares = detect;
+      LoneSacPeer s(n, pos, opts);
+      s.peer->begin_round(1, mixed_models(1, kActorDim, 7 * n + k).front(),
+                          s.group, /*leader_pos=*/0, k);
+      s.sim.run_for(50 * kMillisecond);
+      for (int ask = 0; ask < 2; ++ask) {
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          s.net.send(s.group[j], s.group[pos],
+                     std::string(kChannel) + "/share_req",
+                     SacShareReq{1, static_cast<std::uint32_t>(j)},
+                     wire::kShareReqWire);
+        }
+        s.sim.run_for(50 * kMillisecond);
+      }
+      for (std::size_t j = 0; j + 1 < n; ++j) {
+        ASSERT_EQ(s.bundles[j].size(), 3u) << "to " << j;
+        EXPECT_EQ(s.bundles[j][1], s.bundles[j][0]) << "to " << j;
+        EXPECT_EQ(s.bundles[j][2], s.bundles[j][0]) << "to " << j;
+      }
+    }
+  }
+}
+
+TEST(SacStreamOracle, ActorAttacksSendTheOffsetRuleOverDivideShares) {
+  constexpr double kMagnitude = 0.75;
+  for (const Shape shape : kShapes) {
+    if (shape.n == 1) continue;
+    for (const bool detect : {false, true}) {
+      const std::size_t n = shape.n, k = shape.k, pos = n - 1;
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
+                                        << " detect=" << detect);
+      const Vector model = mixed_models(1, kActorDim, 13 * n + k).front();
+
+      // Inconsistent shares: every odd holder gets shares + magnitude.
+      robust::ByzantineRegistry liar;
+      liar.activate(static_cast<PeerId>(pos),
+                    {robust::AttackKind::kInconsistentShares, kMagnitude});
+      SacActorOptions opts;
+      opts.detect_inconsistent_shares = detect;
+      opts.byzantine = &liar;
+      {
+        LoneSacPeer s(n, pos, opts);
+        Rng oracle_rng = s.peer_rng();
+        const std::vector<Vector> shares = divide(model, n, oracle_rng);
+        s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
+        s.sim.run_for(50 * kMillisecond);
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          const float offset = j % 2 == 1 ? static_cast<float>(kMagnitude)
+                                          : 0.0f;
+          ASSERT_EQ(s.bundles[j].size(), 1u) << "to " << j;
+          EXPECT_EQ(s.bundles[j][0],
+                    expected_bundle(shares, pos, j, k, detect, offset))
+              << "to " << j;
+        }
+      }
+
+      // Equivocation: the first send is honest, the i-th resend adds
+      // i * magnitude.
+      robust::ByzantineRegistry equivocator;
+      equivocator.activate(static_cast<PeerId>(pos),
+                           {robust::AttackKind::kEquivocate, kMagnitude});
+      opts.byzantine = &equivocator;
+      LoneSacPeer s(n, pos, opts);
+      Rng oracle_rng = s.peer_rng();
+      const std::vector<Vector> shares = divide(model, n, oracle_rng);
+      s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
+      s.sim.run_for(50 * kMillisecond);
+      std::size_t resends = 0;
+      for (int ask = 0; ask < 2; ++ask) {
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          s.net.send(s.group[j], s.group[pos],
+                     std::string(kChannel) + "/share_req",
+                     SacShareReq{1, static_cast<std::uint32_t>(j)},
+                     wire::kShareReqWire);
+          s.sim.run_for(50 * kMillisecond);
+          ++resends;
+          const float offset = static_cast<float>(kMagnitude) *
+                               static_cast<float>(resends);
+          ASSERT_EQ(s.bundles[j].size(), static_cast<std::size_t>(ask) + 2)
+              << "to " << j;
+          EXPECT_EQ(s.bundles[j].back(),
+                    expected_bundle(shares, pos, j, k, detect, offset))
+              << "to " << j << ", resend " << resends;
+        }
+      }
+      for (std::size_t j = 0; j + 1 < n; ++j) {
+        EXPECT_EQ(s.bundles[j][0], expected_bundle(shares, pos, j, k, detect))
+            << "to " << j;
       }
     }
   }

@@ -242,6 +242,17 @@ TEST(Divide, DeterministicGivenRngState) {
 
 // --- placement ----------------------------------------------------------------
 
+/// The share indices all_replica_share_indices visits, in order.
+std::vector<std::size_t> replica_share_indices(std::size_t j, std::size_t n,
+                                               std::size_t k) {
+  std::vector<std::size_t> out;
+  all_replica_share_indices(j, n, k, [&out](std::size_t s) {
+    out.push_back(s);
+    return true;
+  });
+  return out;
+}
+
 TEST(Placement, NOutOfNIsSingleIndex) {
   for (std::size_t n : {1u, 3u, 7u}) {
     for (std::size_t j = 0; j < n; ++j) {

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "core/system.hpp"
+#include "fl/checkpoint.hpp"
 
 namespace p2pfl::core {
 namespace {
@@ -39,6 +40,44 @@ struct FullSystem {
   fl::PeerIndices parts;
   std::unique_ptr<P2pFlSystem> sys;
 };
+
+TEST(FullSystem, GlobalModelSnapshotKeepsItsBytes) {
+  // A subgroup snapshot's application blob: [u64 round][u32 length]
+  // [checkpoint of the newest global model].
+  FullSystem f(6, 2);
+  std::vector<float> w(fl::Model::mlp(64, {16}).param_count());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = static_cast<float>(i) * 0.5f;
+  }
+  const Bytes ckpt = fl::encode_checkpoint(w);
+  const auto n = static_cast<std::uint32_t>(ckpt.size());
+  Bytes blob = {5, 0, 0, 0, 0, 0, 0, 0};
+  for (int i = 0; i < 4; ++i) {
+    blob.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
+  }
+  blob.insert(blob.end(), ckpt.begin(), ckpt.end());
+  EXPECT_TRUE(f.sys->raft().app_snapshot_save(2).empty());  // no model yet
+  f.sys->raft().app_snapshot_install(2, blob);
+  EXPECT_EQ(f.sys->global_model_at(2), w);
+  EXPECT_EQ(f.sys->raft().app_snapshot_save(2), blob);
+  // A truncated blob, or one with trailing bytes, is ignored.
+  std::vector<float> w2 = w;
+  w2[0] = 7.0f;
+  Bytes newer = {6, 0, 0, 0, 0, 0, 0, 0};
+  const Bytes ckpt2 = fl::encode_checkpoint(w2);
+  for (int i = 0; i < 4; ++i) {
+    newer.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
+  }
+  newer.insert(newer.end(), ckpt2.begin(), ckpt2.end());
+  Bytes longer = newer;
+  longer.push_back(0);
+  f.sys->raft().app_snapshot_install(2, longer);
+  f.sys->raft().app_snapshot_install(
+      2, Bytes(newer.begin(), newer.end() - 1));
+  EXPECT_EQ(f.sys->global_model_at(2), w);
+  f.sys->raft().app_snapshot_install(2, newer);
+  EXPECT_EQ(f.sys->global_model_at(2), w2);
+}
 
 TEST(FullSystem, CompletesRoundsAndLearns) {
   FullSystem f(6, 2);

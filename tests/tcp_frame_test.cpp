@@ -1,18 +1,51 @@
 // Frame-layer edge cases for the TCP transport: header round-trips,
-// strict rejection of damaged frames, and stream reassembly under
-// adversarial chunking (partial reads, coalesced frames, length
-// prefixes split across reads, oversized-length poisoning).
+// strict rejection of damaged frames, the one-write send frame, and
+// in-place stream reassembly under adversarial chunking (partial reads,
+// coalesced frames, length prefixes split across reads, frames larger
+// than the buffer, oversized-length poisoning).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/wire.hpp"
 #include "net/tcp/frame.hpp"
-#include "wire_encode.hpp"
 
 namespace p2pfl::net::tcp {
 namespace {
+
+/// [u32 LE length][body]: how a frame body travels on the stream.
+Bytes prefixed(const Bytes& body) {
+  ByteWriter w;
+  w.blob(body);
+  return w.take();
+}
+
+/// Feeds `n` stream bytes to `asem` the way the receive loop does: each
+/// read lands in read_space(), at most `chunk` bytes at a time. False
+/// once received() reports a protocol error.
+bool feed(FrameAssembler& asem, const std::uint8_t* data, std::size_t n,
+          const FrameAssembler::FrameFn& on_frame,
+          std::size_t chunk = SIZE_MAX) {
+  while (n > 0) {
+    const std::span<std::uint8_t> space = asem.read_space();
+    const std::size_t m = std::min({n, space.size(), chunk});
+    std::memcpy(space.data(), data, m);
+    if (!asem.received(m, on_frame)) return false;
+    data += m;
+    n -= m;
+  }
+  return true;
+}
+
+/// on_frame that keeps a copy of every body.
+FrameAssembler::FrameFn collect(std::vector<Bytes>& out) {
+  return [&out](ByteSpan body) { out.emplace_back(body.begin(), body.end()); };
+}
+
+void never_called(ByteSpan) { FAIL() << "no frame was expected"; }
 
 Envelope sample_envelope() {
   core::wire::register_codecs();
@@ -71,7 +104,7 @@ TEST(TcpFrame, BodyIsTheHeaderThenTheCodecEncodingAsABlob) {
   w.u64(env.span.round);
   w.u64(env.span.span);
   w.u8(0);
-  w.blob(wire_encode(*payload<core::wire::AggResultMsg>(env.body)));
+  w.blob(encode_wire(*payload<core::wire::AggResultMsg>(env.body)));
   EXPECT_EQ(encode_frame(env), w.bytes());
 }
 
@@ -98,6 +131,42 @@ TEST(TcpFrame, TrailingBytesAreRejected) {
   EXPECT_FALSE(decode_frame(body).has_value());
 }
 
+TEST(TcpFrame, DecodesInPlaceInsideALargerBuffer) {
+  // A received body is a view into the assembler's buffer, bytes of
+  // other frames on either side: decode reads exactly the view.
+  const Bytes body = encode_frame(sample_envelope());
+  Bytes buf(7, 0xEE);
+  buf.insert(buf.end(), body.begin(), body.end());
+  buf.insert(buf.end(), 9, 0xEE);
+  const ByteSpan view = ByteSpan(buf).subspan(7, body.size());
+  const std::optional<Envelope> back = decode_frame(view);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(encode_frame(*back), body);
+  for (std::size_t n = 0; n < body.size(); ++n) {
+    EXPECT_FALSE(decode_frame(view.first(n)).has_value())
+        << "prefix length " << n;
+  }
+  EXPECT_FALSE(decode_frame(ByteSpan(buf).subspan(7, body.size() + 1))
+                   .has_value());
+}
+
+TEST(TcpFrame, SendFrameIsTheLengthPrefixedBodyInOneExactBuffer) {
+  // What the transport queues: the verified payload bytes written once,
+  // behind the header and the length prefix, into an exactly sized
+  // buffer; its body is encode_frame's.
+  for (const std::size_t dim : {0, 3, 100000}) {
+    Envelope env = sample_envelope();
+    core::wire::AggResultMsg msg;
+    msg.round = 7;
+    msg.model.assign(dim, 0.5f);
+    env.body = msg;
+    env.kind = dim == 3 ? "agg/g12/result" : "agg/result";
+    const Bytes frame = write_frame(env, encode_wire(msg));
+    EXPECT_EQ(frame, prefixed(encode_frame(env))) << "dim " << dim;
+    EXPECT_EQ(frame.capacity(), frame.size()) << "dim " << dim;
+  }
+}
+
 TEST(TcpFrame, UnknownKindIsRejected) {
   Envelope env = sample_envelope();
   // Re-encode by hand with a kind that has no codec: decode must refuse.
@@ -120,11 +189,14 @@ TEST(TcpFrame, UnknownKindIsRejected) {
 TEST(TcpFrame, AssemblerHandlesByteAtATimeDelivery) {
   const Bytes body = encode_frame(sample_envelope());
   Bytes stream;
-  for (int i = 0; i < 3; ++i) append_length_prefixed(stream, body);
+  for (int i = 0; i < 3; ++i) {
+    const Bytes one = prefixed(body);
+    stream.insert(stream.end(), one.begin(), one.end());
+  }
   FrameAssembler asem;
   std::vector<Bytes> frames;
   for (const std::uint8_t b : stream) {
-    ASSERT_TRUE(asem.feed(&b, 1, [&](Bytes&& f) { frames.push_back(f); }));
+    ASSERT_TRUE(feed(asem, &b, 1, collect(frames)));
   }
   ASSERT_EQ(frames.size(), 3u);
   for (const Bytes& f : frames) EXPECT_EQ(f, body);
@@ -136,56 +208,135 @@ TEST(TcpFrame, AssemblerHandlesCoalescedFramesInOneRead) {
   Envelope env2 = sample_envelope();
   env2.from = 1;
   const Bytes b = encode_frame(env2);
-  Bytes stream;
-  append_length_prefixed(stream, a);
-  append_length_prefixed(stream, b);
+  Bytes stream = prefixed(a);
+  const Bytes second = prefixed(b);
+  stream.insert(stream.end(), second.begin(), second.end());
   FrameAssembler asem;
   std::vector<Bytes> frames;
-  ASSERT_TRUE(asem.feed(stream.data(), stream.size(),
-                        [&](Bytes&& f) { frames.push_back(f); }));
+  ASSERT_TRUE(feed(asem, stream.data(), stream.size(), collect(frames)));
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0], a);
   EXPECT_EQ(frames[1], b);
+  // Each body is handed on as a view that decodes where it lies.
+  FrameAssembler again;
+  std::vector<PeerId> senders;
+  ASSERT_TRUE(feed(again, stream.data(), stream.size(), [&](ByteSpan body) {
+    const std::optional<Envelope> env = decode_frame(body);
+    ASSERT_TRUE(env.has_value());
+    senders.push_back(env->from);
+  }));
+  EXPECT_EQ(senders, (std::vector<PeerId>{3, 1}));
 }
 
 TEST(TcpFrame, AssemblerHandlesPrefixSplitAcrossReads) {
   const Bytes body = encode_frame(sample_envelope());
-  Bytes stream;
-  append_length_prefixed(stream, body);
+  const Bytes stream = prefixed(body);
   FrameAssembler asem;
   std::vector<Bytes> frames;
   // Split inside the 4-byte length prefix, then inside the body.
-  ASSERT_TRUE(asem.feed(stream.data(), 2,
-                        [&](Bytes&& f) { frames.push_back(f); }));
+  ASSERT_TRUE(feed(asem, stream.data(), 2, collect(frames)));
   EXPECT_TRUE(frames.empty());
-  ASSERT_TRUE(asem.feed(stream.data() + 2, 5,
-                        [&](Bytes&& f) { frames.push_back(f); }));
+  ASSERT_TRUE(feed(asem, stream.data() + 2, 5, collect(frames)));
   EXPECT_TRUE(frames.empty());
-  ASSERT_TRUE(asem.feed(stream.data() + 7, stream.size() - 7,
-                        [&](Bytes&& f) { frames.push_back(f); }));
+  ASSERT_TRUE(feed(asem, stream.data() + 7, stream.size() - 7,
+                   collect(frames)));
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], body);
+}
+
+TEST(TcpFrame, AssemblerTakesAFrameLargerThanItsBuffer) {
+  // A 400 KB body arrives in reads of the receive loop's size: the
+  // buffer grows once, to exactly the frame, not by doubling.
+  Envelope env = sample_envelope();
+  core::wire::AggResultMsg msg;
+  msg.round = 7;
+  for (std::size_t i = 0; i < 100000; ++i) {
+    msg.model.push_back(static_cast<float>(i) * 0.25f);
+  }
+  env.body = msg;
+  const Bytes big = encode_frame(env);
+  const Bytes small = encode_frame(sample_envelope());
+  ASSERT_GT(big.size(), 4 * kReadBytes);
+  Bytes stream = prefixed(small);
+  for (const Bytes* b : {&big, &small, &big}) {
+    const Bytes one = prefixed(*b);
+    stream.insert(stream.end(), one.begin(), one.end());
+  }
+  FrameAssembler asem;
+  std::vector<Bytes> frames;
+  ASSERT_TRUE(
+      feed(asem, stream.data(), stream.size(), collect(frames), kReadBytes));
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[0], small);
+  EXPECT_EQ(frames[1], big);
+  EXPECT_EQ(frames[2], small);
+  EXPECT_EQ(frames[3], big);
+  EXPECT_EQ(asem.buffered(), 0u);
+  // Exactly the largest frame, whatever the chunking: no doubling.
+  EXPECT_EQ(asem.capacity(), 4 + big.size());
+  // A frame longer than one read is read to its end and no further,
+  // though the buffer has room for more.
+  msg.model.resize(msg.model.size() / 2);
+  env.body = msg;
+  const Bytes half = prefixed(encode_frame(env));
+  ASSERT_GT(half.size(), 2 * kReadBytes);
+  ASSERT_TRUE(feed(asem, half.data(), kReadBytes, never_called));
+  EXPECT_EQ(asem.read_space().size(), half.size() - kReadBytes);
+  for (const std::size_t chunk : {std::size_t{1000}, std::size_t{70000},
+                                  std::size_t{300000}}) {
+    FrameAssembler other;
+    std::vector<Bytes> got;
+    ASSERT_TRUE(feed(other, stream.data(), stream.size(), collect(got), chunk));
+    ASSERT_EQ(got.size(), 4u) << "chunk " << chunk;
+    EXPECT_EQ(got[3], big) << "chunk " << chunk;
+    EXPECT_EQ(other.capacity(), 4 + big.size()) << "chunk " << chunk;
+  }
 }
 
 TEST(TcpFrame, OversizedLengthPrefixPoisonsTheStream) {
   FrameAssembler asem(/*max_frame_bytes=*/1024);
   const std::uint8_t huge[4] = {0xff, 0xff, 0xff, 0x7f};
-  EXPECT_FALSE(asem.feed(huge, 4, [](Bytes&&) { FAIL(); }));
+  EXPECT_FALSE(feed(asem, huge, 4, never_called));
+  EXPECT_TRUE(asem.poisoned());
   // Poisoned: even valid bytes are refused afterwards.
   const std::uint8_t zero[4] = {0, 0, 0, 0};
-  EXPECT_FALSE(asem.feed(zero, 4, [](Bytes&&) { FAIL(); }));
+  EXPECT_FALSE(feed(asem, zero, 4, never_called));
+  // The poison stays with this stream: another assembler is untouched,
+  // and this one, reset for a new connection, reassembles again.
+  const Bytes stream = prefixed(encode_frame(sample_envelope()));
+  FrameAssembler other(/*max_frame_bytes=*/1024);
+  std::vector<Bytes> frames;
+  EXPECT_TRUE(feed(other, stream.data(), stream.size(), collect(frames)));
+  asem.reset();
+  EXPECT_FALSE(asem.poisoned());
+  EXPECT_TRUE(feed(asem, stream.data(), stream.size(), collect(frames)));
+  EXPECT_EQ(frames.size(), 2u);
 }
 
 TEST(TcpFrame, TruncationMidFrameKeepsBytesBuffered) {
-  const Bytes body = encode_frame(sample_envelope());
-  Bytes stream;
-  append_length_prefixed(stream, body);
+  const Bytes stream = prefixed(encode_frame(sample_envelope()));
   FrameAssembler asem;
   // Feed all but the last byte: nothing delivered, everything buffered —
   // the connection dying here simply drops the half-frame.
-  ASSERT_TRUE(
-      asem.feed(stream.data(), stream.size() - 1, [](Bytes&&) { FAIL(); }));
+  ASSERT_TRUE(feed(asem, stream.data(), stream.size() - 1, never_called));
   EXPECT_EQ(asem.buffered(), stream.size() - 1);
+}
+
+TEST(TcpFrame, ADeliveryThatResetsTheAssemblerEndsTheRead) {
+  // A delivery that closes its own connection resets the assembler: the
+  // frames behind it in the same read are never handed on.
+  const Bytes body = encode_frame(sample_envelope());
+  Bytes stream = prefixed(body);
+  const Bytes second = prefixed(body);
+  stream.insert(stream.end(), second.begin(), second.end());
+  FrameAssembler asem;
+  int delivered = 0;
+  ASSERT_TRUE(feed(asem, stream.data(), stream.size(), [&](ByteSpan) {
+    ++delivered;
+    asem.reset();
+  }));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(asem.buffered(), 0u);
 }
 
 }  // namespace

@@ -159,6 +159,43 @@ TEST(TcpTransport, DeliversTypedFramesWithExactAccounting) {
   EXPECT_EQ(t.raw_bytes_received(), t.raw_bytes_sent());
 }
 
+TEST(TcpTransport, EachSendIsItsEncodedFrameBehindTheLengthPrefix) {
+  TcpTransport t({.peers = {0, 1}, .seed = 7});
+  Network net(t, {});
+  CollectingEndpoint e0, e1;
+  net.attach(0, &e0);
+  net.attach(1, &e1);
+  t.start();
+  // Through the Network on the loop thread, whose encode-verify bytes
+  // become the frame's payload...
+  t.call([&] {
+    for (std::size_t i = 0; i < 3; ++i) {
+      net.send(result_envelope(0, 1, 1000 * i + 3, 1 + i));
+    }
+  });
+  // ...and straight into the transport off the loop thread, which takes
+  // its copy of the payload before returning: scribbling over the bytes
+  // afterwards changes nothing.
+  {
+    Envelope env = result_envelope(0, 1, 7, 9);
+    Bytes bytes = encode_wire(*payload<core::wire::AggResultMsg>(env.body));
+    t.send_frame(Envelope(env), 0, bytes);
+    std::fill(bytes.begin(), bytes.end(), 0xAB);
+  }
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 4; }, kWait, kPoll));
+  t.shutdown();
+  // The stream carried exactly encode_frame() of each delivered envelope
+  // behind its 4-byte length prefix, and each decoded strictly.
+  std::uint64_t framed = 0;
+  for (const Envelope& env : e1.got) framed += 4 + encode_frame(env).size();
+  EXPECT_EQ(t.raw_bytes_sent(), framed);
+  EXPECT_EQ(t.raw_bytes_received(), framed);
+  const auto* last = payload<core::wire::AggResultMsg>(e1.got.back().body);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->round, 9u);
+  EXPECT_EQ(last->model, std::vector<float>(7, 0.5f));
+}
+
 TEST(TcpTransport, SelfSendDeliversWithoutWireAccounting) {
   TcpTransport t({.peers = {0}, .seed = 7});
   Network net(t, {});

@@ -38,6 +38,71 @@ struct System {
   TwoLayerRaftSystem sys;
 };
 
+TEST(TwoLayerRaft, SnapshotAndConfigLayoutsKeepTheirBytes) {
+  System s(6, 2);
+  raft::RaftNode& node = s.sys.subgroup_node(1);
+  Bytes installed_app;
+  s.sys.app_snapshot_install = [&](PeerId, const Bytes& app) {
+    installed_app = app;
+  };
+  s.sys.app_snapshot_save = [](PeerId) { return Bytes{0xAA, 0xBB}; };
+  std::vector<Bytes> payload_of;
+  s.sys.app_snapshot_payload = [&](const Bytes& app) -> std::uint64_t {
+    payload_of.push_back(app);
+    return 40;
+  };
+  // A composite snapshot: [u8 2][u32 count][u32 peer]..., then the
+  // application blob [u32 length][bytes].
+  const Bytes composite = {2,                   // tag
+                           2,    0,    0, 0,    // two peers
+                           3,    0,    0, 0,    //
+                           5,    0,    0, 0,    //
+                           2,    0,    0, 0,    // a 2-byte blob
+                           0xAA, 0xBB};
+  node.on_snapshot_install(7, composite);
+  EXPECT_EQ(s.sys.known_fedavg_config(1), (std::vector<PeerId>{3, 5}));
+  EXPECT_EQ(installed_app, (Bytes{0xAA, 0xBB}));
+  EXPECT_EQ(node.snapshot_payload(composite), 40u);
+  EXPECT_EQ(payload_of, (std::vector<Bytes>{{0xAA, 0xBB}}));
+  // Saving writes the same layout around the application's blob.
+  EXPECT_EQ(node.on_snapshot_save(), composite);
+  // A fed-config-only blob from an older snapshot, [u8 1][u32 count]
+  // [u32 peer]..., still installs; it is also the subgroup log's command.
+  node.on_snapshot_install(8, Bytes{1, 1, 0, 0, 0, 4, 0, 0, 0});
+  EXPECT_EQ(s.sys.known_fedavg_config(1), (std::vector<PeerId>{4}));
+  node.on_apply(9, raft::LogEntry{1, raft::EntryKind::kCommand,
+                                  Bytes{1, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0,
+                                        0}});
+  EXPECT_EQ(s.sys.known_fedavg_config(1), (std::vector<PeerId>{0, 3}));
+  // Anything else leaves the configuration as it was.
+  for (const Bytes& bad :
+       {Bytes{3, 0, 0, 0, 0}, Bytes{1, 1, 0, 0, 0, 4, 0, 0},
+        Bytes{1, 0, 0, 0, 0, 9}, Bytes{2, 0, 0, 0, 0, 1, 0, 0, 0}}) {
+    node.on_snapshot_install(10, bad);
+    node.on_apply(10, raft::LogEntry{1, raft::EntryKind::kCommand, bad});
+    EXPECT_EQ(node.snapshot_payload(bad), 0u);
+  }
+  EXPECT_EQ(s.sys.known_fedavg_config(1), (std::vector<PeerId>{0, 3}));
+  EXPECT_EQ(payload_of.size(), 1u);
+
+  // The configuration the subgroup leaders commit has the same layout.
+  s.sys.start_all();
+  ASSERT_TRUE(s.run_until_stable());
+  std::vector<Bytes> commands;
+  const auto apply = node.on_apply;
+  node.on_apply = [&](raft::Index i, const raft::LogEntry& e) {
+    if (e.kind == raft::EntryKind::kCommand) commands.push_back(e.data);
+    apply(i, e);
+  };
+  s.sim.run_for(1 * kSecond);
+  ASSERT_FALSE(commands.empty());
+  std::vector<PeerId> members = s.sys.known_fedavg_config(1);
+  ASSERT_EQ(members.size(), 2u);
+  EXPECT_EQ(commands.back(),
+            (Bytes{1, 2, 0, 0, 0, static_cast<std::uint8_t>(members[0]), 0,
+                   0, 0, static_cast<std::uint8_t>(members[1]), 0, 0, 0}));
+}
+
 TEST(TwoLayerRaft, StabilizesFromColdStart) {
   System s(9, 3);
   s.sys.start_all();

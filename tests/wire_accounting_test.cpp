@@ -17,7 +17,6 @@
 #include "net/network.hpp"
 #include "raft/wire.hpp"
 #include "sim/simulator.hpp"
-#include "wire_encode.hpp"
 
 namespace p2pfl::core {
 namespace {
@@ -95,18 +94,18 @@ TEST_F(EncodeVerify, ChargeOffByOneByteThrows) {
   ae.term = 4;
   ae.leader = 2;
   ae.entries.push_back({.term = 4, .data = {1, 2, 3}});
-  expect_exact_charge_only("raft/sg0/ae", ae, wire_encode(ae).size());
+  expect_exact_charge_only("raft/sg0/ae", ae, encode_wire(ae).size());
 
   secagg::SacShareMsg share;
   share.round = 2;
   share.parts = {{0, secagg::Vector(6, 0.5f)}, {1, secagg::Vector(6, 1.5f)}};
   expect_exact_charge_only("sac/sg1/share", share,
-                           wire_encode(share).size());
+                           encode_wire(share).size());
 
   wire::AggUploadMsg up;
   up.round = 2;
   up.model = secagg::Vector(5, 1.0f);
-  expect_exact_charge_only("agg/upload", up, wire_encode(up).size());
+  expect_exact_charge_only("agg/upload", up, encode_wire(up).size());
 
   // Only the three exact charges went out.
   EXPECT_EQ(net_.stats().sent.messages, 3u);
@@ -119,7 +118,7 @@ TEST_F(EncodeVerify, BodyOfTheWrongTypeThrows) {
   wire::AggResultMsg result;
   result.model = secagg::Vector(5, 1.0f);
   EXPECT_THROW(
-      net_.send(0, 1, "agg/upload", result, wire_encode(result).size()),
+      net_.send(0, 1, "agg/upload", result, encode_wire(result).size()),
       std::logic_error);
   EXPECT_EQ(net_.stats().sent.messages, 0u);
 }

@@ -23,7 +23,6 @@
 #include "raft/storage.hpp"
 #include "raft/wire.hpp"
 #include "secagg/wire.hpp"
-#include "wire_encode.hpp"
 
 namespace p2pfl::net {
 namespace {
@@ -211,7 +210,7 @@ TEST(CodecSizes, ClosedFormFramingMatchesRealEncodings) {
   share.round = 3;
   share.from_pos = 1;
   share.parts = {{0, secagg::Vector(5, 1.0f)}, {2, secagg::Vector(5, 2.0f)}};
-  EXPECT_EQ(wire_encode(share).size(),
+  EXPECT_EQ(encode_wire(share).size(),
             secagg::wire::kShareHeader +
                 2 * (secagg::wire::kPerPartHeader + 4 * 5));
 
@@ -219,23 +218,23 @@ TEST(CodecSizes, ClosedFormFramingMatchesRealEncodings) {
   sub.round = 3;
   sub.idx = 4;
   sub.value = secagg::Vector(7, 0.5f);
-  EXPECT_EQ(wire_encode(sub).size(),
+  EXPECT_EQ(encode_wire(sub).size(),
             secagg::wire::kSubtotalHeader + 4 * 7);
 
-  EXPECT_EQ(wire_encode(SacSubtotalReq{}).size(),
+  EXPECT_EQ(encode_wire(SacSubtotalReq{}).size(),
             secagg::wire::kSubtotalReqWire);
-  EXPECT_EQ(wire_encode(SacShareReq{}).size(),
+  EXPECT_EQ(encode_wire(SacShareReq{}).size(),
             secagg::wire::kShareReqWire);
 
   core::wire::AggUploadMsg up;
   up.model = secagg::Vector(9, 1.0f);
-  EXPECT_EQ(wire_encode(up).size(),
+  EXPECT_EQ(encode_wire(up).size(),
             core::wire::kUploadHeader + 4 * 9);
   core::wire::AggResultMsg res;
   res.model = secagg::Vector(9, 1.0f);
-  EXPECT_EQ(wire_encode(res).size(),
+  EXPECT_EQ(encode_wire(res).size(),
             core::wire::kResultHeader + 4 * 9);
-  EXPECT_EQ(wire_encode(core::wire::JoinRequestMsg{}).size(),
+  EXPECT_EQ(encode_wire(core::wire::JoinRequestMsg{}).size(),
             core::wire::kJoinWire);
 }
 

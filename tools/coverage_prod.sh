@@ -7,8 +7,9 @@
 #   * fig06 and fig08 at two rounds, fig10-fig14 and both ablations at
 #     CI scale, fault_tolerance_sweep, related_work_costs and
 #     multilayer_cost;
-#   * scale_sweep --n 1000 and attack_sweep --quick, and the regress
-#     gates over their BENCH_*.json baselines (the CI regress job);
+#   * scale_sweep --n 1000, attack_sweep --quick and paper_round, and
+#     the regress gates over their BENCH_*.json baselines (the CI
+#     regress job);
 #   * the p2pflctl commands .github/workflows/ci.yml runs;
 #   * the examples.
 # Then gcov reads the counters and the script prints, for every
@@ -43,7 +44,7 @@ BENCHES=(fig06_accuracy fig08_fraction_accuracy fig10_subgroup_election
          fig11_join_fedavg fig12_fedavg_leader_crash fig13_comm_cost_m
          fig14_comm_cost_kn ablation_round_latency ablation_secagg_schemes
          fault_tolerance_sweep related_work_costs multilayer_cost
-         scale_sweep attack_sweep regress)
+         scale_sweep attack_sweep paper_round regress)
 EXAMPLES=(quickstart fault_tolerant_sac raft_failover full_system
           cost_explorer multilayer_hierarchy p2pflctl)
 cmake --build "$BUILD" -j "$JOBS" --target "${BENCHES[@]}" "${EXAMPLES[@]}" \
@@ -86,13 +87,16 @@ expect 0 "$B/related_work_costs"
 expect 0 "$B/multilayer_cost"
 expect 0 "$B/scale_sweep" --n 1000 --out scale_sweep_1k.json
 expect 0 taskset -c 0 "$B/attack_sweep" --quick --out attack_sweep_quick.json
+expect 0 "$B/paper_round" --out paper_round.json
 
-# The CI regress job: self-test, then both gates over the fresh runs.
+# The CI regress job: self-test, then the gates over the fresh runs.
 expect 0 "$B/regress" --self-test
 expect 0 "$B/regress" --baseline "$ROOT/BENCH_scale.json" \
   --fresh scale_sweep_1k.json
 expect 0 "$B/regress" --baseline "$ROOT/BENCH_attack.json" \
   --fresh attack_sweep_quick.json
+expect 0 "$B/regress" --baseline "$ROOT/BENCH_paper.json" \
+  --fresh paper_round.json
 
 # The p2pflctl commands CI runs (seed 1 where a job sweeps seeds).
 expect 0 "$X/p2pflctl" wire --dim=1250000 --n=4 --k=3

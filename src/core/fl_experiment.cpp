@@ -168,7 +168,8 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
       std::vector<std::vector<float>> models;
       std::vector<double> weights;
       for (std::size_t p = 0; p < cfg.peers; ++p) {
-        models.push_back(peers[p]->weights());
+        const std::span<const float> w = peers[p]->params();
+        models.emplace_back(w.begin(), w.end());
         if (byzantine[p] && model_poisoning) {
           robust::poison(models.back(), cfg.attack, byz_rng);
         }
@@ -179,29 +180,36 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
     }
     for (std::size_t g : group_order) {
       const auto& members = topo.group(g);
-      std::vector<secagg::Vector> models;
-      models.reserve(members.size());
       const std::size_t n = members.size();
       double group_samples = 0.0;
       for (PeerId id : members) {
         group_samples += static_cast<double>(peers[id]->sample_count());
       }
+      // SAC reads each member's parameters where they live; a member
+      // whose update is poisoned or pre-scaled gets a copy to change.
+      std::vector<secagg::ModelView> models;
+      std::vector<secagg::Vector> changed;
+      models.reserve(n);
+      changed.reserve(n);  // never reallocates: views into it stay valid
       for (PeerId id : members) {
-        secagg::Vector w = peers[id]->weights();
-        if (byzantine[id] && model_poisoning) {
-          robust::poison(w, cfg.attack, byz_rng);
-        }
-        if (cfg.weight_by_samples) {
-          // Pre-scale by the (public) sample fraction; SAC's mean of the
-          // scaled models times n is then the sample-weighted average.
-          const double frac =
-              static_cast<double>(peers[id]->sample_count()) /
-              group_samples;
-          for (float& x : w) {
-            x = static_cast<float>(static_cast<double>(x) * frac);
+        secagg::ModelView view = peers[id]->params();
+        const bool poisoned = byzantine[id] && model_poisoning;
+        if (poisoned || cfg.weight_by_samples) {
+          secagg::Vector& w = changed.emplace_back(view.begin(), view.end());
+          if (poisoned) robust::poison(w, cfg.attack, byz_rng);
+          if (cfg.weight_by_samples) {
+            // Pre-scale by the (public) sample fraction; SAC's mean of the
+            // scaled models times n is then the sample-weighted average.
+            const double frac =
+                static_cast<double>(peers[id]->sample_count()) /
+                group_samples;
+            for (float& x : w) {
+              x = static_cast<float>(static_cast<double>(x) * frac);
+            }
           }
+          view = w;
         }
-        models.push_back(std::move(w));
+        models.push_back(view);
       }
       auto finish_group = [&](secagg::Vector avg) {
         // A Byzantine subgroup aggregator (the first member runs SAC

@@ -320,7 +320,8 @@ void P2pFlSystem::begin_local_training(PeerId peer) {
     return;
   }
   rt.trainer->train_round(cfg_.train);
-  rt.current_weights = rt.trainer->weights();
+  const std::span<const float> trained = rt.trainer->params();
+  rt.current_weights.assign(trained.begin(), trained.end());
   sr0.close(rt.train_span);
   rt.train_span = obs::kNoSpan;
 }

@@ -9,7 +9,8 @@ namespace p2pfl::fl {
 Tensor Dataset::batch(std::span<const std::size_t> indices) const {
   P2PFL_CHECK(!indices.empty());
   const std::size_t d = sample_floats();
-  Tensor out({indices.size(), channels, height, width});
+  Tensor out =
+      Tensor::uninitialized({indices.size(), channels, height, width});
   for (std::size_t b = 0; b < indices.size(); ++b) {
     P2PFL_CHECK(indices[b] < size());
     const float* src = images.data() + indices[b] * d;

@@ -9,21 +9,49 @@
 
 namespace p2pfl::fl {
 
+// --- Layer -------------------------------------------------------------------
+
+Layer::Layer(std::size_t param_count)
+    : own_(2 * param_count),
+      params_(own_.data(), param_count),
+      grads_(own_.data() + param_count, param_count) {}
+
+void Layer::bind(std::span<float> params, std::span<float> grads) {
+  P2PFL_CHECK(params.size() == params_.size() &&
+              grads.size() == grads_.size());
+  std::copy(params_.begin(), params_.end(), params.begin());
+  std::copy(grads_.begin(), grads_.end(), grads.begin());
+  params_ = params;
+  grads_ = grads;
+  std::vector<float>().swap(own_);
+}
+
+// Dense, ReLU, Conv2d and MaxPool2d write every element of their forward
+// outputs (and ReLU and Conv2d of their input gradients), so those start
+// unwritten; the buffers a kernel adds into start at zero.
+
 // --- Dense -------------------------------------------------------------------
 
 Dense::Dense(std::size_t in, std::size_t out)
-    : in_(in), out_(out), params_(out * in + out), grads_(params_.size()) {
+    : Layer(out * in + out), in_(in), out_(out) {
   P2PFL_CHECK(in > 0 && out > 0);
 }
 
 void Dense::init(Rng& rng) {
   // He-uniform: suited to the ReLU activations used throughout Fig. 5.
   const float bound = std::sqrt(6.0f / static_cast<float>(in_));
+  const std::span<float> p = params();
   for (std::size_t i = 0; i < out_ * in_; ++i) {
-    params_[i] = static_cast<float>(rng.uniform(-bound, bound));
+    p[i] = static_cast<float>(rng.uniform(-bound, bound));
   }
-  for (std::size_t i = out_ * in_; i < params_.size(); ++i) params_[i] = 0.0f;
+  for (std::size_t i = out_ * in_; i < p.size(); ++i) p[i] = 0.0f;
 }
+
+std::size_t Dense::activation_bytes() const {
+  return cached_input_.size() * sizeof(float);
+}
+
+void Dense::free_activations() { cached_input_ = Tensor(); }
 
 // The Dense kernels give each output element the direct loop's arithmetic
 // (see layers.hpp); the direct loops are their oracle in
@@ -34,9 +62,9 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   P2PFL_CHECK(x.rank() == 2 && x.dim(1) == in_);
   cached_input_ = x;
   const std::size_t batch = x.dim(0);
-  Tensor y({batch, out_});
-  const float* w = params_.data();
-  const float* b = params_.data() + out_ * in_;
+  Tensor y = Tensor::uninitialized({batch, out_});
+  const float* w = params().data();
+  const float* b = w + out_ * in_;
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
     widest([&]() __attribute__((always_inline)) {
       // The chunk's inputs as xt[i][s]: each output's double chain over
@@ -91,10 +119,10 @@ Tensor Dense::backward(const Tensor& grad_out, bool input_grad) {
   P2PFL_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_);
   P2PFL_CHECK(grad_out.dim(0) == x.dim(0));
   const std::size_t batch = x.dim(0);
-  const float* w = params_.data();
+  const float* w = params().data();
   const float* gy = grad_out.data();
-  float* gw = grads_.data();
-  float* gb = grads_.data() + out_ * in_;
+  float* gw = grads().data();
+  float* gb = gw + out_ * in_;
 
   // Parameter gradients, serial: each element adds its samples' terms in
   // sample order. One output at a time, so its weight-gradient row stays
@@ -137,7 +165,7 @@ Tensor Dense::backward(const Tensor& grad_out, bool input_grad) {
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   cached_input_ = x;
-  Tensor y(x.shape());
+  Tensor y = Tensor::uninitialized(x.shape());
   const std::size_t per = x.empty() ? 0 : x.size() / x.dim(0);
   const float* xd = x.data();
   float* yd = y.data();
@@ -151,7 +179,7 @@ Tensor ReLU::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
 
 Tensor ReLU::backward(const Tensor& grad_out, bool /*input_grad*/) {
   P2PFL_CHECK(grad_out.size() == cached_input_.size());
-  Tensor gx(grad_out.shape());
+  Tensor gx = Tensor::uninitialized(grad_out.shape());
   const std::size_t per = gx.empty() ? 0 : gx.size() / gx.dim(0);
   const float* x = cached_input_.data();
   const float* gy = grad_out.data();
@@ -163,6 +191,12 @@ Tensor ReLU::backward(const Tensor& grad_out, bool /*input_grad*/) {
   });
   return gx;
 }
+
+std::size_t ReLU::activation_bytes() const {
+  return cached_input_.size() * sizeof(float);
+}
+
+void ReLU::free_activations() { cached_input_ = Tensor(); }
 
 // --- Dropout -----------------------------------------------------------------
 
@@ -196,15 +230,20 @@ Tensor Dropout::backward(const Tensor& grad_out, bool /*input_grad*/) {
   return gx;
 }
 
+std::size_t Dropout::activation_bytes() const {
+  return mask_.capacity() * sizeof(float);
+}
+
+void Dropout::free_activations() { std::vector<float>().swap(mask_); }
+
 // --- Conv2d ------------------------------------------------------------------
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t filters,
                std::size_t kernel)
-    : in_c_(in_channels),
+    : Layer(filters * in_channels * kernel * kernel + filters),
+      in_c_(in_channels),
       filters_(filters),
-      k_(kernel),
-      params_(filters * in_channels * kernel * kernel + filters),
-      grads_(params_.size()) {
+      k_(kernel) {
   P2PFL_CHECK(in_channels > 0 && filters > 0);
   P2PFL_CHECK(kernel % 2 == 1);  // same padding needs an odd kernel
 }
@@ -213,11 +252,18 @@ void Conv2d::init(Rng& rng) {
   const std::size_t fan_in = in_c_ * k_ * k_;
   const float bound = std::sqrt(6.0f / static_cast<float>(fan_in));
   const std::size_t nw = filters_ * in_c_ * k_ * k_;
+  const std::span<float> p = params();
   for (std::size_t i = 0; i < nw; ++i) {
-    params_[i] = static_cast<float>(rng.uniform(-bound, bound));
+    p[i] = static_cast<float>(rng.uniform(-bound, bound));
   }
-  for (std::size_t i = nw; i < params_.size(); ++i) params_[i] = 0.0f;
+  for (std::size_t i = nw; i < p.size(); ++i) p[i] = 0.0f;
 }
+
+std::size_t Conv2d::activation_bytes() const {
+  return cached_input_.size() * sizeof(float);
+}
+
+void Conv2d::free_activations() { cached_input_ = Tensor(); }
 
 // The conv kernels vectorize over runs of independent output elements and
 // give each element the direct loop's arithmetic (see layers.hpp); the
@@ -235,9 +281,9 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   // trailing positions that are computed and dropped, so one tap is one
   // contiguous loop over the whole image.
   const std::size_t span = h * pw;
-  Tensor y({batch, filters_, h, w});
-  const float* wt = params_.data();
-  const float* bias = params_.data() + filters_ * in_c_ * k_ * k_;
+  Tensor y = Tensor::uninitialized({batch, filters_, h, w});
+  const float* wt = params().data();
+  const float* bias = wt + filters_ * in_c_ * k_ * k_;
   // Tap (c, ky, kx) reads the padded image at off[(c * k + ky) * k + kx].
   const std::size_t taps = in_c_ * k_ * k_;
   std::vector<std::size_t> off(taps);
@@ -313,11 +359,12 @@ Tensor Conv2d::backward(const Tensor& grad_out, bool input_grad) {
   const std::size_t kk = k_ * k_, fsize = in_c_ * kk;
   const std::size_t cells = (h + 2 * pad) * pw * in_c_;  // a padded image
   const std::size_t row = k_ * in_c_;                     // (kx, c)
+  const float* wt = params().data();
   const float* gy = grad_out.data();
-  float* gw = grads_.data();
-  float* gb = grads_.data() + filters_ * fsize;
+  float* gw = grads().data();
+  float* gb = gw + filters_ * fsize;
   Tensor gx;
-  if (input_grad) gx = Tensor({batch, in_c_, h, w});
+  if (input_grad) gx = Tensor::uninitialized({batch, in_c_, h, w});
 
   // Channel-last copies: the weights as [f][ky][kx][c] and the zero-padded
   // inputs as [s][iy][ix][c], where input (c, iy, ix) sits at cl(c, iy,
@@ -327,7 +374,7 @@ Tensor Conv2d::backward(const Tensor& grad_out, bool input_grad) {
   for (std::size_t f = 0; f < filters_; ++f) {
     for (std::size_t c = 0; c < in_c_; ++c) {
       for (std::size_t t = 0; t < kk; ++t) {
-        wcl[(f * kk + t) * in_c_ + c] = params_[f * fsize + c * kk + t];
+        wcl[(f * kk + t) * in_c_ + c] = wt[f * fsize + c * kk + t];
       }
     }
   }
@@ -435,7 +482,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
                   "MaxPool2d expects even spatial dims");
   in_shape_ = x.shape();
   const std::size_t oh = h / 2, ow = w / 2;
-  Tensor y({batch, c, oh, ow});
+  Tensor y = Tensor::uninitialized({batch, c, oh, ow});
   argmax_.resize(y.size());  // every element is written below
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t p = lo * c; p < hi * c; ++p) {
@@ -478,6 +525,14 @@ Tensor MaxPool2d::backward(const Tensor& grad_out, bool /*input_grad*/) {
     }
   });
   return gx;
+}
+
+std::size_t MaxPool2d::activation_bytes() const {
+  return argmax_.capacity() * sizeof(std::size_t);
+}
+
+void MaxPool2d::free_activations() {
+  std::vector<std::size_t>().swap(argmax_);
 }
 
 // --- Flatten -----------------------------------------------------------------

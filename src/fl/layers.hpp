@@ -1,12 +1,15 @@
 // Neural-network layers for the Fig. 5 CNN and the MLP substitute.
 //
-// Each layer owns its parameters and gradient buffers and implements
-// forward (caching what backward needs) and backward (returning the
-// input gradient and accumulating parameter gradients). Layers are
-// stateful per model instance — one model per peer, as in the paper.
+// Each layer implements forward (caching what backward needs, its
+// activations) and backward (returning the input gradient and
+// accumulating parameter gradients). Its parameters and their gradients
+// are views: into its model's flat store (model.hpp) once the model binds
+// it, into a buffer of its own until then. Layers are stateful per model
+// instance — one model per peer, as in the paper.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,8 @@ namespace p2pfl::fl {
 class Layer {
  public:
   virtual ~Layer() = default;
+  Layer(const Layer&) = delete;
+  Layer& operator=(const Layer&) = delete;
 
   virtual std::string name() const = 0;
 
@@ -30,14 +35,29 @@ class Layer {
   virtual Tensor backward(const Tensor& grad_out, bool input_grad = true) = 0;
 
   /// Flat views of parameters / their gradients (empty if stateless).
-  virtual std::span<float> params() { return {}; }
-  virtual std::span<float> grads() { return {}; }
+  std::span<float> params() { return params_; }
+  std::span<float> grads() { return grads_; }
+
+  /// Points params() and grads() at `params` and `grads`, of the same
+  /// sizes, carrying their values over, and frees the layer's own buffer.
+  void bind(std::span<float> params, std::span<float> grads);
 
   virtual void init(Rng& rng) { (void)rng; }
-  void zero_grads() {
-    auto g = grads();
-    std::fill(g.begin(), g.end(), 0.0f);
-  }
+  void zero_grads() { std::fill(grads_.begin(), grads_.end(), 0.0f); }
+
+  /// Bytes held from the last forward for backward (the activations).
+  virtual std::size_t activation_bytes() const { return 0; }
+  /// Frees the activations; the next backward needs a forward first.
+  virtual void free_activations() {}
+
+ protected:
+  /// `param_count` parameters and as many gradients, zeroed, in a buffer
+  /// of the layer's own.
+  explicit Layer(std::size_t param_count = 0);
+
+ private:
+  std::vector<float> own_;  // params then grads, until bound
+  std::span<float> params_, grads_;
 };
 
 /// Fully connected: (B, in) -> (B, out). He-uniform initialization.
@@ -55,17 +75,15 @@ class Dense : public Layer {
   std::string name() const override { return "dense"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
   Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
-  std::span<float> params() override { return params_; }
-  std::span<float> grads() override { return grads_; }
-  void init(Rng& rng) override;
+  void init(Rng& rng) override;  // params: weights (out*in) then bias (out)
+  std::size_t activation_bytes() const override;
+  void free_activations() override;
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
 
  private:
   std::size_t in_, out_;
-  std::vector<float> params_;  // weights (out*in) then bias (out)
-  std::vector<float> grads_;
   Tensor cached_input_;
 };
 
@@ -75,6 +93,8 @@ class ReLU : public Layer {
   std::string name() const override { return "relu"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
   Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
+  std::size_t activation_bytes() const override;
+  void free_activations() override;
 
  private:
   Tensor cached_input_;
@@ -88,6 +108,8 @@ class Dropout : public Layer {
   std::string name() const override { return "dropout"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
   Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
+  std::size_t activation_bytes() const override;
+  void free_activations() override;
 
  private:
   float rate_;
@@ -110,14 +132,12 @@ class Conv2d : public Layer {
   std::string name() const override { return "conv2d"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
   Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
-  std::span<float> params() override { return params_; }
-  std::span<float> grads() override { return grads_; }
-  void init(Rng& rng) override;
+  void init(Rng& rng) override;  // params: weights (F*C*k*k) then bias (F)
+  std::size_t activation_bytes() const override;
+  void free_activations() override;
 
  private:
   std::size_t in_c_, filters_, k_;
-  std::vector<float> params_;  // weights (F*C*k*k) then bias (F)
-  std::vector<float> grads_;
   Tensor cached_input_;
 };
 
@@ -127,6 +147,8 @@ class MaxPool2d : public Layer {
   std::string name() const override { return "maxpool2d"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
   Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
+  std::size_t activation_bytes() const override;
+  void free_activations() override;
 
  private:
   std::vector<std::size_t> argmax_;

@@ -4,9 +4,35 @@
 
 namespace p2pfl::fl {
 
+Model::Model(std::vector<std::unique_ptr<Layer>> layers)
+    : layers_(std::move(layers)) {
+  for (const auto& l : layers_) P2PFL_CHECK(l != nullptr);
+  bind();
+}
+
 void Model::add(std::unique_ptr<Layer> layer) {
   P2PFL_CHECK(layer != nullptr);
   layers_.push_back(std::move(layer));
+  bind();
+}
+
+void Model::bind() {
+  std::size_t n = 0;
+  for (const auto& l : layers_) n += l->params().size();
+  // Every element is written below, from the layer's current values.
+  decltype(params_) params, grads;
+  params.resize(n);
+  grads.resize(n);
+  std::size_t off = 0;
+  for (auto& l : layers_) {
+    const std::size_t count = l->params().size();
+    l->bind(std::span(params).subspan(off, count),
+            std::span(grads).subspan(off, count));
+    off += count;
+  }
+  // Moving a vector keeps its buffer, so the views stay valid.
+  params_ = std::move(params);
+  grads_ = std::move(grads);
 }
 
 void Model::init(Rng& rng) {
@@ -33,86 +59,63 @@ void Model::backward(const Tensor& grad) {
   }
 }
 
-std::size_t Model::param_count() const {
-  std::size_t n = 0;
-  for (const auto& l : layers_) n += l->params().size();
-  return n;
+void Model::free_activations() {
+  for (auto& l : layers_) l->free_activations();
 }
 
 std::vector<float> Model::get_params() const {
-  std::vector<float> flat;
-  flat.reserve(param_count());
-  for (const auto& l : layers_) {
-    const auto p = l->params();
-    flat.insert(flat.end(), p.begin(), p.end());
-  }
-  return flat;
+  return {params_.begin(), params_.end()};
 }
 
 void Model::set_params(std::span<const float> flat) {
-  P2PFL_CHECK(flat.size() == param_count());
-  std::size_t off = 0;
-  for (auto& l : layers_) {
-    auto p = l->params();
-    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(off),
-              flat.begin() + static_cast<std::ptrdiff_t>(off + p.size()),
-              p.begin());
-    off += p.size();
-  }
+  P2PFL_CHECK(flat.size() == params_.size());
+  std::copy(flat.begin(), flat.end(), params_.begin());
 }
 
 std::vector<float> Model::get_grads() const {
-  std::vector<float> flat;
-  flat.reserve(param_count());
-  for (const auto& l : layers_) {
-    const auto g = l->grads();
-    flat.insert(flat.end(), g.begin(), g.end());
-  }
-  return flat;
+  return {grads_.begin(), grads_.end()};
 }
 
-void Model::zero_grads() {
-  for (auto& l : layers_) l->zero_grads();
-}
+void Model::zero_grads() { std::fill(grads_.begin(), grads_.end(), 0.0f); }
 
 Model Model::paper_cnn(std::size_t channels, std::size_t hw,
                        std::size_t dense_width, std::size_t classes) {
   P2PFL_CHECK(hw % 4 == 0);  // two 2x2 pools
-  Model m;
-  m.add(std::make_unique<Conv2d>(channels, 32));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<Conv2d>(32, 32));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<MaxPool2d>());
-  m.add(std::make_unique<Dropout>(0.25f));
-  m.add(std::make_unique<Conv2d>(32, 64));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<Conv2d>(64, 64));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<MaxPool2d>());
-  m.add(std::make_unique<Dropout>(0.25f));
-  m.add(std::make_unique<Flatten>());
+  std::vector<std::unique_ptr<Layer>> l;
+  l.push_back(std::make_unique<Conv2d>(channels, 32));
+  l.push_back(std::make_unique<ReLU>());
+  l.push_back(std::make_unique<Conv2d>(32, 32));
+  l.push_back(std::make_unique<ReLU>());
+  l.push_back(std::make_unique<MaxPool2d>());
+  l.push_back(std::make_unique<Dropout>(0.25f));
+  l.push_back(std::make_unique<Conv2d>(32, 64));
+  l.push_back(std::make_unique<ReLU>());
+  l.push_back(std::make_unique<Conv2d>(64, 64));
+  l.push_back(std::make_unique<ReLU>());
+  l.push_back(std::make_unique<MaxPool2d>());
+  l.push_back(std::make_unique<Dropout>(0.25f));
+  l.push_back(std::make_unique<Flatten>());
   const std::size_t flat = 64 * (hw / 4) * (hw / 4);
-  m.add(std::make_unique<Dense>(flat, dense_width));
-  m.add(std::make_unique<ReLU>());
-  m.add(std::make_unique<Dropout>(0.5f));
-  m.add(std::make_unique<Dense>(dense_width, classes));
-  return m;
+  l.push_back(std::make_unique<Dense>(flat, dense_width));
+  l.push_back(std::make_unique<ReLU>());
+  l.push_back(std::make_unique<Dropout>(0.5f));
+  l.push_back(std::make_unique<Dense>(dense_width, classes));
+  return Model(std::move(l));
 }
 
 Model Model::mlp(std::size_t inputs, const std::vector<std::size_t>& hidden,
                  std::size_t classes, float dropout) {
-  Model m;
-  m.add(std::make_unique<Flatten>());
+  std::vector<std::unique_ptr<Layer>> l;
+  l.push_back(std::make_unique<Flatten>());
   std::size_t prev = inputs;
   for (std::size_t width : hidden) {
-    m.add(std::make_unique<Dense>(prev, width));
-    m.add(std::make_unique<ReLU>());
-    if (dropout > 0.0f) m.add(std::make_unique<Dropout>(dropout));
+    l.push_back(std::make_unique<Dense>(prev, width));
+    l.push_back(std::make_unique<ReLU>());
+    if (dropout > 0.0f) l.push_back(std::make_unique<Dropout>(dropout));
     prev = width;
   }
-  m.add(std::make_unique<Dense>(prev, classes));
-  return m;
+  l.push_back(std::make_unique<Dense>(prev, classes));
+  return Model(std::move(l));
 }
 
 }  // namespace p2pfl::fl

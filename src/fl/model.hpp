@@ -6,9 +6,15 @@
 // (3x32x32) and the default dense width the model lands at ~1.25M
 // parameters, the size the paper's cost analysis assumes. mlp() is the
 // scaled-down substitute used by the default (CI-speed) accuracy runs.
+//
+// A model keeps every parameter in one flat buffer and every gradient in
+// another, in layer order; each layer's params() / grads() views its
+// slice of them. The builders bind the store once; add() lays it out
+// again. Moving a model moves the buffers, so the views stay valid.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fl/layers.hpp"
@@ -18,9 +24,12 @@ namespace p2pfl::fl {
 class Model {
  public:
   Model() = default;
+  /// The layers in order, bound to one store.
+  explicit Model(std::vector<std::unique_ptr<Layer>> layers);
   Model(Model&&) = default;
   Model& operator=(Model&&) = default;
 
+  /// Appends a layer and binds the store again, copying every value.
   void add(std::unique_ptr<Layer> layer);
 
   /// Randomly initialize every layer's parameters.
@@ -32,7 +41,15 @@ class Model {
   /// accumulating every parameter gradient.
   void backward(const Tensor& grad);
 
-  std::size_t param_count() const;
+  /// Frees every layer's activations (Layer::free_activations).
+  void free_activations();
+
+  /// The store: every layer's parameters / gradients, in layer order.
+  std::span<float> params() { return params_; }
+  std::span<const float> params() const { return params_; }
+  std::span<float> grads() { return grads_; }
+
+  std::size_t param_count() const { return params_.size(); }
   std::vector<float> get_params() const;
   void set_params(std::span<const float> flat);
   std::vector<float> get_grads() const;
@@ -51,7 +68,11 @@ class Model {
                    std::size_t classes = 10, float dropout = 0.0f);
 
  private:
+  /// Lays out the store for the current layers and points them at it.
+  void bind();
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<float, DefaultInitAllocator<float>> params_, grads_;
 };
 
 }  // namespace p2pfl::fl

@@ -2,7 +2,7 @@
 //
 // The paper trains with Adam (lr = 1e-4). State (Adam moments) is sized
 // lazily on the first step and persists across federated rounds on each
-// peer.
+// peer. PeerTrainer steps a model's flat store (model.hpp) in place.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +17,9 @@ class Adam {
                 float eps = 1e-8f)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-  /// In-place update of `params` from `grads` (equal sizes).
+  /// In-place update of `params` from `grads` (equal sizes). The loop
+  /// vectorizes: p2pfl_fl builds with -fno-math-errno, so std::sqrt is the
+  /// correctly rounded instruction at every vector width.
   void step(std::span<float> params, std::span<const float> grads);
 
  private:

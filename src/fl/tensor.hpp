@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <new>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -17,16 +19,38 @@
 
 namespace p2pfl::fl {
 
+/// std::allocator whose resize(n) leaves the new elements unwritten; every
+/// other construction (copies, fills) is std::allocator's.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 class Tensor {
  public:
   Tensor() = default;
 
+  /// Zero-filled.
   explicit Tensor(std::vector<std::size_t> shape)
       : shape_(std::move(shape)), data_(count_of(shape_), 0.0f) {}
 
-  Tensor(std::vector<std::size_t> shape, std::vector<float> data)
-      : shape_(std::move(shape)), data_(std::move(data)) {
+  Tensor(std::vector<std::size_t> shape, const std::vector<float>& data)
+      : shape_(std::move(shape)), data_(data.begin(), data.end()) {
     P2PFL_CHECK(data_.size() == count_of(shape_));
+  }
+
+  /// Elements left unwritten, for a kernel that writes every one of them.
+  static Tensor uninitialized(std::vector<std::size_t> shape) {
+    Tensor t;
+    t.data_.resize(count_of(shape));
+    t.shape_ = std::move(shape);
+    return t;
   }
 
   const std::vector<std::size_t>& shape() const { return shape_; }
@@ -49,7 +73,10 @@ class Tensor {
   /// Reinterpret with a new shape of identical element count.
   Tensor reshaped(std::vector<std::size_t> shape) const {
     P2PFL_CHECK(count_of(shape) == size());
-    return Tensor(std::move(shape), data_);
+    Tensor t;
+    t.shape_ = std::move(shape);
+    t.data_ = data_;
+    return t;
   }
 
   void fill(float v) { std::fill(data_.begin(), data_.end(), v); }
@@ -61,7 +88,7 @@ class Tensor {
 
  private:
   std::vector<std::size_t> shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace p2pfl::fl

@@ -38,14 +38,12 @@ double PeerTrainer::train_round(const TrainOptions& opts) {
       const Tensor logits = model_.forward(x, /*train=*/true, rng_);
       LossResult lr = softmax_cross_entropy(logits, labels);
       model_.backward(lr.grad);
-      auto params = model_.get_params();
-      const auto grads = model_.get_grads();
-      optimizer_->step(params, grads);
-      model_.set_params(params);
+      optimizer_->step(model_.params(), model_.grads());
       total_loss += lr.loss;
       ++batches;
     }
   }
+  model_.free_activations();
   return batches > 0 ? total_loss / static_cast<double>(batches) : 0.0;
 }
 
@@ -74,6 +72,7 @@ EvalResult evaluate_model(Model& model, const Dataset& test, Rng& rng,
     loss += lr.loss * static_cast<double>(count);
     correct += lr.correct;
   }
+  model.free_activations();
   EvalResult out;
   out.loss = loss / static_cast<double>(total);
   out.accuracy = static_cast<double>(correct) / static_cast<double>(total);

@@ -36,10 +36,13 @@ class PeerTrainer {
 
   std::size_t sample_count() const { return indices_.size(); }
 
-  std::vector<float> weights() const { return model_.get_params(); }
+  /// The model's parameters where they live (Model::params()).
+  std::span<const float> params() const { return model_.params(); }
   void set_weights(std::span<const float> w) { model_.set_params(w); }
 
   /// One federated round of local training; returns mean training loss.
+  /// Adam steps the model's store in place; the model's activations are
+  /// freed when the round ends.
   double train_round(const TrainOptions& opts);
 
   /// Test-set metrics. max_samples > 0 evaluates only a prefix (speed).
@@ -55,7 +58,8 @@ class PeerTrainer {
   Rng rng_;
 };
 
-/// Stateless evaluation helper shared by experiment harnesses.
+/// Stateless evaluation helper shared by experiment harnesses. The
+/// model's activations are freed when it returns.
 EvalResult evaluate_model(Model& model, const Dataset& test, Rng& rng,
                           std::size_t max_samples = 0,
                           std::size_t batch_size = 100);

@@ -29,7 +29,7 @@ namespace {
 // worker. `seeded` holds peer i's splitter, positioned at block 0; a
 // worker copies them and skips to its first block, so the result does not
 // depend on the worker count.
-Vector streamed_average(std::span<const Vector> models,
+Vector streamed_average(std::span<const ModelView> models,
                         const std::vector<ShareSplitter>& seeded) {
   const std::size_t n = models.size();
   const std::size_t dim = models.front().size();
@@ -51,8 +51,7 @@ Vector streamed_average(std::span<const Vector> models,
       const std::size_t len = std::min(kSplitBlock, dim - base);
       std::fill(subtotal.begin(), subtotal.end(), 0.0);
       for (std::size_t i = 0; i < n; ++i) {
-        splitters[i].split(std::span(models[i]).subspan(base, len), rows,
-                           work);
+        splitters[i].split(models[i].subspan(base, len), rows, work);
         for (std::size_t s = 0; s < n; ++s) {
           const float* share = rows[s];
           double* sub = subtotal.data() + s * kSplitBlock;
@@ -78,12 +77,12 @@ Vector streamed_average(std::span<const Vector> models,
 }
 
 // Each peer's splitter, seeded in peer order: one rng draw per peer.
-std::vector<ShareSplitter> seed_splitters(std::span<const Vector> models,
+std::vector<ShareSplitter> seed_splitters(std::span<const ModelView> models,
                                           Rng& rng, SplitScheme scheme) {
   const std::size_t n = models.size();
   std::vector<ShareSplitter> splitters;
   splitters.reserve(n);
-  for (const Vector& m : models) {
+  for (const ModelView& m : models) {
     P2PFL_CHECK(m.size() == models.front().size());
     splitters.emplace_back(n, scheme, rng);
   }
@@ -92,7 +91,7 @@ std::vector<ShareSplitter> seed_splitters(std::span<const Vector> models,
 
 }  // namespace
 
-Vector sac_average(std::span<const Vector> models, Rng& rng,
+Vector sac_average(std::span<const ModelView> models, Rng& rng,
                    SplitScheme scheme) {
   P2PFL_CHECK(!models.empty());
   // Subtotal s sums share s of every peer's model; summing the subtotals
@@ -101,7 +100,7 @@ Vector sac_average(std::span<const Vector> models, Rng& rng,
 }
 
 FtSacResult fault_tolerant_sac_average(
-    std::span<const Vector> models, std::size_t k,
+    std::span<const ModelView> models, std::size_t k,
     const std::vector<bool>& crashed_after_sharing, Rng& rng,
     SplitScheme scheme) {
   P2PFL_CHECK(!models.empty());
@@ -133,6 +132,21 @@ FtSacResult fault_tolerant_sac_average(
   result.ok = true;
   result.average = streamed_average(models, splitters);
   return result;
+}
+
+Vector sac_average(std::span<const Vector> models, Rng& rng,
+                   SplitScheme scheme) {
+  const std::vector<ModelView> views(models.begin(), models.end());
+  return sac_average(views, rng, scheme);
+}
+
+FtSacResult fault_tolerant_sac_average(
+    std::span<const Vector> models, std::size_t k,
+    const std::vector<bool>& crashed_after_sharing, Rng& rng,
+    SplitScheme scheme) {
+  const std::vector<ModelView> views(models.begin(), models.end());
+  return fault_tolerant_sac_average(views, k, crashed_after_sharing, rng,
+                                    scheme);
 }
 
 }  // namespace p2pfl::secagg

@@ -3,13 +3,14 @@
 // Implements the math of Alg. 2 (n-out-of-n SAC) and Alg. 4
 // (fault-tolerant k-out-of-n SAC with replicated additive secret
 // sharing) without messages; the federated-training experiments (Figs.
-// 6-9) call these per round. Both stream over the model: each peer's
-// ShareSplitter (shares.hpp) yields its shares one kSplitBlock-element
-// block at a time, and each block's n subtotals and their sum are formed
-// there and dropped, so no share or subtotal is ever stored whole. The
-// blocks run in parallel on the parallel_for workers. The average equals,
-// bit for bit and at any worker count, what splitting each model with
-// divide() and summing the share vectors, then the subtotals, gives.
+// 6-9) call these per round, on views of the peers' own parameters. Both
+// stream over the model: each peer's ShareSplitter (shares.hpp) yields
+// its shares one kSplitBlock-element block at a time, and each block's n
+// subtotals and their sum are formed there and dropped, so no share or
+// subtotal is ever stored whole. The blocks run in parallel on the
+// parallel_for workers. The average equals, bit for bit and at any
+// worker count, what splitting each model with divide() and summing the
+// share vectors, then the subtotals, gives.
 //
 // The message-driven actor (sac_actor.hpp) computes the same average but
 // not bit for bit: each of its peers splits with its own Rng, and a
@@ -50,10 +51,16 @@ bool all_replica_share_indices(std::size_t j, std::size_t n, std::size_t k,
 std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
                                           std::size_t k);
 
+/// A peer's model, read where it lives (a trainer's parameters, say).
+using ModelView = std::span<const float>;
+
 /// Plain SAC (Alg. 2): every peer splits its model, shares are exchanged
 /// and subtotals broadcast; returns the common average. All models must
 /// have equal size; models.size() >= 1. Draws n values from `rng`, one
 /// per peer in peer order.
+Vector sac_average(std::span<const ModelView> models, Rng& rng,
+                   SplitScheme scheme = SplitScheme::kProportional);
+/// The same, over views of whole vectors.
 Vector sac_average(std::span<const Vector> models, Rng& rng,
                    SplitScheme scheme = SplitScheme::kProportional);
 
@@ -72,6 +79,11 @@ struct FtSacResult {
 /// position) reconstructs the average from live subtotal holders.
 /// Guaranteed ok when alive >= k. Draws n values from `rng`, as
 /// sac_average() does, unless every peer crashed: then none.
+FtSacResult fault_tolerant_sac_average(
+    std::span<const ModelView> models, std::size_t k,
+    const std::vector<bool>& crashed_after_sharing, Rng& rng,
+    SplitScheme scheme = SplitScheme::kProportional);
+/// The same, over views of whole vectors.
 FtSacResult fault_tolerant_sac_average(
     std::span<const Vector> models, std::size_t k,
     const std::vector<bool>& crashed_after_sharing, Rng& rng,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -202,6 +203,88 @@ TEST(Determinism, FlExperimentBitExactAcrossRuns) {
   EXPECT_GT(expect_fl_bit_exact_across_worker_counts(cfg)
                 .subgroup_quorum_failures,
             0u);
+}
+
+// The math path's numbers, pinned: FNV-1a-64 of the final weights' bytes
+// and every round's training loss and evaluated test loss, exactly. A
+// change that claims bit-exactness must leave them all as they are; the
+// tests above only compare runs of one build with each other. The values
+// were recorded before Model kept its parameters in one flat store.
+struct FlGolden {
+  std::uint64_t weights_hash;
+  std::vector<double> train_loss;  // per round
+  std::vector<double> test_loss;   // per evaluated round
+};
+
+void expect_fl_golden(const core::FlExperimentConfig& cfg,
+                      const FlGolden& want) {
+  const core::FlExperimentResult r = core::run_fl_experiment(cfg);
+  FlGolden got;
+  got.weights_hash = fnv1a64(
+      std::string(reinterpret_cast<const char*>(r.final_weights.data()),
+                  r.final_weights.size() * sizeof(float)));
+  for (const core::RoundRecord& rec : r.records) {
+    got.train_loss.push_back(rec.train_loss);
+    if (rec.test_loss.has_value()) got.test_loss.push_back(*rec.test_loss);
+  }
+  std::ostringstream print;
+  print << std::hexfloat << "{0x" << std::hex << got.weights_hash << "ull,\n {";
+  for (double v : got.train_loss) print << v << ", ";
+  print << "},\n {";
+  for (double v : got.test_loss) print << v << ", ";
+  print << "}}";
+  EXPECT_EQ(got.weights_hash, want.weights_hash) << print.str();
+  EXPECT_EQ(got.train_loss, want.train_loss) << print.str();
+  EXPECT_EQ(got.test_loss, want.test_loss) << print.str();
+}
+
+// The Fig. 5 CNN on 8x8 images (142k parameters): four peers in two
+// subgroups, two rounds at batch 4.
+TEST(Determinism, FlExperimentPaperCnnMatchesGolden) {
+  core::FlExperimentConfig cfg;
+  cfg.peers = 4;
+  cfg.group_size = 2;
+  cfg.rounds = 2;
+  cfg.eval_every = 1;
+  cfg.model = core::ModelKind::kPaperCnn;
+  cfg.data = fl::cifar10_like();
+  cfg.data.height = 8;
+  cfg.data.width = 8;
+  cfg.data.train_samples = 24;
+  cfg.data.test_samples = 20;
+  cfg.train.batch_size = 4;
+  cfg.seed = 701;
+  expect_fl_golden(cfg, {0x0b01ba7c86dc1682ull,
+                         {0x1.043aaca912099p+4, 0x1.3c162c649cddep+4},
+                         {0x1.49e10c91e70d7p+3, 0x1.33fe0f9fca5f2p+3}});
+}
+
+// The second configuration of FlExperimentBitExactAcrossRuns: k-of-n SAC
+// with crashes after the share phase, half the subgroups awaited,
+// sample-weighted members, non-IID shards.
+TEST(Determinism, FlExperimentMlpKOfNMatchesGolden) {
+  core::FlExperimentConfig cfg;
+  cfg.peers = 10;
+  cfg.group_size = 5;
+  cfg.rounds = 8;
+  cfg.eval_every = 2;
+  cfg.data.height = 8;
+  cfg.data.width = 8;
+  cfg.data.train_samples = 240;
+  cfg.data.test_samples = 60;
+  cfg.seed = 77;
+  cfg.sac_k = 3;
+  cfg.dropout_after_share_prob = 0.5;
+  cfg.fraction_p = 0.5;
+  cfg.weight_by_samples = true;
+  cfg.distribution = core::DataDistribution::kNonIid5;
+  expect_fl_golden(
+      cfg, {0x80a9b7e1640224d8ull,
+            {0x1.a2a463f61c318p+1, 0x1.a1c70becd6adbp+1, 0x1.a0ea08bb10e15p+1,
+             0x1.a00d97c94a0dep+1, 0x1.9f3187d4b4cfdp+1, 0x1.9f3187d4b4cfdp+1,
+             0x1.9e55bc29a3af6p+1, 0x1.9d7a8df0c66fp+1},
+            {0x1.c5e241bf841f4p+1, 0x1.c4b0f82d95bb9p+1, 0x1.c4189f466d5c4p+1,
+             0x1.c2e8b8b4527c1p+1}});
 }
 
 TEST(Determinism, FlExperimentSeedChangesWeights) {

@@ -1,4 +1,6 @@
-// The fl kernels in the fast suite, so the sanitizer jobs cover them.
+// The fl kernels in the fast suite, so the sanitizer jobs cover them, and
+// the model's flat store: the in-place Adam step against the copying
+// sequence it replaced, and when a model frees its activations.
 // The Conv2d and Dense kernels run against the direct loops they
 // replaced: they promise each output element the direct loop's arithmetic
 // (the same float products, summed in the same order into the same
@@ -7,8 +9,10 @@
 // the tests print once.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <iostream>
 #include <span>
 #include <stdexcept>
@@ -21,7 +25,9 @@
 #include "fl/data.hpp"
 #include "fl/kernel_isa.hpp"
 #include "fl/layers.hpp"
+#include "fl/loss.hpp"
 #include "fl/model.hpp"
+#include "fl/optimizer.hpp"
 #include "fl/trainer.hpp"
 
 namespace p2pfl::fl {
@@ -437,6 +443,186 @@ TEST(ModelBackward, PaperCnnMatchesFullBackward) {
 
 TEST(ModelBackward, MlpMatchesFullBackward) {
   expect_backward_matches_full(Model::mlp(784, {64}), {50, 1, 28, 28}, 92);
+}
+
+// --- the flat store ------------------------------------------------------------
+// PeerTrainer::train_round as it was before the model kept one flat store:
+// it copied the parameters and gradients out, stepped the copy with Adam,
+// and copied it back. The step here is Adam::step as it was then, built
+// with this file's flags, so its sqrt and divisions run scalar.
+
+class CopyingAdam {
+ public:
+  explicit CopyingAdam(float lr) : lr_(lr) {}
+
+  void step(std::span<float> params, std::span<const float> grads) {
+    if (m_.size() != params.size()) {
+      m_.assign(params.size(), 0.0);
+      v_.assign(params.size(), 0.0);
+      t_ = 0;
+    }
+    ++t_;
+    const double b1 = beta1_, b2 = beta2_;
+    const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const double g = grads[i];
+      m_[i] = b1 * m_[i] + (1.0 - b1) * g;
+      v_[i] = b2 * v_[i] + (1.0 - b2) * g * g;
+      const double mhat = m_[i] / bc1;
+      const double vhat = v_[i] / bc2;
+      params[i] -= static_cast<float>(lr_ * mhat /
+                                      (std::sqrt(vhat) + eps_));
+    }
+  }
+
+ private:
+  float lr_, beta1_ = 0.9f, beta2_ = 0.999f, eps_ = 1e-8f;
+  std::vector<double> m_, v_;
+  std::uint64_t t_ = 0;
+};
+
+double copying_train_round(Model& model, CopyingAdam& optimizer,
+                           const Dataset& data,
+                           std::vector<std::size_t>& indices, Rng& rng,
+                           const TrainOptions& opts) {
+  double total_loss = 0.0;
+  std::size_t batches = 0;
+  for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
+    rng.shuffle(indices);
+    for (std::size_t off = 0; off < indices.size();
+         off += opts.batch_size) {
+      const std::size_t count =
+          std::min(opts.batch_size, indices.size() - off);
+      const std::span<const std::size_t> idx(indices.data() + off, count);
+      const Tensor x = data.batch(idx);
+      std::vector<int> labels(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        labels[i] = data.labels[idx[i]];
+      }
+      model.zero_grads();
+      const Tensor logits = model.forward(x, /*train=*/true, rng);
+      LossResult lr = softmax_cross_entropy(logits, labels);
+      model.backward(lr.grad);
+      auto params = model.get_params();
+      const auto grads = model.get_grads();
+      optimizer.step(params, grads);
+      model.set_params(params);
+      total_loss += lr.loss;
+      ++batches;
+    }
+  }
+  return batches > 0 ? total_loss / static_cast<double>(batches) : 0.0;
+}
+
+// Bit patterns equal, so +0.0 against -0.0 counts as a difference.
+::testing::AssertionResult same_bits(std::span<const float> got,
+                                     std::span<const float> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " elements, want " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) !=
+        std::bit_cast<std::uint32_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "[" << i << "] = " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// One train_round of three Adam steps over `samples` training samples,
+// against the copying round from the same weights, data order and dropout
+// draws, at 1 and 4 workers.
+void expect_in_place_round_matches_copying(Model (*build)(),
+                                           const SyntheticSpec& spec,
+                                           std::size_t samples,
+                                           std::uint64_t seed) {
+  note_isa();
+  Rng data_rng(seed);
+  const TrainTest tt = make_synthetic(spec, data_rng);
+  std::vector<std::size_t> indices(samples);
+  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  const TrainOptions opts{.epochs = 1, .batch_size = indices.size() / 3};
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    set_parallel_workers(workers);
+    Rng init_rng(seed + 1);
+    Model want = build();
+    want.init(init_rng);
+    const std::vector<float> start = want.get_params();
+    Model model = build();
+    model.set_params(start);
+    PeerTrainer trainer(std::move(model), std::make_unique<Adam>(1e-3f),
+                        tt.train, indices, Rng(seed + 2));
+    CopyingAdam adam(1e-3f);
+    std::vector<std::size_t> want_indices = indices;
+    Rng want_rng(seed + 2);
+    const double want_loss = copying_train_round(
+        want, adam, tt.train, want_indices, want_rng, opts);
+    EXPECT_EQ(trainer.train_round(opts), want_loss);
+    EXPECT_TRUE(same_bits(trainer.params(), want.params()));
+    EXPECT_NE(want.get_params(), start);  // the steps moved the weights
+  }
+  set_parallel_workers(0);  // restore the hardware default
+}
+
+TEST(FlatStore, InPlaceAdamMatchesCopyingStepOnPaperCnn) {
+  SyntheticSpec spec = cifar10_like();
+  spec.train_samples = 12;
+  spec.test_samples = 10;
+  expect_in_place_round_matches_copying(
+      [] { return Model::paper_cnn(3, 32); }, spec, 6, 101);
+}
+
+TEST(FlatStore, InPlaceAdamMatchesCopyingStepOnMlp) {
+  SyntheticSpec spec = mnist_like();
+  spec.train_samples = 150;
+  spec.test_samples = 10;
+  expect_in_place_round_matches_copying(
+      [] { return Model::mlp(28 * 28, {64}, 10, 0.25f); }, spec, 150, 102);
+}
+
+std::size_t activation_bytes(Model& model) {
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    bytes += model.layer(i).activation_bytes();
+  }
+  return bytes;
+}
+
+// A model holds its activations from a forward until the round or the
+// evaluation that ran it ends.
+TEST(FlatStore, TrainRoundAndEvaluateFreeActivations) {
+  SyntheticSpec spec = cifar10_like();
+  spec.height = 8;
+  spec.width = 8;
+  spec.train_samples = 10;
+  spec.test_samples = 10;
+  Rng rng(103);
+  const TrainTest tt = make_synthetic(spec, rng);
+  Model model = Model::paper_cnn(3, 8);
+  model.init(rng);
+  PeerTrainer trainer(std::move(model), std::make_unique<Adam>(1e-3f),
+                      tt.train, {0, 1, 2, 3, 4, 5, 6, 7}, Rng(104));
+  Model& m = trainer.model();
+  const std::vector<std::size_t> idx = {0, 1, 2, 3};
+  m.forward(tt.train.batch(idx), /*train=*/true, rng);
+  // Every layer but the Flatten keeps something for backward.
+  std::size_t holding = 0;
+  for (std::size_t i = 0; i < m.layer_count(); ++i) {
+    if (m.layer(i).activation_bytes() > 0) ++holding;
+  }
+  EXPECT_EQ(holding, m.layer_count() - 1);
+
+  trainer.train_round({.epochs = 1, .batch_size = 4});
+  EXPECT_EQ(activation_bytes(m), 0u);
+
+  m.forward(tt.train.batch(idx), /*train=*/true, rng);
+  EXPECT_GT(activation_bytes(m), 0u);
+  evaluate_model(m, tt.test, rng, 0, 4);
+  EXPECT_EQ(activation_bytes(m), 0u);
 }
 
 // evaluate_model steps through the test set batch_size samples at a time;

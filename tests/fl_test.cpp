@@ -176,6 +176,95 @@ TEST(Model, GetSetParamsRoundTrip) {
                std::logic_error);
 }
 
+// --- the flat store ---------------------------------------------------------------
+
+// Each layer's params() and grads() are consecutive slices of the model's
+// two buffers, in layer order, and together they cover them.
+void expect_views_tile_store(Model& m) {
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < m.layer_count(); ++i) {
+    Layer& l = m.layer(i);
+    ASSERT_EQ(l.params().size(), l.grads().size()) << "layer " << i;
+    if (l.params().empty()) continue;
+    EXPECT_EQ(l.params().data(), m.params().data() + off) << "layer " << i;
+    EXPECT_EQ(l.grads().data(), m.grads().data() + off) << "layer " << i;
+    off += l.params().size();
+  }
+  EXPECT_EQ(off, m.param_count());
+  EXPECT_EQ(m.grads().size(), m.param_count());
+}
+
+TEST(FlatStore, LayerViewsTileTheStoreInOrder) {
+  Model cnn = Model::paper_cnn(3, 8);
+  expect_views_tile_store(cnn);
+  Model mlp = Model::mlp(6, {5, 4}, 3, 0.5f);
+  expect_views_tile_store(mlp);
+}
+
+TEST(FlatStore, MovedModelKeepsItsViews) {
+  Rng rng(20);
+  Model a = Model::mlp(6, {5}, 3);
+  a.init(rng);
+  const float* store = a.params().data();
+  const std::vector<float> want = a.get_params();
+  Model b = std::move(a);
+  EXPECT_EQ(b.params().data(), store);
+  expect_views_tile_store(b);
+  Model c = Model::mlp(2, {2}, 2);
+  c = std::move(b);
+  EXPECT_EQ(c.params().data(), store);
+  expect_views_tile_store(c);
+  EXPECT_EQ(c.get_params(), want);
+
+  // Layer 0 is the Flatten: the store starts with layer 1's weights.
+  c.params()[0] = 5.0f;
+  EXPECT_EQ(c.layer(1).params()[0], 5.0f);
+  c.layer(1).grads()[2] = 1.5f;
+  EXPECT_EQ(c.get_grads()[2], 1.5f);
+  c.zero_grads();
+  EXPECT_EQ(c.layer(1).grads()[2], 0.0f);
+  std::vector<float> p = c.get_params();
+  p.back() = -3.0f;
+  c.set_params(p);
+  EXPECT_EQ(c.layer(c.layer_count() - 1).params().back(), -3.0f);
+
+  // The moved-to model trains through its views.
+  Tensor x({2, 1, 2, 3});
+  for (float& v : x.flat()) v = static_cast<float>(rng.normal(0.0, 1.0));
+  const LossResult loss =
+      softmax_cross_entropy(c.forward(x, true, rng), std::vector<int>{0, 2});
+  c.backward(loss.grad);
+  Adam adam(0.1f);
+  adam.step(c.params(), c.grads());
+  EXPECT_NE(c.get_params(), p);
+}
+
+// add() binds the store again after every layer: a layer initialized on
+// its own brings its values along, and earlier layers keep theirs.
+TEST(FlatStore, AddBindsEveryLayerAndKeepsItsValues) {
+  Rng rng(21);
+  auto first = std::make_unique<Dense>(4, 3);
+  first->init(rng);
+  const std::vector<float> first_params(first->params().begin(),
+                                        first->params().end());
+  Model m;
+  m.add(std::make_unique<Flatten>());
+  m.add(std::move(first));
+  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Dense>(3, 2));
+  expect_views_tile_store(m);
+  ASSERT_EQ(m.param_count(), first_params.size() + 3 * 2 + 2);
+  const std::vector<float> p = m.get_params();
+  EXPECT_TRUE(std::equal(first_params.begin(), first_params.end(),
+                         p.begin()));
+  for (std::size_t i = first_params.size(); i < p.size(); ++i) {
+    EXPECT_EQ(p[i], 0.0f) << "param " << i;  // a fresh layer starts at 0
+  }
+  m.init(rng);
+  EXPECT_NE(m.get_params(), p);
+  expect_views_tile_store(m);
+}
+
 // --- loss -----------------------------------------------------------------------
 
 TEST(Loss, UniformLogitsGiveLogC) {

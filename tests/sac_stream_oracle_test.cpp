@@ -243,6 +243,58 @@ TEST(SacStreamOracle, FaultTolerantMatchesAtLargeSizes) {
   }
 }
 
+// run_fl_experiment hands SAC views of its peers' parameters, so a model
+// may start anywhere in memory. Here every model is a view into one
+// shared buffer, at an odd offset with other data around it; both entry
+// points must give the oracle's result over copies of the models.
+TEST(SacStreamOracle, ViewsAtOffsetsMatchMaterializingForm) {
+  const DefaultWorkersAtExit restore;
+  for (SplitScheme scheme : kSchemes) {
+    for (std::size_t n : {1u, 3u, 5u}) {
+      for (std::size_t dim : {1u, 257u, 4099u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "scheme=" << static_cast<int>(scheme) << " n=" << n
+                     << " dim=" << dim);
+        const auto models = mixed_models(n, dim, 300 * n + dim);
+        Vector buffer;
+        std::vector<std::size_t> starts;
+        for (std::size_t i = 0; i < n; ++i) {
+          buffer.resize(buffer.size() + 2 * i + 1, 7.0f);
+          starts.push_back(buffer.size());
+          buffer.insert(buffer.end(), models[i].begin(), models[i].end());
+        }
+        buffer.resize(buffer.size() + 3, -7.0f);
+        std::vector<ModelView> views;
+        for (std::size_t start : starts) {
+          views.push_back(ModelView(buffer).subspan(start, dim));
+        }
+        std::vector<bool> crashed(n, false);
+        crashed[n - 1] = n > 1;
+        const std::size_t k = n > 1 ? n - 1 : 1;
+
+        Rng ref_rng(n * 31 + dim);
+        const Vector want = reference_sac_average(models, ref_rng, scheme);
+        const FtSacResult want_ft = reference_fault_tolerant_sac_average(
+            models, k, crashed, ref_rng, scheme);
+        const std::uint64_t want_next = ref_rng.next_u64();
+        ASSERT_TRUE(want_ft.ok);
+        for (std::size_t workers = 1; workers <= 4; ++workers) {
+          set_parallel_workers(workers);
+          Rng rng(n * 31 + dim);
+          const Vector got = sac_average(views, rng, scheme);
+          const FtSacResult got_ft =
+              fault_tolerant_sac_average(views, k, crashed, rng, scheme);
+          EXPECT_EQ(bit_mismatches(got, want), 0u) << "workers=" << workers;
+          EXPECT_TRUE(got_ft.ok) << "workers=" << workers;
+          EXPECT_EQ(bit_mismatches(got_ft.average, want_ft.average), 0u)
+              << "workers=" << workers;
+          EXPECT_EQ(rng.next_u64(), want_next) << "workers=" << workers;
+        }
+      }
+    }
+  }
+}
+
 TEST(SacStreamOracle, StreamedBlocksEqualDivide) {
   for (SplitScheme scheme : kSchemes) {
     for (std::size_t n : {1u, 2u, 5u, 31u}) {

@@ -142,8 +142,9 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
   for (std::size_t round = 1; round <= cfg.rounds; ++round) {
     // Local update on every peer, the peers training concurrently as on
     // their own machines. A peer owns its model, optimizer state and Rng
-    // and only reads `global` and the training set; its kernels run
-    // inline on its task's thread. Losses are summed in peer order.
+    // and only reads `global` and the training set; its kernels run on
+    // its task's thread, sharing chunks with workers the last peers leave
+    // idle. Losses are summed in peer order.
     std::vector<double> losses(cfg.peers);
     parallel_for(0, cfg.peers, [&](std::size_t p) {
       peers[p]->set_weights(global);

@@ -14,8 +14,9 @@
 // the integration tests.
 //
 // A round uses every parallel_for worker: the peers train concurrently,
-// one task per peer, and each subgroup's SAC streams over the model on
-// all workers. Every result is bit-identical at any worker count.
+// one task per peer, with idle workers taking kernel chunks of the last
+// peers; each subgroup's SAC, the FedAvg and the evaluation run on all
+// workers. Every result is bit-identical at any worker count.
 //
 // Scale knobs (model kind, rounds, samples) default to CI-friendly
 // values; the bench binaries expose flags to run the paper's full

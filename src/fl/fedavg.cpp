@@ -1,8 +1,20 @@
 #include "fl/fedavg.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace p2pfl::fl {
+
+namespace {
+
+// Elements per block: a block's double sums stay in L1 while every model
+// adds its terms, and a model of one block runs on the caller alone.
+constexpr std::size_t kBlock = 2048;
+
+}  // namespace
 
 std::vector<float> federated_average(
     std::span<const std::vector<float>> models,
@@ -15,16 +27,34 @@ std::vector<float> federated_average(
     P2PFL_CHECK(w > 0.0);
     total_weight += w;
   }
-  std::vector<double> acc(dim, 0.0);
+  std::vector<double> scale(models.size());
   for (std::size_t i = 0; i < models.size(); ++i) {
     P2PFL_CHECK(models[i].size() == dim);
-    const double w = weights[i] / total_weight;
-    for (std::size_t j = 0; j < dim; ++j) {
-      acc[j] += w * static_cast<double>(models[i][j]);
-    }
+    scale[i] = weights[i] / total_weight;
   }
+  // Per element, the terms w_i * m_i[j] in model order into one double
+  // that starts at 0.0, rounded to float once: the two-pass form's
+  // arithmetic without a model-sized accumulator.
   std::vector<float> out(dim);
-  for (std::size_t j = 0; j < dim; ++j) out[j] = static_cast<float>(acc[j]);
+  const std::size_t blocks = (dim + kBlock - 1) / kBlock;
+  parallel_for_chunked(0, blocks, [&](std::size_t lo, std::size_t hi) {
+    std::array<double, kBlock> acc;
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t base = b * kBlock;
+      const std::size_t len = std::min(kBlock, dim - base);
+      std::fill_n(acc.begin(), len, 0.0);
+      for (std::size_t i = 0; i < models.size(); ++i) {
+        const double w = scale[i];
+        const float* m = models[i].data() + base;
+        for (std::size_t j = 0; j < len; ++j) {
+          acc[j] += w * static_cast<double>(m[j]);
+        }
+      }
+      for (std::size_t j = 0; j < len; ++j) {
+        out[base + j] = static_cast<float>(acc[j]);
+      }
+    }
+  });
   return out;
 }
 

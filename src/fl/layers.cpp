@@ -28,7 +28,14 @@ void Layer::bind(std::span<float> params, std::span<float> grads) {
 
 // Dense, ReLU, Conv2d and MaxPool2d write every element of their forward
 // outputs (and ReLU and Conv2d of their input gradients), so those start
-// unwritten; the buffers a kernel adds into start at zero.
+// unwritten; the buffers a kernel adds into start at zero. They keep
+// activations only from a forward with `train` set: an evaluation
+// forward frees them, so a backward after it fails its check.
+
+namespace {
+constexpr const char* kNeedsTrainingForward =
+    "backward needs the activations of a forward with train set";
+}  // namespace
 
 // --- Dense -------------------------------------------------------------------
 
@@ -58,9 +65,9 @@ void Dense::free_activations() { cached_input_ = Tensor(); }
 // tests/fl_kernel_test.cpp. Their bodies run through widest()
 // (kernel_isa.hpp).
 
-Tensor Dense::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
+Tensor Dense::forward(const Tensor& x, bool train, Rng& /*rng*/) {
   P2PFL_CHECK(x.rank() == 2 && x.dim(1) == in_);
-  cached_input_ = x;
+  cached_input_ = train ? x : Tensor();
   const std::size_t batch = x.dim(0);
   Tensor y = Tensor::uninitialized({batch, out_});
   const float* w = params().data();
@@ -116,6 +123,7 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
 
 Tensor Dense::backward(const Tensor& grad_out, bool input_grad) {
   const Tensor& x = cached_input_;
+  P2PFL_CHECK_MSG(x.rank() == 2, kNeedsTrainingForward);
   P2PFL_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_);
   P2PFL_CHECK(grad_out.dim(0) == x.dim(0));
   const std::size_t batch = x.dim(0);
@@ -163,8 +171,8 @@ Tensor Dense::backward(const Tensor& grad_out, bool input_grad) {
 // ReLU and MaxPool2d run in parallel over images, as the conv kernels do;
 // each output element is computed as in a serial loop.
 
-Tensor ReLU::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
-  cached_input_ = x;
+Tensor ReLU::forward(const Tensor& x, bool train, Rng& /*rng*/) {
+  cached_input_ = train ? x : Tensor();
   Tensor y = Tensor::uninitialized(x.shape());
   const std::size_t per = x.empty() ? 0 : x.size() / x.dim(0);
   const float* xd = x.data();
@@ -178,6 +186,7 @@ Tensor ReLU::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out, bool /*input_grad*/) {
+  P2PFL_CHECK_MSG(cached_input_.rank() > 0, kNeedsTrainingForward);
   P2PFL_CHECK(grad_out.size() == cached_input_.size());
   Tensor gx = Tensor::uninitialized(grad_out.shape());
   const std::size_t per = gx.empty() ? 0 : gx.size() / gx.dim(0);
@@ -271,9 +280,9 @@ void Conv2d::free_activations() { cached_input_ = Tensor(); }
 // direct loop skips a tap outside the image, the kernels may add a zero
 // product instead, which changes at most the sign of an exact zero.
 
-Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
+Tensor Conv2d::forward(const Tensor& x, bool train, Rng& /*rng*/) {
   P2PFL_CHECK(x.rank() == 4 && x.dim(1) == in_c_);
-  cached_input_ = x;
+  cached_input_ = train ? x : Tensor();
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   const std::size_t pad = k_ / 2, ph = h + 2 * pad, pw = w + 2 * pad;
   const std::size_t plane = ph * pw;
@@ -353,6 +362,7 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
 
 Tensor Conv2d::backward(const Tensor& grad_out, bool input_grad) {
   const Tensor& x = cached_input_;
+  P2PFL_CHECK_MSG(x.rank() == 4, kNeedsTrainingForward);
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   P2PFL_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == filters_);
   const std::size_t pad = k_ / 2, pw = w + 2 * pad;
@@ -474,21 +484,25 @@ Tensor Conv2d::backward(const Tensor& grad_out, bool input_grad) {
 
 // --- MaxPool2d ---------------------------------------------------------------
 
-Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
+Tensor MaxPool2d::forward(const Tensor& x, bool train, Rng& /*rng*/) {
   P2PFL_CHECK(x.rank() == 4);
   const std::size_t batch = x.dim(0), c = x.dim(1), h = x.dim(2),
                     w = x.dim(3);
   P2PFL_CHECK_MSG(h % 2 == 0 && w % 2 == 0,
                   "MaxPool2d expects even spatial dims");
-  in_shape_ = x.shape();
   const std::size_t oh = h / 2, ow = w / 2;
   Tensor y = Tensor::uninitialized({batch, c, oh, ow});
-  argmax_.resize(y.size());  // every element is written below
+  if (train) {
+    in_shape_ = x.shape();
+    argmax_.resize(y.size());  // every element is written below
+  } else {
+    free_activations();
+  }
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t p = lo * c; p < hi * c; ++p) {
       const float* xc = x.data() + p * h * w;
       float* yc = y.data() + p * oh * ow;
-      std::size_t* am = argmax_.data() + p * oh * ow;
+      std::size_t* am = train ? argmax_.data() + p * oh * ow : nullptr;
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox) {
           float best = -std::numeric_limits<float>::infinity();
@@ -503,7 +517,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
             }
           }
           yc[oy * ow + ox] = best;
-          am[oy * ow + ox] = best_idx;
+          if (am != nullptr) am[oy * ow + ox] = best_idx;
         }
       }
     }
@@ -512,6 +526,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out, bool /*input_grad*/) {
+  P2PFL_CHECK_MSG(!in_shape_.empty(), kNeedsTrainingForward);
   P2PFL_CHECK(grad_out.size() == argmax_.size());
   Tensor gx(in_shape_);
   const std::size_t c = in_shape_[1], h = in_shape_[2], w = in_shape_[3];
@@ -533,6 +548,7 @@ std::size_t MaxPool2d::activation_bytes() const {
 
 void MaxPool2d::free_activations() {
   std::vector<std::size_t>().swap(argmax_);
+  in_shape_.clear();
 }
 
 // --- Flatten -----------------------------------------------------------------

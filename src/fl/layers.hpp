@@ -1,8 +1,8 @@
 // Neural-network layers for the Fig. 5 CNN and the MLP substitute.
 //
-// Each layer implements forward (caching what backward needs, its
-// activations) and backward (returning the input gradient and
-// accumulating parameter gradients). Its parameters and their gradients
+// Each layer implements forward (in training mode, caching what backward
+// needs, its activations; an evaluation forward keeps none) and backward
+// (returning the input gradient and accumulating parameter gradients). Its parameters and their gradients
 // are views: into its model's flat store (model.hpp) once the model binds
 // it, into a buffer of its own until then. Layers are stateful per model
 // instance — one model per peer, as in the paper.
@@ -26,7 +26,9 @@ class Layer {
 
   virtual std::string name() const = 0;
 
-  /// `train` enables stochastic behaviour (dropout).
+  /// `train` enables stochastic behaviour (dropout) and keeps the
+  /// activations backward needs; with `train` false a layer keeps none,
+  /// and a backward that needs them fails its check.
   virtual Tensor forward(const Tensor& x, bool train, Rng& rng) = 0;
 
   /// Accumulates parameter grads and returns the gradient w.r.t. this

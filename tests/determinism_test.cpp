@@ -206,18 +206,20 @@ TEST(Determinism, FlExperimentBitExactAcrossRuns) {
 }
 
 // The math path's numbers, pinned: FNV-1a-64 of the final weights' bytes
-// and every round's training loss and evaluated test loss, exactly. A
-// change that claims bit-exactness must leave them all as they are; the
-// tests above only compare runs of one build with each other. The values
-// were recorded before Model kept its parameters in one flat store.
+// and every round's training loss and evaluated test loss, exactly, at 1,
+// 3 and 4 workers (3 splits every range unevenly, and a worker left idle
+// takes chunks of the kernels of the peers still training). A change that
+// claims bit-exactness must leave them all as they are; the tests above
+// only compare runs of one build with each other. The values were
+// recorded before Model kept its parameters in one flat store.
 struct FlGolden {
   std::uint64_t weights_hash;
   std::vector<double> train_loss;  // per round
   std::vector<double> test_loss;   // per evaluated round
 };
 
-void expect_fl_golden(const core::FlExperimentConfig& cfg,
-                      const FlGolden& want) {
+void expect_fl_golden_at(const core::FlExperimentConfig& cfg,
+                         const FlGolden& want) {
   const core::FlExperimentResult r = core::run_fl_experiment(cfg);
   FlGolden got;
   got.weights_hash = fnv1a64(
@@ -236,6 +238,16 @@ void expect_fl_golden(const core::FlExperimentConfig& cfg,
   EXPECT_EQ(got.weights_hash, want.weights_hash) << print.str();
   EXPECT_EQ(got.train_loss, want.train_loss) << print.str();
   EXPECT_EQ(got.test_loss, want.test_loss) << print.str();
+}
+
+void expect_fl_golden(const core::FlExperimentConfig& cfg,
+                      const FlGolden& want) {
+  for (std::size_t workers : {1u, 3u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    set_parallel_workers(workers);
+    expect_fl_golden_at(cfg, want);
+  }
+  set_parallel_workers(0);  // restore the hardware default
 }
 
 // The Fig. 5 CNN on 8x8 images (142k parameters): four peers in two

@@ -1,6 +1,7 @@
 // The fl kernels in the fast suite, so the sanitizer jobs cover them, and
 // the model's flat store: the in-place Adam step against the copying
-// sequence it replaced, and when a model frees its activations.
+// sequence it replaced, and when a model frees its activations; and the
+// streamed FedAvg against the two-pass form it replaced.
 // The Conv2d and Dense kernels run against the direct loops they
 // replaced: they promise each output element the direct loop's arithmetic
 // (the same float products, summed in the same order into the same
@@ -23,6 +24,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fl/data.hpp"
+#include "fl/fedavg.hpp"
 #include "fl/kernel_isa.hpp"
 #include "fl/layers.hpp"
 #include "fl/loss.hpp"
@@ -641,6 +643,104 @@ TEST(EvaluateModel, RejectsZeroBatchSize) {
   const EvalResult ok = evaluate_model(model, test, rng, 0, 1);
   EXPECT_GE(ok.accuracy, 0.0);
   EXPECT_LE(ok.accuracy, 1.0);
+}
+
+// --- streamed FedAvg against the two-pass form ---------------------------------
+// fl::federated_average as it was before it streamed, kept verbatim: a
+// model-sized double accumulator filled model by model, then rounded to
+// float in a second pass.
+std::vector<float> two_pass_federated_average(
+    std::span<const std::vector<float>> models,
+    std::span<const double> weights) {
+  P2PFL_CHECK(!models.empty());
+  P2PFL_CHECK(models.size() == weights.size());
+  const std::size_t dim = models.front().size();
+  double total_weight = 0.0;
+  for (double w : weights) {
+    P2PFL_CHECK(w > 0.0);
+    total_weight += w;
+  }
+  std::vector<double> acc(dim, 0.0);
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    P2PFL_CHECK(models[i].size() == dim);
+    const double w = weights[i] / total_weight;
+    for (std::size_t j = 0; j < dim; ++j) {
+      acc[j] += w * static_cast<double>(models[i][j]);
+    }
+  }
+  std::vector<float> out(dim);
+  for (std::size_t j = 0; j < dim; ++j) out[j] = static_cast<float>(acc[j]);
+  return out;
+}
+
+// Elements over twelve decades with +0.0 and -0.0 mixed in; element 0 is
+// -0.0 in every model (its sum must be +0.0, as 0.0 + -0.0 is), and, from
+// three models on, at a tenth of the elements models 0 and 1 hold +2^31
+// and -2^31. The test gives those two equal weights, so their terms cancel
+// exactly when added first and swallow the small terms when added last:
+// the model order of a sum shows.
+std::vector<std::vector<float>> fedavg_models(std::size_t n, std::size_t dim,
+                                              Rng& rng) {
+  std::vector<std::vector<float>> models(n, std::vector<float>(dim));
+  for (std::size_t j = 0; j < dim; ++j) {
+    const bool cancel = n >= 3 && rng.chance(0.1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = rng.uniform(0.0, 1.0);
+      float& x = models[i][j];
+      if (j == 0) {
+        x = -0.0f;
+      } else if (cancel && i < 2) {
+        x = i == 0 ? 0x1.0p31f : -0x1.0p31f;
+      } else if (u < 0.05) {
+        x = 0.0f;
+      } else if (u < 0.10) {
+        x = -0.0f;
+      } else {
+        x = static_cast<float>(rng.normal(0.0, 1.0) *
+                               std::pow(10.0, rng.uniform(-6.0, 6.0)));
+      }
+    }
+  }
+  return models;
+}
+
+// 1 to 7 models with uneven weights, at dimensions on both sides of the
+// stream's block edges, with few blocks (a top-level call hands out at
+// most 4 x workers blocks one at a time) and many (one contiguous chunk
+// per worker), at 1, 3 and 4 workers, compared bit for bit (same_bits
+// above), so +0.0 against -0.0 counts.
+TEST(FedAvgOracle, StreamedMatchesTwoPassBitForBit) {
+  Rng rng(401);
+  for (std::size_t n = 1; n <= 7; ++n) {
+    for (std::size_t dim :
+         {1u, 5u, 2047u, 2048u, 2049u, 6161u, 30000u, 70001u}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", dim " + std::to_string(dim));
+      const auto models = fedavg_models(n, dim, rng);
+      std::vector<double> weights(n);
+      for (double& w : weights) w = std::pow(10.0, rng.uniform(-2.0, 3.0));
+      if (n >= 3) weights[1] = weights[0];  // see fedavg_models
+      const std::vector<float> want =
+          two_pass_federated_average(models, weights);
+      for (std::size_t workers : {1u, 3u, 4u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        set_parallel_workers(workers);
+        EXPECT_TRUE(same_bits(federated_average(models, weights), want));
+      }
+    }
+  }
+  set_parallel_workers(0);  // restore the hardware default
+}
+
+// The checks stay: a size mismatch and a non-positive weight are errors.
+TEST(FedAvgOracle, RejectsMismatchedModelsAndWeights) {
+  const std::vector<std::vector<float>> models = {{1.0f, 2.0f}, {3.0f}};
+  EXPECT_THROW(federated_average(models, std::vector<double>{1.0, 1.0}),
+               std::logic_error);
+  const std::vector<std::vector<float>> even = {{1.0f}, {3.0f}};
+  EXPECT_THROW(federated_average(even, std::vector<double>{1.0, 0.0}),
+               std::logic_error);
+  EXPECT_THROW(federated_average(even, std::vector<double>{1.0}),
+               std::logic_error);
 }
 
 }  // namespace

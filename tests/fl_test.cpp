@@ -46,7 +46,9 @@ void check_param_gradients(Model& model, const Tensor& x,
                            const std::vector<int>& labels, float tol) {
   Rng rng(0);
   model.zero_grads();
-  const Tensor logits = model.forward(x, /*train=*/false, rng);
+  // A training forward, which keeps what backward reads; the models here
+  // have no Dropout, so its logits are the evaluation forward's.
+  const Tensor logits = model.forward(x, /*train=*/true, rng);
   const LossResult base = softmax_cross_entropy(logits, labels);
   model.backward(base.grad);
   const auto analytic = model.get_grads();
@@ -99,7 +101,7 @@ TEST(Layers, ReLUZeroesNegativesAndGradients) {
   Rng rng(0);
   ReLU relu;
   Tensor x({1, 4}, {-1.0f, 2.0f, -3.0f, 4.0f});
-  const Tensor y = relu.forward(x, false, rng);
+  const Tensor y = relu.forward(x, /*train=*/true, rng);
   EXPECT_EQ(y[0], 0.0f);
   EXPECT_EQ(y[1], 2.0f);
   const Tensor g = relu.backward(Tensor({1, 4}, {1, 1, 1, 1}));
@@ -113,12 +115,37 @@ TEST(Layers, MaxPoolPicksMaxAndRoutesGradient) {
   Rng rng(0);
   MaxPool2d pool;
   Tensor x({1, 1, 2, 2}, {1.0f, 5.0f, 3.0f, 2.0f});
-  const Tensor y = pool.forward(x, false, rng);
+  const Tensor y = pool.forward(x, /*train=*/true, rng);
   ASSERT_EQ(y.size(), 1u);
   EXPECT_EQ(y[0], 5.0f);
   const Tensor g = pool.backward(Tensor({1, 1, 1, 1}, {2.0f}));
   EXPECT_EQ(g.flat()[1], 2.0f);  // routed to the argmax position
   EXPECT_EQ(g.flat()[0], 0.0f);
+}
+
+// An evaluation forward keeps no activations, also after a training one:
+// a backward after it is a checked error, not a gradient of stale inputs.
+TEST(Layers, BackwardAfterEvaluationForwardIsAnError) {
+  Rng rng(7);
+  Dense dense(3, 2);
+  Conv2d conv(1, 2);
+  ReLU relu;
+  MaxPool2d pool;
+  dense.init(rng);
+  conv.init(rng);
+  const Tensor x2({2, 3}, {1, -2, 3, -4, 5, -6});
+  Tensor x4({1, 1, 2, 2}, {1.0f, -5.0f, 3.0f, 2.0f});
+  const auto check = [&](Layer& layer, const Tensor& x) {
+    const Tensor y = layer.forward(x, /*train=*/true, rng);
+    EXPECT_NO_THROW(layer.backward(y)) << layer.name();
+    layer.forward(x, /*train=*/false, rng);
+    EXPECT_EQ(layer.activation_bytes(), 0u) << layer.name();
+    EXPECT_THROW(layer.backward(y), std::logic_error) << layer.name();
+  };
+  check(dense, x2);
+  check(conv, x4);
+  check(relu, x4);
+  check(pool, x4);
 }
 
 TEST(Layers, DropoutInferenceIsIdentity) {

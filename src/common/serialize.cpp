@@ -1,6 +1,7 @@
 #include "common/serialize.hpp"
 
 #include <bit>
+#include <iterator>
 
 namespace p2pfl {
 
@@ -14,6 +15,36 @@ constexpr std::uint32_t host_le(std::uint32_t v) {
   }
   return v;
 }
+
+// The floats of a little-endian byte run, read one 4-byte word at a time
+// (the bytes need not be aligned for float). A vector built from two of
+// these writes each element once, never value-initialized first.
+class LeFloatIterator {
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = float;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = float;
+
+  explicit LeFloatIterator(const std::uint8_t* at) : at_(at) {}
+  float operator*() const {
+    std::uint32_t bits;
+    std::memcpy(&bits, at_, sizeof(bits));
+    return std::bit_cast<float>(host_le(bits));
+  }
+  LeFloatIterator& operator++() {
+    at_ += 4;
+    return *this;
+  }
+  difference_type operator-(const LeFloatIterator& o) const {
+    return (at_ - o.at_) / 4;
+  }
+  bool operator==(const LeFloatIterator& o) const { return at_ == o.at_; }
+
+ private:
+  const std::uint8_t* at_;
+};
 
 }  // namespace
 
@@ -119,17 +150,10 @@ std::vector<float> ByteReader::vec_f32() {
   const std::uint32_t n = u32();
   // One bounds check for the whole vector, before anything is allocated.
   if (!need(static_cast<std::size_t>(n) * 4)) return {};
-  std::vector<float> v(n);
   const std::uint8_t* in = buf_.data() + pos_;
-  float* out = v.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t bits;
-    std::memcpy(&bits, in + 4 * i, sizeof(bits));
-    bits = host_le(bits);
-    std::memcpy(out + i, &bits, sizeof(bits));
-  }
   pos_ += static_cast<std::size_t>(n) * 4;
-  return v;
+  return std::vector<float>(LeFloatIterator(in),
+                            LeFloatIterator(in + std::size_t{4} * n));
 }
 
 }  // namespace p2pfl

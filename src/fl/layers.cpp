@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/parallel.hpp"
-#include "fl/kernel_isa.hpp"
+#include "common/kernel_isa.hpp"
 
 namespace p2pfl::fl {
 
@@ -35,6 +35,9 @@ void Layer::bind(std::span<float> params, std::span<float> grads) {
 namespace {
 constexpr const char* kNeedsTrainingForward =
     "backward needs the activations of a forward with train set";
+// Weights below which Dense's parameter gradients run on the calling
+// thread: waking pool workers would cost more than a small layer's pass.
+constexpr std::size_t kParallelGradFloor = std::size_t{1} << 15;
 }  // namespace
 
 // --- Dense -------------------------------------------------------------------
@@ -132,20 +135,28 @@ Tensor Dense::backward(const Tensor& grad_out, bool input_grad) {
   float* gw = grads().data();
   float* gb = gw + out_ * in_;
 
-  // Parameter gradients, serial: each element adds its samples' terms in
-  // sample order. One output at a time, so its weight-gradient row stays
-  // in cache while the samples pass over it.
-  widest([&]() __attribute__((always_inline)) {
-    for (std::size_t o = 0; o < out_; ++o) {
-      float* gwrow = gw + o * in_;
-      for (std::size_t s = 0; s < batch; ++s) {
-        const float* xin = x.data() + s * in_;
-        const float g = gy[s * out_ + o];
-        for (std::size_t i = 0; i < in_; ++i) gwrow[i] += g * xin[i];
-        gb[o] += g;
+  // Parameter gradients: each element adds its samples' terms in sample
+  // order. One output at a time, so its weight-gradient row stays in cache
+  // while the samples pass over it; the outputs' rows run in parallel, each
+  // on one thread, unless the layer is too small to share.
+  const auto param_grads = [&](std::size_t lo, std::size_t hi) {
+    widest([&]() __attribute__((always_inline)) {
+      for (std::size_t o = lo; o < hi; ++o) {
+        float* gwrow = gw + o * in_;
+        for (std::size_t s = 0; s < batch; ++s) {
+          const float* xin = x.data() + s * in_;
+          const float g = gy[s * out_ + o];
+          for (std::size_t i = 0; i < in_; ++i) gwrow[i] += g * xin[i];
+          gb[o] += g;
+        }
       }
-    }
-  });
+    });
+  };
+  if (out_ * in_ < kParallelGradFloor) {
+    param_grads(0, out_);
+  } else {
+    parallel_for_chunked(0, out_, param_grads);
+  }
   if (!input_grad) return {};
 
   Tensor gx({batch, in_});

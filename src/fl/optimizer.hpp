@@ -19,7 +19,9 @@ class Adam {
 
   /// In-place update of `params` from `grads` (equal sizes). The loop
   /// vectorizes: p2pfl_fl builds with -fno-math-errno, so std::sqrt is the
-  /// correctly rounded instruction at every vector width.
+  /// correctly rounded instruction at every vector width. A large model's
+  /// step runs in chunks over parallel_for_chunked, each element's update
+  /// on one thread, so the result does not depend on the worker count.
   void step(std::span<float> params, std::span<const float> grads);
 
  private:

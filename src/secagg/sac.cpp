@@ -1,7 +1,6 @@
 #include "secagg/sac.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -20,15 +19,20 @@ std::vector<std::size_t> subtotal_holders(std::size_t s, std::size_t n,
 
 namespace {
 
+// Blocks per run of the stream: enough for the split's 8 lanes to run 8
+// blocks each, few enough that a worker's shares and subtotals of a run
+// stay in its L2.
+constexpr std::size_t kRunBlocks = 64;
+
 // Alg. 2's average in one streamed pass over the model (DESIGN.md,
-// "Math-path round"). Per block, each peer's shares, in peer order, are
-// added into n double subtotals that start at 0.0; per element the
-// subtotals, each rounded to float, are summed in share order and the sum
-// divided by n. That is the arithmetic of materializing every share and
-// subtotal, element for element, with O(n·kSplitBlock) scratch per
-// worker. `seeded` holds peer i's splitter, positioned at block 0; a
-// worker copies them and skips to its first block, so the result does not
-// depend on the worker count.
+// "Math-path round"). Per run of blocks, each peer's shares, in peer
+// order, are added into n double subtotals that start at 0.0; per element
+// the subtotals, each rounded to float, are summed in share order and the
+// sum divided by n. That is the arithmetic of materializing every share
+// and subtotal, element for element, with O(n·kRunBlocks·kSplitBlock)
+// scratch per worker. `seeded` holds peer i's splitter, positioned at
+// block 0; a worker copies them and skips to its first block, so the
+// result does not depend on the worker count.
 Vector streamed_average(std::span<const ModelView> models,
                         const std::vector<ShareSplitter>& seeded) {
   const std::size_t n = models.size();
@@ -38,23 +42,24 @@ Vector streamed_average(std::span<const ModelView> models,
   parallel_for_chunked(0, blocks, [&](std::size_t lo, std::size_t hi) {
     std::vector<ShareSplitter> splitters = seeded;
     for (ShareSplitter& s : splitters) s.skip(lo);
-    std::vector<float> shares(n * kSplitBlock);
+    const std::size_t cap =
+        std::min(hi - lo, kRunBlocks) * kSplitBlock;  // elements per run
+    std::vector<float> shares(n * cap);
     std::vector<float*> rows(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      rows[s] = shares.data() + s * kSplitBlock;
-    }
-    std::vector<double> subtotal(n * kSplitBlock);
+    for (std::size_t s = 0; s < n; ++s) rows[s] = shares.data() + s * cap;
+    std::vector<double> subtotal(n * cap);
+    std::vector<double> total(cap);
     std::vector<double> work;
-    std::array<double, kSplitBlock> total{};
-    for (std::size_t b = lo; b < hi; ++b) {
+    for (std::size_t b = lo; b < hi; b += kRunBlocks) {
       const std::size_t base = b * kSplitBlock;
-      const std::size_t len = std::min(kSplitBlock, dim - base);
+      const std::size_t len =
+          std::min(std::min(hi - b, kRunBlocks) * kSplitBlock, dim - base);
       std::fill(subtotal.begin(), subtotal.end(), 0.0);
       for (std::size_t i = 0; i < n; ++i) {
-        splitters[i].split(models[i].subspan(base, len), rows, work);
+        splitters[i].split_run(models[i].subspan(base, len), rows, work);
         for (std::size_t s = 0; s < n; ++s) {
           const float* share = rows[s];
-          double* sub = subtotal.data() + s * kSplitBlock;
+          double* sub = subtotal.data() + s * cap;
           for (std::size_t e = 0; e < len; ++e) {
             sub[e] += static_cast<double>(share[e]);
           }
@@ -62,7 +67,7 @@ Vector streamed_average(std::span<const ModelView> models,
       }
       std::fill_n(total.begin(), len, 0.0);
       for (std::size_t s = 0; s < n; ++s) {
-        const double* sub = subtotal.data() + s * kSplitBlock;
+        const double* sub = subtotal.data() + s * cap;
         for (std::size_t e = 0; e < len; ++e) {
           total[e] += static_cast<double>(static_cast<float>(sub[e]));
         }

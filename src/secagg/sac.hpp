@@ -5,10 +5,10 @@
 // sharing) without messages; the federated-training experiments (Figs.
 // 6-9) call these per round, on views of the peers' own parameters. Both
 // stream over the model: each peer's ShareSplitter (shares.hpp) yields
-// its shares one kSplitBlock-element block at a time, and each block's n
-// subtotals and their sum are formed there and dropped, so no share or
-// subtotal is ever stored whole. The blocks run in parallel on the
-// parallel_for workers. The average equals, bit for bit and at any
+// its shares a run of 64 kSplitBlock-element blocks at a time, and each
+// run's n subtotals and their sum are formed there and dropped, so no
+// share or subtotal is ever stored whole. The blocks run in parallel on
+// the parallel_for workers. The average equals, bit for bit and at any
 // worker count, what splitting each model with divide() and summing the
 // share vectors, then the subtotals, gives.
 //

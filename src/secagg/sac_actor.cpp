@@ -210,8 +210,8 @@ SacShareMsg SacPeer::blank_bundle(std::size_t dest_pos) const {
   msg.from_pos = static_cast<std::uint32_t>(st.my_pos);
   msg.parts.reserve(st.n - st.k + 1);
   all_replica_share_indices(dest_pos, st.n, st.k, [&](std::size_t s) {
-    msg.parts.emplace_back(static_cast<std::uint32_t>(s), Vector())
-        .second.reserve(st.model.size());
+    msg.parts.emplace_back(static_cast<std::uint32_t>(s),
+                           Vector(st.model.size()));
     return true;
   });
   return msg;
@@ -222,28 +222,32 @@ void SacPeer::split_into(std::span<SacShareMsg> bundles,
   const RoundState& st = *round_;
   const std::size_t n = st.n;
   const std::size_t dim = st.model.size();
-  // Each block's n shares land in an L1-sized scratch and are appended
-  // to every part that holds them: a part's bytes are written once,
-  // never zero-filled first.
-  const std::size_t stride = std::min(dim, kSplitBlock);
-  std::vector<float> scratch(n * stride);
-  std::vector<float*> out(n);
-  for (std::size_t s = 0; s < n; ++s) out[s] = scratch.data() + s * stride;
-  std::vector<double> work;
-  ShareSplitter splitter = *st.splitter;
-  for (std::size_t base = 0; base < dim; base += kSplitBlock) {
-    const std::size_t len = std::min(kSplitBlock, dim - base);
-    splitter.split(std::span<const float>(st.model).subspan(base, len), out,
-                   work);
-    for (SacShareMsg& b : bundles) {
-      for (auto& [s, data] : b.parts) {
-        data.insert(data.end(), out[s], out[s] + len);
+  // Share s is split into the first part that holds it and copied into
+  // the others; a share no part holds goes to a scratch row.
+  std::vector<float*> rows(n, nullptr);
+  std::vector<std::pair<float*, std::size_t>> copies;  // (part, share)
+  for (SacShareMsg& b : bundles) {
+    for (auto& [s, data] : b.parts) {
+      if (rows[s] == nullptr) {
+        rows[s] = data.data();
+      } else {
+        copies.emplace_back(data.data(), s);
       }
     }
-    if (digests != nullptr) {
-      for (std::size_t s = 0; s < n; ++s) {
-        (*digests)[s] = wire::share_digest({out[s], len}, (*digests)[s]);
-      }
+  }
+  const std::size_t unheld =
+      static_cast<std::size_t>(std::count(rows.begin(), rows.end(), nullptr));
+  Vector scratch(unheld * dim);
+  for (std::size_t s = 0, next = 0; s < n; ++s) {
+    if (rows[s] == nullptr) rows[s] = scratch.data() + dim * next++;
+  }
+  std::vector<double> work;
+  ShareSplitter splitter = *st.splitter;
+  splitter.split_run(st.model, rows, work);
+  for (const auto& [part, s] : copies) std::copy_n(rows[s], dim, part);
+  if (digests != nullptr) {
+    for (std::size_t s = 0; s < n; ++s) {
+      (*digests)[s] = wire::share_digest({rows[s], dim}, (*digests)[s]);
     }
   }
 }

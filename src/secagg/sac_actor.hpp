@@ -15,12 +15,12 @@
 //    subtotal the leader does not hold send it to the leader only;
 //    cost {n(n−1)(n−k+1) + (k−1)}|w|, reducing to (n²−1)|w| at k = n.
 //
-// Share data plane: a peer splits its model block by block straight into
-// the bundles it sends and the shares it holds itself, each share byte
-// written once. It keeps no shares afterwards, only its model and the
-// ShareSplitter seeded by the round's one draw from its Rng; a resend
-// regenerates the asked-for bundle from a copy of that splitter, bit for
-// bit the first send.
+// Share data plane: a peer splits its model with one split_run() straight
+// into the bundles it sends and the shares it holds itself, each share
+// byte written once into each part that holds it. It keeps no shares
+// afterwards, only its model and the ShareSplitter seeded by the round's
+// one draw from its Rng; a resend regenerates the asked-for bundle from a
+// copy of that splitter, bit for bit the first send.
 //
 // Retry hardening (for lossy/duplicating networks, see src/chaos): while
 // a peer's held subtotals are incomplete, it requests retransmission
@@ -289,15 +289,14 @@ class SacPeer {
   void handle_request(const SacSubtotalReq& msg);
   void handle_share_request(const SacShareReq& msg);
   void handle_commit_echo(const SacCommitEchoMsg& msg);
-  /// The bundle for `dest_pos`: one empty part, with room for the
-  /// model, per share index that position holds; split_into fills them.
+  /// The bundle for `dest_pos`: one model-sized part per share index
+  /// that position holds; split_into fills them.
   SacShareMsg blank_bundle(std::size_t dest_pos) const;
   /// Fill every part of `bundles` with its share of this round's model,
-  /// in one pass of a copy of the round's splitter: each block's shares
-  /// are split into an L1-sized scratch and appended to every part that
-  /// holds them. A share no part wants is computed and dropped. With
-  /// `digests`, each share's FNV-1a digest (wire::share_digest) is taken
-  /// across its blocks into it.
+  /// in one split_run() of a copy of the round's splitter: each share is
+  /// split into one part that holds it and copied into the others. A
+  /// share no part wants is computed and dropped. With `digests`, each
+  /// share's FNV-1a digest (wire::share_digest) is taken into it.
   void split_into(std::span<SacShareMsg> bundles,
                   std::vector<std::uint64_t>* digests) const;
   /// Apply any active Byzantine behaviour to the bundle about to go to

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
+#include <mutex>
+#include <utility>
 
 #include "common/check.hpp"
+#include "common/kernel_isa.hpp"
 
 namespace p2pfl::secagg {
 
@@ -119,14 +123,19 @@ Poly times(const Poly& a, const Poly& b, const Poly& p) {
   return r;
 }
 
-// Advances s by `steps` calls of next().
-void jump(State& s, std::uint64_t steps) {
+// x^steps mod p: T^steps as a polynomial in T, by square-and-multiply.
+Poly power(std::uint64_t steps) {
   static const Poly p = transition_polynomial();
-  Poly q{1, 0, 0, 0};  // x^steps mod p, by square-and-multiply
+  Poly q{1, 0, 0, 0};
   for (int bit = std::bit_width(steps) - 1; bit >= 0; --bit) {
     q = times(q, q, p);
     if (((steps >> bit) & 1) != 0) q = times_x(q, p);
   }
+  return q;
+}
+
+// Advances s by the steps q stands for: s becomes q(T)·s.
+void advance(const Poly& q, State& s) {
   State out{};
   for (std::size_t j = 0; j < kDegree; ++j) {
     if (coefficient(q, j)) {
@@ -135,6 +144,63 @@ void jump(State& s, std::uint64_t steps) {
     next(s);
   }
   s = out;
+}
+
+// --- the lanes of split_run() ------------------------------------------------
+//
+// A run of 8·Q full blocks splits as 8 lanes: lane j covers blocks j·Q to
+// j·Q + Q − 1, from the splitter's state advanced j·Q blocks, and at step
+// q every lane splits its q-th block. Each lane draws its block's numbers
+// in split()'s order, so the 8 lanes are at the same draw of their blocks
+// at every point, and one 8-wide operation makes, for each of 8 elements,
+// the draw, fraction, total, division, product or rounding split() makes
+// for it. The run is built at x86-64-v4 only (kernel_isa.hpp): below it,
+// 8-wide loops split slower than split().
+//
+// The lanes' blocks lie Q blocks apart, so each step first stages the 8
+// blocks' inputs, element-major, in an L1-resident array, and a share's 8
+// blocks leave through 8×8 transposes in registers, each lane's row
+// written 32 contiguous bytes at a time. No vector value crosses a
+// function boundary: a function not built for x86-64-v4 would pass it by
+// a different ABI.
+constexpr std::size_t kLanes = 8;
+
+typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
+typedef double F64x8 __attribute__((vector_size(64)));
+typedef float F32x8 __attribute__((vector_size(32)));
+
+// The lanes' states, word-major: word w of lane j at [w · kLanes + j].
+using LaneStates = std::array<std::uint64_t, 4 * kLanes>;
+
+// x^draws mod p for the lane distances in use. A run pays for the
+// polynomial once per distance, which depends only on the run's length
+// and the splitter's n and scheme: a SacPeer meets one per model size and
+// group size, the streamed SAC one per n. The oldest entry makes way
+// beyond kCachedDistances.
+constexpr std::size_t kCachedDistances = 8;
+
+Poly lane_polynomial(std::uint64_t draws) {
+  static std::mutex mu;
+  static std::vector<std::pair<std::uint64_t, Poly>> cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  for (const auto& [d, poly] : cache) {
+    if (d == draws) return poly;
+  }
+  if (cache.size() == kCachedDistances) cache.erase(cache.begin());
+  return cache.emplace_back(draws, power(draws)).second;
+}
+
+// Lane j at s advanced j·draws steps. Kept out of line, so the GF(2)
+// arithmetic builds at the baseline level rather than inside the
+// x86-64-v4 run.
+[[gnu::noinline]] LaneStates lane_states(State s, std::uint64_t draws) {
+  const Poly step = lane_polynomial(draws);
+  LaneStates lanes{};
+  for (std::size_t j = 0; j < kLanes; ++j) {
+    for (std::size_t w = 0; w < s.size(); ++w) lanes[w * kLanes + j] = s[w];
+    if (j + 1 < kLanes) advance(step, s);
+  }
+  return lanes;
 }
 
 }  // namespace
@@ -152,6 +218,12 @@ ShareSplitter::ShareSplitter(std::size_t n, SplitScheme scheme, Rng& rng)
 void ShareSplitter::split(std::span<const float> x,
                           std::span<float* const> shares,
                           std::vector<double>& work) {
+  split_at(x, shares, 0, work);
+}
+
+void ShareSplitter::split_at(std::span<const float> x,
+                             std::span<float* const> shares, std::size_t at,
+                             std::vector<double>& work) {
   const std::size_t len = x.size();
   P2PFL_CHECK(len >= 1 && len <= kSplitBlock && shares.size() == n_);
   // The draws step a local copy, which the compiler keeps in registers.
@@ -176,7 +248,7 @@ void ShareSplitter::split(std::span<const float> x,
       }
       for (std::size_t i = 0; i < n_; ++i) {
         const double* f = work.data() + i * kSplitBlock;
-        float* out = shares[i];
+        float* out = shares[i] + at;
         for (std::size_t e = 0; e < len; ++e) {
           out[e] = static_cast<float>(f[e] / total[e] *
                                       static_cast<double>(x[e]));
@@ -187,7 +259,7 @@ void ShareSplitter::split(std::span<const float> x,
     }
     case SplitScheme::kUniformMask: {
       for (std::size_t i = 0; i + 1 < n_; ++i) {
-        float* out = shares[i];
+        float* out = shares[i] + at;
         for (std::size_t e = 0; e < len; ++e) {
           out[e] = static_cast<float>(kMaskRange * (2.0 * unit(state) - 1.0));
         }
@@ -195,12 +267,12 @@ void ShareSplitter::split(std::span<const float> x,
       std::array<double, kSplitBlock> acc;
       std::fill_n(acc.begin(), len, 0.0);
       for (std::size_t i = 0; i + 1 < n_; ++i) {
-        const float* out = shares[i];
+        const float* out = shares[i] + at;
         for (std::size_t e = 0; e < len; ++e) {
           acc[e] += static_cast<double>(out[e]);
         }
       }
-      float* last = shares[n_ - 1];
+      float* last = shares[n_ - 1] + at;
       for (std::size_t e = 0; e < len; ++e) {
         last[e] = static_cast<float>(static_cast<double>(x[e]) - acc[e]);
       }
@@ -211,10 +283,159 @@ void ShareSplitter::split(std::span<const float> x,
   P2PFL_CHECK_MSG(false, "unknown split scheme");
 }
 
+void ShareSplitter::split_run(std::span<const float> x,
+                              std::span<float* const> shares,
+                              std::vector<double>& work) {
+  P2PFL_CHECK(shares.size() == n_);
+  const std::size_t q = x.size() / (kLanes * kSplitBlock);
+  std::size_t at = 0;
+  if (q > 0 && split_lanes(x.first(q * kLanes * kSplitBlock), q, shares)) {
+    at = q * kLanes * kSplitBlock;
+  }
+  for (; at < x.size(); at += kSplitBlock) {
+    split_at(x.subspan(at, std::min(kSplitBlock, x.size() - at)), shares, at,
+             work);
+  }
+}
+
+bool ShareSplitter::split_lanes(std::span<const float> x, std::size_t q,
+                                std::span<float* const> shares) {
+  const std::size_t n = n_;
+  const bool proportional = scheme_ == SplitScheme::kProportional;
+  return on_x86_64_v4([&]() __attribute__((always_inline)) {
+    const LaneStates start = lane_states(state_, q * draws_per_block());
+    U64x8 s0, s1, s2, s3;
+    std::memcpy(&s0, start.data(), sizeof(s0));
+    std::memcpy(&s1, start.data() + kLanes, sizeof(s1));
+    std::memcpy(&s2, start.data() + 2 * kLanes, sizeof(s2));
+    std::memcpy(&s3, start.data() + 3 * kLanes, sizeof(s3));
+    // unit() for every lane: its next xoshiro256+ output's top 53 bits.
+    const auto unit8 = [&](F64x8& u) __attribute__((always_inline)) {
+      const U64x8 result = s0 + s3;
+      const U64x8 t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = (s3 << 45) | (s3 >> 19);
+      u = __builtin_convertvector(result >> 11, F64x8) * 0x1.0p-53;
+    };
+    // out[c] = column c of the 8×8 matrix whose rows are in[0..7].
+    const auto transpose = [](const F32x8* in, F32x8* out)
+        __attribute__((always_inline)) {
+      F32x8 a[kLanes], b[kLanes];
+      for (std::size_t r = 0; r < kLanes; r += 2) {
+        a[r] = __builtin_shufflevector(in[r], in[r + 1], 0, 8, 1, 9, 4, 12,
+                                       5, 13);
+        a[r + 1] = __builtin_shufflevector(in[r], in[r + 1], 2, 10, 3, 11, 6,
+                                           14, 7, 15);
+      }
+      for (std::size_t r = 0; r < kLanes; r += 4) {
+        for (std::size_t h = 0; h < 2; ++h) {
+          b[r + 2 * h] = __builtin_shufflevector(a[r + h], a[r + h + 2], 0,
+                                                 1, 8, 9, 4, 5, 12, 13);
+          b[r + 2 * h + 1] = __builtin_shufflevector(
+              a[r + h], a[r + h + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+        }
+      }
+      for (std::size_t c = 0; c < kLanes / 2; ++c) {
+        out[c] = __builtin_shufflevector(b[c], b[c + 4], 0, 1, 2, 3, 8, 9,
+                                         10, 11);
+        out[c + 4] = __builtin_shufflevector(b[c], b[c + 4], 4, 5, 6, 7, 12,
+                                             13, 14, 15);
+      }
+    };
+    const std::size_t stride = q * kSplitBlock;  // from a lane to the next
+    F64x8 xd[kSplitBlock];   // element e of every lane's block, as double
+    F64x8 sum[kSplitBlock];  // the fractions' total, or the masks' sum
+    for (std::size_t step = 0; step < q; ++step) {
+      const std::size_t at = step * kSplitBlock;  // lane 0's block
+      for (std::size_t e = 0; e < kSplitBlock; e += kLanes) {
+        F32x8 rows[kLanes], cols[kLanes];
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          std::memcpy(&rows[j], x.data() + j * stride + at + e,
+                      sizeof(F32x8));
+        }
+        transpose(rows, cols);
+        for (std::size_t c = 0; c < kLanes; ++c) {
+          xd[e + c] = __builtin_convertvector(cols[c], F64x8);
+        }
+      }
+      // Share i of elements e to e + 7 of every lane, one column per
+      // element, into each lane's row of share i.
+      const auto put = [&](std::size_t i, std::size_t e, const F32x8* cols)
+          __attribute__((always_inline)) {
+        F32x8 rows[kLanes];
+        transpose(cols, rows);
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          std::memcpy(shares[i] + j * stride + at + e, &rows[j],
+                      sizeof(F32x8));
+        }
+      };
+      F64x8 u;
+      if (proportional) {
+        // The totals take one pass of the draws; the shares take the same
+        // draws again, from the state the step began at, so the fractions
+        // need no room beyond the L1-resident stage.
+        const U64x8 r0 = s0, r1 = s1, r2 = s2, r3 = s3;
+        for (std::size_t e = 0; e < kSplitBlock; ++e) sum[e] = F64x8{};
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t e = 0; e < kSplitBlock; ++e) {
+            unit8(u);
+            sum[e] += 0.05 + 0.95 * u;
+          }
+        }
+        s0 = r0;
+        s1 = r1;
+        s2 = r2;
+        s3 = r3;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t e = 0; e < kSplitBlock; e += kLanes) {
+            F32x8 cols[kLanes];
+            for (std::size_t c = 0; c < kLanes; ++c) {
+              unit8(u);
+              const F64x8 f = 0.05 + 0.95 * u;
+              cols[c] =
+                  __builtin_convertvector(f / sum[e + c] * xd[e + c], F32x8);
+            }
+            put(i, e, cols);
+          }
+        }
+      } else {
+        for (std::size_t e = 0; e < kSplitBlock; ++e) sum[e] = F64x8{};
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+          for (std::size_t e = 0; e < kSplitBlock; e += kLanes) {
+            F32x8 cols[kLanes];
+            for (std::size_t c = 0; c < kLanes; ++c) {
+              unit8(u);
+              cols[c] =
+                  __builtin_convertvector(kMaskRange * (2.0 * u - 1.0), F32x8);
+              sum[e + c] += __builtin_convertvector(cols[c], F64x8);
+            }
+            put(i, e, cols);
+          }
+        }
+        for (std::size_t e = 0; e < kSplitBlock; e += kLanes) {
+          F32x8 cols[kLanes];
+          for (std::size_t c = 0; c < kLanes; ++c) {
+            cols[c] = __builtin_convertvector(xd[e + c] - sum[e + c], F32x8);
+          }
+          put(n - 1, e, cols);
+        }
+      }
+    }
+    // Lane 7 ends where the run ends.
+    state_ = {s0[kLanes - 1], s1[kLanes - 1], s2[kLanes - 1], s3[kLanes - 1]};
+  });
+}
+
+std::uint64_t ShareSplitter::draws_per_block() const {
+  return (scheme_ == SplitScheme::kProportional ? n_ : n_ - 1) * kSplitBlock;
+}
+
 void ShareSplitter::skip(std::size_t blocks) {
-  const std::size_t draws_per_block =
-      (scheme_ == SplitScheme::kProportional ? n_ : n_ - 1) * kSplitBlock;
-  jump(state_, blocks * draws_per_block);
+  advance(power(blocks * draws_per_block()), state_);
 }
 
 std::vector<Vector> divide(std::span<const float> secret, std::size_t n,

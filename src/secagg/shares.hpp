@@ -44,12 +44,12 @@ inline constexpr double kMaskRange = 1.0;
 /// elements at a time, each block's randomness drawn in one run.
 inline constexpr std::size_t kSplitBlock = 256;
 
-/// The block kernel of a split, shared by divide() and the streamed SAC
-/// (sac.hpp). A splitter owns the generator private to one split of a
-/// secret into n shares: xoshiro256+, seeded by exactly one
-/// rng.next_u64(). It splits the secret one block at a time, in order,
-/// and writes each block's n shares wherever the caller points, so
-/// splitting a secret block by block yields divide()'s shares bit for
+/// The block kernel of a split, shared by divide(), the streamed SAC
+/// (sac.hpp) and the actor (sac_actor.hpp). A splitter owns the generator
+/// private to one split of a secret into n shares: xoshiro256+, seeded by
+/// exactly one rng.next_u64(). It splits the secret one block at a time,
+/// in order, and writes each block's n shares wherever the caller points,
+/// so splitting a secret block by block yields divide()'s shares bit for
 /// bit. A copy continues the same sequence on its own, which lets each
 /// thread stream its own range of blocks.
 class ShareSplitter {
@@ -63,12 +63,32 @@ class ShareSplitter {
   void split(std::span<const float> x, std::span<float* const> shares,
              std::vector<double>& work);
 
+  /// Splits the next blocks, x.size() elements of full blocks and, if it
+  /// ends the secret, one partial block: share i of x[e] goes to
+  /// shares[i][e]. Writes split()'s shares and leaves the splitter where
+  /// split() over each block in turn would. On an x86-64-v4 CPU the
+  /// first 8·Q full blocks (Q = full blocks / 8) split as 8 lanes, lane j
+  /// over blocks j·Q to j·Q + Q − 1 from this state advanced j·Q blocks;
+  /// the other blocks, a run of fewer than 8 full blocks and every CPU
+  /// below x86-64-v4 take split(). `work` as for split().
+  void split_run(std::span<const float> x, std::span<float* const> shares,
+                 std::vector<double>& work);
+
   /// Advances past `blocks` full blocks without computing their shares:
   /// the n·kSplitBlock (kProportional) or (n−1)·kSplitBlock
   /// (kUniformMask) draws split() makes per block.
   void skip(std::size_t blocks);
 
  private:
+  /// split() with share i of x[e] going to shares[i][at + e].
+  void split_at(std::span<const float> x, std::span<float* const> shares,
+                std::size_t at, std::vector<double>& work);
+  /// The lanes of split_run() over x, 8·q full blocks; false, with
+  /// nothing split, on a CPU below x86-64-v4.
+  bool split_lanes(std::span<const float> x, std::size_t q,
+                   std::span<float* const> shares);
+  std::uint64_t draws_per_block() const;
+
   std::array<std::uint64_t, 4> state_{};  // xoshiro256+
   std::size_t n_;
   SplitScheme scheme_;

@@ -1,7 +1,8 @@
 // The fl kernels in the fast suite, so the sanitizer jobs cover them, and
 // the model's flat store: the in-place Adam step against the copying
-// sequence it replaced, and when a model frees its activations; and the
-// streamed FedAvg against the two-pass form it replaced.
+// sequence it replaced, the chunked step against the serial one, and when
+// a model frees its activations; and the streamed FedAvg against the
+// two-pass form it replaced.
 // The Conv2d and Dense kernels run against the direct loops they
 // replaced: they promise each output element the direct loop's arithmetic
 // (the same float products, summed in the same order into the same
@@ -25,7 +26,7 @@
 #include "common/rng.hpp"
 #include "fl/data.hpp"
 #include "fl/fedavg.hpp"
-#include "fl/kernel_isa.hpp"
+#include "common/kernel_isa.hpp"
 #include "fl/layers.hpp"
 #include "fl/loss.hpp"
 #include "fl/model.hpp"
@@ -584,6 +585,47 @@ TEST(FlatStore, InPlaceAdamMatchesCopyingStepOnMlp) {
   spec.test_samples = 10;
   expect_in_place_round_matches_copying(
       [] { return Model::mlp(28 * 28, {64}, 10, 0.25f); }, spec, 150, 102);
+}
+
+// Adam::step runs a large model's step in chunks over the workers. Three
+// steps from the same parameters and gradients must give the serial
+// step's bits (CopyingAdam's loop) at 1 to 4 workers, above and below the
+// size at which the step starts to share its range.
+TEST(AdamOracle, ChunkedStepMatchesSerialStep) {
+  note_isa();
+  for (std::size_t size : {118u, 40'000u, 1'244'287u}) {
+    Rng rng(size);
+    std::vector<float> start(size);
+    std::vector<std::vector<float>> grads(3, std::vector<float>(size));
+    for (std::size_t i = 0; i < size; ++i) {
+      start[i] = static_cast<float>(rng.normal(0.0, 0.1));
+      for (std::vector<float>& g : grads) {
+        const double u = rng.uniform(0.0, 1.0);
+        g[i] = u < 0.1 ? 0.0f
+                       : static_cast<float>(rng.normal(0.0, 1.0) *
+                                            std::pow(10.0, rng.uniform(-8, 2)));
+      }
+    }
+    std::vector<float> want = start;
+    CopyingAdam serial(1e-3f);
+    std::vector<std::vector<float>> want_after;
+    for (const std::vector<float>& g : grads) {
+      serial.step(want, g);
+      want_after.push_back(want);
+    }
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      SCOPED_TRACE(::testing::Message()
+                   << "size " << size << ", workers " << workers);
+      set_parallel_workers(workers);
+      std::vector<float> got = start;
+      Adam adam(1e-3f);
+      for (std::size_t t = 0; t < grads.size(); ++t) {
+        adam.step(got, grads[t]);
+        EXPECT_TRUE(same_bits(got, want_after[t])) << "step " << t + 1;
+      }
+    }
+  }
+  set_parallel_workers(0);  // restore the hardware default
 }
 
 std::size_t activation_bytes(Model& model) {

@@ -2,20 +2,25 @@
 // materializing sac_average and fault_tolerant_sac_average that the
 // stream replaced are kept here verbatim, and the stream must match them
 // bit for bit, and leave the caller's Rng at the same draw, at every
-// worker count. The actor (secagg/sac_actor.hpp): a SacPeer splits
-// straight into its bundles and regenerates a bundle for a resend, and
-// divide() over a copy of its Rng is the oracle of every byte it sends
-// and every share it keeps.
+// worker count. The split's run kernel (ShareSplitter::split_run, whose
+// 8 lanes run on an x86-64-v4 CPU) against split() block by block from a
+// copy of the same splitter. The actor (secagg/sac_actor.hpp): a SacPeer
+// splits straight into its bundles and regenerates a bundle for a resend,
+// and divide() over a copy of its Rng is the oracle of every byte it
+// sends and every share it keeps. The tests print once which vector
+// level the split ran at.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/kernel_isa.hpp"
 #include "common/parallel.hpp"
 #include "net/mux.hpp"
 #include "net/network.hpp"
@@ -145,6 +150,29 @@ std::size_t bit_mismatches(const Vector& a, const Vector& b) {
 
 constexpr SplitScheme kSchemes[] = {SplitScheme::kProportional,
                                     SplitScheme::kUniformMask};
+
+// Prints, once per run, the vector level the split ran at: split_run()'s
+// lanes run only on an x86-64-v4 CPU, so a test log shows whether they
+// were checked.
+void note_isa() {
+  static const bool noted = [] {
+    std::cout << "[ share split ] running the " << isa_name(cpu_isa())
+              << " build\n";
+    return true;
+  }();
+  (void)noted;
+}
+
+// A secret of `dim` elements with mixed_models' magnitudes, and at a few
+// places +-0.0, 1e-30 and 3e30.
+Vector secret_of(std::size_t dim, std::uint64_t seed) {
+  Vector x = mixed_models(1, dim, seed).front();
+  const float edge[] = {0.0f, -0.0f, 1e-30f, -1e-30f, 3e30f, -3e30f};
+  for (std::size_t i = 0; i < std::size(edge); ++i) {
+    x[(i * 977 + seed) % dim] = edge[i];
+  }
+  return x;
+}
 
 // --- tests -------------------------------------------------------------------
 
@@ -296,6 +324,7 @@ TEST(SacStreamOracle, ViewsAtOffsetsMatchMaterializingForm) {
 }
 
 TEST(SacStreamOracle, StreamedBlocksEqualDivide) {
+  note_isa();
   for (SplitScheme scheme : kSchemes) {
     for (std::size_t n : {1u, 2u, 5u, 31u}) {
       constexpr std::size_t kDim = 4 * kSplitBlock + 3;
@@ -330,6 +359,106 @@ TEST(SacStreamOracle, StreamedBlocksEqualDivide) {
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(bit_mismatches(got[i], want[i]), 0u) << "share " << i;
         EXPECT_EQ(bit_mismatches(skipped[i], want[i]), 0u) << "share " << i;
+      }
+    }
+  }
+
+  // The streamed SAC's workers each skip to the first block of their
+  // chunk and split it with split_run(). Cut as parallel_for_chunked cuts
+  // a secret of 91 blocks over 1 to 4 workers, the chunks' lanes start
+  // and end at every chunk edge, and the shares must still be divide()'s.
+  {
+    constexpr std::size_t kDim = 90 * kSplitBlock + 17;
+    constexpr std::size_t kBlocks = 91;
+    for (SplitScheme scheme : kSchemes) {
+      for (std::size_t n : {1u, 3u, 5u}) {
+        const Vector secret = secret_of(kDim, 60 + n);
+        Rng divide_rng(700 + n);
+        const auto want = divide(secret, n, divide_rng, scheme);
+        for (std::size_t workers = 1; workers <= 4; ++workers) {
+          SCOPED_TRACE(::testing::Message()
+                       << "scheme=" << static_cast<int>(scheme) << " n=" << n
+                       << " workers=" << workers);
+          std::vector<Vector> got(n, Vector(kDim));
+          std::vector<float*> out(n);
+          std::vector<double> work;
+          for (std::size_t w = 0; w < workers; ++w) {
+            const std::size_t lo = kBlocks * w / workers;
+            const std::size_t hi = kBlocks * (w + 1) / workers;
+            Rng rng(700 + n);
+            ShareSplitter chunk(n, scheme, rng);
+            chunk.skip(lo);
+            const std::size_t base = lo * kSplitBlock;
+            const std::size_t len = std::min(hi * kSplitBlock, kDim) - base;
+            for (std::size_t i = 0; i < n; ++i) out[i] = got[i].data() + base;
+            chunk.split_run(std::span(secret).subspan(base, len), out, work);
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(bit_mismatches(got[i], want[i]), 0u) << "share " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// split_run() against split() block by block, from copies of one
+// splitter: runs of 8·Q full blocks, 8·Q + r full blocks, and either with
+// a partial last block, so the lanes run alone, with split()'s leftover
+// blocks after them, and end where split() ends.
+TEST(SacStreamOracle, RunKernelEqualsBlockByBlockSplit) {
+  note_isa();
+  for (SplitScheme scheme : kSchemes) {
+    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 31u}) {
+      for (std::size_t q : {1u, 2u, 3u, 9u, 25u}) {
+        if (n == 31 && q > 3) continue;  // 31 shares of long runs add time
+        for (std::size_t r : {0u, 5u}) {
+          for (std::size_t partial : {0u, 77u}) {
+            const std::size_t dim = (8 * q + r) * kSplitBlock + partial;
+            SCOPED_TRACE(::testing::Message()
+                         << "scheme=" << static_cast<int>(scheme)
+                         << " n=" << n << " q=" << q << " r=" << r
+                         << " partial=" << partial);
+            const Vector x = secret_of(dim, 1000 * n + 10 * q + r + partial);
+            Rng rng(31 * n + q + r);
+            const ShareSplitter seeded(n, scheme, rng);
+
+            ShareSplitter by_block = seeded;
+            std::vector<Vector> want(n, Vector(dim));
+            std::vector<float*> out(n);
+            std::vector<double> work;
+            for (std::size_t base = 0; base < dim; base += kSplitBlock) {
+              for (std::size_t i = 0; i < n; ++i) {
+                out[i] = want[i].data() + base;
+              }
+              by_block.split(
+                  std::span(x).subspan(base, std::min(kSplitBlock, dim - base)),
+                  out, work);
+            }
+
+            ShareSplitter by_run = seeded;
+            std::vector<Vector> got(n, Vector(dim));
+            for (std::size_t i = 0; i < n; ++i) out[i] = got[i].data();
+            by_run.split_run(x, out, work);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(bit_mismatches(got[i], want[i]), 0u) << "share " << i;
+            }
+
+            // Both splitters stand at the same draw: their next blocks
+            // agree.
+            const Vector next = secret_of(kSplitBlock, n + q);
+            std::vector<Vector> after_block(n, Vector(kSplitBlock));
+            std::vector<Vector> after_run(n, Vector(kSplitBlock));
+            for (std::size_t i = 0; i < n; ++i) out[i] = after_block[i].data();
+            by_block.split(next, out, work);
+            for (std::size_t i = 0; i < n; ++i) out[i] = after_run[i].data();
+            by_run.split(next, out, work);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(bit_mismatches(after_run[i], after_block[i]), 0u)
+                  << "next block, share " << i;
+            }
+          }
+        }
       }
     }
   }
@@ -453,156 +582,171 @@ struct Shape {
 };
 constexpr Shape kShapes[] = {{1, 1}, {2, 2}, {2, 1}, {3, 3},
                              {3, 2}, {5, 5}, {5, 3}};
-constexpr std::size_t kActorDim = 4 * kSplitBlock + 3;
+/// Below the 8 full blocks split_run()'s lanes need, and above them: 26
+/// full blocks (3 lanes' worth and 2 left over) and a partial one.
+constexpr std::size_t kActorDims[] = {4 * kSplitBlock + 3,
+                                      26 * kSplitBlock + 5};
 
 TEST(SacStreamOracle, ActorSendsAndKeepsDivideShares) {
-  for (const Shape shape : kShapes) {
-    for (const bool detect : {false, true}) {
-      const std::size_t n = shape.n, k = shape.k, pos = n - 1;
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
-                                        << " detect=" << detect);
-      SacActorOptions opts;
-      opts.detect_inconsistent_shares = detect;
-      LoneSacPeer s(n, pos, opts);
-      const Vector model = mixed_models(1, kActorDim, 31 * n + k).front();
-      Rng oracle_rng = s.peer_rng();
-      const std::vector<Vector> shares = divide(model, n, oracle_rng);
+  note_isa();
+  for (const std::size_t dim : kActorDims) {
+    for (const Shape shape : kShapes) {
+      for (const bool detect : {false, true}) {
+        const std::size_t n = shape.n, k = shape.k, pos = n - 1;
+        SCOPED_TRACE(::testing::Message() << "dim=" << dim << " n=" << n
+                                          << " k=" << k
+                                          << " detect=" << detect);
+        SacActorOptions opts;
+        opts.detect_inconsistent_shares = detect;
+        LoneSacPeer s(n, pos, opts);
+        const Vector model = mixed_models(1, dim, 31 * n + k + dim).front();
+        Rng oracle_rng = s.peer_rng();
+        const std::vector<Vector> shares = divide(model, n, oracle_rng);
 
-      s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
-      s.sim.run_for(50 * kMillisecond);
-      for (std::size_t j = 0; j + 1 < n; ++j) {
-        ASSERT_EQ(s.bundles[j].size(), 1u) << "to " << j;
-        EXPECT_EQ(s.bundles[j][0], expected_bundle(shares, pos, j, k, detect))
-            << "to " << j;
-      }
-      if (n == 1) {
-        // Alone, the peer leads and its average is its one subtotal,
-        // its one share.
-        EXPECT_EQ(bit_mismatches(s.average, alone_in_subtotal(shares[0])),
-                  0u);
-        continue;
-      }
-      // With every other contribution zero, each held subtotal is the
-      // peer's own share: ask the peer for each one.
-      for (std::size_t j = 0; j + 1 < n; ++j) {
-        s.send_zero_bundle(j, k, kActorDim, detect);
-      }
-      s.sim.run_for(50 * kMillisecond);
-      std::size_t held = 0;
-      all_replica_share_indices(pos, n, k, [&](std::size_t idx) {
-        s.net.send(s.group[0], s.group[pos],
-                   std::string(kChannel) + "/request",
-                   SacSubtotalReq{1, static_cast<std::uint32_t>(idx), 0},
-                   wire::kSubtotalReqWire);
-        ++held;
-        return true;
-      });
-      s.sim.run_for(50 * kMillisecond);
-      ASSERT_EQ(s.subtotals.size(), held);
-      for (const auto& [idx, value] : s.subtotals) {
-        EXPECT_EQ(bit_mismatches(value, alone_in_subtotal(shares[idx])), 0u)
-            << "held share " << idx;
+        s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
+        s.sim.run_for(50 * kMillisecond);
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          ASSERT_EQ(s.bundles[j].size(), 1u) << "to " << j;
+          EXPECT_EQ(s.bundles[j][0], expected_bundle(shares, pos, j, k, detect))
+              << "to " << j;
+        }
+        if (n == 1) {
+          // Alone, the peer leads and its average is its one subtotal,
+          // its one share.
+          EXPECT_EQ(bit_mismatches(s.average, alone_in_subtotal(shares[0])),
+                    0u);
+          continue;
+        }
+        // With every other contribution zero, each held subtotal is the
+        // peer's own share: ask the peer for each one.
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          s.send_zero_bundle(j, k, dim, detect);
+        }
+        s.sim.run_for(50 * kMillisecond);
+        std::size_t held = 0;
+        all_replica_share_indices(pos, n, k, [&](std::size_t idx) {
+          s.net.send(s.group[0], s.group[pos],
+                     std::string(kChannel) + "/request",
+                     SacSubtotalReq{1, static_cast<std::uint32_t>(idx), 0},
+                     wire::kSubtotalReqWire);
+          ++held;
+          return true;
+        });
+        s.sim.run_for(50 * kMillisecond);
+        ASSERT_EQ(s.subtotals.size(), held);
+        for (const auto& [idx, value] : s.subtotals) {
+          EXPECT_EQ(bit_mismatches(value, alone_in_subtotal(shares[idx])), 0u)
+              << "held share " << idx;
+        }
       }
     }
   }
 }
 
 TEST(SacStreamOracle, ActorResendEqualsFirstSend) {
-  for (const Shape shape : kShapes) {
-    if (shape.n == 1) continue;  // nobody to resend to
-    for (const bool detect : {false, true}) {
-      const std::size_t n = shape.n, k = shape.k, pos = n - 1;
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
-                                        << " detect=" << detect);
-      SacActorOptions opts;
-      opts.detect_inconsistent_shares = detect;
-      LoneSacPeer s(n, pos, opts);
-      s.peer->begin_round(1, mixed_models(1, kActorDim, 7 * n + k).front(),
-                          s.group, /*leader_pos=*/0, k);
-      s.sim.run_for(50 * kMillisecond);
-      for (int ask = 0; ask < 2; ++ask) {
-        for (std::size_t j = 0; j + 1 < n; ++j) {
-          s.net.send(s.group[j], s.group[pos],
-                     std::string(kChannel) + "/share_req",
-                     SacShareReq{1, static_cast<std::uint32_t>(j)},
-                     wire::kShareReqWire);
-        }
+  note_isa();
+  for (const std::size_t dim : kActorDims) {
+    for (const Shape shape : kShapes) {
+      if (shape.n == 1) continue;  // nobody to resend to
+      for (const bool detect : {false, true}) {
+        const std::size_t n = shape.n, k = shape.k, pos = n - 1;
+        SCOPED_TRACE(::testing::Message() << "dim=" << dim << " n=" << n
+                                          << " k=" << k
+                                          << " detect=" << detect);
+        SacActorOptions opts;
+        opts.detect_inconsistent_shares = detect;
+        LoneSacPeer s(n, pos, opts);
+        s.peer->begin_round(1, mixed_models(1, dim, 7 * n + k + dim).front(),
+                            s.group, /*leader_pos=*/0, k);
         s.sim.run_for(50 * kMillisecond);
-      }
-      for (std::size_t j = 0; j + 1 < n; ++j) {
-        ASSERT_EQ(s.bundles[j].size(), 3u) << "to " << j;
-        EXPECT_EQ(s.bundles[j][1], s.bundles[j][0]) << "to " << j;
-        EXPECT_EQ(s.bundles[j][2], s.bundles[j][0]) << "to " << j;
+        for (int ask = 0; ask < 2; ++ask) {
+          for (std::size_t j = 0; j + 1 < n; ++j) {
+            s.net.send(s.group[j], s.group[pos],
+                       std::string(kChannel) + "/share_req",
+                       SacShareReq{1, static_cast<std::uint32_t>(j)},
+                       wire::kShareReqWire);
+          }
+          s.sim.run_for(50 * kMillisecond);
+        }
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          ASSERT_EQ(s.bundles[j].size(), 3u) << "to " << j;
+          EXPECT_EQ(s.bundles[j][1], s.bundles[j][0]) << "to " << j;
+          EXPECT_EQ(s.bundles[j][2], s.bundles[j][0]) << "to " << j;
+        }
       }
     }
   }
 }
 
 TEST(SacStreamOracle, ActorAttacksSendTheOffsetRuleOverDivideShares) {
+  note_isa();
   constexpr double kMagnitude = 0.75;
-  for (const Shape shape : kShapes) {
-    if (shape.n == 1) continue;
-    for (const bool detect : {false, true}) {
-      const std::size_t n = shape.n, k = shape.k, pos = n - 1;
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k
-                                        << " detect=" << detect);
-      const Vector model = mixed_models(1, kActorDim, 13 * n + k).front();
+  for (const std::size_t dim : kActorDims) {
+    for (const Shape shape : kShapes) {
+      if (shape.n == 1) continue;
+      for (const bool detect : {false, true}) {
+        const std::size_t n = shape.n, k = shape.k, pos = n - 1;
+        SCOPED_TRACE(::testing::Message() << "dim=" << dim << " n=" << n
+                                          << " k=" << k
+                                          << " detect=" << detect);
+        const Vector model = mixed_models(1, dim, 13 * n + k + dim).front();
 
-      // Inconsistent shares: every odd holder gets shares + magnitude.
-      robust::ByzantineRegistry liar;
-      liar.activate(static_cast<PeerId>(pos),
-                    {robust::AttackKind::kInconsistentShares, kMagnitude});
-      SacActorOptions opts;
-      opts.detect_inconsistent_shares = detect;
-      opts.byzantine = &liar;
-      {
+        // Inconsistent shares: every odd holder gets shares + magnitude.
+        robust::ByzantineRegistry liar;
+        liar.activate(static_cast<PeerId>(pos),
+                      {robust::AttackKind::kInconsistentShares, kMagnitude});
+        SacActorOptions opts;
+        opts.detect_inconsistent_shares = detect;
+        opts.byzantine = &liar;
+        {
+          LoneSacPeer s(n, pos, opts);
+          Rng oracle_rng = s.peer_rng();
+          const std::vector<Vector> shares = divide(model, n, oracle_rng);
+          s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
+          s.sim.run_for(50 * kMillisecond);
+          for (std::size_t j = 0; j + 1 < n; ++j) {
+            const float offset = j % 2 == 1 ? static_cast<float>(kMagnitude)
+                                            : 0.0f;
+            ASSERT_EQ(s.bundles[j].size(), 1u) << "to " << j;
+            EXPECT_EQ(s.bundles[j][0],
+                      expected_bundle(shares, pos, j, k, detect, offset))
+                << "to " << j;
+          }
+        }
+
+        // Equivocation: the first send is honest, the i-th resend adds
+        // i * magnitude.
+        robust::ByzantineRegistry equivocator;
+        equivocator.activate(static_cast<PeerId>(pos),
+                             {robust::AttackKind::kEquivocate, kMagnitude});
+        opts.byzantine = &equivocator;
         LoneSacPeer s(n, pos, opts);
         Rng oracle_rng = s.peer_rng();
         const std::vector<Vector> shares = divide(model, n, oracle_rng);
         s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
         s.sim.run_for(50 * kMillisecond);
+        std::size_t resends = 0;
+        for (int ask = 0; ask < 2; ++ask) {
+          for (std::size_t j = 0; j + 1 < n; ++j) {
+            s.net.send(s.group[j], s.group[pos],
+                       std::string(kChannel) + "/share_req",
+                       SacShareReq{1, static_cast<std::uint32_t>(j)},
+                       wire::kShareReqWire);
+            s.sim.run_for(50 * kMillisecond);
+            ++resends;
+            const float offset = static_cast<float>(kMagnitude) *
+                                 static_cast<float>(resends);
+            ASSERT_EQ(s.bundles[j].size(), static_cast<std::size_t>(ask) + 2)
+                << "to " << j;
+            EXPECT_EQ(s.bundles[j].back(),
+                      expected_bundle(shares, pos, j, k, detect, offset))
+                << "to " << j << ", resend " << resends;
+          }
+        }
         for (std::size_t j = 0; j + 1 < n; ++j) {
-          const float offset = j % 2 == 1 ? static_cast<float>(kMagnitude)
-                                          : 0.0f;
-          ASSERT_EQ(s.bundles[j].size(), 1u) << "to " << j;
-          EXPECT_EQ(s.bundles[j][0],
-                    expected_bundle(shares, pos, j, k, detect, offset))
+          EXPECT_EQ(s.bundles[j][0], expected_bundle(shares, pos, j, k, detect))
               << "to " << j;
         }
-      }
-
-      // Equivocation: the first send is honest, the i-th resend adds
-      // i * magnitude.
-      robust::ByzantineRegistry equivocator;
-      equivocator.activate(static_cast<PeerId>(pos),
-                           {robust::AttackKind::kEquivocate, kMagnitude});
-      opts.byzantine = &equivocator;
-      LoneSacPeer s(n, pos, opts);
-      Rng oracle_rng = s.peer_rng();
-      const std::vector<Vector> shares = divide(model, n, oracle_rng);
-      s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
-      s.sim.run_for(50 * kMillisecond);
-      std::size_t resends = 0;
-      for (int ask = 0; ask < 2; ++ask) {
-        for (std::size_t j = 0; j + 1 < n; ++j) {
-          s.net.send(s.group[j], s.group[pos],
-                     std::string(kChannel) + "/share_req",
-                     SacShareReq{1, static_cast<std::uint32_t>(j)},
-                     wire::kShareReqWire);
-          s.sim.run_for(50 * kMillisecond);
-          ++resends;
-          const float offset = static_cast<float>(kMagnitude) *
-                               static_cast<float>(resends);
-          ASSERT_EQ(s.bundles[j].size(), static_cast<std::size_t>(ask) + 2)
-              << "to " << j;
-          EXPECT_EQ(s.bundles[j].back(),
-                    expected_bundle(shares, pos, j, k, detect, offset))
-              << "to " << j << ", resend " << resends;
-        }
-      }
-      for (std::size_t j = 0; j + 1 < n; ++j) {
-        EXPECT_EQ(s.bundles[j][0], expected_bundle(shares, pos, j, k, detect))
-            << "to " << j;
       }
     }
   }

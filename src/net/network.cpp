@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <iterator>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -75,7 +76,9 @@ KindId Network::intern(const std::string& kind) {
       kind_ids_.try_emplace(kind, static_cast<KindId>(kinds_.size()));
   if (inserted) {
     P2PFL_CHECK(it->second != kNoKind);
-    kinds_.emplace_back().kind = &it->first;
+    KindSlot& slot = kinds_.emplace_back();
+    slot.kind = &it->first;
+    slot.frame_head = transport_.frame_head_bytes(kind);
   }
   return it->second;
 }
@@ -125,7 +128,7 @@ bool Network::partitioned(PeerId from, PeerId to) const {
 }
 
 void Network::schedule_delivery(Envelope env, const LinkFaults& f,
-                                ByteSpan payload) {
+                                ByteSpan payload, ByteWriter* frame) {
   SimDuration delay = 0;
   if (transport_.deterministic()) {
     // The simulator has no wire, so the Network models the link: latency,
@@ -141,7 +144,16 @@ void Network::schedule_delivery(Envelope env, const LinkFaults& f,
     delay += links_.frame_delay(env.from, env.to, env.wire_bytes,
                                 transport_.now());
   }
-  transport_.send_frame(std::move(env), delay, payload);
+  hand_over(std::move(env), delay, payload, frame);
+}
+
+void Network::hand_over(Envelope&& env, SimDuration delay, ByteSpan payload,
+                        ByteWriter* frame) {
+  if (frame != nullptr && frame->size() > 0) {
+    transport_.send_framed(std::move(env), delay, frame->take());
+  } else {
+    transport_.send_frame(std::move(env), delay, payload);
+  }
 }
 
 void Network::send(Envelope env) {
@@ -161,8 +173,9 @@ void Network::send(Envelope env) {
   env.kind_id = intern(env.kind);
   KindSlot& k = kinds_[env.kind_id];
   // The verified encoding is the payload the transport sends: one
-  // encode per send.
-  ByteSpan payload = verify_encoding(env, k);
+  // encode per send, into `frame` when the transport frames the kind.
+  ByteWriter frame;
+  ByteSpan payload = verify_encoding(env, k, frame);
   env.dest_incarnation = incarnation(env.to);
 
   obs::SpanRecorder& sr = transport_.obs().spans;
@@ -176,7 +189,7 @@ void Network::send(Envelope env) {
       env.span.span = sr.open(obs::SpanKind::kLink, env.kind, env.from,
                               env.span.round, env.span.span);
     }
-    transport_.send_frame(std::move(env), 0, payload);
+    hand_over(std::move(env), 0, payload, &frame);
     return;
   }
 
@@ -216,6 +229,7 @@ void Network::send(Envelope env) {
   if (flip || trunc) {
     maybe_corrupt(env, payload, flip, trunc);
     payload = {};  // the damaged body has no verified encoding
+    frame.clear();
   }
   const bool duplicate =
       f.duplicate_prob > 0.0 && fault_rng_.chance(f.duplicate_prob);
@@ -227,13 +241,15 @@ void Network::send(Envelope env) {
     }
     // Duplicate copy scheduled first to keep the fault-RNG draw order of
     // schedule_delivery (reorder jitter) identical to the pre-span code.
+    // It is a copy: the transport copies what it keeps of `payload`,
+    // which still lies in the original's buffer.
     Envelope dup = env;
     dup.chaos_duplicate = true;
     if (sr.enabled()) {
       dup.span.span = sr.open(obs::SpanKind::kLink, dup.kind, dup.from,
                               dup.span.round, dup.span.span);
     }
-    schedule_delivery(std::move(dup), f, payload);
+    schedule_delivery(std::move(dup), f, payload, nullptr);
   }
   if (sr.enabled()) {
     // Each in-flight copy gets its own link span: open at send, closed at
@@ -241,10 +257,11 @@ void Network::send(Envelope env) {
     env.span.span = sr.open(obs::SpanKind::kLink, env.kind, env.from,
                             env.span.round, env.span.span);
   }
-  schedule_delivery(std::move(env), f, payload);
+  schedule_delivery(std::move(env), f, payload, &frame);
 }
 
-ByteSpan Network::verify_encoding(const Envelope& env, KindSlot& k) {
+ByteSpan Network::verify_encoding(const Envelope& env, KindSlot& k,
+                                  ByteWriter& frame) {
   const Codec* codec = codec_of(k);
   if (codec == nullptr) {
     // Raw / test-only kind: nothing to check on the simulator, a hard
@@ -255,20 +272,38 @@ ByteSpan Network::verify_encoding(const Envelope& env, KindSlot& k) {
                         "frames may cross a real transport");
     return {};
   }
-  verify_buf_.clear();
-  P2PFL_CHECK_MSG(codec->encode_to(env.body, verify_buf_),
+  // A transport that frames payloads gets the encoding behind the room
+  // its frame head takes, in a buffer of its own; otherwise it lands in
+  // verify_buf_, reused for every send.
+  const std::size_t head = k.frame_head;
+  ByteWriter& out = head > 0 ? frame : verify_buf_;
+  out.clear();
+  if (head > 0) {
+    // Sized once, to the head and the payload the charge declares: a
+    // right charge fills it exactly, and a wrong one fails the check
+    // below (a size no u32 frame length can carry reserves nothing, so
+    // the check is what reports it).
+    const std::int64_t declared =
+        static_cast<std::int64_t>(env.wire_bytes) - env.modeled_delta;
+    if (declared >= 0 &&
+        declared <= std::numeric_limits<std::uint32_t>::max()) {
+      out.reserve(head + static_cast<std::size_t>(declared));
+    }
+    out.pad(head);
+  }
+  P2PFL_CHECK_MSG(codec->encode_to(env.body, out),
                   "payload type does not match the codec for kind '" +
                       env.kind + "'");
+  const std::size_t encoded = out.size() - head;
   const std::int64_t charged = static_cast<std::int64_t>(env.wire_bytes);
   const std::int64_t actual =
-      static_cast<std::int64_t>(verify_buf_.size()) + env.modeled_delta;
+      static_cast<std::int64_t>(encoded) + env.modeled_delta;
   P2PFL_CHECK_MSG(charged == actual,
                   "charged wire_bytes " + std::to_string(env.wire_bytes) +
                       " for kind '" + env.kind + "' != encoded size " +
-                      std::to_string(verify_buf_.size()) +
-                      " + modeled_delta " +
+                      std::to_string(encoded) + " + modeled_delta " +
                       std::to_string(env.modeled_delta));
-  return verify_buf_.bytes();
+  return ByteSpan(out.bytes()).subspan(head);
 }
 
 void Network::maybe_corrupt(Envelope& env, ByteSpan encoded, bool flip,

@@ -198,13 +198,16 @@ class Network : public FrameSink {
   ///
   /// Encode verification: a payload whose kind has a registered codec is
   /// encoded in full at send time — no size-only shortcut, no sampling —
-  /// into one buffer the network clears and reuses, and the charged
-  /// wire_bytes must equal the encoded length plus the envelope's
-  /// declared modeled_delta, so every run cross-checks the Eq. (4)/(5)
-  /// byte accounting against real encodings. Those bytes are the
-  /// payload send_frame hands the transport, so a send encodes its
-  /// payload once. On a non-deterministic transport a codec is
-  /// additionally *required*: only canonical frames cross the seam.
+  /// and the charged wire_bytes must equal the encoded length plus the
+  /// envelope's declared modeled_delta, so every run cross-checks the
+  /// Eq. (4)/(5) byte accounting against real encodings. Those bytes are
+  /// the payload the transport sends, so a send encodes its payload
+  /// once: on the simulator into one buffer the network clears and
+  /// reuses, on a framing transport (TCP) behind the room for its frame
+  /// head, in a buffer sized once that the transport sends (a chaos
+  /// duplicate copies it; a dropped send frees it). On a
+  /// non-deterministic transport a codec is additionally *required*:
+  /// only canonical frames cross the seam.
   void send(Envelope env);
 
   /// Typed convenience wrapper building the envelope (pure control
@@ -320,6 +323,8 @@ class Network : public FrameSink {
     /// looked up again on its next message, so it does not stay
     /// unverified.
     const Codec* codec = nullptr;
+    /// The transport's frame_head_bytes for this kind.
+    std::size_t frame_head = 0;
     obs::Counter* sent_bytes = nullptr;       // net.sent.bytes.<kind>
     obs::Counter* delivered_bytes = nullptr;  // net.delivered.bytes.<kind>
     TrafficStats::Counter* sent = nullptr;       // sent_by_kind[kind]
@@ -344,14 +349,22 @@ class Network : public FrameSink {
   KindId intern(const std::string& kind);
   const Codec* codec_of(KindSlot& k) const;
   SimDuration latency_for(PeerId from, PeerId to) const;
-  /// Hand one copy to the transport with its verified `payload` bytes.
+  /// Hand one copy to the transport with its verified `payload` bytes
+  /// (see hand_over).
   void schedule_delivery(Envelope env, const LinkFaults& f,
-                         ByteSpan payload);
+                         ByteSpan payload, ByteWriter* frame);
+  /// send_framed when `frame` holds the payload behind the transport's
+  /// frame head (the transport takes the buffer), send_frame otherwise.
+  void hand_over(Envelope&& env, SimDuration delay, ByteSpan payload,
+                 ByteWriter* frame);
   void count_drop(Drop reason);
-  /// Encode-verify: charge must equal real encoding + modeled_delta.
-  /// Returns that encoding (in verify_buf_, valid until the next send),
-  /// or an empty span for a kind without a registered codec.
-  ByteSpan verify_encoding(const Envelope& env, KindSlot& k);
+  /// Encode-verify: the charge must equal the real encoding +
+  /// modeled_delta. Returns that encoding, or an empty span for a kind
+  /// without a registered codec. It lies in verify_buf_ (valid until the
+  /// next send), or, when the transport frames the kind, in `frame`
+  /// behind k.frame_head reserved bytes.
+  ByteSpan verify_encoding(const Envelope& env, KindSlot& k,
+                           ByteWriter& frame);
   /// Damage the message's real encoding `encoded` in flight (bit flip
   /// and/or truncation); the body becomes a CorruptPayload the
   /// receiving side must decode. No-op when `encoded` is empty (a kind
@@ -383,8 +396,9 @@ class Network : public FrameSink {
   /// survive interning more kinds).
   std::unordered_map<std::string, KindId> kind_ids_;
   std::deque<KindSlot> kinds_;
-  /// Encode-verify's buffer, cleared and reused for every send; its
-  /// bytes are the payload the transport sends.
+  /// Encode-verify's buffer for a transport that frames nothing (the
+  /// simulator), cleared and reused for every send; its bytes are the
+  /// payload the transport is handed.
   ByteWriter verify_buf_;
   std::unordered_map<PeerId, Endpoint*> endpoints_;
   std::unordered_set<PeerId> crashed_;

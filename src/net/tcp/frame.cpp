@@ -42,11 +42,27 @@ std::uint32_t read_u32_le(const std::uint8_t* p) {
 
 Bytes write_frame(const Envelope& env, ByteSpan payload) {
   ByteWriter w;
-  w.reserve(4 + kHeaderFixedBytes + env.kind.size() + 4 + payload.size());
+  w.reserve(frame_head_bytes(env.kind) + payload.size());
   w.u32(0);  // the body's length, patched once the body is written
   write_body(w, env, payload);
   w.patch_u32(0, static_cast<std::uint32_t>(w.size() - 4));
   return w.take();
+}
+
+std::size_t frame_head_bytes(const std::string& kind) {
+  return 4 + kHeaderFixedBytes + kind.size() + 4;
+}
+
+void write_frame_head(const Envelope& env, std::span<std::uint8_t> frame) {
+  const std::size_t head = frame_head_bytes(env.kind);
+  P2PFL_CHECK(frame.size() >= head);
+  ByteWriter w;
+  w.reserve(head);
+  w.u32(static_cast<std::uint32_t>(frame.size() - 4));
+  header(w, env);
+  w.u32(static_cast<std::uint32_t>(frame.size() - head));
+  P2PFL_CHECK(w.size() == head);
+  std::memcpy(frame.data(), w.bytes().data(), head);
 }
 
 Bytes encode_frame(const Envelope& env) {
@@ -79,23 +95,24 @@ std::optional<Envelope> decode_frame(ByteSpan body) {
 }
 
 std::span<std::uint8_t> FrameAssembler::read_space() {
-  // Bytes the frame being assembled still lacks; 0 until its length
+  if (poisoned_) return {};  // its length prefix is not to be trusted
+  // The buffered bytes are the start of one frame (received() hands on
+  // every complete one). Its size, prefix included, once its length
   // prefix is in (received() has checked that prefix against the max).
-  std::size_t rest = 0;
-  if (end_ - pos_ >= 4) {
-    rest = pos_ + 4 + read_u32_le(buf_.get() + pos_) - end_;
-  }
-  // Room for the rest of the frame where it lies, or else for a full
-  // read: move the buffered bytes to the front, and grow to exactly one
-  // frame (or one read) only when that still leaves too little room.
-  const std::size_t room = rest > 0 ? rest : kReadBytes;
-  if (cap_ - end_ < room) {
-    const std::size_t held = end_ - pos_;
-    if (cap_ < held + room) {
-      std::unique_ptr<std::uint8_t[]> bigger(new std::uint8_t[held + room]);
+  const std::size_t held = end_ - pos_;
+  const std::size_t frame =
+      held >= 4 ? 4 + std::size_t{read_u32_le(buf_.get() + pos_)} : 0;
+  // A frame longer than one read needs a buffer of exactly its size, and
+  // the frame must fit where it starts; anything else needs one read's
+  // worth. Move the held bytes to the front of the buffer, or of a new
+  // one of that size, when they lack the room.
+  const std::size_t size = std::max(frame, kReadBytes);
+  if (cap_ - pos_ < (frame > 0 ? frame : kReadBytes)) {
+    if (cap_ < size) {
+      std::unique_ptr<std::uint8_t[]> bigger(new std::uint8_t[size]);
       if (held > 0) std::memcpy(bigger.get(), buf_.get() + pos_, held);
       buf_ = std::move(bigger);
-      cap_ = held + room;
+      cap_ = size;
     } else if (held > 0) {
       std::memmove(buf_.get(), buf_.get() + pos_, held);
     }
@@ -103,9 +120,9 @@ std::span<std::uint8_t> FrameAssembler::read_space() {
     end_ = held;
   }
   // A frame longer than one read is read to its end and no further, so
-  // what follows it in the buffer is less than one read.
-  return {buf_.get() + end_,
-          std::min(cap_ - end_, std::max(rest, kReadBytes))};
+  // nothing follows it in its buffer when it is handed on.
+  const std::size_t limit = frame > kReadBytes ? pos_ + frame : cap_;
+  return {buf_.get() + end_, limit - end_};
 }
 
 bool FrameAssembler::received(std::size_t n, const FrameFn& on_frame) {
@@ -125,7 +142,11 @@ bool FrameAssembler::received(std::size_t n, const FrameFn& on_frame) {
     pos_ += 4 + static_cast<std::size_t>(len);
     on_frame(body);
   }
-  if (pos_ == end_) pos_ = end_ = 0;
+  if (pos_ == end_) {
+    pos_ = end_ = 0;
+    // A frame-sized buffer goes with the frame it held.
+    if (cap_ > kReadBytes) release();
+  }
   return true;
 }
 

@@ -12,14 +12,20 @@
 // is what lets a loopback TCP run be checked byte-for-byte against the
 // closed-form cost model.
 //
-// The bytes move as little as the socket API allows. write_frame lays
-// the verified payload bytes, header and length prefix into one exactly
-// sized buffer, the one the socket sends from. FrameAssembler gives the
-// receive loop the space its next read lands in, and hands each complete
-// frame body on as a view into that buffer, which decode_frame decodes
-// where it lies. It reassembles frames from an arbitrary stream chunking
-// (partial reads, coalesced frames, length prefixes split across reads)
-// and rejects oversized length prefixes before allocating.
+// The bytes move as little as the socket API allows. Network::send
+// encodes a payload behind frame_head_bytes(kind) reserved bytes, in a
+// buffer sized once to the frame; write_frame_head fills that room with
+// the length prefix, the header and the payload's length, and the
+// socket sends the buffer. So on the loop thread a payload is written
+// once, by its codec. write_frame lays a payload it is given behind a
+// fresh head (a chaos duplicate, a send made off the loop thread), and
+// is the byte oracle of the in-place path. FrameAssembler gives the
+// receive loop the space its next read lands in, and hands each
+// complete frame body on as a view into that buffer, which decode_frame
+// decodes where it lies. It reassembles frames from an arbitrary stream
+// chunking (partial reads, coalesced frames, length prefixes split
+// across reads), rejects oversized length prefixes before allocating,
+// and holds a frame-sized buffer only while that frame is assembled.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "common/serialize.hpp"
 #include "net/envelope.hpp"
@@ -42,9 +49,19 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 inline constexpr std::size_t kReadBytes = 64u << 10;
 
 /// One frame as the socket sends it, [u32 LE body length][frame body],
-/// for `env` whose payload's canonical encoding is `payload`. Written
-/// once into a buffer that holds exactly the frame.
+/// for `env` whose payload's canonical encoding is `payload`, copied
+/// into a buffer that holds exactly the frame.
 Bytes write_frame(const Envelope& env, ByteSpan payload);
+
+/// Bytes a frame of `kind` puts in front of its payload's encoding: the
+/// length prefix, the header and the payload's length. Only the kind's
+/// length varies it.
+std::size_t frame_head_bytes(const std::string& kind);
+
+/// Makes `frame`, whose first frame_head_bytes(env.kind) bytes are reserved
+/// and whose rest is the payload's canonical encoding, the frame
+/// write_frame(env, payload) writes, by filling in the head in place.
+void write_frame_head(const Envelope& env, std::span<std::uint8_t> frame);
 
 /// The frame body of `env` (no length prefix): its payload encoded
 /// through the kind's codec, laid out by write_frame's writer.
@@ -60,8 +77,10 @@ std::optional<Envelope> decode_frame(ByteSpan body);
 
 /// Incremental length-prefixed stream reassembler. The receive loop
 /// reads straight into read_space() and reports the count to
-/// received(). The buffer never grows geometrically: it holds one read,
-/// or exactly the largest frame it has assembled, whichever is larger.
+/// received(). Between frames the buffer holds at most one read
+/// (kReadBytes). A frame longer than that is assembled in a buffer of
+/// exactly its size, read to its end and no further, and the buffer is
+/// released once the frame is handed on; it never grows geometrically.
 class FrameAssembler {
  public:
   /// A complete frame body, viewed in the assembler's buffer; the view
@@ -72,8 +91,8 @@ class FrameAssembler {
       : max_frame_bytes_(max_frame_bytes) {}
 
   /// Where the next read lands, past the buffered bytes: room for up
-  /// to kReadBytes, or for the rest of the frame being assembled when
-  /// that is longer.
+  /// to kReadBytes, or exactly the rest of the frame being assembled
+  /// when that frame is longer than kReadBytes. Empty once poisoned.
   std::span<std::uint8_t> read_space();
 
   /// `n` bytes were read into read_space(). Invokes `on_frame` once per
@@ -93,17 +112,23 @@ class FrameAssembler {
   /// True after a protocol error: received() refuses further input.
   bool poisoned() const { return poisoned_; }
 
-  /// Forget all buffered bytes and clear the poisoned flag, making the
-  /// assembler reusable for a *new* connection. The transport calls
-  /// this when it tears a desynced stream down, so the slot's next
-  /// accept starts clean instead of staying poisoned forever. The buffer
-  /// is kept for that connection.
+  /// Forget all buffered bytes, release the buffer and clear the
+  /// poisoned flag, making the assembler reusable for a *new*
+  /// connection. The transport calls this when it closes a stream, so a
+  /// closed slot holds no buffer and its next accept starts clean
+  /// instead of staying poisoned forever. A delivery that resets the
+  /// assembler must not read its frame's view afterwards.
   void reset() {
-    pos_ = end_ = 0;
+    release();
     poisoned_ = false;
   }
 
  private:
+  void release() {
+    buf_.reset();
+    cap_ = pos_ = end_ = 0;
+  }
+
   std::uint32_t max_frame_bytes_;
   std::unique_ptr<std::uint8_t[]> buf_;
   std::size_t cap_ = 0;

@@ -356,15 +356,27 @@ void TcpTransport::send_frame(Envelope&& env, SimDuration model_delay,
                       "' has no verified canonical encoding; only canonical "
                       "codec frames may cross the TCP transport");
   // Written here, on any thread: `payload` is valid only for this call.
-  Bytes frame = write_frame(env, payload);
+  route(env.from, env.to, write_frame(env, payload));
+}
+
+std::size_t TcpTransport::frame_head_bytes(const std::string& kind) const {
+  return tcp::frame_head_bytes(kind);
+}
+
+void TcpTransport::send_framed(Envelope&& env, SimDuration model_delay,
+                               Bytes&& frame) {
+  (void)model_delay;  // the wire provides the timing
+  write_frame_head(env, frame);
+  route(env.from, env.to, std::move(frame));
+}
+
+void TcpTransport::route(PeerId from, PeerId to, Bytes&& frame) {
   if (running_.load() && on_loop_thread()) {
-    send_on_loop(env.from, env.to, std::move(frame));
+    send_on_loop(from, to, std::move(frame));
     return;
   }
   auto boxed = std::make_shared<Bytes>(std::move(frame));
-  post([this, from = env.from, to = env.to, boxed] {
-    send_on_loop(from, to, std::move(*boxed));
-  });
+  post([this, from, to, boxed] { send_on_loop(from, to, std::move(*boxed)); });
 }
 
 void TcpTransport::send_on_loop(PeerId from, PeerId to, Bytes&& frame) {
@@ -599,9 +611,9 @@ void TcpTransport::close_in(InConn& c) {
   fd_refs_.erase(c.fd);
   ::close(c.fd);
   c.fd = -1;
-  // Clear any poisoned/partial stream state and recycle the slot; the
-  // sender's reconnect (or its next send) re-handshakes onto a fresh
-  // accept that may land right back here.
+  // Clear any poisoned/partial stream state, free the buffer and recycle
+  // the slot; the sender's reconnect (or its next send) re-handshakes
+  // onto a fresh accept that may land right back here.
   c.assembler.reset();
   in_free_.push_back(c.slot);
 }

@@ -10,11 +10,13 @@
 // them on its caller thread.
 //
 //  * Frames are the canonical length-prefixed codec encodings
-//    (src/net/tcp/frame.hpp). A send writes the payload bytes the
-//    network's encode-verify produced, with the header and length
-//    prefix, once into the buffer the socket sends from; the receive
+//    (src/net/tcp/frame.hpp). The network's encode-verify writes a
+//    send's payload behind room for the frame head, the transport fills
+//    the head in, and the socket sends that buffer, so a payload is
+//    written once; a chaos duplicate is written from a copy. The receive
 //    loop reads into the connection's FrameAssembler and decodes each
-//    frame where it landed. Arbitrary kernel chunking is reassembled
+//    frame where it landed; a buffer sized to a large frame is freed once
+//    the frame is delivered. Arbitrary kernel chunking is reassembled
 //    there, so partial reads and coalesced frames are routine, not
 //    errors.
 //  * The clock is CLOCK_MONOTONIC microseconds since construction;
@@ -81,15 +83,20 @@ class TcpTransport final : public Transport {
   TimerToken schedule_after(SimDuration delay,
                             std::function<void()> fn) override;
   bool cancel(TimerToken token) override;
-  /// Write one frame from the verified payload bytes and route it; off
-  /// the loop thread the frame is written here and its task posted.
-  /// from==to short-circuits through the task queue (still decoded from
-  /// the frame, so self-frames stay canonical); everything else rides
-  /// the from->to connection. CHECK-fails on an empty `payload` (no
-  /// verified encoding). `model_delay` is ignored: the wire provides the
-  /// timing.
+  /// Write one frame from a copy of the verified payload bytes
+  /// (write_frame) and route it: a chaos duplicate, or a send made
+  /// straight into the transport. CHECK-fails on an empty `payload` (no
+  /// verified encoding). `model_delay` is ignored here and below: the
+  /// wire provides the timing.
   void send_frame(Envelope&& env, SimDuration model_delay,
                   ByteSpan payload) override;
+  /// tcp::frame_head_bytes: the length prefix, header and payload length.
+  std::size_t frame_head_bytes(const std::string& kind) const override;
+  /// Fill in the head the Network reserved in front of the payload it
+  /// encoded (write_frame_head) and route that buffer: the bytes the
+  /// encoder wrote are the bytes the socket sends.
+  void send_framed(Envelope&& env, SimDuration model_delay,
+                   Bytes&& frame) override;
   void set_sink(FrameSink* sink) override { sink_ = sink; }
   obs::Observability& obs() override { return obs_; }
   Rng& rng() override { return rng_; }
@@ -145,10 +152,12 @@ class TcpTransport final : public Transport {
     PeerId to = kNoPeer;
     int fd = -1;
     bool connected = false;  // connect() completed
-    /// Queued frames, each written whole by write_frame, plus the write
-    /// offset into the front frame. Queuing whole frames (not one flat
-    /// buffer) lets a broken connection drop exactly the torn
-    /// partially-written frame and resend the rest after reconnect.
+    /// Queued frames, each a whole frame in its own buffer (the one the
+    /// Network encoded the payload into, or write_frame's copy), plus
+    /// the write offset into the front frame. A frame's buffer is freed
+    /// once the socket has taken its last byte. Queuing whole frames
+    /// (not one flat buffer) lets a broken connection drop exactly the
+    /// torn partially-written frame and resend the rest after reconnect.
     std::deque<Bytes> outq;
     std::size_t front_pos = 0;
     SimDuration backoff = 0;  // next reconnect delay (0 = fresh)
@@ -191,6 +200,13 @@ class TcpTransport final : public Transport {
   /// Fire timers due at `now_us`; returns µs until the next deadline
   /// (or -1 for none).
   SimTime fire_due_timers(SimTime now_us);
+
+  /// Queue a whole frame on the from->to link: at once on the loop
+  /// thread, through a posted task from any other. from==to
+  /// short-circuits through the task queue (still decoded from the
+  /// frame, so self-frames stay canonical); everything else rides the
+  /// from->to connection.
+  void route(PeerId from, PeerId to, Bytes&& frame);
 
   // All loop-thread-only:
   void send_on_loop(PeerId from, PeerId to, Bytes&& frame);

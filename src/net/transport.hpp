@@ -35,6 +35,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -118,6 +120,26 @@ class Transport {
   /// sends these bytes and nothing else, and refuses an empty span.
   virtual void send_frame(Envelope&& env, SimDuration model_delay,
                           ByteSpan payload) = 0;
+
+  /// Bytes this transport's frame puts in front of the payload of a
+  /// message of `kind`; 0 for a transport that frames nothing (the
+  /// simulator). Network::send encode-verifies a payload behind that
+  /// many reserved bytes and hands the buffer to send_framed, so the
+  /// encoder's bytes are the bytes the transport sends.
+  virtual std::size_t frame_head_bytes(const std::string& kind) const {
+    (void)kind;
+    return 0;
+  }
+
+  /// send_frame for a payload encoded in place: `frame` is
+  /// frame_head_bytes(env.kind) reserved bytes followed by the verified
+  /// encoding, and the transport keeps it, writing its framing into the
+  /// reserved room. By default the payload is passed to send_frame.
+  virtual void send_framed(Envelope&& env, SimDuration model_delay,
+                           Bytes&& frame) {
+    const std::size_t head = frame_head_bytes(env.kind);
+    send_frame(std::move(env), model_delay, ByteSpan(frame).subspan(head));
+  }
 
   /// Register the upcall sink (the Network). One sink at a time.
   virtual void set_sink(FrameSink* sink) = 0;

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstring>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -221,8 +222,9 @@ void ShareSplitter::split(std::span<const float> x,
   split_at(x, shares, 0, work);
 }
 
+template <typename Out>
 void ShareSplitter::split_at(std::span<const float> x,
-                             std::span<float* const> shares, std::size_t at,
+                             std::span<Out* const> shares, std::size_t at,
                              std::vector<double>& work) {
   const std::size_t len = x.size();
   P2PFL_CHECK(len >= 1 && len <= kSplitBlock && shares.size() == n_);
@@ -248,10 +250,10 @@ void ShareSplitter::split_at(std::span<const float> x,
       }
       for (std::size_t i = 0; i < n_; ++i) {
         const double* f = work.data() + i * kSplitBlock;
-        float* out = shares[i] + at;
+        Out* out = shares[i] + at;
         for (std::size_t e = 0; e < len; ++e) {
-          out[e] = static_cast<float>(f[e] / total[e] *
-                                      static_cast<double>(x[e]));
+          out[e] = static_cast<Out>(f[e] / total[e] *
+                                    static_cast<double>(x[e]));
         }
       }
       state_ = state;
@@ -259,7 +261,7 @@ void ShareSplitter::split_at(std::span<const float> x,
     }
     case SplitScheme::kUniformMask: {
       for (std::size_t i = 0; i + 1 < n_; ++i) {
-        float* out = shares[i] + at;
+        Out* out = shares[i] + at;
         for (std::size_t e = 0; e < len; ++e) {
           out[e] = static_cast<float>(kMaskRange * (2.0 * unit(state) - 1.0));
         }
@@ -267,14 +269,14 @@ void ShareSplitter::split_at(std::span<const float> x,
       std::array<double, kSplitBlock> acc;
       std::fill_n(acc.begin(), len, 0.0);
       for (std::size_t i = 0; i + 1 < n_; ++i) {
-        const float* out = shares[i] + at;
+        const Out* out = shares[i] + at;
         for (std::size_t e = 0; e < len; ++e) {
           acc[e] += static_cast<double>(out[e]);
         }
       }
-      float* last = shares[n_ - 1] + at;
+      Out* last = shares[n_ - 1] + at;
       for (std::size_t e = 0; e < len; ++e) {
-        last[e] = static_cast<float>(static_cast<double>(x[e]) - acc[e]);
+        last[e] = static_cast<Out>(static_cast<double>(x[e]) - acc[e]);
       }
       state_ = state;
       return;
@@ -286,6 +288,19 @@ void ShareSplitter::split_at(std::span<const float> x,
 void ShareSplitter::split_run(std::span<const float> x,
                               std::span<float* const> shares,
                               std::vector<double>& work) {
+  run(x, shares, work);
+}
+
+void ShareSplitter::split_run_unrounded(std::span<const float> x,
+                                        std::span<double* const> shares,
+                                        std::vector<double>& work) {
+  run(x, shares, work);
+}
+
+template <typename Out>
+void ShareSplitter::run(std::span<const float> x,
+                        std::span<Out* const> shares,
+                        std::vector<double>& work) {
   P2PFL_CHECK(shares.size() == n_);
   const std::size_t q = x.size() / (kLanes * kSplitBlock);
   std::size_t at = 0;
@@ -298,10 +313,14 @@ void ShareSplitter::split_run(std::span<const float> x,
   }
 }
 
+template <typename Out>
 bool ShareSplitter::split_lanes(std::span<const float> x, std::size_t q,
-                                std::span<float* const> shares) {
+                                std::span<Out* const> shares) {
   const std::size_t n = n_;
   const bool proportional = scheme_ == SplitScheme::kProportional;
+  // A column of 8 lanes' shares: rounded to float, or the unrounded
+  // doubles.
+  using Col = std::conditional_t<std::is_same_v<Out, float>, F32x8, F64x8>;
   return on_x86_64_v4([&]() __attribute__((always_inline)) {
     const LaneStates start = lane_states(state_, q * draws_per_block());
     U64x8 s0, s1, s2, s3;
@@ -363,14 +382,23 @@ bool ShareSplitter::split_lanes(std::span<const float> x, std::size_t q,
         }
       }
       // Share i of elements e to e + 7 of every lane, one column per
-      // element, into each lane's row of share i.
-      const auto put = [&](std::size_t i, std::size_t e, const F32x8* cols)
+      // element, into each lane's row of share i (the unrounded doubles
+      // one at a time).
+      const auto put = [&](std::size_t i, std::size_t e, const Col* cols)
           __attribute__((always_inline)) {
-        F32x8 rows[kLanes];
-        transpose(cols, rows);
-        for (std::size_t j = 0; j < kLanes; ++j) {
-          std::memcpy(shares[i] + j * stride + at + e, &rows[j],
-                      sizeof(F32x8));
+        if constexpr (std::is_same_v<Out, float>) {
+          F32x8 rows[kLanes];
+          transpose(cols, rows);
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            std::memcpy(shares[i] + j * stride + at + e, &rows[j],
+                        sizeof(F32x8));
+          }
+        } else {
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            for (std::size_t c = 0; c < kLanes; ++c) {
+              shares[i][j * stride + at + e + c] = cols[c][j];
+            }
+          }
         }
       };
       F64x8 u;
@@ -392,12 +420,12 @@ bool ShareSplitter::split_lanes(std::span<const float> x, std::size_t q,
         s3 = r3;
         for (std::size_t i = 0; i < n; ++i) {
           for (std::size_t e = 0; e < kSplitBlock; e += kLanes) {
-            F32x8 cols[kLanes];
+            Col cols[kLanes];
             for (std::size_t c = 0; c < kLanes; ++c) {
               unit8(u);
               const F64x8 f = 0.05 + 0.95 * u;
               cols[c] =
-                  __builtin_convertvector(f / sum[e + c] * xd[e + c], F32x8);
+                  __builtin_convertvector(f / sum[e + c] * xd[e + c], Col);
             }
             put(i, e, cols);
           }
@@ -406,20 +434,21 @@ bool ShareSplitter::split_lanes(std::span<const float> x, std::size_t q,
         for (std::size_t e = 0; e < kSplitBlock; ++e) sum[e] = F64x8{};
         for (std::size_t i = 0; i + 1 < n; ++i) {
           for (std::size_t e = 0; e < kSplitBlock; e += kLanes) {
-            F32x8 cols[kLanes];
+            Col cols[kLanes];
             for (std::size_t c = 0; c < kLanes; ++c) {
               unit8(u);
-              cols[c] =
+              const F32x8 mask =
                   __builtin_convertvector(kMaskRange * (2.0 * u - 1.0), F32x8);
-              sum[e + c] += __builtin_convertvector(cols[c], F64x8);
+              sum[e + c] += __builtin_convertvector(mask, F64x8);
+              cols[c] = __builtin_convertvector(mask, Col);
             }
             put(i, e, cols);
           }
         }
         for (std::size_t e = 0; e < kSplitBlock; e += kLanes) {
-          F32x8 cols[kLanes];
+          Col cols[kLanes];
           for (std::size_t c = 0; c < kLanes; ++c) {
-            cols[c] = __builtin_convertvector(xd[e + c] - sum[e + c], F32x8);
+            cols[c] = __builtin_convertvector(xd[e + c] - sum[e + c], Col);
           }
           put(n - 1, e, cols);
         }

@@ -74,19 +74,36 @@ class ShareSplitter {
   void split_run(std::span<const float> x, std::span<float* const> shares,
                  std::vector<double>& work);
 
+  /// split_run() without its last rounding, for oracle tests: share i of
+  /// x[e] goes to shares[i][e] as the double split() rounds to float,
+  /// the product f_i / Σf · x (kProportional) or x minus the masks' sum
+  /// (kUniformMask, whose masks are drawn as floats). It runs the same
+  /// lanes and blocks as split_run(), so a test can hold the lanes'
+  /// double arithmetic to split()'s, which a float share rarely shows.
+  void split_run_unrounded(std::span<const float> x,
+                           std::span<double* const> shares,
+                           std::vector<double>& work);
+
   /// Advances past `blocks` full blocks without computing their shares:
   /// the n·kSplitBlock (kProportional) or (n−1)·kSplitBlock
   /// (kUniformMask) draws split() makes per block.
   void skip(std::size_t blocks);
 
  private:
+  /// split_run() into shares of type Out: float, or double for the
+  /// unrounded shares.
+  template <typename Out>
+  void run(std::span<const float> x, std::span<Out* const> shares,
+           std::vector<double>& work);
   /// split() with share i of x[e] going to shares[i][at + e].
-  void split_at(std::span<const float> x, std::span<float* const> shares,
+  template <typename Out>
+  void split_at(std::span<const float> x, std::span<Out* const> shares,
                 std::size_t at, std::vector<double>& work);
   /// The lanes of split_run() over x, 8·q full blocks; false, with
   /// nothing split, on a CPU below x86-64-v4.
+  template <typename Out>
   bool split_lanes(std::span<const float> x, std::size_t q,
-                   std::span<float* const> shares);
+                   std::span<Out* const> shares);
   std::uint64_t draws_per_block() const;
 
   std::array<std::uint64_t, 4> state_{};  // xoshiro256+

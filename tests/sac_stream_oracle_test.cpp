@@ -4,7 +4,8 @@
 // bit for bit, and leave the caller's Rng at the same draw, at every
 // worker count. The split's run kernel (ShareSplitter::split_run, whose
 // 8 lanes run on an x86-64-v4 CPU) against split() block by block from a
-// copy of the same splitter. The actor (secagg/sac_actor.hpp): a SacPeer
+// copy of the same splitter, in float shares and in the unrounded
+// doubles behind them. The actor (secagg/sac_actor.hpp): a SacPeer
 // splits straight into its bundles and regenerates a bundle for a resend,
 // and divide() over a copy of its Rng is the oracle of every byte it
 // sends and every share it keeps. The tests print once which vector
@@ -457,6 +458,69 @@ TEST(SacStreamOracle, RunKernelEqualsBlockByBlockSplit) {
               ASSERT_EQ(bit_mismatches(after_run[i], after_block[i]), 0u)
                   << "next block, share " << i;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SacStreamOracle, RunKernelKeepsSplitsDoubleArithmetic) {
+  // A float share hides most of the double arithmetic behind it: lanes
+  // that compute f · x / Σf instead of f / Σf · x give the same float
+  // almost everywhere. So the unrounded shares, the doubles split()
+  // rounds, are held to split()'s block by block, and the float shares
+  // split_run() writes are held to those doubles, rounded.
+  note_isa();
+  for (SplitScheme scheme : kSchemes) {
+    for (std::size_t n : {1u, 2u, 3u, 5u}) {
+      for (std::size_t q : {1u, 3u}) {
+        for (std::size_t partial : {0u, 77u}) {
+          const std::size_t dim = (8 * q + 1) * kSplitBlock + partial;
+          SCOPED_TRACE(::testing::Message()
+                       << "scheme=" << static_cast<int>(scheme) << " n=" << n
+                       << " q=" << q << " partial=" << partial);
+          const Vector x = secret_of(dim, 500 * n + 10 * q + partial);
+          Rng rng(17 * n + q);
+          const ShareSplitter seeded(n, scheme, rng);
+          std::vector<double> work;
+
+          ShareSplitter by_block = seeded;
+          std::vector<std::vector<double>> want(n, std::vector<double>(dim));
+          std::vector<double*> out(n);
+          for (std::size_t base = 0; base < dim; base += kSplitBlock) {
+            for (std::size_t i = 0; i < n; ++i) out[i] = want[i].data() + base;
+            // One block is a run too short for the lanes: split()'s loop.
+            by_block.split_run_unrounded(
+                std::span(x).subspan(base, std::min(kSplitBlock, dim - base)),
+                out, work);
+          }
+
+          ShareSplitter by_run = seeded;
+          std::vector<std::vector<double>> got(n, std::vector<double>(dim));
+          for (std::size_t i = 0; i < n; ++i) out[i] = got[i].data();
+          by_run.split_run_unrounded(x, out, work);
+
+          ShareSplitter rounded = seeded;
+          std::vector<Vector> shares(n, Vector(dim));
+          std::vector<float*> out_f(n);
+          for (std::size_t i = 0; i < n; ++i) out_f[i] = shares[i].data();
+          rounded.split_run(x, out_f, work);
+          for (std::size_t i = 0; i < n; ++i) {
+            std::size_t bad = 0, bad_rounding = 0;
+            for (std::size_t e = 0; e < dim; ++e) {
+              if (std::bit_cast<std::uint64_t>(got[i][e]) !=
+                  std::bit_cast<std::uint64_t>(want[i][e])) {
+                ++bad;
+              }
+              if (std::bit_cast<std::uint32_t>(
+                      static_cast<float>(want[i][e])) !=
+                  std::bit_cast<std::uint32_t>(shares[i][e])) {
+                ++bad_rounding;
+              }
+            }
+            ASSERT_EQ(bad, 0u) << "share " << i;
+            ASSERT_EQ(bad_rounding, 0u) << "share " << i;
           }
         }
       }

@@ -1,16 +1,20 @@
 // Frame-layer edge cases for the TCP transport: header round-trips,
-// strict rejection of damaged frames, the one-write send frame, and
-// in-place stream reassembly under adversarial chunking (partial reads,
-// coalesced frames, length prefixes split across reads, frames larger
-// than the buffer, oversized-length poisoning).
+// strict rejection of damaged frames, the send frame written once (the
+// payload Network::send encodes behind room for the head, held to
+// write_frame byte for byte), and in-place stream reassembly under
+// adversarial chunking (partial reads, coalesced frames, length prefixes
+// split across reads, frames larger than the buffer, oversized-length
+// poisoning).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/wire.hpp"
+#include "net/network.hpp"
 #include "net/tcp/frame.hpp"
 
 namespace p2pfl::net::tcp {
@@ -25,14 +29,16 @@ Bytes prefixed(const Bytes& body) {
 
 /// Feeds `n` stream bytes to `asem` the way the receive loop does: each
 /// read lands in read_space(), at most `chunk` bytes at a time. False
-/// once received() reports a protocol error.
+/// once received() reports a protocol error. `peak`, when given, keeps
+/// the largest capacity any read saw.
 bool feed(FrameAssembler& asem, const std::uint8_t* data, std::size_t n,
           const FrameAssembler::FrameFn& on_frame,
-          std::size_t chunk = SIZE_MAX) {
+          std::size_t chunk = SIZE_MAX, std::size_t* peak = nullptr) {
   while (n > 0) {
     const std::span<std::uint8_t> space = asem.read_space();
+    if (peak != nullptr) *peak = std::max(*peak, asem.capacity());
     const std::size_t m = std::min({n, space.size(), chunk});
-    std::memcpy(space.data(), data, m);
+    if (m > 0) std::memcpy(space.data(), data, m);  // a poisoned one has none
     if (!asem.received(m, on_frame)) return false;
     data += m;
     n -= m;
@@ -65,6 +71,77 @@ Envelope sample_envelope() {
   env.dest_incarnation = 2;
   env.chaos_duplicate = false;
   return env;
+}
+
+/// A transport that frames like TcpTransport and keeps every frame it
+/// is handed, so a test can hold what Network::send queues to
+/// write_frame. It only sends: no clock, timer or delivery.
+class FrameTap final : public Transport {
+ public:
+  struct Sent {
+    Envelope env;
+    Bytes frame;
+    bool in_place = false;  // the Network's buffer, not a copy
+  };
+  std::vector<Sent> sent;
+
+  const char* name() const override { return "tap"; }
+  bool deterministic() const override { return false; }
+  SimTime now() const override { return 0; }
+  TimerToken schedule_after(SimDuration, std::function<void()>) override {
+    ADD_FAILURE() << "the tap runs no timer";
+    return kNoTimerToken;
+  }
+  bool cancel(TimerToken) override { return false; }
+  void send_frame(Envelope&& env, SimDuration, ByteSpan payload) override {
+    Bytes frame = write_frame(env, payload);
+    sent.push_back({std::move(env), std::move(frame), false});
+  }
+  std::size_t frame_head_bytes(const std::string& kind) const override {
+    return tcp::frame_head_bytes(kind);
+  }
+  void send_framed(Envelope&& env, SimDuration, Bytes&& frame) override {
+    write_frame_head(env, frame);
+    sent.push_back({std::move(env), std::move(frame), true});
+  }
+  void set_sink(FrameSink*) override {}
+  obs::Observability& obs() override { return obs_; }
+  Rng& rng() override { return rng_; }
+  void call(const std::function<void()>& fn) override { fn(); }
+  bool run_until(const std::function<bool()>& done, SimDuration,
+                 SimDuration) override {
+    return done();
+  }
+
+ private:
+  SimTime clock_ = 0;
+  obs::Observability obs_{&clock_};
+  Rng rng_{1};
+};
+
+/// An agg result of `dim` floats from peer 0 to peer 1, charged exactly.
+Envelope result_of(std::size_t dim, std::string kind = "agg/result") {
+  core::wire::register_codecs();
+  core::wire::AggResultMsg msg;
+  msg.round = dim + 1;
+  for (std::size_t i = 0; i < dim; ++i) {
+    msg.model.push_back(static_cast<float>(i) * 0.5f - 3.0f);
+  }
+  Envelope env;
+  env.from = 0;
+  env.to = 1;
+  env.kind = std::move(kind);
+  env.wire_bytes = core::wire::kResultHeader + 4 * dim;
+  env.payload_bytes = 4 * dim;
+  env.body = std::move(msg);
+  return env;
+}
+
+/// write_frame of what the tap was handed, from the payload's own
+/// encoding: the oracle of every frame the Network queues.
+Bytes oracle_frame(const Envelope& env) {
+  return write_frame(
+      env, encode_wire(*payload<core::wire::AggResultMsg>(env.body)));
 }
 
 TEST(TcpFrame, HeaderAndPayloadRoundTrip) {
@@ -151,9 +228,10 @@ TEST(TcpFrame, DecodesInPlaceInsideALargerBuffer) {
 }
 
 TEST(TcpFrame, SendFrameIsTheLengthPrefixedBodyInOneExactBuffer) {
-  // What the transport queues: the verified payload bytes written once,
-  // behind the header and the length prefix, into an exactly sized
-  // buffer; its body is encode_frame's.
+  // write_frame, the oracle of the in-place path and the writer of a
+  // chaos duplicate: the payload bytes it is given, behind the header
+  // and the length prefix, in an exactly sized buffer; its body is
+  // encode_frame's.
   for (const std::size_t dim : {0, 3, 100000}) {
     Envelope env = sample_envelope();
     core::wire::AggResultMsg msg;
@@ -165,6 +243,71 @@ TEST(TcpFrame, SendFrameIsTheLengthPrefixedBodyInOneExactBuffer) {
     EXPECT_EQ(frame, prefixed(encode_frame(env))) << "dim " << dim;
     EXPECT_EQ(frame.capacity(), frame.size()) << "dim " << dim;
   }
+}
+
+TEST(TcpFrame, InPlaceSendsAreWriteFrameByteForByte) {
+  // Network::send encodes each payload behind frame_head_bytes(kind)
+  // reserved bytes, in a buffer sized once; the head written into that
+  // room makes the frame write_frame writes. A small frame right after a
+  // large one on the same link carries its own exact length prefix.
+  FrameTap tap;
+  Network net(tap, {});
+  const std::size_t dims[] = {0, 3, 100000, 3, 0};
+  for (const std::size_t dim : dims) {
+    net.send(result_of(dim, dim == 3 ? "agg/g12/result" : "agg/result"));
+  }
+  ASSERT_EQ(tap.sent.size(), std::size(dims));
+  for (std::size_t i = 0; i < std::size(dims); ++i) {
+    const FrameTap::Sent& s = tap.sent[i];
+    SCOPED_TRACE(::testing::Message() << "send " << i << " dim " << dims[i]);
+    EXPECT_TRUE(s.in_place);
+    EXPECT_EQ(s.frame, oracle_frame(s.env));
+    EXPECT_EQ(s.frame.capacity(), s.frame.size());
+    EXPECT_EQ(s.frame.size(),
+              frame_head_bytes(s.env.kind) + core::wire::kResultHeader +
+                  4 * dims[i]);
+    ByteReader prefix(s.frame);
+    EXPECT_EQ(prefix.u32(), s.frame.size() - 4);
+    const std::optional<Envelope> back =
+        decode_frame(ByteSpan(s.frame).subspan(4));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(payload<core::wire::AggResultMsg>(back->body)->model.size(),
+              dims[i]);
+  }
+}
+
+TEST(TcpFrame, ChaosDuplicateIsACopyOfTheInPlaceFrame) {
+  // The duplicate is written first, by write_frame, from the payload
+  // that still lies in the original's buffer; the original then goes in
+  // place. Their frames differ only in the header's duplicate flag.
+  FrameTap tap;
+  Network net(tap, {.faults = {.duplicate_prob = 1.0}});
+  for (const std::size_t dim : {std::size_t{100000}, std::size_t{3}}) {
+    net.send(result_of(dim));
+  }
+  ASSERT_EQ(tap.sent.size(), 4u);
+  for (std::size_t i = 0; i < tap.sent.size(); i += 2) {
+    const FrameTap::Sent& dup = tap.sent[i];
+    const FrameTap::Sent& original = tap.sent[i + 1];
+    EXPECT_TRUE(dup.env.chaos_duplicate);
+    EXPECT_FALSE(dup.in_place);
+    EXPECT_FALSE(original.env.chaos_duplicate);
+    EXPECT_TRUE(original.in_place);
+    EXPECT_EQ(dup.frame, oracle_frame(dup.env));
+    EXPECT_EQ(original.frame, oracle_frame(original.env));
+    // The flag is the header's last byte, before the payload's length.
+    ASSERT_EQ(dup.frame.size(), original.frame.size());
+    Bytes unflagged = dup.frame;
+    std::uint8_t& flag = unflagged[frame_head_bytes(dup.env.kind) - 5];
+    EXPECT_EQ(flag, 1);
+    flag = 0;
+    EXPECT_EQ(unflagged, original.frame);
+  }
+  // A send lost in flight after its encode hands the transport nothing.
+  net.set_default_faults({.drop_prob = 1.0});
+  net.send(result_of(100000));
+  EXPECT_EQ(tap.sent.size(), 4u);
+  EXPECT_EQ(net.stats().dropped_by_reason.at("chaos_loss"), 1u);
 }
 
 TEST(TcpFrame, UnknownKindIsRejected) {
@@ -246,7 +389,8 @@ TEST(TcpFrame, AssemblerHandlesPrefixSplitAcrossReads) {
 
 TEST(TcpFrame, AssemblerTakesAFrameLargerThanItsBuffer) {
   // A 400 KB body arrives in reads of the receive loop's size: the
-  // buffer grows once, to exactly the frame, not by doubling.
+  // buffer grows once, to exactly the frame, not by doubling, and is
+  // released once the frame is handed on.
   Envelope env = sample_envelope();
   core::wire::AggResultMsg msg;
   msg.round = 7;
@@ -264,32 +408,44 @@ TEST(TcpFrame, AssemblerTakesAFrameLargerThanItsBuffer) {
   }
   FrameAssembler asem;
   std::vector<Bytes> frames;
-  ASSERT_TRUE(
-      feed(asem, stream.data(), stream.size(), collect(frames), kReadBytes));
+  std::size_t peak = 0;
+  ASSERT_TRUE(feed(asem, stream.data(), stream.size(), collect(frames),
+                   kReadBytes, &peak));
   ASSERT_EQ(frames.size(), 4u);
   EXPECT_EQ(frames[0], small);
   EXPECT_EQ(frames[1], big);
   EXPECT_EQ(frames[2], small);
   EXPECT_EQ(frames[3], big);
   EXPECT_EQ(asem.buffered(), 0u);
-  // Exactly the largest frame, whatever the chunking: no doubling.
-  EXPECT_EQ(asem.capacity(), 4 + big.size());
-  // A frame longer than one read is read to its end and no further,
-  // though the buffer has room for more.
+  // Never more than the frame being assembled: no doubling.
+  EXPECT_EQ(peak, 4 + big.size());
+  // Between frames, at most one read's worth.
+  EXPECT_LE(asem.capacity(), kReadBytes);
+  // A frame longer than one read is read to its end and no further, in
+  // a buffer of exactly its size.
   msg.model.resize(msg.model.size() / 2);
   env.body = msg;
   const Bytes half = prefixed(encode_frame(env));
   ASSERT_GT(half.size(), 2 * kReadBytes);
   ASSERT_TRUE(feed(asem, half.data(), kReadBytes, never_called));
   EXPECT_EQ(asem.read_space().size(), half.size() - kReadBytes);
+  EXPECT_EQ(asem.capacity(), half.size());
+  ASSERT_TRUE(feed(asem, half.data() + kReadBytes, half.size() - kReadBytes,
+                   collect(frames)));
+  ASSERT_EQ(frames.size(), 5u);
+  EXPECT_EQ(prefixed(frames[4]), half);
+  EXPECT_LE(asem.capacity(), kReadBytes);
   for (const std::size_t chunk : {std::size_t{1000}, std::size_t{70000},
                                   std::size_t{300000}}) {
     FrameAssembler other;
     std::vector<Bytes> got;
-    ASSERT_TRUE(feed(other, stream.data(), stream.size(), collect(got), chunk));
+    std::size_t other_peak = 0;
+    ASSERT_TRUE(feed(other, stream.data(), stream.size(), collect(got), chunk,
+                     &other_peak));
     ASSERT_EQ(got.size(), 4u) << "chunk " << chunk;
     EXPECT_EQ(got[3], big) << "chunk " << chunk;
-    EXPECT_EQ(other.capacity(), 4 + big.size()) << "chunk " << chunk;
+    EXPECT_EQ(other_peak, 4 + big.size()) << "chunk " << chunk;
+    EXPECT_LE(other.capacity(), kReadBytes) << "chunk " << chunk;
   }
 }
 

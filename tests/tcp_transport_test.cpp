@@ -1,8 +1,10 @@
 // TcpTransport behavior over real loopback sockets: timers on the
 // monotonic clock, typed frame delivery with exact Network accounting,
-// large frames crossing partial writes, reconnect-with-backoff after a
-// hard connection loss, and thread-safety of the obs registry under
-// concurrent hammering (the configuration the TSan CI job compiles).
+// frames sent from the buffer their payload was encoded into (and chaos
+// duplicates copied from it), large frames crossing partial writes,
+// reconnect-with-backoff after a hard connection loss, and
+// thread-safety of the obs registry under concurrent hammering (the
+// configuration the TSan CI job compiles).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -194,6 +196,80 @@ TEST(TcpTransport, EachSendIsItsEncodedFrameBehindTheLengthPrefix) {
   ASSERT_NE(last, nullptr);
   EXPECT_EQ(last->round, 9u);
   EXPECT_EQ(last->model, std::vector<float>(7, 0.5f));
+}
+
+TEST(TcpTransport, InPlaceFramesCrossTheWireAfterALargeOne) {
+  // Each send's frame is the buffer its payload was encoded into: a
+  // 100k-float frame, then small ones on the same link, each behind its
+  // own exact length prefix, with no byte of the large one left over.
+  TcpTransport t({.peers = {0, 1}, .seed = 7});
+  Network net(t, {});
+  CollectingEndpoint e0, e1;
+  net.attach(0, &e0);
+  net.attach(1, &e1);
+  t.start();
+  const std::size_t dims[] = {100000, 3, 0, 100000, 0};
+  t.call([&] {
+    for (std::size_t i = 0; i < std::size(dims); ++i) {
+      net.send(result_envelope(0, 1, dims[i], 1 + i));
+    }
+  });
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == std::size(dims); },
+                          kWait, kPoll));
+  t.shutdown();
+  EXPECT_EQ(t.obs().metrics.counter_value("net.tcp.bad_frames"), 0u);
+  EXPECT_EQ(t.obs().metrics.counter_value("net.tcp.frame_protocol_error"),
+            0u);
+  std::uint64_t framed = 0;
+  for (std::size_t i = 0; i < std::size(dims); ++i) {
+    const auto* msg = payload<core::wire::AggResultMsg>(e1.got[i].body);
+    ASSERT_NE(msg, nullptr);
+    EXPECT_EQ(msg->round, 1 + i);
+    EXPECT_EQ(msg->model, std::vector<float>(dims[i], 0.5f)) << "send " << i;
+    framed += 4 + encode_frame(e1.got[i]).size();
+  }
+  EXPECT_EQ(t.raw_bytes_sent(), framed);
+  EXPECT_EQ(t.raw_bytes_received(), framed);
+}
+
+TEST(TcpTransport, ChaosDuplicateDeliversTwoIdenticalFrames) {
+  // With every send duplicated, the copy is written from the payload in
+  // the original's buffer before that buffer is queued, sent and freed
+  // (the sanitizer jobs run this): two frames per send arrive, equal but
+  // for the duplicate flag, and only the original counts as delivered.
+  TcpTransport t({.peers = {0, 1}, .seed = 7});
+  Network net(t, {.faults = {.duplicate_prob = 1.0}});
+  CollectingEndpoint e0, e1;
+  net.attach(0, &e0);
+  net.attach(1, &e1);
+  t.start();
+  const std::size_t dims[] = {100000, 3, 100000};
+  t.call([&] {
+    for (std::size_t i = 0; i < std::size(dims); ++i) {
+      net.send(result_envelope(0, 1, dims[i], 1 + i));
+    }
+  });
+  ASSERT_TRUE(t.run_until([&] { return e1.count() == 2 * std::size(dims); },
+                          kWait, kPoll));
+  t.shutdown();
+  std::uint64_t framed = 0;
+  for (std::size_t i = 0; i < std::size(dims); ++i) {
+    const Envelope& dup = e1.got[2 * i];
+    const Envelope& original = e1.got[2 * i + 1];
+    EXPECT_TRUE(dup.chaos_duplicate) << "send " << i;
+    EXPECT_FALSE(original.chaos_duplicate) << "send " << i;
+    Envelope unflagged = dup;
+    unflagged.chaos_duplicate = false;
+    EXPECT_EQ(encode_frame(unflagged), encode_frame(original)) << "send " << i;
+    const auto* msg = payload<core::wire::AggResultMsg>(original.body);
+    ASSERT_NE(msg, nullptr);
+    EXPECT_EQ(msg->model, std::vector<float>(dims[i], 0.5f)) << "send " << i;
+    framed += 2 * (4 + encode_frame(original).size());
+  }
+  EXPECT_EQ(t.raw_bytes_sent(), framed);
+  EXPECT_EQ(t.raw_bytes_received(), framed);
+  EXPECT_EQ(net.stats().delivered.messages, std::size(dims));
+  EXPECT_EQ(net.stats().duplicated.messages, std::size(dims));
 }
 
 TEST(TcpTransport, SelfSendDeliversWithoutWireAccounting) {

@@ -56,6 +56,7 @@ const std::vector<MetricRule>& rules_for(const std::string& bench) {
       {"peers_per_sec", MetricClass::kPerf, kPerfRel, 0.0},
       {"events_per_sec", MetricClass::kPerf, kPerfRel, 0.0},
       {"wire_bytes_per_sec", MetricClass::kPerf, kPerfRel, 0.0},
+      {"peak_rss_mb", MetricClass::kPerf, kPerfRel, 0.0},
       {"micro.ops", MetricClass::kExact},
       {"micro.**", MetricClass::kPerf, kPerfRel, 0.0},
       // n, groups, rounds, completed, sim_ms, events, wire_bytes,
@@ -339,6 +340,19 @@ int self_test() {
                     "\"wire_bytes\":678,\"micro\":{\"ops\":1000,\"wheel\":"
                     "{\"schedule_fire_per_sec\":9e6}}}")
               .failures.empty());
+
+  // The sweep's peak RSS is machine-dependent: drift only warns.
+  {
+    const auto rss_base = json::parse(
+        "{\"bench\":\"scale_sweep\",\"schema_version\":1,\"events\":7,"
+        "\"peak_rss_mb\":60.0}");
+    const auto rss_fresh = json::parse(
+        "{\"bench\":\"scale_sweep\",\"schema_version\":1,\"events\":7,"
+        "\"peak_rss_mb\":200.0}");
+    const GateResult r = diff_documents(*rss_base, *rss_fresh, false);
+    expect("scale RSS drift soft-fails",
+           r.failures.empty() && r.warnings.size() == 1);
+  }
 
   // Band rules: attack cells move inside the band, fail outside it.
   const auto abase = json::parse(

@@ -8,10 +8,14 @@
 // machine-readable). A second section microbenchmarks raw kernel
 // schedule/cancel and schedule/fire throughput against the retained
 // naive binary-heap reference (src/sim/reference_queue.hpp) — the
-// before/after numbers for the kernel swap.
+// before/after numbers for the kernel swap. `peak_rss_mb` is the
+// process's resident-set high-water mark after the sweep, before the
+// micro-benchmarks allocate their own queues.
 //
 // CI runs `scale_sweep --n 1000` as a smoke test; the 10k/100k points
 // run in the nightly scale job (see .github/workflows/ci.yml).
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -33,6 +37,13 @@ using namespace p2pfl;
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// The process's peak resident set so far, in MB (getrusage reports KiB).
+double peak_rss_mb() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
 struct SweepResult {
@@ -150,6 +161,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "scale_sweep: N=%zu group_size=%zu rounds=%zu ...\n",
                n, group_size, rounds);
   const SweepResult s = run_sweep(n, group_size, rounds, seed);
+  const double sweep_rss_mb = peak_rss_mb();
 
   double micro_wheel_sc = 0, micro_wheel_sf = 0;
   double micro_naive_sc = 0, micro_naive_sf = 0;
@@ -182,7 +194,8 @@ int main(int argc, char** argv) {
       .field_double("wire_bytes_per_sec",
                     static_cast<double>(s.wire_bytes) / s.wall_s, "%.1f")
       .field_u64("event_pool_slots", s.event_pool)
-      .field_u64("envelope_pool_slots", s.envelope_pool);
+      .field_u64("envelope_pool_slots", s.envelope_pool)
+      .field_double("peak_rss_mb", sweep_rss_mb, "%.1f");
   w.key("micro").object_begin().field_u64("ops", micro_ops);
   w.key("wheel")
       .object_begin()

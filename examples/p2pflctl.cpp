@@ -42,9 +42,11 @@
 // with WAL-backed Raft state in DIR: it injects a connection reset, a
 // bandwidth-throttle window and a crash/restart through the chaos
 // engine, then verifies the victim rejoined from its on-disk log with
-// zero InstallSnapshot RPCs. `--kill-after-round=N` SIGKILLs the whole
-// process mid-run (exit 137) so a second invocation with `--resume` can
-// prove peers recover from the write-ahead logs it left behind.
+// zero InstallSnapshot RPCs; it reads none of the fault-plan flags, so
+// passing one there exits 2, naming it. `--kill-after-round=N` SIGKILLs
+// the whole process mid-run (exit 137) so a second invocation with
+// `--resume` can prove peers recover from the write-ahead logs it left
+// behind.
 // `health` exercises the
 // self-healing membership path end to end — stabilize, crash a peer,
 // watch it get suspected and evicted, restart it (optionally with
@@ -810,10 +812,28 @@ int cmd_heal(const bench::Args& args, const std::string& transport) {
   return res.ok() ? 0 : 1;
 }
 
+/// The fault-plan flags of the chaos soak (soak_config), which the heal
+/// soak does not read.
+constexpr const char* kSoakOnlyFlags[] = {
+    "loss",       "dup",        "corrupt",    "truncate",
+    "reorder-ms", "churn-mttf", "churn-mttr", "partition-at",
+    "heal-at",    "interval",   "dim"};
+
 int cmd_chaos(const bench::Args& args) {
   const std::string transport = transport_flag(args);
   if (transport.empty()) return 2;
-  if (transport == "tcp" || args.has("wal")) return cmd_heal(args, transport);
+  if (transport == "tcp" || args.has("wal")) {
+    for (const char* flag : kSoakOnlyFlags) {
+      if (args.has(flag)) {
+        std::fprintf(stderr,
+                     "--%s is not read by the heal soak that --wal and "
+                     "--transport=tcp run\n",
+                     flag);
+        return 2;
+      }
+    }
+    return cmd_heal(args, transport);
+  }
   if (args.has("resume") || args.has("kill-after-round")) {
     std::fprintf(stderr, "--resume and --kill-after-round need --wal\n");
     return 2;

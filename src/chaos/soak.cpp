@@ -20,6 +20,8 @@ namespace p2pfl::chaos {
 namespace {
 /// Max |committed − exact| accepted as float-accumulation noise.
 constexpr double kExactTol = 5e-3;
+/// SAC share-phase retransmission budget (generous: ambient loss).
+constexpr std::size_t kSacShareRetries = 6;
 }  // namespace
 
 ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
@@ -37,7 +39,7 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
   acfg.collect_timeout = cfg.round_interval;
   acfg.sac_share_timeout = 150 * kMillisecond;
   acfg.sac_subtotal_timeout = 150 * kMillisecond;
-  acfg.sac_share_retry_limit = cfg.sac_share_retries;
+  acfg.sac_share_retry_limit = kSacShareRetries;
   acfg.upload_retry = 300 * kMillisecond;
   core::TwoLayerAggregator agg(topo, acfg, net);
 

@@ -63,8 +63,6 @@ struct ChaosSoakConfig {
   /// Partition window: subgroup 0 vs the rest (0 = none).
   SimTime partition_at = 0;
   SimTime heal_at = 0;
-  /// SAC share-phase retransmission budget (generous: ambient loss).
-  std::size_t sac_share_retries = 6;
   /// Record the full trace stream into ChaosSoakResult::trace_json.
   bool capture_trace = false;
   /// Record causal spans: per-round critical paths for committed rounds,

@@ -60,12 +60,6 @@ void ByteWriter::u64(std::uint64_t v) {
   buf_.insert(buf_.end(), b, b + 8);
 }
 
-void ByteWriter::patch_u32(std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
 void ByteWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.insert(buf_.end(), s.begin(), s.end());

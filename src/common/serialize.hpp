@@ -75,9 +75,6 @@ class ByteWriter {
     for (const T& x : v) u32(static_cast<std::uint32_t>(x));
   }
 
-  /// Overwrite the u32 at byte offset `at` (written earlier with u32),
-  /// e.g. a length prefix known only after what follows it is written.
-  void patch_u32(std::size_t at, std::uint32_t v);
   /// Append `n` zero bytes, room that is filled in later in place (e.g.
   /// a frame's head, in front of the payload encoded after it).
   void pad(std::size_t n) { buf_.resize(buf_.size() + n); }

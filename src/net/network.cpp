@@ -128,7 +128,7 @@ bool Network::partitioned(PeerId from, PeerId to) const {
 }
 
 void Network::schedule_delivery(Envelope env, const LinkFaults& f,
-                                ByteSpan payload, ByteWriter* frame) {
+                                Bytes&& frame) {
   SimDuration delay = 0;
   if (transport_.deterministic()) {
     // The simulator has no wire, so the Network models the link: latency,
@@ -144,16 +144,7 @@ void Network::schedule_delivery(Envelope env, const LinkFaults& f,
     delay += links_.frame_delay(env.from, env.to, env.wire_bytes,
                                 transport_.now());
   }
-  hand_over(std::move(env), delay, payload, frame);
-}
-
-void Network::hand_over(Envelope&& env, SimDuration delay, ByteSpan payload,
-                        ByteWriter* frame) {
-  if (frame != nullptr && frame->size() > 0) {
-    transport_.send_framed(std::move(env), delay, frame->take());
-  } else {
-    transport_.send_frame(std::move(env), delay, payload);
-  }
+  transport_.send_frame(std::move(env), delay, std::move(frame));
 }
 
 void Network::send(Envelope env) {
@@ -175,7 +166,7 @@ void Network::send(Envelope env) {
   // The verified encoding is the payload the transport sends: one
   // encode per send, into `frame` when the transport frames the kind.
   ByteWriter frame;
-  ByteSpan payload = verify_encoding(env, k, frame);
+  const ByteSpan payload = verify_encoding(env, k, frame);
   env.dest_incarnation = incarnation(env.to);
 
   obs::SpanRecorder& sr = transport_.obs().spans;
@@ -189,7 +180,7 @@ void Network::send(Envelope env) {
       env.span.span = sr.open(obs::SpanKind::kLink, env.kind, env.from,
                               env.span.round, env.span.span);
     }
-    hand_over(std::move(env), 0, payload, &frame);
+    transport_.send_frame(std::move(env), 0, frame.take());
     return;
   }
 
@@ -228,8 +219,7 @@ void Network::send(Envelope env) {
       f.truncate_prob > 0.0 && fault_rng_.chance(f.truncate_prob);
   if (flip || trunc) {
     maybe_corrupt(env, payload, flip, trunc);
-    payload = {};  // the damaged body has no verified encoding
-    frame.clear();
+    frame.clear();  // the damaged body has no verified encoding
   }
   const bool duplicate =
       f.duplicate_prob > 0.0 && fault_rng_.chance(f.duplicate_prob);
@@ -241,15 +231,15 @@ void Network::send(Envelope env) {
     }
     // Duplicate copy scheduled first to keep the fault-RNG draw order of
     // schedule_delivery (reorder jitter) identical to the pre-span code.
-    // It is a copy: the transport copies what it keeps of `payload`,
-    // which still lies in the original's buffer.
+    // Its frame is a copy of the original's buffer (empty when the
+    // transport frames nothing), its head still to be written.
     Envelope dup = env;
     dup.chaos_duplicate = true;
     if (sr.enabled()) {
       dup.span.span = sr.open(obs::SpanKind::kLink, dup.kind, dup.from,
                               dup.span.round, dup.span.span);
     }
-    schedule_delivery(std::move(dup), f, payload, nullptr);
+    schedule_delivery(std::move(dup), f, Bytes(frame.bytes()));
   }
   if (sr.enabled()) {
     // Each in-flight copy gets its own link span: open at send, closed at
@@ -257,7 +247,7 @@ void Network::send(Envelope env) {
     env.span.span = sr.open(obs::SpanKind::kLink, env.kind, env.from,
                             env.span.round, env.span.span);
   }
-  schedule_delivery(std::move(env), f, payload, &frame);
+  schedule_delivery(std::move(env), f, frame.take());
 }
 
 ByteSpan Network::verify_encoding(const Envelope& env, KindSlot& k,

@@ -349,14 +349,10 @@ class Network : public FrameSink {
   KindId intern(const std::string& kind);
   const Codec* codec_of(KindSlot& k) const;
   SimDuration latency_for(PeerId from, PeerId to) const;
-  /// Hand one copy to the transport with its verified `payload` bytes
-  /// (see hand_over).
-  void schedule_delivery(Envelope env, const LinkFaults& f,
-                         ByteSpan payload, ByteWriter* frame);
-  /// send_framed when `frame` holds the payload behind the transport's
-  /// frame head (the transport takes the buffer), send_frame otherwise.
-  void hand_over(Envelope&& env, SimDuration delay, ByteSpan payload,
-                 ByteWriter* frame);
+  /// Hand one copy to the transport's send_frame with its `frame`: the
+  /// verified encoding behind the transport's frame head, or nothing
+  /// (see Transport::send_frame).
+  void schedule_delivery(Envelope env, const LinkFaults& f, Bytes&& frame);
   void count_drop(Drop reason);
   /// Encode-verify: the charge must equal the real encoding +
   /// modeled_delta. Returns that encoding, or an empty span for a kind
@@ -397,8 +393,8 @@ class Network : public FrameSink {
   std::unordered_map<std::string, KindId> kind_ids_;
   std::deque<KindSlot> kinds_;
   /// Encode-verify's buffer for a transport that frames nothing (the
-  /// simulator), cleared and reused for every send; its bytes are the
-  /// payload the transport is handed.
+  /// simulator), cleared and reused for every send; that transport is
+  /// handed an empty frame and the typed body.
   ByteWriter verify_buf_;
   std::unordered_map<PeerId, Endpoint*> endpoints_;
   std::unordered_set<PeerId> crashed_;

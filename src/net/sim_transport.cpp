@@ -28,7 +28,7 @@ void SimTransport::deliver_pooled(std::uint32_t slot) {
 }
 
 void SimTransport::send_frame(Envelope&& env, SimDuration model_delay,
-                              ByteSpan /*payload*/) {
+                              Bytes&& /*frame*/) {
   P2PFL_CHECK(sink_ != nullptr);
   const std::uint32_t slot = acquire_envelope(std::move(env));
   sim_.schedule_after(model_delay, [this, slot] { deliver_pooled(slot); });

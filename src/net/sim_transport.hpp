@@ -27,7 +27,6 @@ class SimTransport final : public Transport {
   SimTransport(const SimTransport&) = delete;
   SimTransport& operator=(const SimTransport&) = delete;
 
-  const char* name() const override { return "sim"; }
   bool deterministic() const override { return true; }
   SimTime now() const override { return sim_.now(); }
 
@@ -40,9 +39,10 @@ class SimTransport final : public Transport {
 
   bool cancel(TimerToken token) override { return sim_.cancel(token); }
 
-  /// Schedules the typed envelope's delivery; `payload` is not needed.
+  /// Schedules the typed envelope's delivery; `frame` is empty (this
+  /// transport frames nothing).
   void send_frame(Envelope&& env, SimDuration model_delay,
-                  ByteSpan payload) override;
+                  Bytes&& frame) override;
 
   void set_sink(FrameSink* sink) override { sink_ = sink; }
 

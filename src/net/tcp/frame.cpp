@@ -24,13 +24,6 @@ void header(IO& io, Env& env) {
 /// length prefix, six u64 fields and the duplicate flag.
 constexpr std::size_t kHeaderFixedBytes = 4 + 4 + 4 + 6 * 8 + 1;
 
-/// The frame body: the header, then the payload as a length-prefixed
-/// blob.
-void write_body(ByteWriter& w, const Envelope& env, ByteSpan payload) {
-  header(w, env);
-  w.blob(payload);
-}
-
 std::uint32_t read_u32_le(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -39,15 +32,6 @@ std::uint32_t read_u32_le(const std::uint8_t* p) {
 }
 
 }  // namespace
-
-Bytes write_frame(const Envelope& env, ByteSpan payload) {
-  ByteWriter w;
-  w.reserve(frame_head_bytes(env.kind) + payload.size());
-  w.u32(0);  // the body's length, patched once the body is written
-  write_body(w, env, payload);
-  w.patch_u32(0, static_cast<std::uint32_t>(w.size() - 4));
-  return w.take();
-}
 
 std::size_t frame_head_bytes(const std::string& kind) {
   return 4 + kHeaderFixedBytes + kind.size() + 4;
@@ -76,7 +60,8 @@ Bytes encode_frame(const Envelope& env) {
                   "payload type does not match the codec for kind '" +
                       env.kind + "'");
   ByteWriter w;
-  write_body(w, env, payload.bytes());
+  header(w, env);
+  w.blob(payload.bytes());
   return w.take();
 }
 

@@ -14,18 +14,18 @@
 //
 // The bytes move as little as the socket API allows. Network::send
 // encodes a payload behind frame_head_bytes(kind) reserved bytes, in a
-// buffer sized once to the frame; write_frame_head fills that room with
-// the length prefix, the header and the payload's length, and the
-// socket sends the buffer. So on the loop thread a payload is written
-// once, by its codec. write_frame lays a payload it is given behind a
-// fresh head (a chaos duplicate, a send made off the loop thread), and
-// is the byte oracle of the in-place path. FrameAssembler gives the
-// receive loop the space its next read lands in, and hands each
-// complete frame body on as a view into that buffer, which decode_frame
-// decodes where it lies. It reassembles frames from an arbitrary stream
-// chunking (partial reads, coalesced frames, length prefixes split
-// across reads), rejects oversized length prefixes before allocating,
-// and holds a frame-sized buffer only while that frame is assembled.
+// buffer sized once to the frame; write_frame_head, the one writer of a
+// sent frame, fills that room with the length prefix, the header and
+// the payload's length, and the socket sends the buffer. So a payload
+// is written once, by its codec (a chaos duplicate is a copy of the
+// buffer). encode_frame writes a frame body from scratch and is the
+// byte oracle of every sent frame. FrameAssembler gives the receive
+// loop the space its next read lands in, and hands each complete frame
+// body on as a view into that buffer, which decode_frame decodes where
+// it lies. It reassembles frames from an arbitrary stream chunking
+// (partial reads, coalesced frames, length prefixes split across
+// reads), rejects oversized length prefixes before allocating, and
+// holds a frame-sized buffer only while that frame is assembled.
 #pragma once
 
 #include <cstdint>
@@ -48,23 +48,19 @@ inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 /// assembled still lacks more than that.
 inline constexpr std::size_t kReadBytes = 64u << 10;
 
-/// One frame as the socket sends it, [u32 LE body length][frame body],
-/// for `env` whose payload's canonical encoding is `payload`, copied
-/// into a buffer that holds exactly the frame.
-Bytes write_frame(const Envelope& env, ByteSpan payload);
-
 /// Bytes a frame of `kind` puts in front of its payload's encoding: the
 /// length prefix, the header and the payload's length. Only the kind's
 /// length varies it.
 std::size_t frame_head_bytes(const std::string& kind);
 
-/// Makes `frame`, whose first frame_head_bytes(env.kind) bytes are reserved
-/// and whose rest is the payload's canonical encoding, the frame
-/// write_frame(env, payload) writes, by filling in the head in place.
+/// Makes `frame`, whose first frame_head_bytes(env.kind) bytes are
+/// reserved and whose rest is the payload's canonical encoding, the
+/// frame the socket sends, [u32 LE body length][frame body], by filling
+/// in the head in place.
 void write_frame_head(const Envelope& env, std::span<std::uint8_t> frame);
 
-/// The frame body of `env` (no length prefix): its payload encoded
-/// through the kind's codec, laid out by write_frame's writer.
+/// The frame body of `env` (no length prefix): the header, then its
+/// payload encoded through the kind's codec as a length-prefixed blob.
 /// CHECK-fails when the kind has no registered codec or the body does
 /// not match it: only canonical frames travel.
 Bytes encode_frame(const Envelope& env);

@@ -348,40 +348,23 @@ void TcpTransport::run_loop() {
   drain_tasks();  // run stragglers (unblocks any call() in flight)
 }
 
-void TcpTransport::send_frame(Envelope&& env, SimDuration model_delay,
-                              ByteSpan payload) {
-  (void)model_delay;  // the wire provides the timing
-  P2PFL_CHECK_MSG(!payload.empty(),
-                  "kind '" + env.kind +
-                      "' has no verified canonical encoding; only canonical "
-                      "codec frames may cross the TCP transport");
-  // Written here, on any thread: `payload` is valid only for this call.
-  route(env.from, env.to, write_frame(env, payload));
-}
-
 std::size_t TcpTransport::frame_head_bytes(const std::string& kind) const {
   return tcp::frame_head_bytes(kind);
 }
 
-void TcpTransport::send_framed(Envelope&& env, SimDuration model_delay,
-                               Bytes&& frame) {
+void TcpTransport::send_frame(Envelope&& env, SimDuration model_delay,
+                              Bytes&& frame) {
   (void)model_delay;  // the wire provides the timing
-  write_frame_head(env, frame);
-  route(env.from, env.to, std::move(frame));
-}
-
-void TcpTransport::route(PeerId from, PeerId to, Bytes&& frame) {
-  if (running_.load() && on_loop_thread()) {
-    send_on_loop(from, to, std::move(frame));
-    return;
-  }
-  auto boxed = std::make_shared<Bytes>(std::move(frame));
-  post([this, from, to, boxed] { send_on_loop(from, to, std::move(*boxed)); });
-}
-
-void TcpTransport::send_on_loop(PeerId from, PeerId to, Bytes&& frame) {
+  P2PFL_CHECK_MSG(on_loop_thread(),
+                  "TcpTransport::send_frame runs on the loop thread; send "
+                  "through call()");
+  P2PFL_CHECK_MSG(!frame.empty(),
+                  "kind '" + env.kind +
+                      "' has no verified canonical encoding; only canonical "
+                      "codec frames may cross the TCP transport");
   P2PFL_CHECK(sink_ != nullptr);
-  if (from == to) {
+  write_frame_head(env, frame);
+  if (env.from == env.to) {
     // Self-delivery skips the wire but still decodes the canonical frame,
     // and is deferred through the task queue so the sender never sees a
     // reentrant delivery (mirrors the simulator's schedule-at-0 self
@@ -396,7 +379,7 @@ void TcpTransport::send_on_loop(PeerId from, PeerId to, Bytes&& frame) {
     return;
   }
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  OutConn& c = out_conn(from, to);
+  OutConn& c = out_conn(env.from, env.to);
   c.outq.push_back(std::move(frame));
   if (cfg_.max_outq_frames > 0 && c.outq.size() > cfg_.max_outq_frames) {
     // Bounded queue: drop the oldest undelivered frame. The front frame
@@ -630,18 +613,6 @@ void TcpTransport::inject_connection_reset(PeerId a, PeerId b) {
         // reconnect when traffic is pending.
         fail_out(c, "chaos_reset");
       }
-    }
-  });
-}
-
-void TcpTransport::debug_close_connections() {
-  call([this] {
-    for (auto& [key, c] : out_conns_) {
-      (void)key;
-      if (c.fd >= 0) fail_out(c, "debug_close");
-    }
-    for (InConn& c : in_conns_) {
-      if (c.fd >= 0) close_in(c);
     }
   });
 }

@@ -11,14 +11,14 @@
 //
 //  * Frames are the canonical length-prefixed codec encodings
 //    (src/net/tcp/frame.hpp). The network's encode-verify writes a
-//    send's payload behind room for the frame head, the transport fills
-//    the head in, and the socket sends that buffer, so a payload is
-//    written once; a chaos duplicate is written from a copy. The receive
-//    loop reads into the connection's FrameAssembler and decodes each
-//    frame where it landed; a buffer sized to a large frame is freed once
-//    the frame is delivered. Arbitrary kernel chunking is reassembled
-//    there, so partial reads and coalesced frames are routine, not
-//    errors.
+//    send's payload behind room for the frame head, send_frame fills the
+//    head in (write_frame_head), and the socket sends that buffer, so a
+//    payload is written once; a chaos duplicate is a copy of that buffer.
+//    The receive loop reads into the connection's FrameAssembler and
+//    decodes each frame where it landed; a buffer sized to a large frame
+//    is freed once the frame is delivered. Arbitrary kernel chunking is
+//    reassembled there, so partial reads and coalesced frames are
+//    routine, not errors.
 //  * The clock is CLOCK_MONOTONIC microseconds since construction;
 //    timers ride a min-heap with lazy cancellation and fire at-or-after
 //    their deadline on the loop thread.
@@ -30,10 +30,12 @@
 //  * shutdown() briefly flushes pending writes, then stops and joins
 //    the loop thread and closes every socket. Destruction shuts down.
 //
-// Cross-thread entry points (send_frame off-thread, schedule_after,
-// post/call) funnel through an eventfd-woken task queue; everything else
-// is loop-thread-only. Accounting reads (Network::stats) are only safe
-// on the loop thread (use call()) or after shutdown().
+// Cross-thread entry points (schedule_after, post/call) funnel through
+// an eventfd-woken task queue; everything else, send_frame included, is
+// loop-thread-only: code on another thread sends through call(), as the
+// seam requires of everything that touches actors. Accounting reads
+// (Network::stats) are only safe on the loop thread (use call()) or
+// after shutdown().
 #pragma once
 
 #include <atomic>
@@ -77,26 +79,22 @@ class TcpTransport final : public Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   // --- Transport --------------------------------------------------------
-  const char* name() const override { return "tcp"; }
   bool deterministic() const override { return false; }
   SimTime now() const override;
   TimerToken schedule_after(SimDuration delay,
                             std::function<void()> fn) override;
   bool cancel(TimerToken token) override;
-  /// Write one frame from a copy of the verified payload bytes
-  /// (write_frame) and route it: a chaos duplicate, or a send made
-  /// straight into the transport. CHECK-fails on an empty `payload` (no
-  /// verified encoding). `model_delay` is ignored here and below: the
-  /// wire provides the timing.
-  void send_frame(Envelope&& env, SimDuration model_delay,
-                  ByteSpan payload) override;
   /// tcp::frame_head_bytes: the length prefix, header and payload length.
   std::size_t frame_head_bytes(const std::string& kind) const override;
   /// Fill in the head the Network reserved in front of the payload it
-  /// encoded (write_frame_head) and route that buffer: the bytes the
-  /// encoder wrote are the bytes the socket sends.
-  void send_framed(Envelope&& env, SimDuration model_delay,
-                   Bytes&& frame) override;
+  /// encoded (write_frame_head) and queue that buffer on the from->to
+  /// connection: the bytes the encoder wrote are the bytes the socket
+  /// sends. from==to skips the wire but still decodes the frame, through
+  /// the task queue. Loop thread only; CHECK-fails elsewhere and on an
+  /// empty `frame` (no verified encoding). `model_delay` is ignored: the
+  /// wire provides the timing.
+  void send_frame(Envelope&& env, SimDuration model_delay,
+                  Bytes&& frame) override;
   void set_sink(FrameSink* sink) override { sink_ = sink; }
   obs::Observability& obs() override { return obs_; }
   Rng& rng() override { return rng_; }
@@ -129,11 +127,6 @@ class TcpTransport final : public Transport {
   std::uint64_t frames_sent() const { return frames_sent_.load(); }
   std::uint64_t frames_received() const { return frames_received_.load(); }
 
-  /// Test hook: hard-close every established connection (both
-  /// directions) on the loop thread; outbound pairs with queued traffic
-  /// reconnect through the normal backoff path.
-  void debug_close_connections();
-
   /// Chaos: tear down every established connection between `a` and `b`
   /// in both directions, as if the kernel sent RST. The pairs reconnect
   /// through the normal (jittered) backoff path.
@@ -153,8 +146,8 @@ class TcpTransport final : public Transport {
     int fd = -1;
     bool connected = false;  // connect() completed
     /// Queued frames, each a whole frame in its own buffer (the one the
-    /// Network encoded the payload into, or write_frame's copy), plus
-    /// the write offset into the front frame. A frame's buffer is freed
+    /// Network encoded the payload into), plus the write offset into the
+    /// front frame. A frame's buffer is freed
     /// once the socket has taken its last byte. Queuing whole frames
     /// (not one flat buffer) lets a broken connection drop exactly the
     /// torn partially-written frame and resend the rest after reconnect.
@@ -201,15 +194,7 @@ class TcpTransport final : public Transport {
   /// (or -1 for none).
   SimTime fire_due_timers(SimTime now_us);
 
-  /// Queue a whole frame on the from->to link: at once on the loop
-  /// thread, through a posted task from any other. from==to
-  /// short-circuits through the task queue (still decoded from the
-  /// frame, so self-frames stay canonical); everything else rides the
-  /// from->to connection.
-  void route(PeerId from, PeerId to, Bytes&& frame);
-
   // All loop-thread-only:
-  void send_on_loop(PeerId from, PeerId to, Bytes&& frame);
   /// Decode one frame body where it lies and hand it to the sink.
   void deliver_frame(ByteSpan body);
   OutConn& out_conn(PeerId from, PeerId to);

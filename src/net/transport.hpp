@@ -9,9 +9,10 @@
 //
 //  * net::SimTransport — the deterministic discrete-event path. The
 //    clock is sim::Simulator's virtual clock, timers are simulator
-//    events, and send_frame schedules an in-memory delivery after the
-//    delay the Network modeled (latency plus the link table's hold).
-//    Goldens in tests/determinism_test.cpp pin its event order.
+//    events, and send_frame schedules an in-memory delivery of the
+//    typed envelope after the delay the Network modeled (latency plus
+//    the link table's hold). Goldens in tests/determinism_test.cpp pin
+//    its event order.
 //  * net::tcp::TcpTransport — a threaded epoll event loop speaking
 //    length-prefixed frames of the canonical codec encodings over real
 //    loopback sockets (src/net/tcp). The clock is CLOCK_MONOTONIC
@@ -20,6 +21,10 @@
 //    through the sink's link table instead.
 //
 // The seam's contract:
+//  * a send crosses it once, through send_frame, carrying the buffer
+//    the Network's encode-verify wrote: the frame head's reserved room
+//    and the verified encoding behind it, so the bytes a framing
+//    transport sends are the bytes that were checked;
 //  * every frame that crosses a non-deterministic transport must have a
 //    registered codec (net::CodecRegistry) — only canonical encodings
 //    travel; raw std::any bodies are a simulator-only test affordance;
@@ -28,9 +33,9 @@
 //    the TCP transport's event-loop thread — so actors never need locks;
 //  * Transport::now() is monotone and every timer fires at-or-after its
 //    deadline in that clock;
-//  * code outside the callback thread touches actors and Network stats
-//    only through call(), and waits on them only through run_until(),
-//    so one scenario runs unchanged on either backend.
+//  * code outside the callback thread touches actors and Network stats,
+//    and sends, only through call(), and waits on them only through
+//    run_until(), so one scenario runs unchanged on either backend.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +90,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Short backend label ("sim", "tcp") for logs and metrics.
-  virtual const char* name() const = 0;
-
   /// True when this transport is the deterministic simulator: time is
   /// virtual, latency/faults are modeled by the Network, and identical
   /// seeds replay identical histories. Real transports return false and
@@ -105,41 +107,33 @@ class Transport {
   /// Cancel a pending timer. False if it already fired / was cancelled.
   virtual bool cancel(TimerToken token) = 0;
 
+  /// Bytes this transport's frame puts in front of the payload of a
+  /// message of `kind`; 0 for a transport that frames nothing (the
+  /// simulator). Network::send encode-verifies a payload behind that
+  /// many reserved bytes, so the encoder's bytes are the bytes the
+  /// transport sends.
+  virtual std::size_t frame_head_bytes(const std::string& kind) const {
+    (void)kind;
+    return 0;
+  }
+
   /// Move one frame toward env.to. `model_delay` is the delivery delay
   /// the Network computed on a deterministic transport (its latency
   /// model plus the link table's hold), which that transport honors
   /// exactly. Real transports ignore it: the wire imposes the latency
   /// and the sink's link table gates their writes.
   ///
-  /// `payload` is env.body's canonical encoding, the bytes the Network's
-  /// encode-verify produced and checked for this send; it is valid only
-  /// for the duration of the call, so a transport that keeps it copies
-  /// it. It is empty when the send has no verified encoding: a kind
-  /// without a codec (simulator only) or a chaos-corrupted body. The
-  /// simulator moves the typed body and ignores it; a real transport
-  /// sends these bytes and nothing else, and refuses an empty span.
+  /// `frame` is frame_head_bytes(env.kind) reserved bytes followed by
+  /// env.body's canonical encoding, the bytes the Network's
+  /// encode-verify produced and checked for this send; the transport
+  /// keeps the buffer and writes its framing into the reserved room. It
+  /// is empty when the transport frames nothing (the simulator, which
+  /// moves the typed body) and when the send has no verified encoding: a
+  /// kind without a codec (simulator only) or a chaos-corrupted body. A
+  /// real transport sends these bytes and nothing else, and refuses an
+  /// empty frame.
   virtual void send_frame(Envelope&& env, SimDuration model_delay,
-                          ByteSpan payload) = 0;
-
-  /// Bytes this transport's frame puts in front of the payload of a
-  /// message of `kind`; 0 for a transport that frames nothing (the
-  /// simulator). Network::send encode-verifies a payload behind that
-  /// many reserved bytes and hands the buffer to send_framed, so the
-  /// encoder's bytes are the bytes the transport sends.
-  virtual std::size_t frame_head_bytes(const std::string& kind) const {
-    (void)kind;
-    return 0;
-  }
-
-  /// send_frame for a payload encoded in place: `frame` is
-  /// frame_head_bytes(env.kind) reserved bytes followed by the verified
-  /// encoding, and the transport keeps it, writing its framing into the
-  /// reserved room. By default the payload is passed to send_frame.
-  virtual void send_framed(Envelope&& env, SimDuration model_delay,
-                           Bytes&& frame) {
-    const std::size_t head = frame_head_bytes(env.kind);
-    send_frame(std::move(env), model_delay, ByteSpan(frame).subspan(head));
-  }
+                          Bytes&& frame) = 0;
 
   /// Register the upcall sink (the Network). One sink at a time.
   virtual void set_sink(FrameSink* sink) = 0;

@@ -80,9 +80,11 @@ std::vector<float> median(std::span<const std::vector<float>> models,
   return out;
 }
 
+/// kNormClip's bound as a multiple of the median input norm.
+constexpr double kClipMultiplier = 2.0;
+
 std::vector<float> norm_clip(std::span<const std::vector<float>> models,
-                             std::span<const double> weights,
-                             double clip_multiplier) {
+                             std::span<const double> weights) {
   const std::size_t m = models.size();
   std::vector<double> norms(m, 0.0);
   for (std::size_t i = 0; i < m; ++i) {
@@ -93,7 +95,7 @@ std::vector<float> norm_clip(std::span<const std::vector<float>> models,
   std::vector<double> sorted = norms;
   std::sort(sorted.begin(), sorted.end());
   const double median_norm = sorted[(m - 1) / 2];
-  const double bound = clip_multiplier * median_norm;
+  const double bound = kClipMultiplier * median_norm;
 
   std::vector<std::vector<float>> clipped(models.begin(), models.end());
   for (std::size_t i = 0; i < m; ++i) {
@@ -147,7 +149,7 @@ std::vector<float> aggregate(std::span<const std::vector<float>> models,
     case RobustRule::kMedian:
       return median(models, weights);
     case RobustRule::kNormClip:
-      return norm_clip(models, weights, cfg.clip_multiplier);
+      return norm_clip(models, weights);
   }
   return fl::federated_average(models, weights);
 }

@@ -22,8 +22,8 @@
 //  * kMedian      — per coordinate, the weighted median. Breakdown
 //                   point 1/2.
 //  * kNormClip    — scale every input whose L2 norm exceeds
-//                   clip_multiplier x (median input norm) down to that
-//                   bound, then weighted-average. Defangs scaled-update
+//                   2 x (median input norm) down to that bound, then
+//                   weighted-average. Defangs scaled-update
 //                   attacks while keeping honest gradients untouched.
 #pragma once
 
@@ -45,8 +45,6 @@ struct RobustConfig {
   RobustRule rule = RobustRule::kMean;
   /// kTrimmedMean: fraction trimmed from EACH end, in [0, 0.5).
   double trim_fraction = 0.2;
-  /// kNormClip: clip bound as a multiple of the median input norm.
-  double clip_multiplier = 2.0;
 };
 
 /// Human name of a rule ("mean", "trimmed_mean", "median", "norm_clip").

@@ -62,7 +62,6 @@ TEST(ChaosSoakSlow, HighLossStillCommitsExactRounds) {
   cfg.seed = 17;
   cfg.round_interval = 2 * kSecond;
   cfg.net.faults.drop_prob = 0.25;
-  cfg.sac_share_retries = 10;
   const ChaosSoakResult res = run_chaos_soak(cfg);
   EXPECT_TRUE(res.liveness_ok);
   EXPECT_TRUE(res.all_commits_exact) << "max error " << res.max_abs_error;

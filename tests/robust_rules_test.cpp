@@ -108,7 +108,6 @@ TEST(RobustRules, NormClipDefangsScaledUpdate) {
   // pull; the result stays within the clip bound of the honest value.
   RobustConfig cfg;
   cfg.rule = RobustRule::kNormClip;
-  cfg.clip_multiplier = 2.0;
   const std::vector<double> w(5, 1.0);
   const auto models = constant_models(5, 4, 1.0f, 1000.0f, 1);
   const std::vector<float> out = aggregate(models, w, cfg);

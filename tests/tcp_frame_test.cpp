@@ -1,7 +1,8 @@
 // Frame-layer edge cases for the TCP transport: header round-trips,
 // strict rejection of damaged frames, the send frame written once (the
 // payload Network::send encodes behind room for the head, held to
-// write_frame byte for byte), and in-place stream reassembly under
+// encode_frame behind its length prefix byte for byte), and in-place
+// stream reassembly under
 // adversarial chunking (partial reads, coalesced frames, length prefixes
 // split across reads, frames larger than the buffer, oversized-length
 // poisoning).
@@ -75,17 +76,15 @@ Envelope sample_envelope() {
 
 /// A transport that frames like TcpTransport and keeps every frame it
 /// is handed, so a test can hold what Network::send queues to
-/// write_frame. It only sends: no clock, timer or delivery.
+/// encode_frame. It only sends: no clock, timer or delivery.
 class FrameTap final : public Transport {
  public:
   struct Sent {
     Envelope env;
     Bytes frame;
-    bool in_place = false;  // the Network's buffer, not a copy
   };
   std::vector<Sent> sent;
 
-  const char* name() const override { return "tap"; }
   bool deterministic() const override { return false; }
   SimTime now() const override { return 0; }
   TimerToken schedule_after(SimDuration, std::function<void()>) override {
@@ -93,16 +92,12 @@ class FrameTap final : public Transport {
     return kNoTimerToken;
   }
   bool cancel(TimerToken) override { return false; }
-  void send_frame(Envelope&& env, SimDuration, ByteSpan payload) override {
-    Bytes frame = write_frame(env, payload);
-    sent.push_back({std::move(env), std::move(frame), false});
-  }
   std::size_t frame_head_bytes(const std::string& kind) const override {
     return tcp::frame_head_bytes(kind);
   }
-  void send_framed(Envelope&& env, SimDuration, Bytes&& frame) override {
+  void send_frame(Envelope&& env, SimDuration, Bytes&& frame) override {
     write_frame_head(env, frame);
-    sent.push_back({std::move(env), std::move(frame), true});
+    sent.push_back({std::move(env), std::move(frame)});
   }
   void set_sink(FrameSink*) override {}
   obs::Observability& obs() override { return obs_; }
@@ -135,13 +130,6 @@ Envelope result_of(std::size_t dim, std::string kind = "agg/result") {
   env.payload_bytes = 4 * dim;
   env.body = std::move(msg);
   return env;
-}
-
-/// write_frame of what the tap was handed, from the payload's own
-/// encoding: the oracle of every frame the Network queues.
-Bytes oracle_frame(const Envelope& env) {
-  return write_frame(
-      env, encode_wire(*payload<core::wire::AggResultMsg>(env.body)));
 }
 
 TEST(TcpFrame, HeaderAndPayloadRoundTrip) {
@@ -227,29 +215,12 @@ TEST(TcpFrame, DecodesInPlaceInsideALargerBuffer) {
                    .has_value());
 }
 
-TEST(TcpFrame, SendFrameIsTheLengthPrefixedBodyInOneExactBuffer) {
-  // write_frame, the oracle of the in-place path and the writer of a
-  // chaos duplicate: the payload bytes it is given, behind the header
-  // and the length prefix, in an exactly sized buffer; its body is
-  // encode_frame's.
-  for (const std::size_t dim : {0, 3, 100000}) {
-    Envelope env = sample_envelope();
-    core::wire::AggResultMsg msg;
-    msg.round = 7;
-    msg.model.assign(dim, 0.5f);
-    env.body = msg;
-    env.kind = dim == 3 ? "agg/g12/result" : "agg/result";
-    const Bytes frame = write_frame(env, encode_wire(msg));
-    EXPECT_EQ(frame, prefixed(encode_frame(env))) << "dim " << dim;
-    EXPECT_EQ(frame.capacity(), frame.size()) << "dim " << dim;
-  }
-}
-
 TEST(TcpFrame, InPlaceSendsAreWriteFrameByteForByte) {
   // Network::send encodes each payload behind frame_head_bytes(kind)
-  // reserved bytes, in a buffer sized once; the head written into that
-  // room makes the frame write_frame writes. A small frame right after a
-  // large one on the same link carries its own exact length prefix.
+  // reserved bytes, in a buffer sized once to the frame; the head
+  // written into that room makes the length-prefixed encode_frame of
+  // the envelope. A small frame right after a large one on the same
+  // link carries its own exact length prefix.
   FrameTap tap;
   Network net(tap, {});
   const std::size_t dims[] = {0, 3, 100000, 3, 0};
@@ -260,8 +231,7 @@ TEST(TcpFrame, InPlaceSendsAreWriteFrameByteForByte) {
   for (std::size_t i = 0; i < std::size(dims); ++i) {
     const FrameTap::Sent& s = tap.sent[i];
     SCOPED_TRACE(::testing::Message() << "send " << i << " dim " << dims[i]);
-    EXPECT_TRUE(s.in_place);
-    EXPECT_EQ(s.frame, oracle_frame(s.env));
+    EXPECT_EQ(s.frame, prefixed(encode_frame(s.env)));
     EXPECT_EQ(s.frame.capacity(), s.frame.size());
     EXPECT_EQ(s.frame.size(),
               frame_head_bytes(s.env.kind) + core::wire::kResultHeader +
@@ -277,9 +247,9 @@ TEST(TcpFrame, InPlaceSendsAreWriteFrameByteForByte) {
 }
 
 TEST(TcpFrame, ChaosDuplicateIsACopyOfTheInPlaceFrame) {
-  // The duplicate is written first, by write_frame, from the payload
-  // that still lies in the original's buffer; the original then goes in
-  // place. Their frames differ only in the header's duplicate flag.
+  // The duplicate goes first, in a copy of the original's buffer taken
+  // before either head is written; the original then goes in its own
+  // buffer. Their frames differ only in the header's duplicate flag.
   FrameTap tap;
   Network net(tap, {.faults = {.duplicate_prob = 1.0}});
   for (const std::size_t dim : {std::size_t{100000}, std::size_t{3}}) {
@@ -290,11 +260,10 @@ TEST(TcpFrame, ChaosDuplicateIsACopyOfTheInPlaceFrame) {
     const FrameTap::Sent& dup = tap.sent[i];
     const FrameTap::Sent& original = tap.sent[i + 1];
     EXPECT_TRUE(dup.env.chaos_duplicate);
-    EXPECT_FALSE(dup.in_place);
     EXPECT_FALSE(original.env.chaos_duplicate);
-    EXPECT_TRUE(original.in_place);
-    EXPECT_EQ(dup.frame, oracle_frame(dup.env));
-    EXPECT_EQ(original.frame, oracle_frame(original.env));
+    EXPECT_EQ(dup.frame, prefixed(encode_frame(dup.env)));
+    EXPECT_EQ(original.frame, prefixed(encode_frame(original.env)));
+    EXPECT_EQ(dup.frame.capacity(), dup.frame.size());
     // The flag is the header's last byte, before the payload's length.
     ASSERT_EQ(dup.frame.size(), original.frame.size());
     Bytes unflagged = dup.frame;

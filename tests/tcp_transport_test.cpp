@@ -1,10 +1,10 @@
 // TcpTransport behavior over real loopback sockets: timers on the
 // monotonic clock, typed frame delivery with exact Network accounting,
 // frames sent from the buffer their payload was encoded into (and chaos
-// duplicates copied from it), large frames crossing partial writes,
-// reconnect-with-backoff after a hard connection loss, and
-// thread-safety of the obs registry under concurrent hammering (the
-// configuration the TSan CI job compiles).
+// duplicates copied from it) on the loop thread only, large frames
+// crossing partial writes, reconnect-with-backoff after a connection
+// reset, and thread-safety of the obs registry under concurrent
+// hammering (the configuration the TSan CI job compiles).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -15,6 +15,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -64,7 +65,6 @@ Envelope result_envelope(PeerId from, PeerId to, std::size_t dim,
 TEST(TcpTransport, StartsAndShutsDownCleanly) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
   EXPECT_FALSE(t.deterministic());
-  EXPECT_EQ(std::string(t.name()), "tcp");
   t.start();
   EXPECT_GT(t.port_of(0), 0);
   EXPECT_GT(t.port_of(1), 0);
@@ -175,15 +175,22 @@ TEST(TcpTransport, EachSendIsItsEncodedFrameBehindTheLengthPrefix) {
       net.send(result_envelope(0, 1, 1000 * i + 3, 1 + i));
     }
   });
-  // ...and straight into the transport off the loop thread, which takes
-  // its copy of the payload before returning: scribbling over the bytes
-  // afterwards changes nothing.
-  {
-    Envelope env = result_envelope(0, 1, 7, 9);
-    Bytes bytes = encode_wire(*payload<core::wire::AggResultMsg>(env.body));
-    t.send_frame(Envelope(env), 0, bytes);
-    std::fill(bytes.begin(), bytes.end(), 0xAB);
-  }
+  // ...and straight into the transport, on the loop thread, in a buffer
+  // laid out as the Network lays it: room for the head, then the
+  // payload's encoding.
+  Envelope direct = result_envelope(0, 1, 7, 9);
+  Bytes frame(t.frame_head_bytes(direct.kind));
+  const Bytes encoded =
+      encode_wire(*payload<core::wire::AggResultMsg>(direct.body));
+  frame.insert(frame.end(), encoded.begin(), encoded.end());
+  // Off the loop thread, or with no encoding, the transport refuses it.
+  EXPECT_THROW(t.send_frame(Envelope(direct), 0, Bytes(frame)),
+               std::logic_error);
+  t.call([&] {
+    EXPECT_THROW(t.send_frame(Envelope(direct), 0, Bytes{}),
+                 std::logic_error);
+    t.send_frame(std::move(direct), 0, std::move(frame));
+  });
   ASSERT_TRUE(t.run_until([&] { return e1.count() == 4; }, kWait, kPoll));
   t.shutdown();
   // The stream carried exactly encode_frame() of each delivered envelope
@@ -309,32 +316,6 @@ TEST(TcpTransport, LargeFrameSurvivesPartialWrites) {
   EXPECT_EQ(msg->model.front(), 0.5f);
   EXPECT_EQ(msg->model.back(), 0.5f);
   EXPECT_GE(t.raw_bytes_received(), 4 * kDim);
-}
-
-TEST(TcpTransport, ReconnectsAndFlushesAfterConnectionLoss) {
-  TcpTransport t({.peers = {0, 1}, .seed = 7});
-  Network net(t, {});
-  CollectingEndpoint e0;
-  CollectingEndpoint e1;
-  net.attach(0, &e0);
-  net.attach(1, &e1);
-  t.start();
-  t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
-  ASSERT_TRUE(t.run_until([&] { return e1.count() == 1; }, kWait, kPoll));
-
-  // Hard-drop every socket, then keep sending: the from->to pair must
-  // reconnect (with backoff) and flush the queued frames.
-  t.debug_close_connections();
-  t.call([&] {
-    for (int i = 0; i < 5; ++i) net.send(result_envelope(0, 1, 4, 10 + i));
-  });
-  ASSERT_TRUE(t.run_until([&] { return e1.count() == 6; }, kWait, kPoll));
-  t.shutdown();
-  EXPECT_GE(t.obs().metrics.counter_value("net.tcp.connects"), 2u);
-  // Nothing was lost: the frames sent after the close all arrived.
-  const auto* last = payload<core::wire::AggResultMsg>(e1.got.back().body);
-  ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->round, 14u);
 }
 
 TEST(TcpTransport, InjectedConnectionResetHealsWithoutLoss) {
@@ -471,9 +452,10 @@ TEST(TcpTransport, OversizeFramePoisonsOnlyThatConnection) {
   t.call([&] { net.send(result_envelope(0, 1, 4, 2)); });
   ASSERT_TRUE(t.run_until([&] { return e1.count() == 2; }, kWait, kPoll));
 
-  // ...and the freed inbound slot is reusable: force a reconnect so the
-  // fresh accept may land on the recycled (reset, un-poisoned) slot.
-  t.debug_close_connections();
+  // ...and the freed inbound slot is reusable: reset the pair so the
+  // reconnect's fresh accept may land on the recycled (reset,
+  // un-poisoned) slot.
+  t.inject_connection_reset(0, 1);
   t.call([&] { net.send(result_envelope(0, 1, 4, 3)); });
   ASSERT_TRUE(t.run_until([&] { return e1.count() == 3; }, kWait, kPoll));
   ::close(rogue);

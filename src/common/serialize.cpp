@@ -70,7 +70,7 @@ void ByteWriter::blob(ByteSpan b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
-void ByteWriter::vec_f32(const std::vector<float>& v) {
+void ByteWriter::vec_f32(std::span<const float> v) {
   static_assert(sizeof(float) == sizeof(std::uint32_t));
   u32(static_cast<std::uint32_t>(v.size()));
   // Payloads run to millions of floats: each byte is written once, never

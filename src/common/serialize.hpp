@@ -64,7 +64,7 @@ class ByteWriter {
   /// Length-prefixed byte string (u32 count + raw bytes).
   void blob(ByteSpan b);
   /// Length-prefixed f32 vector (u32 count + 4 bytes per element).
-  void vec_f32(const std::vector<float>& v);
+  void vec_f32(std::span<const float> v);
 
   template <typename T>
   void vec_u32(const std::vector<T>& v) {

@@ -1,6 +1,8 @@
 #include "secagg/sac_actor.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -16,12 +18,53 @@ constexpr std::size_t kBackoffCap = 8;
 /// Full cycles through a subtotal's replica holders before the round is
 /// declared unrecoverable.
 constexpr std::size_t kRecoveryPasses = 3;
+/// Bytes of shares split_into packs into one buffer (at least one share).
+constexpr std::size_t kShareBufferBytes = 4096;
 
 /// Kind family of a channel ("ml/g3" -> "ml"): the codec-registry key
 /// prefix shared by every channel of the same protocol.
 std::string family_of(const std::string& channel) {
   const std::size_t slash = channel.find('/');
   return slash == std::string::npos ? channel : channel.substr(0, slash);
+}
+
+// A held index's sum and the leader's total keep the bits accumulate()
+// into a zeroed sum and to_vector() give, without the zero pass or a
+// second read: the first vector writes 0.0 + x (what adding x to +0.0
+// gives, -0.0 included), later ones add, and the last writes
+// float((sum + x) / divisor) straight into the result (dividing by 1.0
+// is exact).
+
+std::unique_ptr<double[]> begin_sum(std::span<const float> x) {
+  auto sum = std::make_unique_for_overwrite<double[]>(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sum[i] = 0.0 + static_cast<double>(x[i]);
+  }
+  return sum;
+}
+
+void add_to_sum(double* sum, std::span<const float> x) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sum[i] += static_cast<double>(x[i]);
+  }
+}
+
+Vector end_sum(const double* sum, std::span<const float> x,
+               double divisor) {
+  Vector out(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = static_cast<float>((sum[i] + static_cast<double>(x[i])) /
+                                divisor);
+  }
+  return out;
+}
+
+/// `share` shifted by `offset` element by element, in a buffer of its own.
+Share shifted(const Share& share, float offset) {
+  auto out = std::make_shared_for_overwrite<float[]>(share.size());
+  std::transform(share.begin(), share.end(), out.get(),
+                 [offset](float v) { return v + offset; });
+  return Share(std::move(out), share.size());
 }
 
 }  // namespace
@@ -210,8 +253,7 @@ SacShareMsg SacPeer::blank_bundle(std::size_t dest_pos) const {
   msg.from_pos = static_cast<std::uint32_t>(st.my_pos);
   msg.parts.reserve(st.n - st.k + 1);
   all_replica_share_indices(dest_pos, st.n, st.k, [&](std::size_t s) {
-    msg.parts.emplace_back(static_cast<std::uint32_t>(s),
-                           Vector(st.model.size()));
+    msg.parts.emplace_back(static_cast<std::uint32_t>(s), Share());
     return true;
   });
   return msg;
@@ -222,29 +264,48 @@ void SacPeer::split_into(std::span<SacShareMsg> bundles,
   const RoundState& st = *round_;
   const std::size_t n = st.n;
   const std::size_t dim = st.model.size();
-  // Share s is split into the first part that holds it and copied into
-  // the others; a share no part holds goes to a scratch row.
-  std::vector<float*> rows(n, nullptr);
-  std::vector<std::pair<float*, std::size_t>> copies;  // (part, share)
-  for (SacShareMsg& b : bundles) {
-    for (auto& [s, data] : b.parts) {
-      if (rows[s] == nullptr) {
-        rows[s] = data.data();
-      } else {
-        copies.emplace_back(data.data(), s);
-      }
-    }
+  // Each share some part wants is split into its own row of a buffer,
+  // left unfilled until then, and every part that holds share s refers
+  // to row s; a buffer goes with the last part that refers to it. A
+  // buffer holds as many rows as fit in kShareBufferBytes, and at least
+  // one: a small model's shares share one reference count, which would
+  // outweigh them one by one, and a large model's each go with their own
+  // last part. A share no part wants goes to a scratch row.
+  std::vector<bool> wanted(n, false);
+  for (const SacShareMsg& b : bundles) {
+    for (const auto& [s, data] : b.parts) wanted[s] = true;
   }
-  const std::size_t unheld =
-      static_cast<std::size_t>(std::count(rows.begin(), rows.end(), nullptr));
-  Vector scratch(unheld * dim);
-  for (std::size_t s = 0, next = 0; s < n; ++s) {
-    if (rows[s] == nullptr) rows[s] = scratch.data() + dim * next++;
+  const std::size_t kept =
+      static_cast<std::size_t>(std::count(wanted.begin(), wanted.end(), true));
+  const std::size_t rows_per_buffer = std::max<std::size_t>(
+      1, kShareBufferBytes / (sizeof(float) * std::max<std::size_t>(dim, 1)));
+  std::vector<std::shared_ptr<float[]>> buffers;
+  std::vector<std::size_t> buffer_of(n);
+  const auto scratch =
+      std::make_unique_for_overwrite<float[]>((n - kept) * dim);
+  std::vector<float*> rows(n);
+  for (std::size_t s = 0, w = 0, u = 0; s < n; ++s) {
+    if (!wanted[s]) {
+      rows[s] = scratch.get() + dim * u++;
+      continue;
+    }
+    const std::size_t row = w++ % rows_per_buffer;
+    if (row == 0) {
+      buffers.push_back(std::make_shared_for_overwrite<float[]>(
+          std::min(rows_per_buffer, kept - w + 1) * dim));
+    }
+    buffer_of[s] = buffers.size() - 1;
+    rows[s] = buffers.back().get() + dim * row;
   }
   std::vector<double> work;
   ShareSplitter splitter = *st.splitter;
   splitter.split_run(st.model, rows, work);
-  for (const auto& [part, s] : copies) std::copy_n(rows[s], dim, part);
+  for (SacShareMsg& b : bundles) {
+    for (auto& [s, data] : b.parts) {
+      data = Share(
+          std::shared_ptr<const float[]>(buffers[buffer_of[s]], rows[s]), dim);
+    }
+  }
   if (digests != nullptr) {
     for (std::size_t s = 0; s < n; ++s) {
       (*digests)[s] = wire::share_digest({rows[s], dim}, (*digests)[s]);
@@ -273,9 +334,7 @@ void SacPeer::send_bundle(std::size_t dest_pos, SacShareMsg msg,
     }
   }
   if (offset != 0.0f) {
-    for (auto& [idx, data] : msg.parts) {
-      for (float& v : data) v += offset;
-    }
+    for (auto& [idx, data] : msg.parts) data = shifted(data, offset);
   }
   if (opts_.detect_inconsistent_shares) {
     msg.commit = st.my_commit;
@@ -409,27 +468,39 @@ void SacPeer::report_suspects(std::vector<std::size_t> newly) {
 }
 
 void SacPeer::contribute(std::size_t from_pos, std::size_t idx,
-                         const Vector& share) {
+                         std::span<const float> share) {
   RoundState& st = *round_;
   if (idx >= st.n) return;
   // A share whose dimension disagrees with what this index already
   // accumulated is damaged (or from a mismatched config): ignore it
   // rather than corrupt the running subtotal.
   auto ait = st.acc.find(idx);
-  if (ait != st.acc.end() && ait->second.size() != share.size()) return;
+  if (ait != st.acc.end() && ait->second.dim != share.size()) return;
   st.got_share_from[from_pos] = true;
   // try_emplace builds the per-index state only when the index is new.
   std::vector<bool>& seen =
       st.contributed.try_emplace(idx, st.n, false).first->second;
   if (seen[from_pos]) return;  // duplicate
   seen[from_pos] = true;
-  if (ait == st.acc.end()) ait = st.acc.try_emplace(idx, share.size()).first;
-  accumulate(ait->second, share);
   const bool complete =
       std::all_of(seen.begin(), seen.end(), [](bool b) { return b; });
-  if (complete) {
-    st.subtotal[idx] = to_vector(ait->second);
+  if (ait == st.acc.end()) {
+    // The first share of the index: a done index's sum is gone, but
+    // every share of it is a duplicate, turned away above.
+    auto sum = begin_sum(share);
+    if (complete) {  // n = 1: the first share is the last
+      st.subtotal[idx] = to_vector({sum.get(), share.size()});
+      return;
+    }
+    st.acc.try_emplace(idx, std::move(sum), share.size());
+    return;
   }
+  if (!complete) {
+    add_to_sum(ait->second.sum.get(), share);
+    return;
+  }
+  st.subtotal[idx] = end_sum(ait->second.sum.get(), share, 1.0);
+  st.acc.erase(ait);
 }
 
 void SacPeer::maybe_finish_share_phase() {
@@ -560,9 +631,18 @@ void SacPeer::maybe_complete() {
     o.trace.instant("agg", "sac.reveal", id_,
                     {{"channel", channel_}, {"round", st.round}});
   }
-  std::vector<double> total(st.collected.begin()->second.size(), 0.0);
-  for (const auto& [idx, value] : st.collected) accumulate(total, value);
-  const Vector avg = to_vector(total, static_cast<double>(st.n));
+  // The subtotals' sum in index order, divided by n.
+  const double n = static_cast<double>(st.n);
+  auto it = st.collected.begin();
+  const auto last = std::prev(st.collected.end());
+  const std::unique_ptr<double[]> total = begin_sum(it->second);
+  Vector avg;
+  if (it == last) {
+    avg = to_vector({total.get(), it->second.size()}, n);
+  } else {
+    for (++it; it != last; ++it) add_to_sum(total.get(), it->second);
+    avg = end_sum(total.get(), last->second, n);
+  }
   if (on_complete) on_complete(st.round, avg);
 }
 

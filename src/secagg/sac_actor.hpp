@@ -16,11 +16,14 @@
 //    cost {n(n−1)(n−k+1) + (k−1)}|w|, reducing to (n²−1)|w| at k = n.
 //
 // Share data plane: a peer splits its model with one split_run() straight
-// into the bundles it sends and the shares it holds itself, each share
-// byte written once into each part that holds it. It keeps no shares
-// afterwards, only its model and the ShareSplitter seeded by the round's
-// one draw from its Rng; a resend regenerates the asked-for bundle from a
-// copy of that splitter, bit for bit the first send.
+// into unfilled buffers, a row per share, and every bundle part that
+// holds share s, in the bundles it sends and the one it keeps, refers to
+// row s (a Share). It keeps no shares afterwards, only its model and
+// the ShareSplitter seeded by the round's one draw from its Rng; a resend
+// regenerates the asked-for bundle from a copy of that splitter, bit for
+// bit the first send. A Byzantine sender's perturbed part gets a buffer
+// of its own. A holder sums its held shares in double without zeroing
+// the sum first and writes the float subtotal as the last share arrives.
 //
 // Retry hardening (for lossy/duplicating networks, see src/chaos): while
 // a peer's held subtotals are incomplete, it requests retransmission
@@ -40,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -95,7 +99,7 @@ struct SacActorOptions {
 struct SacShareMsg {
   RoundId round = 0;
   std::uint32_t from_pos = 0;
-  std::vector<std::pair<std::uint32_t, Vector>> parts;  // (share idx, data)
+  std::vector<std::pair<std::uint32_t, Share>> parts;  // (share idx, data)
   /// Share-consistency commitment (detection mode only, else empty):
   /// FNV-1a digest of each of the sender's n shares, same vector to
   /// every holder. A holder checks its own parts against it and echoes
@@ -240,8 +244,14 @@ class SacPeer {
     /// Byzantine sender: how many equivocating resends were issued (each
     /// one shifts the payload further so no two sends agree).
     std::size_t equivocations_sent = 0;
-    /// Accumulating subtotals for share indices this peer holds.
-    std::map<std::size_t, std::vector<double>> acc;
+    /// Running sums of the share indices this peer holds, until each
+    /// one's subtotal is done: allocated unfilled, the first share
+    /// writes the sum.
+    struct HeldSum {
+      std::unique_ptr<double[]> sum;
+      std::size_t dim = 0;
+    };
+    std::map<std::size_t, HeldSum> acc;
     /// Per held index: which positions contributed already.
     std::map<std::size_t, std::vector<bool>> contributed;
     /// Which positions we received any shares from (dropout detection).
@@ -289,19 +299,21 @@ class SacPeer {
   void handle_request(const SacSubtotalReq& msg);
   void handle_share_request(const SacShareReq& msg);
   void handle_commit_echo(const SacCommitEchoMsg& msg);
-  /// The bundle for `dest_pos`: one model-sized part per share index
-  /// that position holds; split_into fills them.
+  /// The bundle for `dest_pos`: one part per share index that position
+  /// holds, with no data yet; split_into fills them.
   SacShareMsg blank_bundle(std::size_t dest_pos) const;
   /// Fill every part of `bundles` with its share of this round's model,
   /// in one split_run() of a copy of the round's splitter: each share is
-  /// split into one part that holds it and copied into the others. A
-  /// share no part wants is computed and dropped. With `digests`, each
-  /// share's FNV-1a digest (wire::share_digest) is taken into it.
+  /// split into its row of a buffer, and every part holding it refers to
+  /// that row. A share no part wants is computed and dropped. With
+  /// `digests`, each share's FNV-1a digest (wire::share_digest) is taken
+  /// into it.
   void split_into(std::span<SacShareMsg> bundles,
                   std::vector<std::uint64_t>* digests) const;
   /// Apply any active Byzantine behaviour to the bundle about to go to
-  /// `dest_pos` and attach the commitment (recomputed for perturbed
-  /// parts, so the lie is self-consistent — only cross-holder
+  /// `dest_pos` (a perturbed part gets a new buffer, leaving the share's
+  /// other holders theirs) and attach the commitment (recomputed for
+  /// perturbed parts, so the lie is self-consistent — only cross-holder
   /// comparison can catch it), then send it.
   void send_bundle(std::size_t dest_pos, SacShareMsg msg, bool resend);
   /// Detection bookkeeping for one received bundle. Updates first-seen
@@ -316,7 +328,7 @@ class SacPeer {
   bool note_bad(std::size_t pos);
   void report_suspects(std::vector<std::size_t> newly);
   void contribute(std::size_t from_pos, std::size_t idx,
-                  const Vector& share);
+                  std::span<const float> share);
   void maybe_finish_share_phase();
   void emit_subtotals();
   void leader_collect(std::size_t idx, const Vector& value);

@@ -482,6 +482,15 @@ std::vector<Vector> divide(std::span<const float> secret, std::size_t n,
   return shares;
 }
 
+Share::Share(Vector v) : size_(v.size()) {
+  const auto owner = std::make_shared<const Vector>(std::move(v));
+  data_ = std::shared_ptr<const float[]>(owner, owner->data());
+}
+
+bool Share::operator==(const Share& other) const {
+  return std::equal(begin(), end(), other.begin(), other.end());
+}
+
 void accumulate(std::vector<double>& acc, std::span<const float> x) {
   P2PFL_CHECK(acc.size() == x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {

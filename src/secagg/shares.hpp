@@ -21,16 +21,49 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 
 namespace p2pfl::secagg {
 
 /// A flattened model / share. float matches the 4-byte parameters the
 /// paper's cost analysis assumes (1.25M params = 40 Mb).
 using Vector = std::vector<float>;
+
+/// One share's elements, immutable and reference-counted: every share
+/// bundle part that carries the share refers to the same elements, a
+/// copy is one more reference, and the last one frees them. Built from a
+/// Vector (whose elements it takes over, not copies) or from elements
+/// written before they are handed over, possibly a row of a larger
+/// buffer that the reference keeps alive. It reads as a contiguous range
+/// of const float (a std::span<const float> converts from it), encodes as
+/// the Vector with its elements does and compares by content.
+class Share {
+ public:
+  Share() = default;
+  /// Implicit: a bundle part is built straight from a Vector.
+  Share(Vector v);
+  Share(std::shared_ptr<const float[]> data, std::size_t size)
+      : data_(std::move(data)), size_(size) {}
+
+  const float* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
+  const float* begin() const { return data(); }
+  const float* end() const { return data() + size_; }
+
+  bool operator==(const Share& other) const;
+
+  static void fields(const Share& m, ByteWriter& w) { w.vec_f32(m); }
+  static void fields(Share& m, ByteReader& r) { m = Share(r.vec_f32()); }
+
+ private:
+  std::shared_ptr<const float[]> data_;
+  std::size_t size_ = 0;
+};
 
 enum class SplitScheme {
   kProportional,  // per-element normalized random fractions (Alg. 1)

@@ -85,20 +85,24 @@ std::int64_t Simulator::next_occupied_bucket() const {
 }
 
 void Simulator::flush_bucket(std::int64_t b) {
+  // Only called with the near heap empty: the slot's storage becomes the
+  // near heap, and the slot keeps none, so queue memory follows the
+  // pending entries rather than each slot's largest burst.
+  P2PFL_CHECK(near_.empty());
   const std::size_t s = static_cast<std::size_t>(b) % kWheelBuckets;
-  std::vector<Entry>& vec = buckets_[s];
-  wheel_entry_count_ -= vec.size();
-  for (const Entry& e : vec) {
-    if (!alive(e)) {
-      --stale_entries_;
-      continue;
-    }
-    // A live entry left in a passed bucket slot is impossible: the
-    // cursor only skips buckets the occupancy scan saw as empty.
-    P2PFL_CHECK((e.t >> kWheelBucketBits) == b);
-    push_near(e);
-  }
-  vec.clear();  // keeps capacity: the slot's burst size is recycled
+  near_ = std::exchange(buckets_[s], {});
+  wheel_entry_count_ -= near_.size();
+  const auto dead =
+      std::remove_if(near_.begin(), near_.end(), [&](const Entry& e) {
+        if (!alive(e)) return true;
+        // A live entry left in a passed bucket slot is impossible: the
+        // cursor only skips buckets the occupancy scan saw as empty.
+        P2PFL_CHECK((e.t >> kWheelBucketBits) == b);
+        return false;
+      });
+  stale_entries_ -= static_cast<std::size_t>(near_.end() - dead);
+  near_.erase(dead, near_.end());
+  std::make_heap(near_.begin(), near_.end(), EntryAfter{});
   occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
   cursor_ = b;
 }
@@ -167,7 +171,10 @@ void Simulator::maybe_compact() {
     if (vec.empty()) continue;
     prune(vec);
     wheel_entry_count_ += vec.size();
-    if (vec.empty()) occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+    if (vec.empty()) {
+      occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+      vec = std::vector<Entry>();  // an idle slot keeps no storage
+    }
   }
   stale_entries_ = 0;
 }

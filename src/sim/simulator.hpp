@@ -17,7 +17,9 @@
 //    buckets, kWheelBuckets of them ≈ a 4 s horizon) for the dominant
 //    near-future class (link delays, election timeouts, heartbeats),
 //    a small binary heap for the wheel's current bucket, and a fallback
-//    heap for far-future events beyond the horizon.
+//    heap for far-future events beyond the horizon. A bucket's storage
+//    becomes the near heap when the cursor reaches it, and its slot
+//    keeps none, so queue memory follows the pending entries.
 //  - Firing order is exactly (time, insertion sequence) — the same total
 //    order the original single priority queue produced — because the
 //    wheel partitions events by time and the intra-bucket heap breaks
@@ -177,7 +179,8 @@ class Simulator {
   /// Events in bucket cursor_ or earlier (min-heap by (t, seq)).
   std::vector<Entry> near_;
   /// Wheel: bucket b (absolute index t >> kWheelBucketBits) lives in
-  /// buckets_[b % kWheelBuckets] while 0 < b - cursor_ < kWheelBuckets.
+  /// buckets_[b % kWheelBuckets] while 0 < b - cursor_ < kWheelBuckets;
+  /// an empty slot holds no storage.
   std::vector<std::vector<Entry>> buckets_;
   std::array<std::uint64_t, kWheelBuckets / 64> occupied_{};
   std::size_t wheel_entry_count_ = 0;

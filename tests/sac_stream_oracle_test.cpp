@@ -816,5 +816,111 @@ TEST(SacStreamOracle, ActorAttacksSendTheOffsetRuleOverDivideShares) {
   }
 }
 
+TEST(SacStreamOracle, ActorPartsOfAShareReferToOneBuffer) {
+  // At k < n a share rides in n − k + 1 bundles, and every part that
+  // holds it refers to the one row it was split into (of a buffer shared
+  // with the other shares when the model is small, of its own when it is
+  // large). A perturbed part (inconsistent shares to odd positions,
+  // equivocation on resends) gets a buffer of its own, leaving the other
+  // holders' parts as divide() gave them, and a resend is split again
+  // into buffers of its own.
+  note_isa();
+  constexpr double kMagnitude = 0.75;
+  const robust::AttackKind attacks[] = {
+      robust::AttackKind::kNone, robust::AttackKind::kInconsistentShares,
+      robust::AttackKind::kEquivocate};
+  for (const std::size_t dim : {std::size_t{5}, kActorDims[1]}) {
+    for (const Shape shape : {Shape{4, 2}, Shape{5, 3}}) {
+      for (const robust::AttackKind attack : attacks) {
+        const std::size_t n = shape.n, k = shape.k, pos = n - 1;
+        SCOPED_TRACE(::testing::Message() << "dim=" << dim << " n=" << n
+                                          << " k=" << k << " attack="
+                                          << static_cast<int>(attack));
+        robust::ByzantineRegistry registry;
+        if (attack != robust::AttackKind::kNone) {
+          registry.activate(static_cast<PeerId>(pos), {attack, kMagnitude});
+        }
+        SacActorOptions opts;
+        opts.byzantine = &registry;
+        LoneSacPeer s(n, pos, opts);
+        // Keep every bundle as the typed message, so its parts keep
+        // referring to the buffers the peer sent.
+        std::map<std::size_t, std::vector<SacShareMsg>> got;
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          s.hosts[j]->route(std::string(kChannel) + "/share",
+                            [&got, j](const net::Envelope& env) {
+                              got[j].push_back(
+                                  *net::payload<SacShareMsg>(env.body));
+                            });
+        }
+        const Vector model = mixed_models(1, dim, 41 * n + k).front();
+        Rng oracle_rng = s.peer_rng();
+        const std::vector<Vector> shares = divide(model, n, oracle_rng);
+        s.peer->begin_round(1, model, s.group, /*leader_pos=*/0, k);
+        s.sim.run_for(50 * kMillisecond);
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          s.net.send(s.group[j], s.group[pos],
+                     std::string(kChannel) + "/share_req",
+                     SacShareReq{1, static_cast<std::uint32_t>(j)},
+                     wire::kShareReqWire);
+          s.sim.run_for(50 * kMillisecond);
+        }
+
+        // First sends: the unperturbed parts of share s share one row and
+        // hold divide()'s share s; a perturbed part holds its own.
+        std::map<std::size_t, const float*> buffer_of;
+        std::size_t shared_parts = 0;
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          ASSERT_EQ(got[j].size(), 2u) << "to " << j;
+          if (attack == robust::AttackKind::kInconsistentShares &&
+              j % 2 == 1) {
+            continue;
+          }
+          for (const auto& [idx, data] : got[j][0].parts) {
+            EXPECT_EQ(bit_mismatches(Vector(data.begin(), data.end()),
+                                     shares[idx]),
+                      0u)
+                << "to " << j << ", share " << idx;
+            const auto [it, first] = buffer_of.emplace(idx, data.data());
+            if (!first) {
+              EXPECT_EQ(data.data(), it->second)
+                  << "to " << j << ", share " << idx;
+              ++shared_parts;
+            }
+          }
+        }
+        EXPECT_GT(shared_parts, 0u);
+        for (std::size_t j = 0; j + 1 < n; ++j) {
+          // A perturbed part and every resent one hold buffers of their own.
+          for (std::size_t send = 0; send < 2; ++send) {
+            const bool perturbed =
+                attack == robust::AttackKind::kInconsistentShares && j % 2 == 1;
+            if (send == 0 && !perturbed) continue;
+            for (const auto& [idx, data] : got[j][send].parts) {
+              if (buffer_of.count(idx) > 0) {
+                EXPECT_NE(data.data(), buffer_of[idx])
+                    << "to " << j << ", send " << send << ", share " << idx;
+              }
+            }
+          }
+          // Inconsistent shares depend on the holder alone, so a resend
+          // repeats the first send; equivocation shifts resend i by i times
+          // the magnitude.
+          if (attack == robust::AttackKind::kEquivocate) {
+            const float offset = static_cast<float>(kMagnitude) *
+                                 static_cast<float>(j + 1);
+            EXPECT_EQ(encode_wire(got[j][1]),
+                      expected_bundle(shares, pos, j, k, false, offset))
+                << "to " << j;
+          } else {
+            EXPECT_EQ(encode_wire(got[j][1]), encode_wire(got[j][0]))
+                << "to " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace p2pfl::secagg

@@ -5,10 +5,13 @@
 //    double-fire the slot's new occupant (generation tags),
 //  - every non-cancelled event fires exactly once,
 //  - pool and queue memory plateau instead of growing with churn
-//    (free-list recycling + lazy stale-entry compaction).
+//    (free-list recycling + lazy stale-entry compaction),
+//  - heap in use follows the pending events, not the largest burst each
+//    wheel slot ever took (skipped under sanitizers).
 // Runs in the fast tier-1 suite, so CI also executes it under ASan/UBSan
 // where a use-after-free in the recycling path would be caught directly.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdint>
 
@@ -84,6 +87,51 @@ TEST(SimPoolStress, FiredIdsAreNotCancellableAndDoNotAliasSuccessors) {
   EXPECT_EQ(sim.pending(), 1u);
   sim.run();
   EXPECT_TRUE(second);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Bytes malloc has handed out, from the heap and from mmap.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(SimPoolStress, QueueMemoryFollowsPendingEvents) {
+  if (kSanitized) {
+    GTEST_SKIP() << "mallinfo2 does not see a sanitizer's allocator";
+  }
+  // 200 bursts of 20k events, 100 ms apart: each lands in its own wheel
+  // slot ((t >> 12) % 1024 differs for all 200) and runs out before the
+  // next is scheduled. Heap in use after the last burst must stay where
+  // the first left it; a slot that kept its burst's storage would hold
+  // about 0.8 MB each, 150 MB in all.
+  constexpr int kBursts = 200;
+  constexpr int kBurst = 20'000;
+  Simulator sim(13);
+  std::uint64_t fires = 0;
+  std::size_t after_first = 0;
+  for (int b = 0; b < kBursts; ++b) {
+    for (int i = 0; i < kBurst; ++i) {
+      sim.schedule_after(100 * kMillisecond, [&fires] { ++fires; });
+    }
+    sim.run();
+    if (b == 0) after_first = heap_in_use();
+  }
+  EXPECT_EQ(fires, std::uint64_t{kBursts} * kBurst);
+  EXPECT_EQ(sim.queued_entry_count(), 0u);
+  EXPECT_LE(heap_in_use(), after_first + (std::size_t{4} << 20))
+      << "after the first burst: " << after_first << " bytes";
 }
 
 }  // namespace

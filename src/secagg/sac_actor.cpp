@@ -1,7 +1,6 @@
 #include "secagg/sac_actor.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 
 #include "common/check.hpp"
@@ -28,35 +27,15 @@ std::string family_of(const std::string& channel) {
   return slash == std::string::npos ? channel : channel.substr(0, slash);
 }
 
-// A held index's sum and the leader's total keep the bits accumulate()
-// into a zeroed sum and to_vector() give, without the zero pass or a
-// second read: the first vector writes 0.0 + x (what adding x to +0.0
-// gives, -0.0 included), later ones add, and the last writes
-// float((sum + x) / divisor) straight into the result (dividing by 1.0
-// is exact).
-
+/// A sum of `x` and the vectors added to it by accumulate(), allocated
+/// unfilled: writing 0.0 + x gives the bits of adding x to a zeroed sum,
+/// -0.0 included.
 std::unique_ptr<double[]> begin_sum(std::span<const float> x) {
   auto sum = std::make_unique_for_overwrite<double[]>(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     sum[i] = 0.0 + static_cast<double>(x[i]);
   }
   return sum;
-}
-
-void add_to_sum(double* sum, std::span<const float> x) {
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum[i] += static_cast<double>(x[i]);
-  }
-}
-
-Vector end_sum(const double* sum, std::span<const float> x,
-               double divisor) {
-  Vector out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = static_cast<float>((sum[i] + static_cast<double>(x[i])) /
-                                divisor);
-  }
-  return out;
 }
 
 /// `share` shifted by `offset` element by element, in a buffer of its own.
@@ -482,25 +461,17 @@ void SacPeer::contribute(std::size_t from_pos, std::size_t idx,
       st.contributed.try_emplace(idx, st.n, false).first->second;
   if (seen[from_pos]) return;  // duplicate
   seen[from_pos] = true;
-  const bool complete =
-      std::all_of(seen.begin(), seen.end(), [](bool b) { return b; });
   if (ait == st.acc.end()) {
     // The first share of the index: a done index's sum is gone, but
     // every share of it is a duplicate, turned away above.
-    auto sum = begin_sum(share);
-    if (complete) {  // n = 1: the first share is the last
-      st.subtotal[idx] = to_vector({sum.get(), share.size()});
-      return;
-    }
-    st.acc.try_emplace(idx, std::move(sum), share.size());
-    return;
+    ait = st.acc.try_emplace(idx, begin_sum(share), share.size()).first;
+  } else {
+    accumulate({ait->second.sum.get(), ait->second.dim}, share);
   }
-  if (!complete) {
-    add_to_sum(ait->second.sum.get(), share);
-    return;
+  if (std::all_of(seen.begin(), seen.end(), [](bool b) { return b; })) {
+    st.subtotal[idx] = to_vector({ait->second.sum.get(), ait->second.dim});
+    st.acc.erase(ait);
   }
-  st.subtotal[idx] = end_sum(ait->second.sum.get(), share, 1.0);
-  st.acc.erase(ait);
 }
 
 void SacPeer::maybe_finish_share_phase() {
@@ -632,17 +603,14 @@ void SacPeer::maybe_complete() {
                     {{"channel", channel_}, {"round", st.round}});
   }
   // The subtotals' sum in index order, divided by n.
-  const double n = static_cast<double>(st.n);
   auto it = st.collected.begin();
-  const auto last = std::prev(st.collected.end());
+  const std::size_t dim = it->second.size();
   const std::unique_ptr<double[]> total = begin_sum(it->second);
-  Vector avg;
-  if (it == last) {
-    avg = to_vector({total.get(), it->second.size()}, n);
-  } else {
-    for (++it; it != last; ++it) add_to_sum(total.get(), it->second);
-    avg = end_sum(total.get(), last->second, n);
+  for (++it; it != st.collected.end(); ++it) {
+    accumulate({total.get(), dim}, it->second);
   }
+  const Vector avg =
+      to_vector({total.get(), dim}, static_cast<double>(st.n));
   if (on_complete) on_complete(st.round, avg);
 }
 

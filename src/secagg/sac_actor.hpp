@@ -22,8 +22,8 @@
 // the ShareSplitter seeded by the round's one draw from its Rng; a resend
 // regenerates the asked-for bundle from a copy of that splitter, bit for
 // bit the first send. A Byzantine sender's perturbed part gets a buffer
-// of its own. A holder sums its held shares in double without zeroing
-// the sum first and writes the float subtotal as the last share arrives.
+// of its own. A holder sums its held shares in double, the first share
+// writing the sum rather than adding to a zeroed one.
 //
 // Retry hardening (for lossy/duplicating networks, see src/chaos): while
 // a peer's held subtotals are incomplete, it requests retransmission

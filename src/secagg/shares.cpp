@@ -491,7 +491,7 @@ bool Share::operator==(const Share& other) const {
   return std::equal(begin(), end(), other.begin(), other.end());
 }
 
-void accumulate(std::vector<double>& acc, std::span<const float> x) {
+void accumulate(std::span<double> acc, std::span<const float> x) {
   P2PFL_CHECK(acc.size() == x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     acc[i] += static_cast<double>(x[i]);

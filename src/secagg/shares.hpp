@@ -158,7 +158,7 @@ std::vector<Vector> divide(std::span<const float> secret, std::size_t n,
                            SplitScheme scheme = SplitScheme::kProportional);
 
 /// Element-wise in-place accumulate: acc += x.
-void accumulate(std::vector<double>& acc, std::span<const float> x);
+void accumulate(std::span<double> acc, std::span<const float> x);
 
 /// acc (double) -> Vector, optionally scaled by 1/divisor.
 Vector to_vector(std::span<const double> acc, double divisor = 1.0);
